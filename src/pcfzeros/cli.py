@@ -261,6 +261,13 @@ def cmd_phase_grid(args):
     return 0
 
 
+def _nonnegative_int(text):
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def _build_parser():
     p = argparse.ArgumentParser(prog="pcfzeros",
                                 description="Zeros of the parabolic "
@@ -270,7 +277,7 @@ def _build_parser():
     def common(sp):
         sp.add_argument("--a", type=float, required=True,
                         help="parameter a of U(a,z)")
-        sp.add_argument("--count", type=int, default=5,
+        sp.add_argument("--count", type=_nonnegative_int, default=5,
                         help="how many complex zeros (finite families are "
                              "always enumerated fully)")
         sp.add_argument("--terms", type=int, choices=(1, 2, 3), default=3)

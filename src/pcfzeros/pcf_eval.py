@@ -1,18 +1,28 @@
 """Independent evaluation of U(a,z) and U'(a,z) for validation/refinement.
 
-Three methods, chosen by region and requested accuracy:
+Region map of eval_U: each method is tried in turn and the first whose
+a-posteriori estimate meets its threshold answers.
 
-  * series — Maclaurin expansion of the even/odd standard solutions with
-    gamma-function connection coefficients; cancellation is tracked by
-    the largest-term magnitude and the evaluation escalates to mpmath
-    with extra digits whenever double precision cannot deliver the
-    requested accuracy;
-  * asymptotic — compound large-|z| expansion: the recessive series plus,
-    beyond |arg z| = pi/2, the dominant series weighted by the connection
-    constant i sqrt(2 pi) e^{-i pi a}/Gamma(a+1/2) (conjugated in the
-    lower half-plane);
-  * quadrature — adaptive integration of the real-integral representation
-    (valid for a > -1/2), used as an independent cross-check.
+  1. asymptotic — large |z|: the compound expansion, i.e. the recessive
+     series plus, beyond |arg z| = pi/2, the dominant series weighted by
+     the connection constant i sqrt(2 pi) e^{-i pi a}/Gamma(a+1/2)
+     (conjugated in the lower half-plane).  Accepted when the smallest
+     term is below max(1e-13, tol/100).
+  2. series — small |z|: Maclaurin expansion of the even/odd standard
+     solutions with gamma-function connection coefficients, in doubles;
+     cancellation is tracked by the largest-term magnitude.
+  3. taylor — moderate |z|, between Maclaurin cancellation and asymptotic
+     truncation: Taylor steps of Weber's equation w'' = (z^2/4 + a) w
+     along the ray from the origin, where U and U' are gamma-function
+     values.  Stable where U is dominant, i.e. outside |arg z| < pi/4.
+  4. series in mpmath — last resort: the Maclaurin decomposition at
+     escalating precision, capped at _MP_MAX_DPS digits, past which it
+     raises ConvergenceError.
+
+eval_U_near_zero, used inside root refinement, judges the error against
+|U'| and tries asymptotic (smallest term below 1e-15), series, then
+mpmath.  quadrature — adaptive integration of the real-integral
+representation (valid for a > -1/2) — is an independent cross-check.
 
 Exponentially large/small results carry a real exponent so that
 value * e^exponent is the true function value.
@@ -27,19 +37,32 @@ import scipy.integrate as integrate
 import scipy.special as sp
 
 from ._kernels import asym_pair, kummer_pair
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .genairy import identity_residual  # noqa: F401  (re-export convenience)
 
 SQRT_PI = math.sqrt(math.pi)
+_LOG_SQRT_PI = 0.5 * math.log(math.pi)
+_LN2 = math.log(2.0)
+_EPS = 2.2e-16
 # |exponent| below this is folded back into the mantissa
 _UNSCALE_BOUND = 650.0
+# the mpmath fallback refuses precisions above this many digits
+_MP_MAX_DPS = 1000
+# Taylor steps: |h| * sqrt(|a| + |z|^2/4) per step, the step-count cap,
+# and the term size (relative to |w| + |h w'| = 1) that ends a series
+_TAYLOR_REACH = 2.5
+_TAYLOR_MAX_STEPS = 1000
+_TAYLOR_MAX_TERMS = 200
+_TAYLOR_TINY = 1e-17
+_INV_KK = [0.0, 0.0] + [1.0 / (k * (k - 1))
+                        for k in range(2, _TAYLOR_MAX_TERMS)]
 
 
 @dataclass(frozen=True)
 class PcfValue:
     value: complex
     derivative: complex
-    method: str  # series | asymptotic | quadrature
+    method: str  # series | asymptotic | taylor | quadrature
     est_accuracy: float
     # value * e**exponent is the true U; 0 unless out of double range
     exponent: float = 0.0
@@ -72,10 +95,11 @@ def _maybe_unscale(v):
     return v
 
 
-def _asym_sums(a, z):
-    """(S, exponent, K-part mantissa...) building blocks for one a."""
+def _asym_sums(a, z, cut):
+    """(mantissa, exponent, truncation term) of U(a,z) from the compound
+    expansion; None when the smallest term exceeds cut."""
     S1, S2, mn = asym_pair(a, 1.0 / (2.0 * z * z), 64)
-    if mn > 1e-15:
+    if mn > cut:
         return None
     lg = cmath.log(z)
     e1 = -z * z / 4.0 - (a + 0.5) * lg
@@ -97,12 +121,12 @@ def _asym_sums(a, z):
     return m, ecap, mn
 
 
-def _eval_asymptotic(a, z):
-    r = _asym_sums(a, z)
+def _eval_asymptotic(a, z, cut):
+    r = _asym_sums(a, z, cut)
     if r is None:
         return None
     m, ecap, mn = r
-    r2 = _asym_sums(a + 1.0, z)
+    r2 = _asym_sums(a + 1.0, z, cut)
     if r2 is None:
         return None
     m2, ecap2, mn2 = r2
@@ -132,6 +156,95 @@ def _eval_series_double(a, z):
     return _maybe_unscale(PcfValue(m, dm, "series", est, -w.real / 2.0))
 
 
+def _origin_log(a):
+    """U(a,0) and U'(a,0) as (signs, logs of magnitudes), so that neither
+    underflows for large |a|; a log is -inf where 1/Gamma vanishes."""
+    out = []
+    for x, sign, p2 in ((0.75 + 0.5 * a, 1.0, -0.5 * a - 0.25),
+                        (0.25 + 0.5 * a, -1.0, -0.5 * a + 0.25)):
+        if x <= 0.0 and x == math.floor(x):
+            out += [0.0, -math.inf]
+            continue
+        if x < 0.0 and math.floor(x) % 2:
+            sign = -sign
+        out += [sign, _LOG_SQRT_PI + p2 * _LN2 - math.lgamma(x)]
+    return out
+
+
+def _taylor_run(a, z, n, w, v):
+    """Integrate w'' = (t^2/4 + a) w over n equal steps from t = 0 to z.
+
+    (w, v) is the data at the origin with v = h w', h = z/n.  Returns
+    (w(z), h w'(z), log of the scale factored out), or None when the
+    arithmetic overflowed.  Each step sums the Taylor series
+    w(t0 + h) = sum_k d_k with d_k = c_k h^k, whose coefficients follow
+    from the equation expanded about t0:
+        k (k-1) d_k = h^2 (q0 d_{k-2} + q1 h d_{k-3} + h^2/4 d_{k-4}),
+    q0 = t0^2/4 + a, q1 = t0/2.
+    """
+    h = z / n
+    h2 = h * h
+    c2 = h2 * h2 / 4.0
+    expo = 0.0
+    for j in range(n):
+        t0 = j * h
+        c0 = h2 * (t0 * t0 / 4.0 + a)
+        c1 = h2 * h * t0 / 2.0
+        p4 = p3 = 0j
+        p2, p1 = w, v
+        s, d = w + v, v
+        for k in range(2, _TAYLOR_MAX_TERMS):
+            t = (c0 * p2 + c1 * p3 + c2 * p4) * _INV_KK[k]
+            s += t
+            d += k * t
+            if abs(t) + abs(p1) < _TAYLOR_TINY:
+                break
+            p4, p3, p2, p1 = p3, p2, p1, t
+        # keep |w| + |v| = 1; the scale goes into the exponent
+        m = abs(s) + abs(d)
+        if not 0.0 < m < math.inf:
+            return None
+        w, v = s / m, d / m
+        expo += math.log(m)
+    return w, v, expo
+
+
+def _eval_taylor(a, z):
+    """U(a,z) and U'(a,z) by Taylor steps along the ray from the origin.
+
+    U is dominant away from |arg z| < pi/4, so outward stepping is stable
+    there; elsewhere rounding errors grow and the estimate says so.  The
+    estimate is 100 times the difference between integrations with n and
+    n + n//3 + 1 steps.  The origin data carry about |log U(a,0)| ulps of
+    error, which the steps amplify like the first step's rounding, so a
+    larger factor is used when that count exceeds 100.  None when the step
+    count would pass _TAYLOR_MAX_STEPS.
+    """
+    reach = abs(z) * max(1.0, math.sqrt(abs(a) + abs(z) ** 2 / 4.0))
+    n = math.ceil(reach / _TAYLOR_REACH) if math.isfinite(reach) else 0
+    if not 0 < n <= _TAYLOR_MAX_STEPS:
+        return None
+    s0, l0, s1, l1 = _origin_log(a)
+    e0 = max(l0, l1)
+    w0 = s0 * math.exp(l0 - e0)
+    u0 = s1 * math.exp(l1 - e0)
+    runs = []
+    for steps in (n, n + n // 3 + 1):
+        r = _taylor_run(a, z, steps, w0, u0 * z / steps)
+        if r is None:
+            return None
+        w, v, expo = r
+        runs.append((w, v * steps / z, expo))
+    (w1, d1, x1), (w2, d2, x2) = runs
+    if w2 == 0.0 or d2 == 0.0:
+        return None
+    f = math.exp(x1 - x2)
+    diff = max(abs(w1 * f - w2) / abs(w2), abs(d1 * f - d2) / abs(d2))
+    ulps = 4.0 + sum(abs(x) for x in (l0, l1) if math.isfinite(x))
+    est = max(100.0, ulps) * diff + ulps * _EPS
+    return _maybe_unscale(PcfValue(w2, d2, "taylor", est, e0 + x2))
+
+
 def _eval_series_mp(a, z, tol):
     """Arbitrary-precision fallback: same Maclaurin decomposition via
     mpmath's 1F1, at escalating precision until two runs agree to tol."""
@@ -141,6 +254,9 @@ def _eval_series_mp(a, z, tol):
     prev = None
     est = math.inf
     for _ in range(4):
+        if dps > _MP_MAX_DPS:
+            raise ConvergenceError(f"U({a}, {z}) needs more than "
+                                   f"{_MP_MAX_DPS} digits")
         with mp.workdps(dps):
             zz = mp.mpc(z)
             w = zz * zz / 2.0
@@ -174,18 +290,21 @@ def _eval_series_mp(a, z, tol):
 def eval_U(a, z, tol=1e-11):
     """U(a,z) and U'(a,z) with est_accuracy <= tol where attainable.
 
-    Method selection: compound asymptotics when the divergent series
-    truncates below 1e-15; otherwise the Maclaurin series in doubles,
-    escalated to arbitrary precision when cancellation eats the budget.
+    Tries, in order, the methods of the region map in the module
+    docstring and returns the first whose estimate meets its threshold.
     """
     z = complex(z)
     a = float(a)
     if z != 0.0:
-        v = _eval_asymptotic(a, z)
-        if v is not None and v.est_accuracy <= max(1e-13, tol * 1e-2):
+        cut = max(1e-13, tol * 1e-2)
+        v = _eval_asymptotic(a, z, cut)
+        if v is not None and v.est_accuracy <= cut:
             return v
     v = _eval_series_double(a, z)
     if v.est_accuracy <= tol:
+        return v
+    v = _eval_taylor(a, z)
+    if v is not None and v.est_accuracy <= tol:
         return v
     return _eval_series_mp(a, z, tol)
 
@@ -201,7 +320,7 @@ def eval_U_near_zero(a, z, tol=1e-12):
     z = complex(z)
     a = float(a)
     if z != 0.0:
-        v = _eval_asymptotic(a, z)
+        v = _eval_asymptotic(a, z, 1e-15)
         if v is not None:
             return v
     v = _eval_series_double(a, z)

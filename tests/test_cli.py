@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -66,6 +67,14 @@ def test_zeros_auto_enumerates_all_families(capsys):
 def test_exit_code_bad_family(capsys):
     rc, _ = run_cli(capsys, ["zeros", "--a", "8.3", "--family", "pos"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("command", ["zeros", "validate"])
+def test_exit_code_negative_count(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--a", "8.3", "--count", "-1"])
+    assert exc.value.code == 2
+    assert "--count" in capsys.readouterr().err
 
 
 def test_exit_code_polynomial_case(capsys):
@@ -152,8 +161,14 @@ def test_phase_grid_inverted_range(capsys, tmp_path):
 
 
 def test_console_entry_point():
+    # the child imports the package from where this test imported it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     r = subprocess.run([sys.executable, "-m", "pcfzeros.cli", "zeros",
                         "--a", "8.3", "--family", "apos", "--count", "1",
-                        "--jobs", "1"], capture_output=True, text=True)
+                        "--jobs", "1"], capture_output=True, text=True,
+                       env=env)
     assert r.returncode == 0
     assert "apos-complex" in r.stdout

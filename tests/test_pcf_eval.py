@@ -1,10 +1,13 @@
 import cmath
 import math
+import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from pcfzeros.errors import DomainError
+from pcfzeros import pcf_eval
+from pcfzeros.errors import DomainError, PcfzerosError
 from pcfzeros.pcf_eval import (eval_U, eval_U_near_zero, eval_U_prime,
                                eval_U_quadrature, metrics, residual_eq319,
                                winding_number)
@@ -161,3 +164,58 @@ def test_winding_number_certifies_zero():
     assert winding_number(8.3, z, 0.2) == 1
     # no zero inside a small displaced circle
     assert winding_number(8.3, z + 1.0 + 1.0j, 0.2) == 0
+
+
+def test_taylor_estimate_bounds_error():
+    # 7 a x 9 arg z x 6 |z|, spanning the recessive sector where the
+    # outward integration loses accuracy and must say so
+    accepted = 0
+    for a in (-20.5, -20.3, -6.2, 0.3, 2.5, 8.3, 20.3):
+        for i in range(9):
+            for j in range(6):
+                z = cmath.rect(0.5 + 13.5 * j / 5, 0.1 + 2.9 * i / 8)
+                v = pcf_eval._eval_taylor(a, z)
+                if v is None or v.est_accuracy > 1e-6:
+                    continue
+                accepted += 1
+                u, du = v.unscaled()
+                ref, dref = oracles.mp_U_pair(a, z)
+                assert abs(u - ref) <= v.est_accuracy * abs(ref), (a, z)
+                assert abs(du - dref) <= v.est_accuracy * abs(dref), (a, z)
+    assert accepted >= 300
+
+
+def test_readme_grid_stays_in_double_precision(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("mpmath fallback reached")
+
+    monkeypatch.setattr(pcf_eval, "_eval_series_mp", refuse)
+    for x in np.linspace(-6.0, 0.0, 8):
+        for y in np.linspace(5.0, 10.0, 8):
+            v = eval_U(8.3, complex(x, y), tol=1e-6)
+            assert v.est_accuracy <= 1e-6
+
+
+def test_taylor_carries_exponent_for_large_negative_a():
+    # U(-400.3, 0) ~ e^1000 is out of double range
+    a = -400.3
+    accepted = 0
+    for z in (0.5 + 0.5j, 1.0, 2.0 + 3.0j, -5.0 + 10.0j, 30.0 + 1.0j):
+        v = pcf_eval._eval_taylor(a, z)
+        if v is None:
+            continue
+        accepted += 1
+        assert v.exponent > 650.0 and v.value != 0.0
+        with mp.workdps(40):
+            ref = mp.pcfu(a, mp.mpc(z))
+            got = mp.mpc(v.value) * mp.exp(v.exponent)
+            assert abs(got - ref) <= v.est_accuracy * abs(ref)
+    assert accepted >= 3
+
+
+def test_mpmath_precision_cap_raises_promptly():
+    # |z| ~ 2000 would ask the Maclaurin fallback for ~780 000 digits
+    t0 = time.perf_counter()
+    with pytest.raises(PcfzerosError):
+        t_iterate(1e6, zeros_apos(1e6, 1).z)
+    assert time.perf_counter() - t0 < 30.0
