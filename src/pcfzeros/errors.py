@@ -1,4 +1,5 @@
 """Exception types shared across the package."""
+import cmath
 
 
 class PcfzerosError(Exception):
@@ -25,3 +26,10 @@ class ConvergenceError(PcfzerosError, RuntimeError):
 
 class ChainBreakError(PcfzerosError, RuntimeError):
     """A zero sweep landed on an already-found zero or lost the ladder."""
+
+
+def require_finite(**values):
+    """Raise DomainError naming the first argument that is NaN or infinite."""
+    for name, x in values.items():
+        if not cmath.isfinite(x):
+            raise DomainError(f"{name} = {x} is not finite")

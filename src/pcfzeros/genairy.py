@@ -91,6 +91,12 @@ def _t_series_tail(t):
     return _T_NEXT * abs(t) ** (2.0 / 3.0 - 10.0)
 
 
+def _series_suffices(t, x):
+    """True where twice the first omitted term of t_series at t is within
+    the accuracy refinement delivers at the zero x, xtol + rtol |x|."""
+    return 2.0 * _t_series_tail(t) <= _BRENT_XTOL + _BRENT_RTOL * abs(x)
+
+
 def eval_genairy_real(u, x):
     """sin(u pi/2) Ai(x) + cos(u pi/2) Bi(x), proportional to Ai_u on R."""
     ai = eval_ai(x)
@@ -171,8 +177,7 @@ def neg_zeros(u, m, refine=False):
     val, reliable = t_series(t)
     x = -val.real
     refined = False
-    if (refine or m == 1
-            or 2.0 * _t_series_tail(t) > _BRENT_XTOL + _BRENT_RTOL * abs(x)):
+    if refine or m == 1 or not _series_suffices(t, x):
         # bracket around the asymptotic seed and solve eq. for Ai_u on R
         half = 0.45 * (8.0 / (3.0 * math.pi)) / max(tau, 1.0) * abs(x) if x != 0 else 0.5
         half = max(half, 0.2)
@@ -233,7 +238,9 @@ def complex_zeros(u, m, refine=False):
     """m-th complex zero of Ai_u in the first quadrant.
 
     tau is branch-selected by the sign of cos(u pi/2); the zero is
-    e^{i pi/3} T(3 pi tau / 8) and arg -> pi/3 as m grows.
+    e^{i pi/3} T(3 pi tau / 8) and arg -> pi/3 as m grows.  Unrefined, it
+    is flagged reliable only where the series' truncation estimate passes
+    the same test as in neg_zeros.
     """
     if u <= 0:
         raise DomainError("complex_zeros requires u > 0")
@@ -250,6 +257,7 @@ def complex_zeros(u, m, refine=False):
     t = 3.0 * math.pi * tau / 8.0
     val, reliable = t_series(t)
     z = cmath.exp(1j * math.pi / 3.0) * val
+    reliable = reliable and _series_suffices(t, z)
     refined = False
     if refine:
         rz = refine_zero(u, z)

@@ -21,8 +21,16 @@ a-posteriori estimate meets its threshold answers.
 
 eval_U_near_zero, used inside root refinement, judges the error against
 |U'| and tries asymptotic (smallest term below 1e-15), series, then
-mpmath.  quadrature — adaptive integration of the real-integral
-representation (valid for a > -1/2) — is an independent cross-check.
+mpmath.
+
+TaylorWalker evaluates along a chain of nearby points, such as the
+iterates and zeros of one refinement sweep: it carries (U, U') from the
+previous point by the same Taylor steps, restarts once from the origin
+when the carried estimate is too large, and falls back to
+eval_U_near_zero (re-seeding from its answer) when that fails too.
+
+quadrature — adaptive integration of the real-integral representation
+(valid for a > -1/2) — is an independent cross-check.
 
 Exponentially large/small results carry a real exponent so that
 value * e^exponent is the true function value.
@@ -37,8 +45,7 @@ import scipy.integrate as integrate
 import scipy.special as sp
 
 from ._kernels import asym_pair, kummer_pair
-from .errors import ConvergenceError, DomainError
-from .genairy import identity_residual  # noqa: F401  (re-export convenience)
+from .errors import ConvergenceError, DomainError, require_finite
 
 SQRT_PI = math.sqrt(math.pi)
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
@@ -48,6 +55,11 @@ _EPS = 2.2e-16
 _UNSCALE_BOUND = 650.0
 # the mpmath fallback refuses precisions above this many digits
 _MP_MAX_DPS = 1000
+# mpmath mantissas outside [1/_MP_FOLD, _MP_FOLD] have log|U| folded into
+# the exponent, since they would leave double range
+_MP_FOLD = 1e300
+# eval_U_near_zero's default tolerance on the U'-scaled error
+_NEAR_ZERO_TOL = 1e-12
 # Taylor steps: |h| * sqrt(|a| + |z|^2/4) per step, the step-count cap,
 # and the term size (relative to |w| + |h w'| = 1) that ends a series
 _TAYLOR_REACH = 2.5
@@ -56,6 +68,8 @@ _TAYLOR_MAX_TERMS = 200
 _TAYLOR_TINY = 1e-17
 _INV_KK = [0.0, 0.0] + [1.0 / (k * (k - 1))
                         for k in range(2, _TAYLOR_MAX_TERMS)]
+# TaylorWalker's estimate is this multiple of the difference of its runs
+_WALK_SAFETY = 10.0
 
 
 @dataclass(frozen=True)
@@ -171,23 +185,32 @@ def _origin_log(a):
     return out
 
 
-def _taylor_run(a, z, n, w, v):
-    """Integrate w'' = (t^2/4 + a) w over n equal steps from t = 0 to z.
+def _origin_data(a):
+    """(U(a,0), U'(a,0), exponent, ulps): the origin data scaled by
+    e^-exponent, and the error they carry in ulps, about |log U(a,0)|."""
+    s0, l0, s1, l1 = _origin_log(a)
+    e0 = max(l0, l1)
+    ulps = 4.0 + sum(abs(x) for x in (l0, l1) if math.isfinite(x))
+    return s0 * math.exp(l0 - e0), s1 * math.exp(l1 - e0), e0, ulps
 
-    (w, v) is the data at the origin with v = h w', h = z/n.  Returns
-    (w(z), h w'(z), log of the scale factored out), or None when the
+
+def _taylor_run(a, z0, z1, n, w, v):
+    """Integrate w'' = (t^2/4 + a) w over n equal steps from t = z0 to z1.
+
+    (w, v) is the data at z0 with v = h w', h = (z1 - z0)/n.  Returns
+    (w(z1), h w'(z1), log of the scale factored out), or None when the
     arithmetic overflowed.  Each step sums the Taylor series
     w(t0 + h) = sum_k d_k with d_k = c_k h^k, whose coefficients follow
     from the equation expanded about t0:
         k (k-1) d_k = h^2 (q0 d_{k-2} + q1 h d_{k-3} + h^2/4 d_{k-4}),
     q0 = t0^2/4 + a, q1 = t0/2.
     """
-    h = z / n
+    h = (z1 - z0) / n
     h2 = h * h
     c2 = h2 * h2 / 4.0
     expo = 0.0
     for j in range(n):
-        t0 = j * h
+        t0 = z0 + j * h
         c0 = h2 * (t0 * t0 / 4.0 + a)
         c1 = h2 * h * t0 / 2.0
         p4 = p3 = 0j
@@ -209,45 +232,114 @@ def _taylor_run(a, z, n, w, v):
     return w, v, expo
 
 
+def _taylor_pair(a, z0, z1, starts):
+    """The two Taylor runs from z0 to z1, with n and n + n//3 + 1 steps
+    where |h| max(1, sqrt(|a| + |z|^2/4)) ~ _TAYLOR_REACH for the larger
+    |z| of the ends.  starts holds each run's (w, d, x) at z0, meaning
+    U = w e^x and U' = d e^x; returns the same at z1, or None when the
+    step count would pass _TAYLOR_MAX_STEPS or the arithmetic overflowed.
+    """
+    dz = z1 - z0
+    reach = abs(dz) * max(1.0, math.sqrt(abs(a) + max(abs(z0), abs(z1))
+                                         ** 2 / 4.0))
+    n = math.ceil(reach / _TAYLOR_REACH) if math.isfinite(reach) else 0
+    if not 0 < n <= _TAYLOR_MAX_STEPS:
+        return None
+    out = []
+    for steps, (w, d, x) in zip((n, n + n // 3 + 1), starts):
+        r = _taylor_run(a, z0, z1, steps, w, d * dz / steps)
+        if r is None:
+            return None
+        w, v, expo = r
+        out.append((w, v * steps / dz, x + expo))
+    return out
+
+
 def _eval_taylor(a, z):
     """U(a,z) and U'(a,z) by Taylor steps along the ray from the origin.
 
     U is dominant away from |arg z| < pi/4, so outward stepping is stable
     there; elsewhere rounding errors grow and the estimate says so.  The
-    estimate is 100 times the difference between integrations with n and
-    n + n//3 + 1 steps.  The origin data carry about |log U(a,0)| ulps of
+    estimate is 100 times the relative difference of the two runs of
+    _taylor_pair.  The origin data carry about |log U(a,0)| ulps of
     error, which the steps amplify like the first step's rounding, so a
     larger factor is used when that count exceeds 100.  None when the step
     count would pass _TAYLOR_MAX_STEPS.
     """
-    reach = abs(z) * max(1.0, math.sqrt(abs(a) + abs(z) ** 2 / 4.0))
-    n = math.ceil(reach / _TAYLOR_REACH) if math.isfinite(reach) else 0
-    if not 0 < n <= _TAYLOR_MAX_STEPS:
+    w0, u0, e0, ulps = _origin_data(a)
+    runs = _taylor_pair(a, 0j, z, [(w0, u0, 0.0)] * 2)
+    if runs is None:
         return None
-    s0, l0, s1, l1 = _origin_log(a)
-    e0 = max(l0, l1)
-    w0 = s0 * math.exp(l0 - e0)
-    u0 = s1 * math.exp(l1 - e0)
-    runs = []
-    for steps in (n, n + n // 3 + 1):
-        r = _taylor_run(a, z, steps, w0, u0 * z / steps)
-        if r is None:
-            return None
-        w, v, expo = r
-        runs.append((w, v * steps / z, expo))
     (w1, d1, x1), (w2, d2, x2) = runs
     if w2 == 0.0 or d2 == 0.0:
         return None
     f = math.exp(x1 - x2)
     diff = max(abs(w1 * f - w2) / abs(w2), abs(d1 * f - d2) / abs(d2))
-    ulps = 4.0 + sum(abs(x) for x in (l0, l1) if math.isfinite(x))
     est = max(100.0, ulps) * diff + ulps * _EPS
     return _maybe_unscale(PcfValue(w2, d2, "taylor", est, e0 + x2))
 
 
+class TaylorWalker:
+    """U(a,z) and U'(a,z) carried from point to point of a chain.
+
+    Called as walker(a, z) in place of eval_U_near_zero, for one fixed a.
+    It holds both runs of _taylor_pair at the last point and steps them
+    on to z, so that each evaluation costs a few Taylor steps from its
+    neighbour.  The estimate bounds the error of U over
+    max(|U|, |U'|/(1 + |z|)), the U'-scaled measure of eval_U_near_zero:
+    _WALK_SAFETY times the runs' difference in U, plus the error of the
+    data they started from.  The answer is accepted while it is at most
+    max(_NEAR_ZERO_TOL, tol/10 (1 + |z|)^2), where tol is t_iterate's
+    step tolerance: near a zero, where |U'| ~ (1 + |z|) ref, that moves
+    the zero by at most tol/10 (1 + |z|).  Past it, the runs restart once
+    from the origin, then eval_U_near_zero answers and re-seeds them.
+    """
+
+    def __init__(self, a, tol):
+        self.a = float(a)
+        self.tol = tol
+        w0, u0, e0, ulps = _origin_data(self.a)
+        self._origin = (0j, [(w0, u0, e0)] * 2, ulps * _EPS)
+        self._start = None   # (point, runs there, error carried in)
+        self._last = None    # the PcfValue returned at that point
+
+    def __call__(self, a, z):
+        if float(a) != self.a:
+            raise DomainError(f"walker for a = {self.a} asked for a = {a}")
+        z = complex(z)
+        if self._start is not None and z == self._start[0]:
+            return self._last
+        limit = max(_NEAR_ZERO_TOL, 0.1 * self.tol * (1.0 + abs(z)) ** 2)
+        tries = [self._origin]
+        if self._start is not None:
+            tries.insert(0, self._start)
+        for z0, starts, base in tries:
+            runs = _taylor_pair(self.a, z0, z, starts)
+            if runs is None:
+                continue
+            (w1, _, x1), (w2, d2, x2) = runs
+            diff = abs(w1 * math.exp(x1 - x2) - w2)
+            ref = max(abs(w2), abs(d2) / (1.0 + abs(z)))
+            est = _WALK_SAFETY * diff / ref + base
+            if est <= limit:
+                return self._settle(z, runs, base,
+                                    PcfValue(w2, d2, "taylor", est, x2))
+        v = eval_U_near_zero(self.a, z)
+        # est_accuracy bounds the U'-scaled error whether it is relative
+        # to |U| or to max(|U|, |U'|/(1 + |z|))
+        return self._settle(z, [(v.value, v.derivative, v.exponent)] * 2,
+                            v.est_accuracy, v)
+
+    def _settle(self, z, runs, base, v):
+        self._start = (z, runs, base)
+        self._last = _maybe_unscale(v)
+        return self._last
+
+
 def _eval_series_mp(a, z, tol):
     """Arbitrary-precision fallback: same Maclaurin decomposition via
-    mpmath's 1F1, at escalating precision until two runs agree to tol."""
+    mpmath's 1F1, at escalating precision until two runs agree to tol.
+    Where U or U' would leave double range, log|U| goes into exponent."""
     w_abs = abs(z) ** 2 / 2.0
     # crude cancellation estimate: largest term ~ e^{|w|}, result ~ e^{-|w|/2}
     dps = int(20 + 0.9 * w_abs / math.log(10.0))
@@ -275,10 +367,16 @@ def _eval_series_mp(a, z, tol):
             dm = (U0 * E * zz * (D1 - 0.5 * M1)
                   + Up0 * E * (M2 + zz * zz * (D2 - 0.5 * M2)))
             expo = -float(mp.re(w)) / 2.0
+            mag = max(abs(m), abs(dm))
+            if mag > _MP_FOLD or 0 < mag < 1.0 / _MP_FOLD:
+                lm = float(mp.log(mag))
+                f = mp.exp(-lm)
+                m, dm, expo = m * f, dm * f, expo + lm
             cur = (complex(m), complex(dm), expo)
         if prev is not None:
             ref = max(abs(cur[0]), abs(cur[1]) / (1.0 + abs(z)), 1e-300)
-            est = abs(cur[0] - prev[0]) / ref
+            # the rounds may have folded different amounts into exponent
+            est = abs(cur[0] - prev[0] * math.exp(prev[2] - cur[2])) / ref
             if est <= tol:
                 break
         prev = cur
@@ -293,6 +391,7 @@ def eval_U(a, z, tol=1e-11):
     Tries, in order, the methods of the region map in the module
     docstring and returns the first whose estimate meets its threshold.
     """
+    require_finite(a=a, z=z)
     z = complex(z)
     a = float(a)
     if z != 0.0:
@@ -309,7 +408,7 @@ def eval_U(a, z, tol=1e-11):
     return _eval_series_mp(a, z, tol)
 
 
-def eval_U_near_zero(a, z, tol=1e-12):
+def eval_U_near_zero(a, z, tol=_NEAR_ZERO_TOL):
     """U and U' for use inside root refinement.
 
     Near a zero the *relative* accuracy of U is meaningless (|U| -> 0);

@@ -5,17 +5,21 @@ t_iterate applies the fourth-order fixed-point map
     T(z) = z - p^{-1/2} arctan(p^{1/2} U(a,z)/U'(a,z)),  p = -z^2/4 - a,
 
 and sweep alternates the displacement H+(z) = z + pi p^{-1/2} with
-t_iterate to walk consecutive zeros along the anti-Stokes direction.
+t_iterate to walk consecutive zeros along the anti-Stokes direction,
+evaluating U with one TaylorWalker for the whole chain.
 """
 import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import ChainBreakError, ConvergenceError, DomainError
-from .pcf_eval import eval_U_near_zero
+from .errors import (ChainBreakError, ConvergenceError, DomainError,
+                     require_finite)
+from .pcf_eval import TaylorWalker, eval_U_near_zero
 
 # refuse to iterate when z^2/4 + a is this close to 0 (turning point)
 TURNING_GUARD = 1e-8
+# t_iterate's default step tolerance
+STEP_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -34,14 +38,23 @@ def _p_sqrt(a, z):
     return cmath.sqrt(p)
 
 
-def t_iterate(a, z0, tol=1e-13, max_iter=20):
-    """Polish a zero approximation; converges when |T(z)-z| <= tol*(1+|z|)."""
+def t_iterate(a, z0, tol=STEP_TOL, max_iter=20, evaluator=None):
+    """Polish a zero approximation; converges when |T(z)-z| <= tol*(1+|z|).
+
+    evaluator(a, z) gives U and U' as a PcfValue; None means
+    eval_U_near_zero.  A non-finite U or U' raises ConvergenceError.
+    """
+    require_finite(a=a, z=z0)
+    if evaluator is None:
+        evaluator = eval_U_near_zero
     z = complex(z0)
     converged = False
     its = 0
     residual = math.inf
     for its in range(1, max_iter + 1):
-        v = eval_U_near_zero(a, z)
+        v = evaluator(a, z)
+        if not (cmath.isfinite(v.value) and cmath.isfinite(v.derivative)):
+            raise ConvergenceError(f"U({a}, {z}) is not finite", last=z)
         if v.derivative == 0:
             raise ConvergenceError("U' vanished during t_iterate", last=z)
         sq = _p_sqrt(a, z)
@@ -68,15 +81,17 @@ def h_displacement(a, z, direction=1.0):
     return z + direction * math.pi / sq
 
 
-def sweep(a, z_start, count, tol=1e-13):
+def sweep(a, z_start, count, tol=STEP_TOL):
     """Polish z_start and walk `count` consecutive zeros outward (by |z|).
 
     The square-root branch is kept continuous from step to step; landing
     within a quarter spacing of the previous zero raises ChainBreakError.
     """
+    require_finite(a=a, z_start=z_start)
     if count < 1:
         raise DomainError("count must be >= 1")
-    first = t_iterate(a, z_start, tol=tol)
+    walker = TaylorWalker(a, tol)
+    first = t_iterate(a, z_start, tol=tol, evaluator=walker)
     out = [first]
     z = first.value
     sq_prev = None
@@ -93,7 +108,8 @@ def sweep(a, z_start, count, tol=1e-13):
                 direction = -1.0
         sq_prev = sq
         spacing = math.pi / abs(sq)
-        zn = t_iterate(a, z + direction * math.pi / sq, tol=tol)
+        zn = t_iterate(a, z + direction * math.pi / sq, tol=tol,
+                       evaluator=walker)
         if abs(zn.value - z) < 0.25 * spacing:
             raise ChainBreakError(
                 f"sweep landed back on a found zero near z={zn.value}")

@@ -20,9 +20,10 @@ import numpy as np
 from . import genairy
 from .airy import real_airy_zero
 from .coeffs import CorrectionInput, correction1, correction2
-from .errors import DomainError
+from .errors import DomainError, require_finite
 from .genairy import vartheta  # noqa: F401  (part of this module's API)
 from .mapping import ZETA_AT_0, invert_zeta, zeta
+from .pcf_eval import TaylorWalker
 
 _EXP_IPI3 = cmath.exp(1j * math.pi / 3.0)
 
@@ -205,16 +206,21 @@ def zeros_aneg_complex(a, m, terms=3):
 def hermite_zeros(n, terms=3, refine=True):
     """All real zeros of the Hermite polynomial H_n via the u = 2n+1
     positive-zero family (x = sqrt(u) xhat+), symmetry for the rest."""
+    require_finite(n=n)
     if n < 1 or n != int(n):
         raise DomainError("Hermite order must be a positive integer")
-    from .refine import t_iterate  # local import: refine depends on pcf_eval
+    # local import: refine depends on pcf_eval
+    from .refine import STEP_TOL, t_iterate
     u = 2.0 * n + 1.0
     a = -0.5 * u
+    walker = TaylorWalker(a, STEP_TOL)
     pos = []
-    for m in range(1, n // 2 + 1):
+    # smallest zero first (m = 1 is the largest), so that the walker
+    # carries U from each zero to the next
+    for m in range(n // 2, 0, -1):
         zu = zeros_aneg_positive(a, m, terms=terms).z.real
         if refine:
-            zu = t_iterate(a, zu).value.real
+            zu = t_iterate(a, zu, evaluator=walker).value.real
         pos.append(zu / math.sqrt(2.0))
     pos = sorted(pos)
     out = [-x for x in reversed(pos)]

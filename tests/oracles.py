@@ -112,14 +112,16 @@ def mp_U(a, z, dps=40):
         return complex(mp.pcfu(a, mp.mpc(z)))
 
 
-def mp_U_pair(a, z, dps=40):
+def mp_U_pair(a, z, dps=40, exponent=0.0):
     """U(a,z) and U'(a,z) by mpmath, the derivative from the recurrence
-    U' = -z/2 U(a,z) - (a+1/2) U(a+1,z) (DLMF 12.8.2)."""
+    U' = -z/2 U(a,z) - (a+1/2) U(a+1,z) (DLMF 12.8.2); both times
+    e^-exponent, which keeps values beyond double range finite."""
     with mp.workdps(dps):
         zz = mp.mpc(z)
         u = mp.pcfu(a, zz)
         du = -zz / 2 * u - (a + 0.5) * mp.pcfu(a + 1, zz)
-        return complex(u), complex(du)
+        s = mp.exp(-exponent)
+        return complex(u * s), complex(du * s)
 
 
 def mp_U_prime(a, z, dps=40, h=1e-6):

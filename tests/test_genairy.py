@@ -191,3 +191,16 @@ def test_neg_zeros_default_is_accurate_and_tail_bounds_raw_error(u):
         # ... and, as it exceeds the refinement's accuracy, the default
         # refines
         assert abs(neg_zeros(u, m).value.real - ref) <= 1e-11
+
+
+def test_raw_complex_zeros_flag_reliability_by_series_tail():
+    # u = 12.4: the raw m = 1..3 zeros are 2.8e-3, 1.4e-6 and 2.2e-8 off;
+    # from m = 14 on the tail estimate passes and the raw value is exact
+    u = 12.4
+    for m in (1, 2, 3, 14, 15, 16):
+        raw = complex_zeros(u, m)
+        ref = complex_zeros(u, m, refine=True)
+        assert ref.reliable
+        assert raw.reliable == (m >= 14), m
+        if raw.reliable:
+            assert abs(raw.value - ref.value) <= 1e-13 * abs(ref.value)

@@ -8,10 +8,10 @@ import pytest
 
 from pcfzeros import pcf_eval
 from pcfzeros.errors import DomainError, PcfzerosError
-from pcfzeros.pcf_eval import (eval_U, eval_U_near_zero, eval_U_prime,
-                               eval_U_quadrature, metrics, residual_eq319,
-                               winding_number)
-from pcfzeros.refine import t_iterate
+from pcfzeros.pcf_eval import (TaylorWalker, eval_U, eval_U_near_zero,
+                               eval_U_prime, eval_U_quadrature, metrics,
+                               residual_eq319, winding_number)
+from pcfzeros.refine import STEP_TOL, t_iterate
 from pcfzeros.zeros import zeros_aneg_complex, zeros_apos
 
 import oracles
@@ -219,3 +219,43 @@ def test_mpmath_precision_cap_raises_promptly():
     with pytest.raises(PcfzerosError):
         t_iterate(1e6, zeros_apos(1e6, 1).z)
     assert time.perf_counter() - t0 < 30.0
+
+
+def test_mpmath_fallback_folds_out_of_range_U_into_exponent():
+    # |U(-400.3, 10i)| ~ e^1200: the mpmath mantissa itself overflows
+    a, z = -400.3, 10j
+    v = eval_U(a, z)
+    assert cmath.isfinite(v.value) and cmath.isfinite(v.derivative)
+    assert v.est_accuracy <= 1e-11
+    with mp.workdps(40):
+        ref = mp.pcfu(a, mp.mpc(z))
+        got = mp.mpc(v.value) * mp.exp(v.exponent)
+        assert abs(got - ref) <= 1e-11 * abs(ref)
+
+
+def _walker_chain(case):
+    """(a, points): positive Hermite nodes of order n in the z of U, or
+    the refined zeros m = 1..15 of the complex string of U(a, .)."""
+    kind, p = case
+    if kind == "hermite":
+        nodes = oracles.hermite_nodes(p)
+        return -p - 0.5, [math.sqrt(2.0) * x for x in nodes if x > 0.0]
+    family = zeros_apos if p > 0 else zeros_aneg_complex
+    return p, [t_iterate(p, family(p, m).z).value for m in range(1, 16)]
+
+
+@pytest.mark.parametrize("case", [("hermite", 100), ("hermite", 225),
+                                  ("hermite", 400), ("chain", 8.3),
+                                  ("chain", 20.3), ("chain", -6.2)])
+def test_walker_estimate_bounds_error(case):
+    # U'-scaled error of U within the estimate, U' to 1e-12 relative, and
+    # every point answered by the walk, not by its fallback
+    a, points = _walker_chain(case)
+    walk = TaylorWalker(a, STEP_TOL)
+    for z in points:
+        v = walk(a, z)
+        assert v.method == "taylor", z
+        ref, dref = oracles.mp_U_pair(a, z, exponent=v.exponent)
+        scale = max(abs(ref), abs(dref) / (1.0 + abs(z)))
+        assert abs(v.value - ref) <= v.est_accuracy * scale, z
+        assert abs(v.derivative - dref) <= 1e-12 * abs(dref), z

@@ -4,8 +4,11 @@ import math
 import pytest
 
 from pcfzeros.errors import ConvergenceError, DomainError
+from pcfzeros.pcf_eval import PcfValue, eval_U
 from pcfzeros.refine import h_displacement, sweep, t_iterate
-from pcfzeros.zeros import zeros_aneg_complex, zeros_apos
+from pcfzeros.zeros import hermite_zeros, zeros_aneg_complex, zeros_apos
+
+import oracles
 
 
 def test_idempotence():
@@ -90,3 +93,51 @@ def test_sweep_goes_outward():
     z1 = t_iterate(a, zeros_apos(a, 1, terms=3).z).value
     mods = [abs(r.value) for r in sweep(a, z1, 4)]
     assert all(b > m for m, b in zip(mods, mods[1:]))
+
+
+def test_sweep_chain_is_certified():
+    # every zero of the walked chain has |U/U'| small next to the local
+    # spacing, by mpmath's independent U
+    a = 20.3
+    chain = sweep(a, zeros_apos(a, 1).z, 50)
+    assert len(chain) == 50
+    for link in chain:
+        z = link.value
+        u, du = oracles.mp_U_pair(a, z)
+        spacing = math.pi / abs(cmath.sqrt(-0.25 * z * z - a))
+        assert abs(u / du) <= 1e-10 * spacing, z
+
+
+_NAN, _INF = math.nan, math.inf
+
+
+def _nan_evaluator(calls):
+    def evaluate(a, z):
+        calls.append(z)
+        return PcfValue(complex(_NAN, 0.0), 1.0 + 0j, "series", 1e-15)
+    return evaluate
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda calls: eval_U(_NAN, 1.0), DomainError),
+    (lambda calls: eval_U(0.5, complex(_INF, 1.0)), DomainError),
+    (lambda calls: t_iterate(_INF, 1.0 + 6.0j), DomainError),
+    (lambda calls: t_iterate(8.3, complex(_NAN, 6.0)), DomainError),
+    (lambda calls: hermite_zeros(_NAN), DomainError),
+    (lambda calls: hermite_zeros(_INF), DomainError),
+    (lambda calls: sweep(_NAN, 1.0 + 6.0j, 3), DomainError),
+    (lambda calls: sweep(8.3, complex(1.0, _INF), 3), DomainError),
+    (lambda calls: t_iterate(8.3, 1.0 + 6.0j,
+                             evaluator=_nan_evaluator(calls)),
+     ConvergenceError),
+], ids=["eval_U-a", "eval_U-z", "t_iterate-a", "t_iterate-z",
+        "hermite-nan", "hermite-inf", "sweep-a", "sweep-z",
+        "t_iterate-nan-U"])
+def test_non_finite_input_or_value_raises_package_error(call, error):
+    # a non-finite U stops t_iterate at its first iterate, which the
+    # error carries
+    calls = []
+    with pytest.raises(error) as info:
+        call(calls)
+    if error is ConvergenceError:
+        assert calls == [1.0 + 6.0j] and info.value.last == 1.0 + 6.0j

@@ -163,7 +163,7 @@ def test_hermite_small_orders_exact():
 
 
 def test_hermite_zeros_against_tridiagonal_oracle():
-    for n in (10, 30):
+    for n in (10, 30, 225, 256, 400):
         got = hermite_zeros(n)
         ref = oracles.hermite_nodes(n)
         assert len(got) == n
