@@ -2,7 +2,6 @@
 U(a,z) from uniform asymptotic expansions, with fixed-point refinement
 and independent-evaluation validation."""
 
-from ._kernels import BACKEND as kernel_backend
 from .airy import AiryValue, eval_ai, eval_ai_rotated, eval_bi_real, \
     real_airy_zero
 from .coeffs import CorrectionInput, correction1, correction2, g_coeff, \
@@ -20,6 +19,9 @@ from .zeros import ZeroApproximation, ZeroFamily, count_positive, families, \
     zeros_aneg_positive, zeros_apos
 
 __version__ = "0.1.0"
+
+# the series sums are pure Python; the name stays for tools that report it
+kernel_backend = "pure"
 
 __all__ = [
     "AiryValue", "ChainBreakError", "ConvergenceError", "CorrectionInput",

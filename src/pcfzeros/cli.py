@@ -27,9 +27,12 @@ from .refine import t_iterate
 
 log = logging.getLogger("pcfzeros")
 
-_CSV_FIELDS = ["family", "a", "m", "terms_used",
-               "z_approx_re", "z_approx_im", "z_refined_re", "z_refined_im",
-               "eps1", "eps2", "residual"]
+_ZEROS_FIELDS = ["family", "a", "m", "terms_used",
+                 "z_approx_re", "z_approx_im", "z_refined_re", "z_refined_im",
+                 "eps1", "eps2", "residual"]
+_VALIDATE_FIELDS = ["family", "a", "m", "z_approx_re", "z_approx_im",
+                    "z_ref_re", "z_ref_im", "g1_approx", "g1_ref",
+                    "eps1", "eps2"]
 
 
 @dataclass(frozen=True)
@@ -66,20 +69,25 @@ _FAMILY_FN = {
 
 
 def _compute_record(task):
-    """Worker: one (family, a, m, terms, refine) -> OutputRecord."""
+    """Worker: one (family, a, m, terms, refine) -> OutputRecord, or the
+    ConvergenceError that stopped it, returned so that the other tasks
+    keep their results."""
     family, a, m, terms, refine = task
-    approx = _FAMILY_FN[family](a, m, terms=terms)
-    z_approx = approx.z
-    z_refined = eps1 = eps2 = residual = None
-    if refine:
-        rz = t_iterate(a, z_approx)
-        z_refined = rz.value
-        if z_approx.imag == 0.0:
-            z_refined = complex(z_refined.real, 0.0)
-        residual = rz.residual
-        rec = metrics(z_approx, z_refined, m=m)
-        eps1 = rec.eps1
-        eps2 = rec.eps2
+    try:
+        approx = _FAMILY_FN[family](a, m, terms=terms)
+        z_approx = approx.z
+        z_refined = eps1 = eps2 = residual = None
+        if refine:
+            rz = t_iterate(a, z_approx)
+            z_refined = rz.value
+            if z_approx.imag == 0.0:
+                z_refined = complex(z_refined.real, 0.0)
+            residual = rz.residual
+            rec = metrics(z_approx, z_refined, m=m)
+            eps1 = rec.eps1
+            eps2 = rec.eps2
+    except ConvergenceError as e:
+        return e
     return OutputRecord(family=family, a=a, m=m, terms_used=approx.terms_used,
                         z_approx=z_approx, z_refined=z_refined,
                         eps1=eps1, eps2=eps2, residual=residual)
@@ -120,15 +128,17 @@ def _tasks_for(args):
     return [(kind, a, m, args.terms, args.refine) for m in ms]
 
 
-def _emit(records, args, meta, out=None):
-    out = out or sys.stdout
-    rows = [r.row() for r in records]
-    if args.format == "json":
+def _write_rows(rows, fields, header, fmt):
+    """Write rows (dicts keyed by fields) to stdout as a JSON list, or as
+    CSV after the '# pcfzeros <header>' line, floats in repr and None
+    as an empty cell."""
+    out = sys.stdout
+    if fmt == "json":
         json.dump(rows, out, indent=1)
         out.write("\n")
         return
-    out.write("# pcfzeros " + meta + "\n")
-    w = csv.DictWriter(out, fieldnames=_CSV_FIELDS, lineterminator="\n")
+    out.write("# pcfzeros " + header + "\n")
+    w = csv.DictWriter(out, fieldnames=fields, lineterminator="\n")
     w.writeheader()
     for row in rows:
         w.writerow({k: ("" if v is None else repr(v) if
@@ -144,32 +154,21 @@ def _run_tasks(tasks, jobs):
 
 
 def cmd_zeros(args):
-    try:
-        tasks = _tasks_for(args)
-    except PolynomialCaseError as e:
-        print(f"pcfzeros: {e}", file=sys.stderr)
-        return 3
-    except DomainError as e:
-        print(f"pcfzeros: {e}", file=sys.stderr)
-        return 2
+    tasks = _tasks_for(args)
     records = []
     code = 0
-    try:
-        records = _run_tasks(tasks, args.jobs)
-    except ConvergenceError as e:
-        # fall back to serial so that everything before the failure is kept
-        code = 4
-        records = []
-        for t in tasks:
-            try:
-                records.append(_compute_record(t))
-            except ConvergenceError:
-                print(f"pcfzeros: non-convergence at {t[0]} m={t[2]}: {e}",
-                      file=sys.stderr)
+    for task, result in zip(tasks, _run_tasks(tasks, args.jobs)):
+        if isinstance(result, ConvergenceError):
+            code = 4
+            print(f"pcfzeros: non-convergence at {task[0]} m={task[2]}: "
+                  f"{result}", file=sys.stderr)
+        else:
+            records.append(result)
     records.sort(key=lambda r: (r.family, r.m))
-    meta = (f"zeros v1 a={args.a!r} family={args.family} terms={args.terms} "
-            f"refine={int(args.refine)}")
-    _emit(records, args, meta)
+    header = (f"zeros v1 a={args.a!r} family={args.family} "
+              f"terms={args.terms} refine={int(args.refine)}")
+    _write_rows([r.row() for r in records], _ZEROS_FIELDS, header,
+                args.format)
     return code
 
 
@@ -188,28 +187,20 @@ def _oracle_reference(a, count):
 
 def cmd_validate(args):
     a = args.a
-    try:
-        if args.reference == "oracle":
-            refs = _oracle_reference(a, args.count)
-            fam = "aneg-positive"
-            pairs = []
-            for m in range(1, len(refs) + 1):
-                approx = zmod.zeros_aneg_positive(a, m, terms=args.terms)
-                pairs.append((fam, m, approx.z, complex(refs[m - 1])))
-        else:
-            tasks = _tasks_for(args)
-            pairs = []
-            for (kind, aa, m, terms, _refine) in tasks:
-                approx = _FAMILY_FN[kind](aa, m, terms=terms)
-                ref = t_iterate(aa, approx.z).value
-                pairs.append((kind, m, approx.z, ref))
-    except PolynomialCaseError as e:
-        print(f"pcfzeros: {e}", file=sys.stderr)
-        return 3
-    except DomainError as e:
-        print(f"pcfzeros: {e}", file=sys.stderr)
-        return 2
-    out = sys.stdout
+    if args.reference == "oracle":
+        refs = _oracle_reference(a, args.count)
+        fam = "aneg-positive"
+        pairs = []
+        for m in range(1, len(refs) + 1):
+            approx = zmod.zeros_aneg_positive(a, m, terms=args.terms)
+            pairs.append((fam, m, approx.z, complex(refs[m - 1])))
+    else:
+        tasks = _tasks_for(args)
+        pairs = []
+        for (kind, aa, m, terms, _refine) in tasks:
+            approx = _FAMILY_FN[kind](aa, m, terms=terms)
+            ref = t_iterate(aa, approx.z).value
+            pairs.append((kind, m, approx.z, ref))
     rows = []
     for fam, m, za, zr in pairs:
         rec = metrics(za, zr, m=m)
@@ -220,27 +211,16 @@ def cmd_validate(args):
             "g1_approx": rec.g1_approx, "g1_ref": rec.g1_ref,
             "eps1": rec.eps1, "eps2": rec.eps2,
         })
-    if args.format == "json":
-        json.dump(rows, out, indent=1)
-        out.write("\n")
-        return 0
-    fields = list(rows[0].keys()) if rows else []
-    out.write(f"# pcfzeros validate v1 a={a!r} reference={args.reference} "
-              f"terms={args.terms}\n")
-    w = csv.DictWriter(out, fieldnames=fields, lineterminator="\n")
-    w.writeheader()
-    for row in rows:
-        w.writerow({k: ("" if v is None else repr(v)
-                        if isinstance(v, float) else v)
-                    for k, v in row.items()})
+    header = (f"validate v1 a={a!r} reference={args.reference} "
+              f"terms={args.terms}")
+    _write_rows(rows, _VALIDATE_FIELDS, header, args.format)
     return 0
 
 
 def cmd_phase_grid(args):
     if args.nx < 1 or args.ny < 1 or args.re_max < args.re_min \
             or args.im_max < args.im_min:
-        print("pcfzeros: empty or inverted grid ranges", file=sys.stderr)
-        return 2
+        raise DomainError("empty or inverted grid ranges")
     import cmath
 
     def coords(lo, hi, n):
@@ -319,7 +299,11 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     log.debug("args: %s", args)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except DomainError as e:
+        print(f"pcfzeros: {e}", file=sys.stderr)
+        return 3 if isinstance(e, PolynomialCaseError) else 2
 
 
 if __name__ == "__main__":

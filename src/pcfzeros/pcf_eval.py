@@ -6,11 +6,13 @@ a-posteriori estimate meets its threshold answers.
   1. asymptotic — large |z|: the compound expansion, i.e. the recessive
      series plus, beyond |arg z| = pi/2, the dominant series weighted by
      the connection constant i sqrt(2 pi) e^{-i pi a}/Gamma(a+1/2)
-     (conjugated in the lower half-plane).  Accepted when the smallest
-     term is below max(1e-13, tol/100).
+     (conjugated in the lower half-plane).  asym_pair sums both
+     Poincare-type series.  Accepted when the smallest term is below
+     max(1e-13, tol/100).
   2. series — small |z|: Maclaurin expansion of the even/odd standard
      solutions with gamma-function connection coefficients, in doubles;
-     cancellation is tracked by the largest-term magnitude.
+     kummer_pair sums both Kummer series, and cancellation is tracked by
+     the largest-term magnitude.
   3. taylor — moderate |z|, between Maclaurin cancellation and asymptotic
      truncation: Taylor steps of Weber's equation w'' = (z^2/4 + a) w
      along the ray from the origin, where U and U' are gamma-function
@@ -44,7 +46,6 @@ import mpmath as mp
 import scipy.integrate as integrate
 import scipy.special as sp
 
-from ._kernels import asym_pair, kummer_pair
 from .errors import ConvergenceError, DomainError, require_finite
 
 SQRT_PI = math.sqrt(math.pi)
@@ -70,6 +71,9 @@ _INV_KK = [0.0, 0.0] + [1.0 / (k * (k - 1))
                         for k in range(2, _TAYLOR_MAX_TERMS)]
 # TaylorWalker's estimate is this multiple of the difference of its runs
 _WALK_SAFETY = 10.0
+# term caps of the Kummer (Maclaurin) and Poincare (asymptotic) sums
+_KUMMER_MAX_TERMS = 4000
+_ASYM_MAX_TERMS = 64
 
 
 @dataclass(frozen=True)
@@ -109,10 +113,86 @@ def _maybe_unscale(v):
     return v
 
 
+def kummer_pair(b1, b2, w):
+    """Sum the two Kummer series M(b1,1/2;w) and M(b2,3/2;w) together with
+    the derivative sums and the largest-term magnitudes.
+
+    Returns (S1, D1, mx1, S2, D2, mx2) where S = sum_k t_k, t_0 = 1,
+    t_{k+1} = t_k * w * (b+k)/((c+k)(k+1)), D = sum_k (k+1) t_{k+1}/w
+    (i.e. dS/dw), and mx = max_k |t_k| (for cancellation tracking).
+    """
+    t1 = 1.0 + 0.0j
+    S1 = t1
+    D1 = 0.0 + 0.0j
+    mx1 = 1.0
+    t2 = 1.0 + 0.0j
+    S2 = t2
+    D2 = 0.0 + 0.0j
+    mx2 = 1.0
+    done1 = False
+    done2 = False
+    aw = abs(w)
+    for k in range(_KUMMER_MAX_TERMS):
+        if not done1:
+            dt = t1 * (b1 + k) / ((0.5 + k) * (k + 1))
+            D1 += (k + 1) * dt
+            t1 = dt * w
+            S1 += t1
+            at = abs(t1)
+            if at > mx1:
+                mx1 = at
+            if at < 1e-17 * mx1 and k > aw:
+                done1 = True
+        if not done2:
+            dt = t2 * (b2 + k) / ((1.5 + k) * (k + 1))
+            D2 += (k + 1) * dt
+            t2 = dt * w
+            S2 += t2
+            at = abs(t2)
+            if at > mx2:
+                mx2 = at
+            if at < 1e-17 * mx2 and k > aw:
+                done2 = True
+        if done1 and done2:
+            break
+    return S1, D1, mx1, S2, D2, mx2
+
+
+def asym_pair(a, z2inv):
+    """Sum the two Poincare-type series
+
+        S1 = sum_s (-1)^s (1/2+a)_{2s} / (s! (2 z^2)^s)
+        S2 = sum_s (1/2-a)_{2s} / (s! (2 z^2)^s)
+
+    with z2inv = 1/(2 z^2).  Truncates each series at its smallest term.
+    Returns (S1, S2, minterm) where minterm bounds the truncation error
+    relative to the leading terms.
+    """
+    t1 = 1.0 + 0.0j
+    S1 = t1
+    t2 = 1.0 + 0.0j
+    S2 = t2
+    mn = 1.0
+    for s in range(1, _ASYM_MAX_TERMS):
+        t1 = -t1 * (a - 1.5 + 2 * s) * (a - 0.5 + 2 * s) * z2inv / s
+        t2 = t2 * (-a - 1.5 + 2 * s) * (-a - 0.5 + 2 * s) * z2inv / s
+        m = max(abs(t1), abs(t2))
+        if m > mn:
+            # divergent tail reached; first omitted term bounds the error
+            mn = m
+            break
+        S1 += t1
+        S2 += t2
+        mn = m
+        if mn < 1e-18:
+            break
+    return S1, S2, mn
+
+
 def _asym_sums(a, z, cut):
     """(mantissa, exponent, truncation term) of U(a,z) from the compound
     expansion; None when the smallest term exceeds cut."""
-    S1, S2, mn = asym_pair(a, 1.0 / (2.0 * z * z), 64)
+    S1, S2, mn = asym_pair(a, 1.0 / (2.0 * z * z))
     if mn > cut:
         return None
     lg = cmath.log(z)
@@ -152,11 +232,15 @@ def _eval_asymptotic(a, z, cut):
 
 
 def _eval_series_double(a, z):
-    w = z * z / 2.0
-    M1, D1, mx1, M2, D2, mx2 = kummer_pair(0.5 * a + 0.25, 0.5 * a + 0.75,
-                                           w, 4000)
     U0 = SQRT_PI * 2.0 ** (-0.5 * a - 0.25) * sp.rgamma(0.75 + 0.5 * a)
     Up0 = -SQRT_PI * 2.0 ** (-0.5 * a + 0.25) * sp.rgamma(0.25 + 0.5 * a)
+    if not (math.isfinite(U0) and math.isfinite(Up0)):
+        # 1/Gamma overflowed (large |a|): decline, the selectors fall through
+        nan = complex(math.nan, math.nan)
+        return PcfValue(nan, nan, "series", math.inf)
+    w = z * z / 2.0
+    M1, D1, mx1, M2, D2, mx2 = kummer_pair(0.5 * a + 0.25, 0.5 * a + 0.75,
+                                           w)
     # factor e^{-w/2} out as exponent -Re(w)/2, keep the phase
     E = cmath.exp(-1j * w.imag / 2.0)
     u1 = E * M1

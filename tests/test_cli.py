@@ -2,12 +2,14 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 from pcfzeros import cli
+from pcfzeros.errors import ConvergenceError
 
 TABLE2 = {
     1: complex(-1.3827361451259055, 6.6036342033286323),
@@ -80,6 +82,47 @@ def test_exit_code_negative_count(capsys, command):
 def test_exit_code_polynomial_case(capsys):
     rc, _ = run_cli(capsys, ["zeros", "--a", "-6.5", "--family", "complex"])
     assert rc == 3
+
+
+def _failures(err):
+    """(m, point) of each non-convergence line on stderr."""
+    return [(int(m), point) for m, point in
+            re.findall(r"non-convergence at \S+ m=(\d+): U\(([^)]*\))",
+                       err)]
+
+
+def test_non_convergence_reports_each_task_and_exits_4(capsys):
+    # at a = 1e6 every zero needs more mpmath digits than the cap allows
+    outs = []
+    for jobs in ("1", "2"):
+        rc = cli.main(["zeros", "--a", "1e6", "--count", "3",
+                       "--jobs", jobs])
+        cap = capsys.readouterr()
+        assert rc == 4
+        fails = _failures(cap.err)
+        assert len(cap.err.splitlines()) == len(fails) == 3
+        assert [m for m, _ in fails] == [1, 2, 3]
+        assert len({point for _, point in fails}) == 3
+        outs.append(cap.out)
+    assert outs[0] == outs[1]
+    assert parse_csv(outs[0]) == []
+
+
+def test_non_convergence_keeps_the_other_records(capsys, monkeypatch):
+    t_iterate = cli.t_iterate
+
+    def failing_at_m2(a, z):
+        if abs(z - cli.zmod.zeros_apos(a, 2).z) == 0.0:
+            raise ConvergenceError(f"no convergence from {z}", last=z)
+        return t_iterate(a, z)
+
+    monkeypatch.setattr(cli, "t_iterate", failing_at_m2)
+    rc = cli.main(["zeros", "--a", "8.3", "--count", "3", "--jobs", "1"])
+    cap = capsys.readouterr()
+    assert rc == 4
+    assert [int(row["m"]) for row in parse_csv(cap.out)] == [1, 3]
+    assert len(cap.err.splitlines()) == 1
+    assert "apos-complex m=2: no convergence" in cap.err
 
 
 def test_csv_json_cross_format_equality(capsys):

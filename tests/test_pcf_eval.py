@@ -1,6 +1,7 @@
 import cmath
 import math
 import time
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -231,6 +232,19 @@ def test_mpmath_fallback_folds_out_of_range_U_into_exponent():
         ref = mp.pcfu(a, mp.mpc(z))
         got = mp.mpc(v.value) * mp.exp(v.exponent)
         assert abs(got - ref) <= 1e-11 * abs(ref)
+
+
+def test_series_declines_overflowing_origin_data_without_warnings():
+    # 1/Gamma(0.75 + a/2) overflows at a = -400.3: the double Maclaurin
+    # series declines before any arithmetic on the infinite origin data
+    a, z = -400.3, 10j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert pcf_eval._eval_series_double(a, z).est_accuracy == math.inf
+        v = eval_U(a, z)
+        w = eval_U_near_zero(a, z)
+    assert v.method == w.method == "series"
+    assert cmath.isfinite(v.value) and cmath.isfinite(w.value)
 
 
 def _walker_chain(case):
