@@ -5,6 +5,11 @@ Subcommands:
   validate    compare asymptotic zeros against refined/oracle references
   phase-grid  emit (x, y, arg U(a, x+iy)) over a rectangle
 
+zeros and validate refine each family's zeros in index order as one
+chain, with one TaylorWalker carrying U and U' from zero to zero, as
+sweep and hermite_zeros do.  Everything runs in this process; the --jobs
+flag of zeros is accepted and has no effect.
+
 Exit codes: 0 ok, 2 bad flags, 3 polynomial-case complex request,
 4 solver non-convergence (partial output emitted).  The PCFZ_LOG
 environment variable sets diagnostic verbosity and never affects output.
@@ -16,14 +21,14 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 from . import zeros as zmod
-from .errors import ConvergenceError, DomainError, PolynomialCaseError
-from .pcf_eval import eval_U, metrics
-from .refine import t_iterate
+from .errors import (ConvergenceError, DomainError, PolynomialCaseError,
+                     require_finite)
+from .pcf_eval import TaylorWalker, eval_U, metrics
+from .refine import STEP_TOL, t_iterate
 
 log = logging.getLogger("pcfzeros")
 
@@ -68,46 +73,21 @@ _FAMILY_FN = {
 }
 
 
-def _compute_record(task):
-    """Worker: one (family, a, m, terms, refine) -> OutputRecord, or the
-    ConvergenceError that stopped it, returned so that the other tasks
-    keep their results."""
-    family, a, m, terms, refine = task
-    try:
-        approx = _FAMILY_FN[family](a, m, terms=terms)
-        z_approx = approx.z
-        z_refined = eps1 = eps2 = residual = None
-        if refine:
-            rz = t_iterate(a, z_approx)
-            z_refined = rz.value
-            if z_approx.imag == 0.0:
-                z_refined = complex(z_refined.real, 0.0)
-            residual = rz.residual
-            rec = metrics(z_approx, z_refined, m=m)
-            eps1 = rec.eps1
-            eps2 = rec.eps2
-    except ConvergenceError as e:
-        return e
-    return OutputRecord(family=family, a=a, m=m, terms_used=approx.terms_used,
-                        z_approx=z_approx, z_refined=z_refined,
-                        eps1=eps1, eps2=eps2, residual=residual)
-
-
 def _tasks_for(args):
+    """(kind, indices) of each family to compute, in refinement order."""
     a = args.a
     fam = args.family
-    tasks = []
     if fam == "auto":
+        tasks = []
         for f in zmod.families(a, complex_count=args.count):
-            kind = f.kind
             if f.count == 0:
                 continue
-            if kind == "aneg-nonpositive":
+            if f.kind == "aneg-nonpositive":
                 start = 1 - zmod.vartheta(f.u)
                 ms = range(start, start + f.count)
             else:
                 ms = range(1, (f.count or args.count) + 1)
-            tasks += [(kind, a, m, args.terms, args.refine) for m in ms]
+            tasks.append((f.kind, ms))
         return tasks
     kind = {"apos": "apos-complex", "pos": "aneg-positive",
             "nonpos": "aneg-nonpositive", "complex": "aneg-complex"}[fam]
@@ -125,7 +105,46 @@ def _tasks_for(args):
             from .genairy import _check_polynomial_case
             _check_polynomial_case(-2.0 * a)
         ms = range(1, args.count + 1)
-    return [(kind, a, m, args.terms, args.refine) for m in ms]
+    return [(kind, ms)]
+
+
+def _records(args, refine):
+    """One OutputRecord per zero that _tasks_for names, in its order, and
+    the exit code: 4 when some zero did not converge, each such zero
+    reported on stderr with the other records kept.
+
+    Each family is refined as one chain: a TaylorWalker made here carries
+    U and U' from each zero to the next.
+    """
+    a = args.a
+    records = []
+    code = 0
+    for kind, ms in _tasks_for(args):
+        walker = TaylorWalker(a, STEP_TOL)
+        for m in ms:
+            try:
+                approx = _FAMILY_FN[kind](a, m, terms=args.terms)
+                z_approx = approx.z
+                z_refined = eps1 = eps2 = residual = None
+                if refine:
+                    rz = t_iterate(a, z_approx, evaluator=walker)
+                    z_refined = rz.value
+                    if z_approx.imag == 0.0:
+                        z_refined = complex(z_refined.real, 0.0)
+                    residual = rz.residual
+                    rec = metrics(z_approx, z_refined, m=m)
+                    eps1 = rec.eps1
+                    eps2 = rec.eps2
+            except ConvergenceError as e:
+                code = 4
+                print(f"pcfzeros: non-convergence at {kind} m={m}: {e}",
+                      file=sys.stderr)
+                continue
+            records.append(OutputRecord(
+                family=kind, a=a, m=m, terms_used=approx.terms_used,
+                z_approx=z_approx, z_refined=z_refined,
+                eps1=eps1, eps2=eps2, residual=residual))
+    return records, code
 
 
 def _write_rows(rows, fields, header, fmt):
@@ -146,24 +165,8 @@ def _write_rows(rows, fields, header, fmt):
                     for k, v in row.items()})
 
 
-def _run_tasks(tasks, jobs):
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            return list(ex.map(_compute_record, tasks))
-    return [_compute_record(t) for t in tasks]
-
-
 def cmd_zeros(args):
-    tasks = _tasks_for(args)
-    records = []
-    code = 0
-    for task, result in zip(tasks, _run_tasks(tasks, args.jobs)):
-        if isinstance(result, ConvergenceError):
-            code = 4
-            print(f"pcfzeros: non-convergence at {task[0]} m={task[2]}: "
-                  f"{result}", file=sys.stderr)
-        else:
-            records.append(result)
+    records, code = _records(args, args.refine)
     records.sort(key=lambda r: (r.family, r.m))
     header = (f"zeros v1 a={args.a!r} family={args.family} "
               f"terms={args.terms} refine={int(args.refine)}")
@@ -187,6 +190,7 @@ def _oracle_reference(a, count):
 
 def cmd_validate(args):
     a = args.a
+    code = 0
     if args.reference == "oracle":
         refs = _oracle_reference(a, args.count)
         fam = "aneg-positive"
@@ -195,12 +199,8 @@ def cmd_validate(args):
             approx = zmod.zeros_aneg_positive(a, m, terms=args.terms)
             pairs.append((fam, m, approx.z, complex(refs[m - 1])))
     else:
-        tasks = _tasks_for(args)
-        pairs = []
-        for (kind, aa, m, terms, _refine) in tasks:
-            approx = _FAMILY_FN[kind](aa, m, terms=terms)
-            ref = t_iterate(aa, approx.z).value
-            pairs.append((kind, m, approx.z, ref))
+        records, code = _records(args, refine=True)
+        pairs = [(r.family, r.m, r.z_approx, r.z_refined) for r in records]
     rows = []
     for fam, m, za, zr in pairs:
         rec = metrics(za, zr, m=m)
@@ -214,7 +214,7 @@ def cmd_validate(args):
     header = (f"validate v1 a={a!r} reference={args.reference} "
               f"terms={args.terms}")
     _write_rows(rows, _VALIDATE_FIELDS, header, args.format)
-    return 0
+    return code
 
 
 def cmd_phase_grid(args):
@@ -269,7 +269,9 @@ def _build_parser():
                     choices=("auto", "apos", "pos", "nonpos", "complex"))
     sp.add_argument("--refine", action=argparse.BooleanOptionalAction,
                     default=True)
-    sp.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="accepted and ignored: zeros are computed in this "
+                         "process, the same for every value")
     sp.set_defaults(fn=cmd_zeros)
 
     sp = sub.add_parser("validate", help="compare against references")
@@ -278,7 +280,7 @@ def _build_parser():
                     choices=("auto", "apos", "pos", "nonpos", "complex"))
     sp.add_argument("--reference", choices=("refined", "oracle"),
                     default="refined")
-    sp.set_defaults(fn=cmd_validate, refine=False)
+    sp.set_defaults(fn=cmd_validate)
 
     sp = sub.add_parser("phase-grid", help="emit arg U(a,z) over a grid")
     sp.add_argument("--a", type=float, required=True)
@@ -300,6 +302,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     log.debug("args: %s", args)
     try:
+        require_finite(a=args.a)
         return args.fn(args)
     except DomainError as e:
         print(f"pcfzeros: {e}", file=sys.stderr)

@@ -12,8 +12,6 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-import scipy.optimize as opt
-
 from .airy import eval_ai_rotated, eval_ai, eval_bi_real
 from .errors import ConvergenceError, DomainError, PolynomialCaseError
 
@@ -193,8 +191,11 @@ def neg_zeros(u, m, refine=False):
             grow += 1
         if flo * fhi > 0:
             raise ConvergenceError("could not bracket negative zero", last=x)
-        x = opt.brentq(lambda s: eval_genairy_real(u, s), lo, hi,
-                       xtol=_BRENT_XTOL, rtol=_BRENT_RTOL)
+        # imported here: scipy.optimize adds about half again to the
+        # package's import time
+        from scipy.optimize import brentq
+        x = brentq(lambda s: eval_genairy_real(u, s), lo, hi,
+                   xtol=_BRENT_XTOL, rtol=_BRENT_RTOL)
         refined = True
         reliable = True
     return GenAiryZero(index=m, kind="negative-real", value=complex(x),
@@ -221,7 +222,8 @@ def sole_positive_zero(u) -> Optional[GenAiryZero]:
         b *= 2.0
         if b > 64.0:
             raise ConvergenceError("no sign change found for sole positive zero")
-    x = opt.brentq(lambda s: eval_genairy_real(u, s), 1e-12, b, xtol=1e-14)
+    from scipy.optimize import brentq
+    x = brentq(lambda s: eval_genairy_real(u, s), 1e-12, b, xtol=1e-14)
     return GenAiryZero(index=0, kind="sole-positive", value=complex(x),
                        refined=True, residual=identity_residual(u, x))
 

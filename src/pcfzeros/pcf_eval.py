@@ -21,15 +21,17 @@ a-posteriori estimate meets its threshold answers.
      escalating precision, capped at _MP_MAX_DPS digits, past which it
      raises ConvergenceError.
 
-eval_U_near_zero, used inside root refinement, judges the error against
-|U'| and tries asymptotic (smallest term below 1e-15), series, then
-mpmath.
+eval_U_near_zero, t_iterate's default evaluator, judges the error
+against |U'| and tries asymptotic (smallest term below 1e-15), series,
+then mpmath.
 
-TaylorWalker evaluates along a chain of nearby points, such as the
-iterates and zeros of one refinement sweep: it carries (U, U') from the
-previous point by the same Taylor steps, restarts once from the origin
-when the carried estimate is too large, and falls back to
-eval_U_near_zero (re-seeding from its answer) when that fails too.
+TaylorWalker evaluates along a chain of nearby points: the iterates and
+zeros of sweep, of hermite_zeros and of each zero family that CLI zeros
+and validate refine.  It carries (U, U') from the previous point by the
+same Taylor steps, restarts once from the origin when the carried
+estimate is too large, and falls back to eval_U_near_zero (re-seeding
+from its answer) when that fails too, as at large |z|, where the steps
+pass their cap and the asymptotic method answers.
 
 quadrature — adaptive integration of the real-integral representation
 (valid for a > -1/2) — is an independent cross-check.
@@ -43,7 +45,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import mpmath as mp
-import scipy.integrate as integrate
 import scipy.special as sp
 
 from .errors import ConvergenceError, DomainError, require_finite
@@ -71,6 +72,10 @@ _INV_KK = [0.0, 0.0] + [1.0 / (k * (k - 1))
                         for k in range(2, _TAYLOR_MAX_TERMS)]
 # TaylorWalker's estimate is this multiple of the difference of its runs
 _WALK_SAFETY = 10.0
+# the double Maclaurin series declines where max(|U(a,0)|, |U'(a,0)|) is
+# below this: for a > 0 the two differ by a factor of about sqrt(a), so
+# the smaller would be near the subnormal range
+_ORIGIN_TINY = 1e-290
 # term caps of the Kummer (Maclaurin) and Poincare (asymptotic) sums
 _KUMMER_MAX_TERMS = 4000
 _ASYM_MAX_TERMS = 64
@@ -232,10 +237,18 @@ def _eval_asymptotic(a, z, cut):
 
 
 def _eval_series_double(a, z):
-    U0 = SQRT_PI * 2.0 ** (-0.5 * a - 0.25) * sp.rgamma(0.75 + 0.5 * a)
-    Up0 = -SQRT_PI * 2.0 ** (-0.5 * a + 0.25) * sp.rgamma(0.25 + 0.5 * a)
-    if not (math.isfinite(U0) and math.isfinite(Up0)):
-        # 1/Gamma overflowed (large |a|): decline, the selectors fall through
+    # U(a,0) and U'(a,0) leave double range for a below about -325 and
+    # above about 290: decline there, and the selectors fall through.
+    # 1/Gamma is checked before the power of 2, which raises OverflowError
+    # below a = -2048; as Python floats, the products overflow to inf
+    # without a numpy warning.
+    g0 = float(sp.rgamma(0.75 + 0.5 * a))
+    g1 = float(sp.rgamma(0.25 + 0.5 * a))
+    U0 = Up0 = math.inf
+    if math.isfinite(g0) and math.isfinite(g1):
+        U0 = SQRT_PI * 2.0 ** (-0.5 * a - 0.25) * g0
+        Up0 = -SQRT_PI * 2.0 ** (-0.5 * a + 0.25) * g1
+    if not _ORIGIN_TINY <= max(abs(U0), abs(Up0)) < math.inf:
         nan = complex(math.nan, math.nan)
         return PcfValue(nan, nan, "series", math.inf)
     w = z * z / 2.0
@@ -441,7 +454,9 @@ def _eval_series_mp(a, z, tol):
             M1 = mp.hyp1f1(b1, 0.5, w)
             M2 = mp.hyp1f1(b2, 1.5, w)
             D1 = mp.hyp1f1(b1 + 1.0, 1.5, w) * (b1 / 0.5)
-            D2 = mp.hyp1f1(b2 + 1.0, 2.5, w) * (b2 / 1.5)
+            # b2 / 1.5 is not exact in doubles, and the cancellation
+            # between the two solutions would amplify its rounding
+            D2 = mp.hyp1f1(b2 + 1.0, 2.5, w) * b2 / 1.5
             U0 = mp.sqrt(mp.pi) * mp.mpf(2.0) ** (-0.5 * a - 0.25) \
                 * mp.rgamma(0.75 + 0.5 * a)
             Up0 = -mp.sqrt(mp.pi) * mp.mpf(2.0) ** (-0.5 * a + 0.25) \
@@ -544,10 +559,12 @@ def eval_U_quadrature(a, z):
     def f1(t):
         return t ** (a + 0.5) * cmath.exp(-0.5 * t * t - z * t)
 
+    # imported here, as only this cross-check needs it
+    from scipy.integrate import quad
     # integrand decays like exp(-t^2/2 + |z| t); truncate well past the peak
     upper = max(10.0, abs(z) + 10.0)
-    I, errI = integrate.quad(f, 0.0, upper, complex_func=True, limit=200)
-    I1, errI1 = integrate.quad(f1, 0.0, upper, complex_func=True, limit=200)
+    I, errI = quad(f, 0.0, upper, complex_func=True, limit=200)
+    I1, errI1 = quad(f1, 0.0, upper, complex_func=True, limit=200)
     pref = cmath.exp(-z * z / 4.0) * sp.rgamma(a + 0.5)
     val = pref * I
     der = pref * (-z / 2.0 * I - I1)

@@ -90,6 +90,7 @@ def m_minus(a, terms=3):
 
 def families(a, complex_count=None):
     """The zero families of U(a, .) with their counts."""
+    require_finite(a=a)
     a = float(a)
     if a > 0:
         return [ZeroFamily("apos-complex", a, 2.0 * a, complex_count)]
@@ -134,6 +135,7 @@ def _assemble(m, kind, u, zeta0, terms, back):
 
 def zeros_apos(a, m, terms=3):
     """m-th (second-quadrant) complex zero of U(a, .), a > 0."""
+    require_finite(a=a)
     if a <= 0:
         raise DomainError("zeros_apos requires a > 0")
     if m < 1:
@@ -145,6 +147,7 @@ def zeros_apos(a, m, terms=3):
 
 
 def _u_neg(a):
+    require_finite(a=a)
     if a >= 0:
         raise DomainError("this family requires a < 0")
     return -2.0 * a

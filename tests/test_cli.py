@@ -79,6 +79,15 @@ def test_exit_code_negative_count(capsys, command):
     assert "--count" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("a", ["nan", "inf", "-inf"])
+def test_exit_code_non_finite_a(capsys, a):
+    rc = cli.main(["zeros", f"--a={a}"])
+    cap = capsys.readouterr()
+    assert rc == 2
+    assert cap.out == ""
+    assert "is not finite" in cap.err
+
+
 def test_exit_code_polynomial_case(capsys):
     rc, _ = run_cli(capsys, ["zeros", "--a", "-6.5", "--family", "complex"])
     assert rc == 3
@@ -108,13 +117,25 @@ def test_non_convergence_reports_each_task_and_exits_4(capsys):
     assert parse_csv(outs[0]) == []
 
 
+def test_validate_reports_each_non_convergence_and_exits_4(capsys):
+    rc = cli.main(["validate", "--a", "1e6", "--count", "2"])
+    cap = capsys.readouterr()
+    assert rc == 4
+    fails = _failures(cap.err)
+    assert len(cap.err.splitlines()) == len(fails) == 2
+    assert [m for m, _ in fails] == [1, 2]
+    assert len({point for _, point in fails}) == 2
+    assert cap.out.startswith("# pcfzeros validate v1 ")
+    assert parse_csv(cap.out) == []
+
+
 def test_non_convergence_keeps_the_other_records(capsys, monkeypatch):
     t_iterate = cli.t_iterate
 
-    def failing_at_m2(a, z):
+    def failing_at_m2(a, z, evaluator=None):
         if abs(z - cli.zmod.zeros_apos(a, 2).z) == 0.0:
             raise ConvergenceError(f"no convergence from {z}", last=z)
-        return t_iterate(a, z)
+        return t_iterate(a, z, evaluator=evaluator)
 
     monkeypatch.setattr(cli, "t_iterate", failing_at_m2)
     rc = cli.main(["zeros", "--a", "8.3", "--count", "3", "--jobs", "1"])

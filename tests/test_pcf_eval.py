@@ -235,16 +235,24 @@ def test_mpmath_fallback_folds_out_of_range_U_into_exponent():
 
 
 def test_series_declines_overflowing_origin_data_without_warnings():
-    # 1/Gamma(0.75 + a/2) overflows at a = -400.3: the double Maclaurin
-    # series declines before any arithmetic on the infinite origin data
-    a, z = -400.3, 10j
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert pcf_eval._eval_series_double(a, z).est_accuracy == math.inf
-        v = eval_U(a, z)
-        w = eval_U_near_zero(a, z)
-    assert v.method == w.method == "series"
-    assert cmath.isfinite(v.value) and cmath.isfinite(w.value)
+    # the double Maclaurin series declines where its origin data leave
+    # double range, and the selectors fall through to mpmath: 1/Gamma
+    # overflows at a = -400.3 and -3000.3 (where 2^(-a/2) would too),
+    # U(a,0) itself at -330, and U(a,0), U'(a,0) underflow at 600.3 and
+    # 3000.3
+    for a, z in [(-400.3, 10j), (-3000.3, 1j), (-330.0, 10j),
+                 (600.3, 0.5), (3000.3, 1j)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert pcf_eval._eval_series_double(a, z).est_accuracy \
+                == math.inf
+            v = eval_U(a, z)
+            w = eval_U_near_zero(a, z)
+        assert v.method == w.method == "series"
+        for x in (v, w):
+            u, du = oracles.mp_U_pair(a, z, exponent=x.exponent)
+            assert abs(x.value - u) <= 1e-12 * abs(u), (a, z)
+            assert abs(x.derivative - du) <= 1e-12 * abs(du), (a, z)
 
 
 def _walker_chain(case):

@@ -1,12 +1,18 @@
 import cmath
+import contextlib
+import io
+import json
 import math
 
 import pytest
 
+from pcfzeros import cli
 from pcfzeros.errors import ConvergenceError, DomainError
 from pcfzeros.pcf_eval import PcfValue, eval_U
 from pcfzeros.refine import h_displacement, sweep, t_iterate
-from pcfzeros.zeros import hermite_zeros, zeros_aneg_complex, zeros_apos
+from pcfzeros.zeros import (families, hermite_zeros, zeros_aneg_complex,
+                            zeros_aneg_nonpositive, zeros_aneg_positive,
+                            zeros_apos)
 
 import oracles
 
@@ -95,17 +101,30 @@ def test_sweep_goes_outward():
     assert all(b > m for m, b in zip(mods, mods[1:]))
 
 
+def _cli_zeros(a, count):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["zeros", "--a", repr(a), "--count", str(count),
+                         "--format", "json"]) == 0
+    return [complex(row["z_refined_re"], row["z_refined_im"])
+            for row in json.loads(out.getvalue())]
+
+
 def test_sweep_chain_is_certified():
-    # every zero of the walked chain has |U/U'| small next to the local
-    # spacing, by mpmath's independent U
-    a = 20.3
-    chain = sweep(a, zeros_apos(a, 1).z, 50)
-    assert len(chain) == 50
-    for link in chain:
-        z = link.value
-        u, du = oracles.mp_U_pair(a, z)
-        spacing = math.pi / abs(cmath.sqrt(-0.25 * z * z - a))
-        assert abs(u / du) <= 1e-10 * spacing, z
+    # every zero of a walked chain has |U/U'| small next to the local
+    # spacing, by mpmath's independent U: sweep's, and those of CLI zeros,
+    # which walks each family
+    swept = sweep(20.3, zeros_apos(20.3, 1).z, 50)
+    chains = [(20.3, [link.value for link in swept], 50),
+              (20.3, _cli_zeros(20.3, 150), 150),
+              # 3 positive, 3 non-positive and 20 complex zeros
+              (-6.2, _cli_zeros(-6.2, 20), 26)]
+    for a, zs, count in chains:
+        assert len(zs) == count
+        for z in zs:
+            u, du = oracles.mp_U_pair(a, z)
+            spacing = math.pi / abs(cmath.sqrt(-0.25 * z * z - a))
+            assert abs(u / du) <= 1e-10 * spacing, (a, z)
 
 
 _NAN, _INF = math.nan, math.inf
@@ -130,14 +149,23 @@ def _nan_evaluator(calls):
     (lambda calls: t_iterate(8.3, 1.0 + 6.0j,
                              evaluator=_nan_evaluator(calls)),
      ConvergenceError),
+    (lambda calls: families(_NAN), DomainError),
+    (lambda calls: zeros_apos(_INF, 1), DomainError),
+    (lambda calls: zeros_apos(_NAN, 1), DomainError),
+    (lambda calls: zeros_aneg_positive(_NAN, 1), DomainError),
+    (lambda calls: zeros_aneg_nonpositive(_NAN, 1), DomainError),
+    (lambda calls: zeros_aneg_complex(-_INF, 1), DomainError),
 ], ids=["eval_U-a", "eval_U-z", "t_iterate-a", "t_iterate-z",
         "hermite-nan", "hermite-inf", "sweep-a", "sweep-z",
-        "t_iterate-nan-U"])
+        "t_iterate-nan-U", "families-nan", "apos-inf", "apos-nan",
+        "aneg-positive-nan", "aneg-nonpositive-nan", "aneg-complex-inf"])
 def test_non_finite_input_or_value_raises_package_error(call, error):
-    # a non-finite U stops t_iterate at its first iterate, which the
-    # error carries
+    # a non-finite input is named as such; a non-finite U stops t_iterate
+    # at its first iterate, which the error carries
     calls = []
     with pytest.raises(error) as info:
         call(calls)
+    if error is DomainError:
+        assert "is not finite" in str(info.value)
     if error is ConvergenceError:
         assert calls == [1.0 + 6.0j] and info.value.last == 1.0 + 6.0j
