@@ -307,6 +307,9 @@ def main(argv=None):
     except DomainError as e:
         print(f"pcfzeros: {e}", file=sys.stderr)
         return 3 if isinstance(e, PolynomialCaseError) else 2
+    except ConvergenceError as e:
+        print(f"pcfzeros: non-convergence: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

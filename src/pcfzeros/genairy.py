@@ -2,9 +2,19 @@
 + e^{-(3u-1)pi i/6} Ai_{-1}(z).
 
 Real negative zeros, the sole positive zero when it exists, and the
-first-quadrant complex zeros, all from large-index asymptotics with an
-identity-based Newton refinement.  On the real axis the zeros coincide
-with the roots of sin(u pi/2) Ai(x) + cos(u pi/2) Bi(x) = 0.
+first-quadrant complex zeros.  On the real axis the zeros coincide with
+the roots of sin(u pi/2) Ai(x) + cos(u pi/2) Bi(x) = 0.
+
+The m-th negative and complex zeros are seeded by the tau-series T(t) of
+DLMF 9.9.18.  One rule, applied here and nowhere else, decides whether a
+seed is refined: it is returned as it is only where twice the first term
+the series omits is within the accuracy refinement delivers (brentq's
+xtol + rtol |x|), which holds from m = 13 or 14 on; otherwise, or when
+the caller passes refine=True, it is refined (real zeros by brentq in a
+bracket around the seed, complex ones by Newton on the identity of
+refine_zero).  For u mod 2 in [4/3, 2) the first negative zero has
+tau < 1, where the series is useless near t = 0: it is found by brentq
+between the second zero and the origin instead.
 """
 import cmath
 import math
@@ -19,7 +29,7 @@ from .errors import ConvergenceError, DomainError, PolynomialCaseError
 # blow up (log of 2cos(u pi/2) diverges)
 POLY_GUARD = 1e-8
 
-# brentq stopping tolerances of neg_zeros' refinement (rtol is scipy's default)
+# brentq stopping tolerances of every real zero (rtol is scipy's default)
 _BRENT_XTOL = 1e-14
 _BRENT_RTOL = 4.0 * sys.float_info.epsilon
 
@@ -31,7 +41,6 @@ class GenAiryZero:
     value: complex
     refined: bool
     residual: float
-    reliable: bool = True
 
 
 @dataclass(frozen=True)
@@ -157,50 +166,60 @@ def refine_zero(u, approx, tol=1e-14, max_iter=30):
                        residual=res)
 
 
+def _real_root(u, brackets, what, last=None):
+    """The zero of Ai_u in the first (lo, hi) of brackets across which
+    eval_genairy_real changes sign, by brentq to _BRENT_XTOL, _BRENT_RTOL;
+    ConvergenceError when none of them brackets a zero."""
+    def f(s):
+        return eval_genairy_real(u, s)
+
+    for lo, hi in brackets:
+        if f(lo) * f(hi) <= 0:
+            # imported here: scipy.optimize adds about half again to the
+            # package's import time
+            from scipy.optimize import brentq
+            return brentq(f, lo, hi, xtol=_BRENT_XTOL, rtol=_BRENT_RTOL)
+    raise ConvergenceError(f"no sign change found for {what} of Ai_u, "
+                           f"u = {u}", last=last)
+
+
+def _brackets_around(x, tau):
+    """Brackets of growing width around the series seed x (tau >= 1) of
+    a negative zero."""
+    half = max(0.45 * (8.0 / (3.0 * math.pi)) / tau * abs(x), 0.2)
+    for _ in range(9):
+        yield x - half, min(x + half, -1e-12)
+        half *= 1.6
+
+
 def neg_zeros(u, m, refine=False):
     """m-th negative real zero of Ai_u: -T(3 pi tau_m / 8), tau_m = 4m-3+mu(u).
 
-    The raw series value is returned only where its truncation estimate
-    (twice the first omitted term) is within the accuracy the refinement
-    itself delivers, brentq's xtol + rtol |x|; that holds from m = 13 or
-    14 on.  Everywhere else, and always for m = 1 or refine=True, the
-    zero is refined by real root-finding in a bracket around the raw value.
+    The series value is refined by brentq in a bracket around it when
+    refine=True or when its truncation estimate (twice the first omitted
+    term) exceeds brentq's own accuracy, xtol + rtol |x|: every m <= 12.
+    For tau < 1 (m = 1 with u mod 2 in [4/3, 2)) the series is not used:
+    the zero is the one between the second zero and the origin.
     """
     if u <= 0:
         raise DomainError("neg_zeros requires u > 0")
     if m < 1:
         raise DomainError("zero index must be >= 1")
     tau = 4.0 * m - 3.0 + mu(u)
-    t = 3.0 * math.pi * tau / 8.0
-    val, reliable = t_series(t)
-    x = -val.real
-    refined = False
-    if refine or m == 1 or not _series_suffices(t, x):
-        # bracket around the asymptotic seed and solve eq. for Ai_u on R
-        half = 0.45 * (8.0 / (3.0 * math.pi)) / max(tau, 1.0) * abs(x) if x != 0 else 0.5
-        half = max(half, 0.2)
-        lo, hi = x - half, min(x + half, -1e-12)
-        flo = eval_genairy_real(u, lo)
-        fhi = eval_genairy_real(u, hi)
-        grow = 0
-        while flo * fhi > 0 and grow < 8:
-            half *= 1.6
-            lo, hi = x - half, min(x + half, -1e-12)
-            flo = eval_genairy_real(u, lo)
-            fhi = eval_genairy_real(u, hi)
-            grow += 1
-        if flo * fhi > 0:
-            raise ConvergenceError("could not bracket negative zero", last=x)
-        # imported here: scipy.optimize adds about half again to the
-        # package's import time
-        from scipy.optimize import brentq
-        x = brentq(lambda s: eval_genairy_real(u, s), lo, hi,
-                   xtol=_BRENT_XTOL, rtol=_BRENT_RTOL)
+    if tau < 1.0:
+        x2 = neg_zeros(u, 2).value.real
+        x = _real_root(u, [(x2 + 1e-3 * abs(x2), -1e-12)],
+                       "first negative zero", last=x2)
         refined = True
-        reliable = True
+    else:
+        t = 3.0 * math.pi * tau / 8.0
+        x = -t_series(t)[0].real
+        refined = refine or not _series_suffices(t, x)
+        if refined:
+            x = _real_root(u, _brackets_around(x, tau), "negative zero",
+                           last=x)
     return GenAiryZero(index=m, kind="negative-real", value=complex(x),
-                       refined=refined, residual=identity_residual(u, x),
-                       reliable=reliable)
+                       refined=refined, residual=identity_residual(u, x))
 
 
 def sole_positive_zero(u) -> Optional[GenAiryZero]:
@@ -216,14 +235,8 @@ def sole_positive_zero(u) -> Optional[GenAiryZero]:
                            refined=True, residual=identity_residual(u, 0.0))
     if vartheta(u) == 0:
         return None
-    b = 0.5
-    f0 = eval_genairy_real(u, 1e-12)
-    while eval_genairy_real(u, b) * f0 > 0:
-        b *= 2.0
-        if b > 64.0:
-            raise ConvergenceError("no sign change found for sole positive zero")
-    from scipy.optimize import brentq
-    x = brentq(lambda s: eval_genairy_real(u, s), 1e-12, b, xtol=1e-14)
+    x = _real_root(u, ((1e-12, 0.5 * 2.0 ** k) for k in range(8)),
+                   "sole positive zero")
     return GenAiryZero(index=0, kind="sole-positive", value=complex(x),
                        refined=True, residual=identity_residual(u, x))
 
@@ -236,19 +249,9 @@ def _check_polynomial_case(u):
             "polynomial case, no complex zeros")
 
 
-def complex_zeros(u, m, refine=False):
-    """m-th complex zero of Ai_u in the first quadrant.
-
-    tau is branch-selected by the sign of cos(u pi/2); the zero is
-    e^{i pi/3} T(3 pi tau / 8) and arg -> pi/3 as m grows.  Unrefined, it
-    is flagged reliable only where the series' truncation estimate passes
-    the same test as in neg_zeros.
-    """
-    if u <= 0:
-        raise DomainError("complex_zeros requires u > 0")
-    if m < 1:
-        raise DomainError("zero index must be >= 1")
-    _check_polynomial_case(u)
+def _complex_seed(u, m):
+    """(t, seed) of the m-th complex zero: seed = e^{i pi/3} T(t) with
+    t = 3 pi tau / 8, tau branch-selected by the sign of cos(u pi/2)."""
     c = math.cos(0.5 * u * math.pi)
     if c > 0:
         mp = math.floor((u + 1.0) / 4.0)
@@ -257,15 +260,26 @@ def complex_zeros(u, m, refine=False):
         mm = math.floor((u - 1.0) / 4.0)
         tau = 4.0 * m + 4.0 * mm - u + 1.0 + (2j / math.pi) * math.log(abs(2.0 * c))
     t = 3.0 * math.pi * tau / 8.0
-    val, reliable = t_series(t)
-    z = cmath.exp(1j * math.pi / 3.0) * val
-    reliable = reliable and _series_suffices(t, z)
-    refined = False
-    if refine:
+    return t, cmath.exp(1j * math.pi / 3.0) * t_series(t)[0]
+
+
+def complex_zeros(u, m, refine=False):
+    """m-th complex zero of Ai_u in the first quadrant.
+
+    The seed e^{i pi/3} T(3 pi tau / 8) (arg -> pi/3 as m grows) is
+    Newton-refined by refine_zero when refine=True or when its truncation
+    estimate fails the same test as in neg_zeros: every m <= 13 at
+    u = 12.4.
+    """
+    if u <= 0:
+        raise DomainError("complex_zeros requires u > 0")
+    if m < 1:
+        raise DomainError("zero index must be >= 1")
+    _check_polynomial_case(u)
+    t, z = _complex_seed(u, m)
+    if refine or not _series_suffices(t, z):
         rz = refine_zero(u, z)
-        z = rz.value
-        refined = True
-        reliable = True
+        return GenAiryZero(index=m, kind="complex-first-quadrant",
+                           value=rz.value, refined=True, residual=rz.residual)
     return GenAiryZero(index=m, kind="complex-first-quadrant", value=z,
-                       refined=refined, residual=identity_residual(u, z),
-                       reliable=reliable)
+                       refined=False, residual=identity_residual(u, z))

@@ -451,12 +451,19 @@ def _eval_series_mp(a, z, tol):
             w = zz * zz / 2.0
             b1 = 0.5 * a + 0.25
             b2 = 0.5 * a + 0.75
-            M1 = mp.hyp1f1(b1, 0.5, w)
-            M2 = mp.hyp1f1(b2, 1.5, w)
-            D1 = mp.hyp1f1(b1 + 1.0, 1.5, w) * (b1 / 0.5)
-            # b2 / 1.5 is not exact in doubles, and the cancellation
-            # between the two solutions would amplify its rounding
-            D2 = mp.hyp1f1(b2 + 1.0, 2.5, w) * b2 / 1.5
+            try:
+                M1 = mp.hyp1f1(b1, 0.5, w)
+                M2 = mp.hyp1f1(b2, 1.5, w)
+                D1 = mp.hyp1f1(b1 + 1.0, 1.5, w) * (b1 / 0.5)
+                # b2 / 1.5 is not exact in doubles, and the cancellation
+                # between the two solutions would amplify its rounding
+                D2 = mp.hyp1f1(b2 + 1.0, 2.5, w) * b2 / 1.5
+            except ValueError as e:
+                # hypsum gives up on a series whose sum is exactly 0, as
+                # 1F1(-1; 1/2; 1/2) for U(-5/2, 1): no relative accuracy
+                raise ConvergenceError(
+                    f"U({a}, {z}): mpmath's 1F1 series failed at {dps} "
+                    "digits") from e
             U0 = mp.sqrt(mp.pi) * mp.mpf(2.0) ** (-0.5 * a - 0.25) \
                 * mp.rgamma(0.75 + 0.5 * a)
             Up0 = -mp.sqrt(mp.pi) * mp.mpf(2.0) ** (-0.5 * a + 0.25) \

@@ -64,28 +64,18 @@ def count_positive(u):
 def m_minus(a, terms=3):
     """M-: the number of non-positive real zeros of U(a, x) for a < 0.
 
-    Operational rule: largest index whose assembled xhat- is still
-    non-negative (the mapped zeros must stay above zeta(0)).
+    Operational rule: the count of indices zeros_aneg_nonpositive accepts,
+    i.e. whose mapped zero stays above zeta(0) and whose assembled xhat-
+    is still non-negative.
     """
-    u = _u_neg(a)
-    count = vartheta(u)  # index 0 (the sole positive zero of Ai_u) if any
-    m = 1
-    cutoff = u ** (2.0 / 3.0) * ZETA_AT_0
-    while True:
-        az = genairy.neg_zeros(u, m, refine=(m == 1)).value.real
-        if az < cutoff - 0.5:
-            break
+    count = vartheta(_u_neg(a))  # index 0 (the sole positive zero of Ai_u)
+    for m in range(1, 10001):
         try:
-            zz = zeros_aneg_nonpositive(a, m, terms=terms)
+            zeros_aneg_nonpositive(a, m, terms=terms)
         except DomainError:
-            break
-        if zz.zhat.real < -1e-9:
-            break
+            return count
         count += 1
-        m += 1
-        if m > 10000:
-            raise DomainError("runaway M- search")
-    return count
+    raise DomainError("runaway M- search")
 
 
 def families(a, complex_count=None):
@@ -175,11 +165,9 @@ def zeros_aneg_nonpositive(a, m, terms=3):
     if m < 1 - th:
         raise DomainError(f"index {m} below {1 - th}")
     if m == 0:
-        gz = genairy.sole_positive_zero(u)
-        az = gz.value.real
+        az = genairy.sole_positive_zero(u).value.real
     else:
-        gz = genairy.neg_zeros(u, m, refine=(m == 1))
-        az = gz.value.real
+        az = genairy.neg_zeros(u, m).value.real
     zeta0 = complex(az * u ** (-2.0 / 3.0))
     if zeta0.real < ZETA_AT_0 - 1e-9:
         raise DomainError(
@@ -197,10 +185,7 @@ def zeros_aneg_complex(a, m, terms=3):
     u = _u_neg(a)
     if m < 1:
         raise DomainError("zero index must be >= 1")
-    # refine the combination zero itself: the closed-form tau series is
-    # only the seed, and its truncation error would otherwise dominate
-    # the mapped zero for small m
-    gz = genairy.complex_zeros(u, m, refine=True)
+    gz = genairy.complex_zeros(u, m)
     zeta0 = gz.value * u ** (-2.0 / 3.0)
     back = lambda zh: -2.0 * math.sqrt(0.5 * u) * zh.conjugate()
     return _assemble(m, "aneg-complex", u, zeta0, terms, back)

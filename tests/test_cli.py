@@ -224,6 +224,18 @@ def test_phase_grid_inverted_range(capsys, tmp_path):
     assert rc == 2
 
 
+def test_phase_grid_non_convergence_exits_4(capsys, tmp_path):
+    # U(-2.5, 1) = 0 exactly: no relative accuracy can be reached there
+    rc = cli.main(["phase-grid", "--a", "-2.5",
+                   "--re-min", "1", "--re-max", "1",
+                   "--im-min", "0", "--im-max", "0",
+                   "--nx", "1", "--ny", "1",
+                   "--out", str(tmp_path / "g.csv")])
+    assert rc == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "U(-2.5, " in err[0]
+
+
 def test_console_entry_point():
     # the child imports the package from where this test imported it
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from pcfzeros.errors import PolynomialCaseError
-from pcfzeros.genairy import (_t_series_tail, complex_zeros,
+from pcfzeros.genairy import (_complex_seed, _t_series_tail, complex_zeros,
                               identity_residual, index_shift, mu, neg_zeros,
                               refine_zero, sole_positive_zero, t_series,
                               vartheta)
@@ -141,11 +141,12 @@ def test_refine_zero_fixed_point():
 
 
 def test_refinement_shift_decreases_with_m():
+    # the raw series itself: complex_zeros refines it wherever its
+    # truncation estimate exceeds the refinement's accuracy
     u = 12.4
-    d1 = abs(complex_zeros(u, 1, refine=True).value
-             - complex_zeros(u, 1).value)
+    d1 = abs(complex_zeros(u, 1, refine=True).value - _complex_seed(u, 1)[1])
     d50 = abs(complex_zeros(u, 50, refine=True).value
-              - complex_zeros(u, 50).value)
+              - _complex_seed(u, 50)[1])
     assert d1 > d50
 
 
@@ -198,9 +199,11 @@ def test_raw_complex_zeros_flag_reliability_by_series_tail():
     # from m = 14 on the tail estimate passes and the raw value is exact
     u = 12.4
     for m in (1, 2, 3, 14, 15, 16):
-        raw = complex_zeros(u, m)
+        raw = _complex_seed(u, m)[1]
+        got = complex_zeros(u, m)
         ref = complex_zeros(u, m, refine=True)
-        assert ref.reliable
-        assert raw.reliable == (m >= 14), m
-        if raw.reliable:
-            assert abs(raw.value - ref.value) <= 1e-13 * abs(ref.value)
+        assert ref.refined
+        assert got.refined == (m < 14), m
+        if not got.refined:
+            assert got.value == raw
+            assert abs(raw - ref.value) <= 1e-13 * abs(ref.value)

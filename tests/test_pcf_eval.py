@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pcfzeros import pcf_eval
-from pcfzeros.errors import DomainError, PcfzerosError
+from pcfzeros.errors import ConvergenceError, DomainError, PcfzerosError
 from pcfzeros.pcf_eval import (TaylorWalker, eval_U, eval_U_near_zero,
                                eval_U_prime, eval_U_quadrature, metrics,
                                residual_eq319, winding_number)
@@ -220,6 +220,13 @@ def test_mpmath_precision_cap_raises_promptly():
     with pytest.raises(PcfzerosError):
         t_iterate(1e6, zeros_apos(1e6, 1).z)
     assert time.perf_counter() - t0 < 30.0
+
+
+def test_exact_zero_of_U_raises_convergence_error():
+    # U(-5/2, z) is proportional to e^{-z^2/4}(z^2 - 1): at z = 1 no
+    # relative accuracy can be reached and mpmath's 1F1 series gives up
+    with pytest.raises(ConvergenceError, match=r"U\(-2\.5, "):
+        eval_U(-2.5, 1.0)
 
 
 def test_mpmath_fallback_folds_out_of_range_U_into_exponent():

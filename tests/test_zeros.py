@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pcfzeros.errors import DomainError
+from pcfzeros.genairy import complex_zeros, identity_residual
 from pcfzeros.pcf_eval import residual_eq319
 from pcfzeros.refine import t_iterate
 from pcfzeros.zeros import (count_positive, families, hermite_zeros, m_minus,
@@ -40,6 +41,18 @@ def test_m_minus_values():
     assert m_minus(-6.2) == 3
     # vartheta=1 window: u mod 2 in (1, 4/3) counts the index-0 zero
     assert m_minus(-2.55) >= 1
+
+
+@pytest.mark.parametrize("a", [-2.7, -2.75, -5.72, -5.75, -5.8, -5.943,
+                               -30.7606])
+def test_m_minus_against_sign_change_oracle_where_tau1_below_1(a):
+    # u mod 2 in [4/3, 2): tau_1 = 1 + mu(u) < 1, where the tau-series of
+    # the first negative zero of Ai_u is evaluated near t = 0
+    lo = -(2.2 * math.sqrt(-a) + 2.0)
+    xs = [lo * (1.0 - k / 199.0) for k in range(200)]
+    n = oracles.sign_change_count(
+        a, xs, lambda aa, x: oracles.mp_U(aa, x, dps=30).real)
+    assert m_minus(a) == n
 
 
 def test_m_minus_tracks_m_plus_for_large_u():
@@ -139,6 +152,17 @@ def test_aneg_complex_residual_identity():
         w = -zeros_aneg_complex(a, m, terms=3).z.conjugate() \
             / math.sqrt(2.0 * u)
         assert residual_eq319(a, w) <= 1e-6
+
+
+def test_aneg_complex_series_zeros_satisfy_the_identity():
+    # from m = 14 on the tau-series zero of Ai_u is used as it is; a
+    # Newton pass on the m = 17 one does not converge, though the series
+    # value already holds the identity to 1.7e-13
+    a = -93.4995
+    u = -2.0 * a
+    for m in range(14, 31):
+        zeros_aneg_complex(a, m)
+        assert identity_residual(u, complex_zeros(u, m).value) <= 1e-12, m
 
 
 def test_bad_indices_rejected():
