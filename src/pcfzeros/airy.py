@@ -56,7 +56,7 @@ def eval_ai(z):
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError("eval_ai requires finite z")
     ai, aip, _, _ = sp.airy(z)
-    if np.all(np.isfinite([ai, aip])) and (ai != 0 or abs(z) < 1):
+    if cmath.isfinite(ai) and cmath.isfinite(aip) and (ai != 0 or abs(z) < 1):
         return AiryValue(complex(ai), complex(aip))
     return _scaled_from_airye(z)
 

@@ -29,6 +29,11 @@ from .errors import ConvergenceError, DomainError, PolynomialCaseError
 # blow up (log of 2cos(u pi/2) diverges)
 POLY_GUARD = 1e-8
 
+# rounding level of the identity residual per (1+|z|)^{3/2}: the phase
+# of Ai_{+-1} at z is off by about eps |z|^{3/2}; measured residuals at
+# Newton's noise floor are 0.5-1.1 eps |z|^{3/2} for |z| = 15-27
+_RESIDUAL_NOISE = 10.0 * sys.float_info.epsilon
+
 # brentq stopping tolerances of every real zero (rtol is scipy's default)
 _BRENT_XTOL = 1e-14
 _BRENT_RTOL = 4.0 * sys.float_info.epsilon
@@ -137,12 +142,15 @@ def refine_zero(u, approx, tol=1e-14, max_iter=30):
     """Newton-polish an approximate zero of Ai_u.
 
     Damped Newton on f(z) = e^{(3u-1) pi i/3} Ai_1(z) + Ai_{-1}(z);
-    converges when |step| <= tol*(1+|z|).
+    converges when |step| <= tol*(1+|z|), or at Newton's noise floor:
+    when the step stops shrinking while the identity residual at z is
+    within the rounding of Ai there (_RESIDUAL_NOISE (1+|z|)^{3/2}),
+    z is returned as it is.
     """
     z = complex(approx)
-    delta = 0.0
+    prev = math.inf
     for _ in range(max_iter):
-        f, fp, _ = _identity_parts(u, z)
+        f, fp, res = _identity_parts(u, z)
         if fp == 0:
             raise ConvergenceError("vanishing derivative in refine_zero", last=z)
         step = f / fp
@@ -150,10 +158,13 @@ def refine_zero(u, approx, tol=1e-14, max_iter=30):
         cap = 0.5 * (1.0 + abs(z))
         if abs(step) > cap:
             step *= cap / abs(step)
+        if abs(step) >= prev and \
+                res <= _RESIDUAL_NOISE * (1.0 + abs(z)) ** 1.5:
+            break
         z -= step
-        delta += abs(step)
         if abs(step) <= tol * (1.0 + abs(z)):
             break
+        prev = abs(step)
     else:
         raise ConvergenceError("refine_zero did not converge", last=z,
                                residual=identity_residual(u, z))

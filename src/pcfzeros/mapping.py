@@ -5,7 +5,12 @@ turning point zhat = 1: (2/3) zeta^{3/2} = integral_1^zhat sqrt(t^2-1) dt,
 evaluated through cancellation-safe recasts on |zhat| >= 1 and |zhat| < 1.
 map_bundle adds beta, sigma = (zeta/(zhat^2-1))^{1/2} and the derivative
 chain, with a high-precision fallback near the (removable) singularity at
-zhat = 1.  invert_zeta solves zeta(zhat) = target by Newton.
+zhat = 1.  invert_zeta solves zeta(zhat) = target by Newton.  Its start
+for a real target below -1/2 is closed-form: with zhat = cos(phi/2) on
+[0, 1), the definition reduces to phi - sin(phi) = (8/3)(-zeta)^{3/2},
+solved for phi by a scalar Newton iteration, so the zeta-Newton that
+follows only confirms it.  Each zeta-Newton step takes sigma from the
+zeta it has just evaluated.
 """
 import cmath
 import math
@@ -20,6 +25,9 @@ from .errors import ConvergenceError, DomainError
 TP_GUARD = 1e-3
 
 ZETA_AT_0 = -0.25 * (3.0 * math.pi) ** (2.0 / 3.0)
+
+# cap on the phi-Newton of _real_section_start, which needs at most 5
+_PHI_MAX_ITER = 20
 
 
 @dataclass(frozen=True)
@@ -108,6 +116,15 @@ def _bundle_mp(zh):
                          sigma1=complex(sigma1), sigma2=complex(sigma2))
 
 
+def _sigma(zh, zt):
+    """sigma = (zeta/(zhat^2-1))^{1/2} from zt = zeta(zh), away from
+    zhat = 1; real for real zhat > -1."""
+    sg = cmath.sqrt(zt / (zh * zh - 1.0))
+    if zh.imag == 0.0 and -1.0 < zh.real:
+        sg = complex(sg.real, 0.0)
+    return sg
+
+
 def map_bundle(zh):
     """zeta, beta, sigma and derivatives at one point, mutually consistent."""
     zh = complex(zh)
@@ -117,9 +134,7 @@ def map_bundle(zh):
     if abs(zh - 1.0) < TP_GUARD:
         return _bundle_mp(zh)
     zt = zeta(zh)
-    sg = cmath.sqrt(zt / (zh * zh - 1.0))
-    if zh.imag == 0.0 and -1.0 < zh.real:
-        sg = complex(sg.real, 0.0)
+    sg = _sigma(zh, zt)
     zeta1 = 1.0 / sg
     sigma1 = (1.0 - 2.0 * zh * sg ** 3) / (2.0 * zt)
     zeta2 = (2.0 * zh * sg ** 3 - 1.0) / (2.0 * sg * sg * zt)
@@ -129,32 +144,42 @@ def map_bundle(zh):
                      zeta1=zeta1, zeta2=zeta2, sigma1=sigma1, sigma2=sigma2)
 
 
-def sigma(zh):
-    return map_bundle(zh).sigma
+def _real_section_start(zt):
+    """zhat in [0, 1) with zeta(zhat) = zt for real zt in [zeta(0), -1/2):
+    zhat = cos(phi/2) where phi - sin(phi) = K = (8/3)(-zt)^{3/2}.
+    Newton on phi from (6K)^{1/3}: phi - sin(phi) <= phi^3/6 puts the
+    start left of the root, and the residual is convex on [0, pi], so
+    after the first step the iterates decrease to it.  K and phi are
+    kept <= pi, so zhat >= 0 (a target just below zeta(0) starts at
+    zhat = cos(pi/2))."""
+    k = min((8.0 / 3.0) * (-zt) ** 1.5, math.pi)
+    phi = min((6.0 * k) ** (1.0 / 3.0), math.pi)
+    for _ in range(_PHI_MAX_ITER):
+        step = (phi - math.sin(phi) - k) / (1.0 - math.cos(phi))
+        phi = min(phi - step, math.pi)
+        if abs(step) <= 1e-15 * phi:
+            break
+    return complex(math.cos(0.5 * phi))
 
 
 def invert_zeta(zt_target, tol=1e-14, max_iter=60):
     """Solve zeta(zhat) = zt_target for zhat by Newton.
 
-    Initial guess: turning-point linearization for small targets,
-    the iterated large-|zeta| form otherwise.  dzhat/dzeta = sigma.
+    Initial guess: for a real target below -1/2, the closed-form start
+    of _real_section_start (phi - sin(phi) = (8/3)(-zeta)^{3/2}, accurate
+    to rounding, so the Newton loop below evaluates zeta once to confirm
+    it); the turning-point linearization for other small targets; the
+    iterated large-|zeta| form otherwise.  Each Newton step uses
+    dzhat/dzeta = sigma, taken from the zeta just evaluated (map_bundle's
+    40-digit path within TP_GUARD of zhat = 1).
     """
     zt_target = complex(zt_target)
     if zt_target.imag == 0.0 and zt_target.real < -0.5:
-        # real target on the (-1,1) section: zeta is monotone there,
-        # seed by bisection before the Newton polish
         if zt_target.real < ZETA_AT_0 - 1e-9:
             raise DomainError(
                 f"real target {zt_target.real} below zeta(0): outside the "
                 "principal-branch image of [0, 1]")
-        lo, hi = 1e-12, 1.0
-        for _ in range(50):
-            mid = 0.5 * (lo + hi)
-            if zeta(mid).real > zt_target.real:
-                hi = mid
-            else:
-                lo = mid
-        zh = complex(0.5 * (lo + hi))
+        zh = _real_section_start(zt_target.real)
     elif abs(zt_target) < 0.5:
         e = 2.0 ** (-1.0 / 3.0) * zt_target
         zh = 1.0 + e * (1.0 - e / 10.0)
@@ -165,12 +190,17 @@ def invert_zeta(zt_target, tol=1e-14, max_iter=60):
             zh = cmath.sqrt(2.0 * xi + 0.5 + cmath.log(2.0 * zh))
     f = None
     for _ in range(max_iter):
-        f = zeta(zh) - zt_target
+        zt = zeta(zh)
+        f = zt - zt_target
         if abs(f) <= tol * (1.0 + abs(zt_target)):
             if zt_target.imag == 0.0 and zh.imag != 0.0 and \
                     abs(zh.imag) < 1e-13 * (1.0 + abs(zh)):
                 zh = complex(zh.real, 0.0)
             return zh
-        zh = zh - sigma(zh) * f
+        if abs(zh - 1.0) < TP_GUARD:
+            sg = map_bundle(zh).sigma
+        else:
+            sg = _sigma(zh, zt)
+        zh = zh - sg * f
     raise ConvergenceError("invert_zeta did not converge", last=zh,
                            residual=abs(f))

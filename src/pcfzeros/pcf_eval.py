@@ -568,10 +568,17 @@ def eval_U_quadrature(a, z):
 
     # imported here, as only this cross-check needs it
     from scipy.integrate import quad
-    # integrand decays like exp(-t^2/2 + |z| t); truncate well past the peak
-    upper = max(10.0, abs(z) + 10.0)
-    I, errI = quad(f, 0.0, upper, complex_func=True, limit=200)
-    I1, errI1 = quad(f1, 0.0, upper, complex_func=True, limit=200)
+    # |integrand| peaks where (a - 1/2)/t = t + Re z and decays like a
+    # Gaussian of unit width past it; truncate well past the peak
+    peak = 0.5 * (math.sqrt(z.real ** 2 + 4.0 * max(a - 0.5, 0.0)) - z.real)
+    upper = max(10.0, abs(z) + 10.0, peak + 10.0)
+    try:
+        I, errI = quad(f, 0.0, upper, complex_func=True, limit=200)
+        I1, errI1 = quad(f1, 0.0, upper, complex_func=True, limit=200)
+    except OverflowError:
+        raise DomainError(
+            f"integrand t^(a-1/2) e^(-t^2/2 - z t) of U({a}, {z}) "
+            "overflows a double") from None
     pref = cmath.exp(-z * z / 4.0) * sp.rgamma(a + 0.5)
     val = pref * I
     der = pref * (-z / 2.0 * I - I1)

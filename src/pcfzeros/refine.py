@@ -42,7 +42,8 @@ def t_iterate(a, z0, tol=STEP_TOL, max_iter=20, evaluator=None):
     """Polish a zero approximation; converges when |T(z)-z| <= tol*(1+|z|).
 
     evaluator(a, z) gives U and U' as a PcfValue; None means
-    eval_U_near_zero.  A non-finite U or U' raises ConvergenceError.
+    eval_U_near_zero.  A non-finite U or U', or a point where T is
+    undefined, raises ConvergenceError.
     """
     require_finite(a=a, z=z0)
     if evaluator is None:
@@ -58,7 +59,13 @@ def t_iterate(a, z0, tol=STEP_TOL, max_iter=20, evaluator=None):
         if v.derivative == 0:
             raise ConvergenceError("U' vanished during t_iterate", last=z)
         sq = _p_sqrt(a, z)
-        step = cmath.atan(sq * v.value / v.derivative) / sq
+        try:
+            step = cmath.atan(sq * v.value / v.derivative) / sq
+        except ValueError:
+            # p^{1/2} U/U' = +-i: a branch point of arctan
+            raise ConvergenceError(
+                f"T(z) undefined at z={z}: p^(1/2) U/U' is +-i",
+                last=z) from None
         # keep each displacement below half the local zero spacing
         cap = 0.5 * math.pi / abs(sq)
         if abs(step) > cap:

@@ -129,6 +129,18 @@ def test_validate_reports_each_non_convergence_and_exits_4(capsys):
     assert parse_csv(cap.out) == []
 
 
+def test_undefined_t_map_step_reports_non_convergence(capsys):
+    # the seed next to the turning point is -4.8e23, where
+    # p^(1/2) U/U' rounds to i, a branch point of arctan
+    rc = cli.main(["zeros", "--a", "-1.6666667166666664",
+                   "--family", "nonpos"])
+    cap = capsys.readouterr()
+    assert rc == 4
+    assert cap.err.startswith(
+        "pcfzeros: non-convergence at aneg-nonpositive m=1: T(z) undefined")
+    assert parse_csv(cap.out) == []
+
+
 def test_non_convergence_keeps_the_other_records(capsys, monkeypatch):
     t_iterate = cli.t_iterate
 

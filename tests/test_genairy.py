@@ -207,3 +207,15 @@ def test_raw_complex_zeros_flag_reliability_by_series_tail():
         if not got.refined:
             assert got.value == raw
             assert abs(raw - ref.value) <= 1e-13 * abs(ref.value)
+
+
+def test_refine_zero_accepts_its_noise_floor():
+    # at u = 186.999 the series seeds of m >= 14 are accurate to rounding;
+    # the Newton steps from them wander between 6e-14 and 1.3e-12, above
+    # the step test's 1e-14 (1 + |z|), while the residual stays near 1e-14
+    u = 186.999
+    for m in range(14, 31):
+        seed = complex_zeros(u, m)
+        z = complex_zeros(u, m, refine=True)
+        assert z.refined and z.residual <= 1e-12
+        assert abs(z.value - seed.value) <= 1e-12 * abs(seed.value)

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from pcfzeros import mapping
+from pcfzeros.airy import real_airy_zero
 from pcfzeros.errors import DomainError
 from pcfzeros.mapping import (ZETA_AT_0, invert_zeta, map_bundle, zeta)
 
@@ -121,6 +123,49 @@ def test_invert_zeta_negative_real_targets():
         assert zh.imag == 0.0
         assert 0.0 <= zh.real <= 1.0
         assert abs(zeta(zh) - zt) < 1e-12
+
+
+def test_invert_zeta_real_section_start():
+    # real targets below -1/2 start from the closed form phi - sin(phi) =
+    # (8/3)(-zeta)^{3/2}.  zeta increases on [0, 1), so zhat increases
+    # with the target; the targets just below zeta(0), which the domain
+    # check still accepts, map to zhat just below 0
+    targets = np.concatenate(([ZETA_AT_0 - 5e-10, ZETA_AT_0],
+                              np.linspace(ZETA_AT_0, -0.5 - 1e-12, 199)[1:]))
+    prev = -math.inf
+    for zt in targets:
+        zh = invert_zeta(zt)
+        assert zh.imag == 0.0
+        assert (-1e-9 < zh.real < 0.0) if zt < ZETA_AT_0 \
+            else (0.0 <= zh.real < 1.0)
+        assert zh.real > prev
+        prev = zh.real
+        assert abs(zeta(zh) - zt) <= 1e-14 * (1.0 + abs(zt))
+
+
+def test_invert_zeta_real_section_costs_at_most_two_zeta_calls(monkeypatch):
+    # the Hermite targets: a_m u^{-2/3} at u = 2n + 1, the seeds of the
+    # positive zeros of U(-u/2, .)
+    calls = []
+    zeta_fn = mapping.zeta
+
+    def counted(zh):
+        calls.append(zh)
+        return zeta_fn(zh)
+
+    monkeypatch.setattr(mapping, "zeta", counted)
+    inversions = 0
+    for n in (20, 256, 1000):
+        u = 2.0 * n + 1.0
+        for m in range(1, n // 2 + 1):
+            zt = real_airy_zero(m) * u ** (-2.0 / 3.0)
+            if zt >= -0.5:
+                continue
+            calls.clear()
+            invert_zeta(zt)
+            assert len(calls) <= 2, (n, m, len(calls))
+            inversions += 1
+    assert inversions > 300
 
 
 def test_invert_zeta_below_image_rejected():

@@ -55,6 +55,21 @@ def test_quadrature_domain_limit():
         eval_U_quadrature(-1.0, 1.0)
 
 
+def test_quadrature_integrates_past_the_peak_at_large_a():
+    # the integrand peaks near t = 9.5 at a = 100, z = 1: a cut at
+    # |z| + 10 = 11 alone loses 1.7% of U
+    q = eval_U_quadrature(100.0, 1.0)
+    su, sup = eval_U(100.0, 1.0).unscaled()
+    assert abs(q.value - su) <= 1e-10 * abs(su)
+    assert abs(q.derivative - sup) <= 1e-8 * abs(sup)
+
+
+def test_quadrature_overflow_is_a_domain_error():
+    # t^(a - 1/2) overflows a double for t > 2.03 at a = 1000
+    with pytest.raises(DomainError, match="overflows a double"):
+        eval_U_quadrature(1000.0, 1.0 + 1.0j)
+
+
 def test_against_mpmath_oracle_sample():
     pts = [(0.7, 0.5 + 0.5j), (-1.3, 2.0 - 1.0j), (2.5, -0.8 + 0.3j),
            (-6.2, 1.0 + 2.0j), (8.3, 0.5j)]
