@@ -7,8 +7,10 @@ Subcommands:
 
 zeros and validate refine each family's zeros in index order as one
 chain, with one TaylorWalker carrying U and U' from zero to zero, as
-sweep and hermite_zeros do.  Everything runs in this process; the --jobs
-flag of zeros is accepted and has no effect.
+sweep and hermite_zeros do.  phase-grid evaluates its points as one
+eval_U_path, row by row with every other row backwards.  Everything
+runs in this process; the --jobs flag of zeros is accepted and has no
+effect.
 
 Exit codes: 0 ok, 2 bad flags, 3 polynomial-case complex request,
 4 solver non-convergence (partial output emitted).  The PCFZ_LOG
@@ -27,7 +29,10 @@ from typing import Optional
 from . import zeros as zmod
 from .errors import (ConvergenceError, DomainError, PolynomialCaseError,
                      require_finite)
-from .pcf_eval import TaylorWalker, eval_U, metrics
+# eval_U is not called here; perfbench/spans.py patches cli.eval_U, and
+# tests/test_bench_names.py requires every such name to resolve
+from .pcf_eval import (TaylorWalker, eval_U,  # noqa: F401
+                       eval_U_path, metrics)
 from .refine import STEP_TOL, t_iterate
 
 log = logging.getLogger("pcfzeros")
@@ -230,14 +235,21 @@ def cmd_phase_grid(args):
 
     xs = coords(args.re_min, args.re_max, args.nx)
     ys = coords(args.im_min, args.im_max, args.ny)
+    # row by row, every other row backwards, so that each point is next
+    # to the one before it and eval_U_path steps on from there
+    path = [(i, j) for i in range(args.ny)
+            for j in (range(args.nx) if i % 2 == 0
+                      else range(args.nx - 1, -1, -1))]
     with open(args.out, "w") as fh:
         fh.write(f"# pcfzeros phase-grid v1 a={args.a!r} "
                  f"nx={args.nx} ny={args.ny}\n")
         fh.write("x,y,arg_u\n")
-        for y in ys:
-            for x in xs:
-                v = eval_U(args.a, complex(x, y), tol=1e-6)
-                fh.write(f"{x!r},{y!r},{cmath.phase(v.value)!r}\n")
+        values = eval_U_path(args.a, [complex(xs[j], ys[i])
+                                      for i, j in path], tol=1e-6)
+        phase = dict(zip(path, (cmath.phase(v.value) for v in values)))
+        for i, y in enumerate(ys):
+            for j, x in enumerate(xs):
+                fh.write(f"{x!r},{y!r},{phase[i, j]!r}\n")
     return 0
 
 

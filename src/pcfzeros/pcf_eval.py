@@ -21,6 +21,16 @@ a-posteriori estimate meets its threshold answers.
      escalating precision, capped at _MP_MAX_DPS digits, past which it
      raises ConvergenceError.
 
+eval_U_path applies this map to a sequence of points, and eval_U is its
+one-point case.  Only the taylor stage differs along a path: it first
+steps the two runs it holds at the previous point on to the next, then,
+if their estimate fails, starts from the origin as above.  After an
+asymptotic, series or mpmath answer both runs restart from that answer,
+whose estimate they carry as the error of their start.  Neighbouring
+points, as along the rows of a grid, cost a few Taylor steps each
+instead of a walk from the origin, and in the recessive sector, where
+the walk from the origin loses accuracy, the short steps keep theirs.
+
 eval_U_near_zero, t_iterate's default evaluator, judges the error
 against |U'| and tries asymptotic (smallest term below 1e-15), series,
 then mpmath.
@@ -352,6 +362,39 @@ def _taylor_pair(a, z0, z1, starts):
     return out
 
 
+def _taylor_estimate(diff, ulps):
+    """Relative error bound of a Taylor answer from diff, the relative
+    difference of its two runs, and ulps, the error of their start in
+    units of _EPS.  A start error grows along the runs as their rounding
+    does, so it is amplified by diff/_EPS, not added as it is."""
+    return max(100.0, ulps) * diff + ulps * _EPS
+
+
+def _origin_start(a):
+    """The taylor stage's start at z = 0: (point, runs, ulps, exponent),
+    each run's (w, d, x) meaning U = w e^(x + exponent), U' = d e^(...)."""
+    w0, u0, e0, ulps = _origin_data(a)
+    return 0j, [(w0, u0, 0.0)] * 2, ulps, e0
+
+
+def _step_taylor(a, z, start):
+    """The taylor answer at z from the runs of start, and the start it
+    leaves at z; None when the steps cannot be taken (see _taylor_pair)
+    or a run ends at U = 0 or U' = 0."""
+    z0, starts, ulps, e0 = start
+    runs = _taylor_pair(a, z0, z, starts)
+    if runs is None:
+        return None
+    (w1, d1, x1), (w2, d2, x2) = runs
+    if w2 == 0.0 or d2 == 0.0:
+        return None
+    f = math.exp(x1 - x2)
+    diff = max(abs(w1 * f - w2) / abs(w2), abs(d1 * f - d2) / abs(d2))
+    est = _taylor_estimate(diff, ulps)
+    v = _maybe_unscale(PcfValue(w2, d2, "taylor", est, e0 + x2))
+    return v, (z, runs, ulps, e0)
+
+
 def _eval_taylor(a, z):
     """U(a,z) and U'(a,z) by Taylor steps along the ray from the origin.
 
@@ -363,17 +406,8 @@ def _eval_taylor(a, z):
     larger factor is used when that count exceeds 100.  None when the step
     count would pass _TAYLOR_MAX_STEPS.
     """
-    w0, u0, e0, ulps = _origin_data(a)
-    runs = _taylor_pair(a, 0j, z, [(w0, u0, 0.0)] * 2)
-    if runs is None:
-        return None
-    (w1, d1, x1), (w2, d2, x2) = runs
-    if w2 == 0.0 or d2 == 0.0:
-        return None
-    f = math.exp(x1 - x2)
-    diff = max(abs(w1 * f - w2) / abs(w2), abs(d1 * f - d2) / abs(d2))
-    est = max(100.0, ulps) * diff + ulps * _EPS
-    return _maybe_unscale(PcfValue(w2, d2, "taylor", est, e0 + x2))
+    r = _step_taylor(a, z, _origin_start(a))
+    return None if r is None else r[0]
 
 
 class TaylorWalker:
@@ -497,21 +531,49 @@ def eval_U(a, z, tol=1e-11):
     Tries, in order, the methods of the region map in the module
     docstring and returns the first whose estimate meets its threshold.
     """
-    require_finite(a=a, z=z)
-    z = complex(z)
+    return eval_U_path(a, [z], tol)[0]
+
+
+def eval_U_path(a, zs, tol=1e-11):
+    """eval_U at each point of zs, in order: one PcfValue per point.
+
+    Each point goes through eval_U's region map, except that the taylor
+    stage first steps on from the previous point (module docstring), so
+    the cost falls when each point is close to the one before it.
+    """
+    require_finite(a=a)
     a = float(a)
-    if z != 0.0:
-        cut = max(1e-13, tol * 1e-2)
-        v = _eval_asymptotic(a, z, cut)
-        if v is not None and v.est_accuracy <= cut:
-            return v
-    v = _eval_series_double(a, z)
-    if v.est_accuracy <= tol:
-        return v
-    v = _eval_taylor(a, z)
-    if v is not None and v.est_accuracy <= tol:
-        return v
-    return _eval_series_mp(a, z, tol)
+    cut = max(1e-13, tol * 1e-2)
+    origin = None
+    carried = None
+    out = []
+    for z in zs:
+        require_finite(z=z)
+        z = complex(z)
+        v = None
+        if z != 0.0:
+            v = _eval_asymptotic(a, z, cut)
+            if v is not None and v.est_accuracy > cut:
+                v = None
+        if v is None:
+            v = _eval_series_double(a, z)
+            if v.est_accuracy > tol:
+                v = None
+        if v is None:
+            if origin is None:
+                origin = _origin_start(a)
+            for start in (carried, origin):
+                r = None if start is None else _step_taylor(a, z, start)
+                if r is not None and r[0].est_accuracy <= tol:
+                    v, carried = r
+                    break
+        if v is None:
+            v = _eval_series_mp(a, z, tol)
+        if v.method != "taylor":
+            carried = (z, [(v.value, v.derivative, 0.0)] * 2,
+                       max(4.0, v.est_accuracy / _EPS), v.exponent)
+        out.append(v)
+    return out
 
 
 def eval_U_near_zero(a, z, tol=_NEAR_ZERO_TOL):
@@ -627,13 +689,12 @@ def metrics(z_approx, z_ref, m=0):
 def winding_number(a, center, radius, npoints=24):
     """Winding of arg U(a, .) along a circle; +1 certifies a simple zero
     inside (the phase increases by 2 pi)."""
+    points = [center + radius * cmath.exp(2j * math.pi * k / npoints)
+              for k in range(npoints + 1)]
     total = 0.0
     prev = None
-    for k in range(npoints + 1):
-        ang = 2.0 * math.pi * k / npoints
-        z = center + radius * cmath.exp(1j * ang)
-        val = eval_U(a, z, tol=1e-8).value
-        ph = cmath.phase(val)
+    for v in eval_U_path(a, points, tol=1e-8):
+        ph = cmath.phase(v.value)
         if prev is not None:
             d = ph - prev
             while d > math.pi:

@@ -22,7 +22,7 @@ from .airy import real_airy_zero
 from .coeffs import CorrectionInput, correction1, correction2
 from .errors import DomainError, require_finite
 from .genairy import vartheta  # noqa: F401  (part of this module's API)
-from .mapping import ZETA_AT_0, invert_zeta, zeta
+from .mapping import ZETA_AT_0, _sigma, invert_zeta, zeta
 from .pcf_eval import TaylorWalker
 
 _EXP_IPI3 = cmath.exp(1j * math.pi / 3.0)
@@ -108,10 +108,7 @@ def _assemble(m, kind, u, zeta0, terms, back):
     zh = z0
     coeffs = ()
     if terms >= 2:
-        s0 = cmath.sqrt(zeta0 / (z0 * z0 - 1.0))
-        if zeta0.imag == 0.0 and z0.imag == 0.0:
-            s0 = complex(s0.real, 0.0)
-        inp = CorrectionInput(z0=z0, zeta0=zeta0, sigma0=s0)
+        inp = CorrectionInput(z0=z0, zeta0=zeta0, sigma0=_sigma(z0, zeta0))
         c1 = correction1(inp)
         coeffs = (c1,)
         zh = z0 + c1 / u ** 2

@@ -1,3 +1,4 @@
+import cmath
 import csv
 import io
 import json
@@ -8,7 +9,7 @@ import sys
 
 import pytest
 
-from pcfzeros import cli
+from pcfzeros import cli, pcf_eval
 from pcfzeros.errors import ConvergenceError
 
 TABLE2 = {
@@ -242,6 +243,67 @@ def test_phase_grid_non_convergence_exits_4(capsys, tmp_path):
                    "--re-min", "1", "--re-max", "1",
                    "--im-min", "0", "--im-max", "0",
                    "--nx", "1", "--ny", "1",
+                   "--out", str(tmp_path / "g.csv")])
+    assert rc == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "U(-2.5, " in err[0]
+
+
+def test_phase_grid_steps_from_neighbouring_points(monkeypatch, tmp_path):
+    # README box at 8 x 8: 51 of the 64 points are answered by taylor, and
+    # nearly all of them by steps from the point before, not from z = 0
+    from_origin = []
+    taylor_pair = pcf_eval._taylor_pair
+
+    def counting(a, z0, z1, starts):
+        if z0 == 0.0:
+            from_origin.append(z1)
+        return taylor_pair(a, z0, z1, starts)
+
+    methods = []
+    path = pcf_eval.eval_U_path
+
+    def recording(*args, **kwargs):
+        values = path(*args, **kwargs)
+        methods.extend(v.method for v in values)
+        return values
+
+    monkeypatch.setattr(pcf_eval, "_taylor_pair", counting)
+    monkeypatch.setattr(cli, "eval_U_path", recording)
+    rc = cli.main(["phase-grid", "--a", "8.3",
+                   "--re-min", "-6", "--re-max", "0",
+                   "--im-min", "5", "--im-max", "10",
+                   "--nx", "8", "--ny", "8", "--out", str(tmp_path / "g.csv")])
+    assert rc == 0
+    assert methods.count("taylor") == 51
+    assert len(from_origin) <= 8
+
+
+def test_phase_grid_rows_keep_their_order(tmp_path):
+    # the points are evaluated along a snake; rows are still written
+    # y-major with x ascending, each phase that of its own point
+    out = tmp_path / "grid.csv"
+    rc = cli.main(["phase-grid", "--a", "8.3",
+                   "--re-min", "-6", "--re-max", "0",
+                   "--im-min", "5", "--im-max", "10",
+                   "--nx", "4", "--ny", "3", "--out", str(out)])
+    assert rc == 0
+    rows = [tuple(float(t) for t in ln.split(","))
+            for ln in out.read_text().splitlines()[2:]]
+    xs = [-6.0 + 2.0 * j for j in range(4)]
+    assert [r[:2] for r in rows] == [(x, y) for y in (5.0, 7.5, 10.0)
+                                     for x in xs]
+    for x, y, ph in rows:
+        v = pcf_eval.eval_U(8.3, complex(x, y), tol=1e-6)
+        assert abs(ph - cmath.phase(v.value)) <= 2e-6
+
+
+def test_phase_grid_through_an_exact_zero_exits_4(capsys, tmp_path):
+    # z = 1 is the middle of three points; U(-2.5, 1) = 0
+    rc = cli.main(["phase-grid", "--a", "-2.5",
+                   "--re-min", "0", "--re-max", "2",
+                   "--im-min", "0", "--im-max", "0",
+                   "--nx", "3", "--ny", "1",
                    "--out", str(tmp_path / "g.csv")])
     assert rc == 4
     err = capsys.readouterr().err.splitlines()

@@ -10,8 +10,8 @@ import pytest
 from pcfzeros import pcf_eval
 from pcfzeros.errors import ConvergenceError, DomainError, PcfzerosError
 from pcfzeros.pcf_eval import (TaylorWalker, eval_U, eval_U_near_zero,
-                               eval_U_prime, eval_U_quadrature, metrics,
-                               residual_eq319, winding_number)
+                               eval_U_path, eval_U_prime, eval_U_quadrature,
+                               metrics, residual_eq319, winding_number)
 from pcfzeros.refine import STEP_TOL, t_iterate
 from pcfzeros.zeros import zeros_aneg_complex, zeros_apos
 
@@ -303,3 +303,88 @@ def test_walker_estimate_bounds_error(case):
         scale = max(abs(ref), abs(dref) / (1.0 + abs(z)))
         assert abs(v.value - ref) <= v.est_accuracy * scale, z
         assert abs(v.derivative - dref) <= 1e-12 * abs(dref), z
+
+
+def _snake(box, n=12):
+    """The n x n grid over box = (re_min, re_max, im_min, im_max), row by
+    row with every other row backwards, as CLI phase-grid walks it."""
+    lo_x, hi_x, lo_y, hi_y = box
+    xs = [lo_x + (hi_x - lo_x) * j / (n - 1) for j in range(n)]
+    ys = [lo_y + (hi_y - lo_y) * i / (n - 1) for i in range(n)]
+    return [complex(x, y) for i, y in enumerate(ys)
+            for x in (xs if i % 2 == 0 else xs[::-1])]
+
+
+PATH_BOXES = {
+    "readme": (8.3, (-6.0, 0.0, 5.0, 10.0)),
+    # reaches into |arg z| < pi/4, where U is recessive
+    "recessive": (8.3, (0.5, 6.0, 0.0, 3.0)),
+    "aneg": (-6.2, (-10.0, -4.0, 0.5, 5.0)),
+    "far": (8.3, (-30.0, -20.0, 20.0, 30.0)),
+    "hermite": (-30.5, (-9.0, 9.0, -1.0, 1.0)),
+}
+# at tol 1e-11 a third of the far box goes to mpmath at |z| ~ 40, which
+# takes seconds; at 1e-6 the asymptotic method answers there everywhere
+PATH_CASES = [(name, tol) for name in PATH_BOXES for tol in (1e-6, 1e-11)
+              if (name, tol) != ("far", 1e-11)]
+
+
+def _check_path(name, tol):
+    """Every answer of eval_U_path along the snake over the box within
+    2 tol (relative) of scalar eval_U, and every 13th of pcfu."""
+    a, box = PATH_BOXES[name]
+    zs = _snake(box)
+    for k, (z, v) in enumerate(zip(zs, eval_U_path(a, zs, tol))):
+        s = eval_U(a, z, tol)
+        u = v.value * math.exp(v.exponent - s.exponent)
+        assert abs(u - s.value) <= 2.0 * tol * abs(s.value), (a, z, v)
+        if k % 13 == 0:
+            ref, _ = oracles.mp_U_pair(a, z, exponent=v.exponent)
+            assert abs(v.value - ref) <= 2.0 * tol * abs(ref), (a, z, v)
+
+
+@pytest.mark.parametrize("name,tol", PATH_CASES)
+def test_path_agrees_with_scalar_and_pcfu(name, tol):
+    _check_path(name, tol)
+
+
+@pytest.mark.parametrize("name,tol", [("aneg", 1e-11), ("recessive", 1e-6)])
+def test_path_check_fails_with_additive_carried_error(monkeypatch, name,
+                                                      tol):
+    # after a re-seed the runs start with the error of the answer they
+    # start from; adding it to the estimate instead of amplifying it by
+    # the runs' growth lets the estimate pass wrong answers, which the
+    # check above must see
+    monkeypatch.setattr(pcf_eval, "_taylor_estimate",
+                        lambda diff, ulps: 100.0 * diff + ulps * pcf_eval._EPS)
+    with pytest.raises(AssertionError):
+        _check_path(name, tol)
+
+
+def _scalar_selector(a, z, tol):
+    """eval_U's region map for one point, stage by stage."""
+    if z != 0.0:
+        cut = max(1e-13, tol * 1e-2)
+        v = pcf_eval._eval_asymptotic(a, z, cut)
+        if v is not None and v.est_accuracy <= cut:
+            return v
+    v = pcf_eval._eval_series_double(a, z)
+    if v.est_accuracy <= tol:
+        return v
+    v = pcf_eval._eval_taylor(a, z)
+    if v is not None and v.est_accuracy <= tol:
+        return v
+    return pcf_eval._eval_series_mp(a, z, tol)
+
+
+def test_one_point_path_is_the_scalar_selector_bit_for_bit():
+    methods = set()
+    for a in (-30.5, -6.2, 0.3, 8.3, 20.3):
+        for z in (0j, 0.7 + 0.2j, 2.0 - 1.5j, -3.0 + 4.0j, 3.5 + 1.4j,
+                  5.0 + 0.5j, -7.0 + 9.0j, 12.0 - 3.0j, -25.0 + 20.0j):
+            for tol in (1e-11, 1e-6):
+                ref = _scalar_selector(a, z, tol)
+                for v in (eval_U_path(a, [z], tol)[0], eval_U(a, z, tol)):
+                    assert repr(v) == repr(ref), (a, z, tol)
+                methods.add(ref.method)
+    assert methods == {"asymptotic", "series", "taylor"}
