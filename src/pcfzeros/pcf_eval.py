@@ -12,7 +12,7 @@ a-posteriori estimate meets its threshold answers.
   2. series — small |z|: Maclaurin expansion of the even/odd standard
      solutions with gamma-function connection coefficients, in doubles;
      kummer_pair sums both Kummer series, and cancellation is tracked by
-     the largest-term magnitude.
+     the sums of the term magnitudes.
   3. taylor — moderate |z|, between Maclaurin cancellation and asymptotic
      truncation: Taylor steps of Weber's equation w'' = (z^2/4 + a) w
      along the ray from the origin, where U and U' are gamma-function
@@ -22,14 +22,20 @@ a-posteriori estimate meets its threshold answers.
      raises ConvergenceError.
 
 eval_U_path applies this map to a sequence of points, and eval_U is its
-one-point case.  Only the taylor stage differs along a path: it first
-steps the two runs it holds at the previous point on to the next, then,
-if their estimate fails, starts from the origin as above.  After an
-asymptotic, series or mpmath answer both runs restart from that answer,
-whose estimate they carry as the error of their start.  Neighbouring
-points, as along the rows of a grid, cost a few Taylor steps each
-instead of a walk from the origin, and in the recessive sector, where
-the walk from the origin loses accuracy, the short steps keep theirs.
+one-point case.  Along a path the taylor stage first steps the two runs
+it holds at the previous point on to the next, then, if their estimate
+fails, starts from the origin as above.  Where the previous point was
+answered by taylor, those carried steps are tried right after the
+asymptotic method, before the series, which seldom answers next to a
+taylor answer; the origin comes after the series as above, and the
+carried steps are not taken a second time.  After an asymptotic, series
+or mpmath answer both runs restart from that answer, whose estimate
+they carry as the error of their start.  Neighbouring points, as along
+the rows of a grid, cost a few Taylor steps each instead of a walk from
+the origin, and in the recessive sector, where the walk from the origin
+loses accuracy, the short steps keep theirs.  The asymptotic method
+stays first: far out, where it answers in a few terms, the carried
+steps would take many and be less accurate.
 
 eval_U_near_zero, t_iterate's default evaluator, judges the error
 against |U'| and tries asymptotic (smallest term below 1e-15), series,
@@ -130,20 +136,22 @@ def _maybe_unscale(v):
 
 def kummer_pair(b1, b2, w):
     """Sum the two Kummer series M(b1,1/2;w) and M(b2,3/2;w) together with
-    the derivative sums and the largest-term magnitudes.
+    the derivative sums and the term magnitudes.
 
-    Returns (S1, D1, mx1, S2, D2, mx2) where S = sum_k t_k, t_0 = 1,
+    Returns (S1, D1, A1, S2, D2, A2) where S = sum_k t_k, t_0 = 1,
     t_{k+1} = t_k * w * (b+k)/((c+k)(k+1)), D = sum_k (k+1) t_{k+1}/w
-    (i.e. dS/dw), and mx = max_k |t_k| (for cancellation tracking).
+    (i.e. dS/dw), and A = sum_k |t_k|, the scale of the rounding error
+    of S.  Each series stops once its terms fall below 1e-17 of the
+    largest.
     """
     t1 = 1.0 + 0.0j
     S1 = t1
     D1 = 0.0 + 0.0j
-    mx1 = 1.0
+    mx1 = A1 = 1.0
     t2 = 1.0 + 0.0j
     S2 = t2
     D2 = 0.0 + 0.0j
-    mx2 = 1.0
+    mx2 = A2 = 1.0
     done1 = False
     done2 = False
     aw = abs(w)
@@ -154,6 +162,7 @@ def kummer_pair(b1, b2, w):
             t1 = dt * w
             S1 += t1
             at = abs(t1)
+            A1 += at
             if at > mx1:
                 mx1 = at
             if at < 1e-17 * mx1 and k > aw:
@@ -164,13 +173,14 @@ def kummer_pair(b1, b2, w):
             t2 = dt * w
             S2 += t2
             at = abs(t2)
+            A2 += at
             if at > mx2:
                 mx2 = at
             if at < 1e-17 * mx2 and k > aw:
                 done2 = True
         if done1 and done2:
             break
-    return S1, D1, mx1, S2, D2, mx2
+    return S1, D1, A1, S2, D2, A2
 
 
 def asym_pair(a, z2inv):
@@ -262,8 +272,7 @@ def _eval_series_double(a, z):
         nan = complex(math.nan, math.nan)
         return PcfValue(nan, nan, "series", math.inf)
     w = z * z / 2.0
-    M1, D1, mx1, M2, D2, mx2 = kummer_pair(0.5 * a + 0.25, 0.5 * a + 0.75,
-                                           w)
+    M1, D1, A1, M2, D2, A2 = kummer_pair(0.5 * a + 0.25, 0.5 * a + 0.75, w)
     # factor e^{-w/2} out as exponent -Re(w)/2, keep the phase
     E = cmath.exp(-1j * w.imag / 2.0)
     u1 = E * M1
@@ -272,8 +281,13 @@ def _eval_series_double(a, z):
     u2p = E * (M2 + z * z * (D2 - 0.5 * M2))
     m = U0 * u1 + Up0 * u2
     dm = U0 * u1p + Up0 * u2p
-    scale = abs(U0) * mx1 + abs(Up0 * z) * mx2 + 1e-300
-    est = 2.22e-16 * scale / max(abs(m), 1e-300)
+    # each sum is off by a few ulps of its terms' magnitudes, and the few
+    # ulps of U(a,0) and U'(a,0) reach m through the same magnitudes; the
+    # products after the sums add a few ulps of m.  So |m - U| <= d |m|,
+    # and the relative error is at most d / (1 - d).
+    scale = abs(U0) * A1 + abs(Up0 * z) * A2
+    d = _EPS * (4.0 * scale / max(abs(m), 1e-300) + 16.0)
+    est = d / (1.0 - d) if d < 1.0 else math.inf
     return _maybe_unscale(PcfValue(m, dm, "series", est, -w.real / 2.0))
 
 
@@ -320,7 +334,7 @@ def _taylor_run(a, z0, z1, n, w, v):
         t0 = z0 + j * h
         c0 = h2 * (t0 * t0 / 4.0 + a)
         c1 = h2 * h * t0 / 2.0
-        p4 = p3 = 0j
+        p4 = p3 = 0.0
         p2, p1 = w, v
         s, d = w + v, v
         for k in range(2, _TAYLOR_MAX_TERMS):
@@ -352,13 +366,21 @@ def _taylor_pair(a, z0, z1, starts):
     n = math.ceil(reach / _TAYLOR_REACH) if math.isfinite(reach) else 0
     if not 0 < n <= _TAYLOR_MAX_STEPS:
         return None
+    # on the real axis with real data both runs step in floats, which
+    # round as the complex operations with zero imaginary parts do
+    real = (z0.imag == 0.0 and z1.imag == 0.0
+            and all(w.imag == 0.0 and d.imag == 0.0 for w, d, _ in starts))
+    if real:
+        z0, z1, dz = z0.real, z1.real, dz.real
     out = []
     for steps, (w, d, x) in zip((n, n + n // 3 + 1), starts):
+        if real:
+            w, d = w.real, d.real
         r = _taylor_run(a, z0, z1, steps, w, d * dz / steps)
         if r is None:
             return None
         w, v, expo = r
-        out.append((w, v * steps / dz, x + expo))
+        out.append((complex(w), complex(v * steps / dz), x + expo))
     return out
 
 
@@ -393,6 +415,13 @@ def _step_taylor(a, z, start):
     est = _taylor_estimate(diff, ulps)
     v = _maybe_unscale(PcfValue(w2, d2, "taylor", est, e0 + x2))
     return v, (z, runs, ulps, e0)
+
+
+def _accept_taylor(a, z, start, tol):
+    """_step_taylor's (answer, start) when the answer's estimate is at
+    most tol, else None."""
+    r = _step_taylor(a, z, start)
+    return r if r is not None and r[0].est_accuracy <= tol else None
 
 
 def _eval_taylor(a, z):
@@ -538,14 +567,17 @@ def eval_U_path(a, zs, tol=1e-11):
     """eval_U at each point of zs, in order: one PcfValue per point.
 
     Each point goes through eval_U's region map, except that the taylor
-    stage first steps on from the previous point (module docstring), so
-    the cost falls when each point is close to the one before it.
+    stage first steps on from the previous point, and after a taylor
+    answer does so before the series (module docstring), so the cost
+    falls when each point is close to the one before it.  The first
+    point takes eval_U's order.
     """
     require_finite(a=a)
     a = float(a)
     cut = max(1e-13, tol * 1e-2)
     origin = None
     carried = None
+    stepped = False  # the previous point was answered by taylor
     out = []
     for z in zs:
         require_finite(z=z)
@@ -555,6 +587,11 @@ def eval_U_path(a, zs, tol=1e-11):
             v = _eval_asymptotic(a, z, cut)
             if v is not None and v.est_accuracy > cut:
                 v = None
+        if v is None and stepped:
+            # next to a taylor answer the double series seldom answers, so
+            # the carried steps go first; when they fail they are dropped,
+            # not taken again below
+            v, carried = _accept_taylor(a, z, carried, tol) or (None, None)
         if v is None:
             v = _eval_series_double(a, z)
             if v.est_accuracy > tol:
@@ -563,13 +600,15 @@ def eval_U_path(a, zs, tol=1e-11):
             if origin is None:
                 origin = _origin_start(a)
             for start in (carried, origin):
-                r = None if start is None else _step_taylor(a, z, start)
-                if r is not None and r[0].est_accuracy <= tol:
+                r = None if start is None else _accept_taylor(a, z, start,
+                                                              tol)
+                if r is not None:
                     v, carried = r
                     break
         if v is None:
             v = _eval_series_mp(a, z, tol)
-        if v.method != "taylor":
+        stepped = v.method == "taylor"
+        if not stepped:
             carried = (z, [(v.value, v.derivative, 0.0)] * 2,
                        max(4.0, v.est_accuracy / _EPS), v.exponent)
         out.append(v)

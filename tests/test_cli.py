@@ -279,6 +279,25 @@ def test_phase_grid_steps_from_neighbouring_points(monkeypatch, tmp_path):
     assert len(from_origin) <= 8
 
 
+def test_phase_grid_tries_steps_before_the_series(monkeypatch, tmp_path):
+    # README box at 8 x 8: the double series answers none of the points,
+    # and next to a taylor answer the carried steps are tried before it
+    calls = []
+    series = pcf_eval._eval_series_double
+
+    def counting(a, z):
+        calls.append(z)
+        return series(a, z)
+
+    monkeypatch.setattr(pcf_eval, "_eval_series_double", counting)
+    rc = cli.main(["phase-grid", "--a", "8.3",
+                   "--re-min", "-6", "--re-max", "0",
+                   "--im-min", "5", "--im-max", "10",
+                   "--nx", "8", "--ny", "8", "--out", str(tmp_path / "g.csv")])
+    assert rc == 0
+    assert len(calls) <= 8
+
+
 def test_phase_grid_rows_keep_their_order(tmp_path):
     # the points are evaluated along a snake; rows are still written
     # y-major with x ascending, each phase that of its own point

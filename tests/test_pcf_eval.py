@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 import time
 import warnings
 
@@ -13,7 +14,7 @@ from pcfzeros.pcf_eval import (TaylorWalker, eval_U, eval_U_near_zero,
                                eval_U_path, eval_U_prime, eval_U_quadrature,
                                metrics, residual_eq319, winding_number)
 from pcfzeros.refine import STEP_TOL, t_iterate
-from pcfzeros.zeros import zeros_aneg_complex, zeros_apos
+from pcfzeros.zeros import hermite_zeros, zeros_aneg_complex, zeros_apos
 
 import oracles
 
@@ -322,6 +323,9 @@ PATH_BOXES = {
     "aneg": (-6.2, (-10.0, -4.0, 0.5, 5.0)),
     "far": (8.3, (-30.0, -20.0, 20.0, 30.0)),
     "hermite": (-30.5, (-9.0, 9.0, -1.0, 1.0)),
+    # from the taylor region near the zeros out to |z| ~ 18, where the
+    # asymptotic method answers; rows cross between the two
+    "straddle": (8.3, (-12.0, 0.0, 4.0, 14.0)),
 }
 # at tol 1e-11 a third of the far box goes to mpmath at |z| ~ 40, which
 # takes seconds; at 1e-6 the asymptotic method answers there everywhere
@@ -346,6 +350,19 @@ def _check_path(name, tol):
 @pytest.mark.parametrize("name,tol", PATH_CASES)
 def test_path_agrees_with_scalar_and_pcfu(name, tol):
     _check_path(name, tol)
+
+
+@pytest.mark.parametrize("name,tol", PATH_CASES)
+def test_path_asymptotic_answers_are_the_scalar_ones(name, tol):
+    # the asymptotic method is tried first at every point of a path, as
+    # in eval_U, so a carried Taylor step never takes its place: both
+    # answer by it at the same points, with the same bits
+    a, box = PATH_BOXES[name]
+    zs = _snake(box)
+    for z, v in zip(zs, eval_U_path(a, zs, tol)):
+        s = eval_U(a, z, tol)
+        if "asymptotic" in (v.method, s.method):
+            assert repr(v) == repr(s), (a, z, tol)
 
 
 @pytest.mark.parametrize("name,tol", [("aneg", 1e-11), ("recessive", 1e-6)])
@@ -388,3 +405,52 @@ def test_one_point_path_is_the_scalar_selector_bit_for_bit():
                     assert repr(v) == repr(ref), (a, z, tol)
                 methods.add(ref.method)
     assert methods == {"asymptotic", "series", "taylor"}
+
+
+@pytest.mark.parametrize("a,z0,z1,n,w,v", [
+    (-30.5, 0.0, 2.3, 3, 0.7, -0.2), (8.3, 1.5, -4.0, 7, 1e-3, 0.9),
+    (-400.3, 0.5, 1.0, 2, -0.4, 0.6), (0.3, 3.0, 3.01, 1, 0.5, -0.5),
+    (20.3, -6.0, 6.0, 40, 1.0, 0.0)])
+def test_real_taylor_run_in_floats_is_the_complex_run(a, z0, z1, n, w, v):
+    # float operations round as complex ones with zero imaginary parts
+    f = pcf_eval._taylor_run(a, z0, z1, n, w, v)
+    c = pcf_eval._taylor_run(a, complex(z0), complex(z1), n, complex(w),
+                             complex(v))
+    assert type(f[0]) is float and type(f[1]) is float
+    assert repr((complex(f[0]), complex(f[1]), f[2])) == repr(c)
+
+
+def test_hermite_chain_steps_in_floats(monkeypatch):
+    calls = []
+    run = pcf_eval._taylor_run
+
+    def recording(a, z0, z1, n, w, v):
+        calls.append((a, z0, z1, w, v))
+        return run(a, z0, z1, n, w, v)
+
+    monkeypatch.setattr(pcf_eval, "_taylor_run", recording)
+    hermite_zeros(50)
+    assert calls
+    assert all(type(x) is float for args in calls for x in args)
+
+
+def test_series_estimate_bounds_its_error():
+    # at a = 8.3 the terms of the Kummer series for z = 3.5 sum to 6.6
+    # times the largest one, and an estimate from the largest term alone
+    # was up to 9 times below the error at these two points; then 100
+    # seeded points with |z| <= 7
+    rng = random.Random(7)
+    points = [(8.3, 3.5), (8.3, 3.5 + 1.364j)]
+    points += [(rng.uniform(-30.0, 30.0),
+                cmath.rect(7.0 * math.sqrt(rng.random()),
+                           rng.uniform(-math.pi, math.pi)))
+               for _ in range(100)]
+    bounded = 0
+    for a, z in points:
+        v = pcf_eval._eval_series_double(a, z)
+        if v.est_accuracy == math.inf:
+            continue
+        bounded += 1
+        u, _ = oracles.mp_U_pair(a, z, exponent=v.exponent)
+        assert abs(v.value - u) <= v.est_accuracy * abs(u), (a, z)
+    assert bounded >= 70
