@@ -8,18 +8,23 @@ the roots of sin(u pi/2) Ai(x) + cos(u pi/2) Bi(x) = 0.
 The m-th negative and complex zeros are seeded by the tau-series T(t) of
 DLMF 9.9.18.  One rule, applied here and nowhere else, decides whether a
 seed is refined: it is returned as it is only where twice the first term
-the series omits is within the accuracy refinement delivers (brentq's
-xtol + rtol |x|), which holds from m = 13 or 14 on; otherwise, or when
-the caller passes refine=True, it is refined (real zeros by brentq in a
-bracket around the seed, complex ones by Newton on the identity of
-refine_zero).  For u mod 2 in [4/3, 2) the first negative zero has
-tau < 1, where the series is useless near t = 0: it is found by brentq
-between the second zero and the origin instead.
+the series omits is within the accuracy refinement delivers
+(_BRENT_XTOL + _BRENT_RTOL |x|), which holds from m = 13 or 14 on;
+otherwise, or when the caller passes refine=True, it is refined (real
+zeros by a safeguarded Newton iteration in a bracket around the seed,
+complex ones by Newton on the identity of refine_zero).  For u mod 2 in
+[4/3, 2) the first negative zero has tau < 1, where the series is
+useless near t = 0: it is found in the bracket between the second zero
+and the origin instead.
+
+The identity residual of a zero (GenAiryZero.residual) costs two
+rotated Airy evaluations, and is computed when first read.
 """
 import cmath
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .airy import eval_ai_rotated, eval_ai, eval_bi_real
@@ -34,9 +39,14 @@ POLY_GUARD = 1e-8
 # Newton's noise floor are 0.5-1.1 eps |z|^{3/2} for |z| = 15-27
 _RESIDUAL_NOISE = 10.0 * sys.float_info.epsilon
 
-# brentq stopping tolerances of every real zero (rtol is scipy's default)
+# stopping tolerances of every real zero: a root is returned once its
+# last step is below _BRENT_XTOL + _BRENT_RTOL |x| (rtol is that of
+# scipy's brentq, the tests' oracle for these roots)
 _BRENT_XTOL = 1e-14
 _BRENT_RTOL = 4.0 * sys.float_info.epsilon
+# iteration cap of the real root search: bisection alone halves the
+# widest bracket (64) to _BRENT_XTOL in about 53 steps
+_ROOT_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -45,7 +55,12 @@ class GenAiryZero:
     kind: str  # negative-real | sole-positive | complex-first-quadrant
     value: complex
     refined: bool
-    residual: float
+    u: float
+
+    @cached_property
+    def residual(self):
+        """identity_residual(u, value), computed when first read."""
+        return identity_residual(self.u, self.value)
 
 
 @dataclass(frozen=True)
@@ -83,12 +98,15 @@ def t_series(t):
     truncated series is not trustworthy.
     """
     t = complex(t)
-    t2 = t * t
-    s = (1.0 + 5.0 / (48.0 * t2) - 5.0 / (36.0 * t2 * t2)
-         + 77125.0 / (82944.0 * t2 ** 3)
-         - 108056875.0 / (6967296.0 * t2 ** 4))
-    val = t ** (2.0 / 3.0) * s
+    val = t ** (2.0 / 3.0) * (1.0 + _t_correction(t * t))
     return val, abs(t) >= 2.0
+
+
+def _t_correction(t2):
+    """T(t)/t^(2/3) - 1 from the terms of t_series, with t2 = t^2."""
+    return (5.0 / (48.0 * t2) - 5.0 / (36.0 * t2 * t2)
+            + 77125.0 / (82944.0 * t2 ** 3)
+            - 108056875.0 / (6967296.0 * t2 ** 4))
 
 
 # the first coefficient of DLMF 9.9.18 that t_series leaves out (of t^-10)
@@ -109,13 +127,20 @@ def _series_suffices(t, x):
     return 2.0 * _t_series_tail(t) <= _BRENT_XTOL + _BRENT_RTOL * abs(x)
 
 
-def eval_genairy_real(u, x):
-    """sin(u pi/2) Ai(x) + cos(u pi/2) Bi(x), proportional to Ai_u on R."""
+def _genairy_real_pair(u, x):
+    """sin(u pi/2) Ai(x) + cos(u pi/2) Bi(x) and its x-derivative."""
     ai = eval_ai(x)
     bi = eval_bi_real(x)
+    s = math.sin(0.5 * u * math.pi)
+    c = math.cos(0.5 * u * math.pi)
     # both unscaled: real zeros of interest are at moderate |x|
-    return (math.sin(0.5 * u * math.pi) * ai.value.real
-            + math.cos(0.5 * u * math.pi) * bi.value.real)
+    return (s * ai.value.real + c * bi.value.real,
+            s * ai.derivative.real + c * bi.derivative.real)
+
+
+def eval_genairy_real(u, x):
+    """sin(u pi/2) Ai(x) + cos(u pi/2) Bi(x), proportional to Ai_u on R."""
+    return _genairy_real_pair(u, x)[0]
 
 
 def _identity_parts(u, z):
@@ -168,28 +193,52 @@ def refine_zero(u, approx, tol=1e-14, max_iter=30):
     else:
         raise ConvergenceError("refine_zero did not converge", last=z,
                                residual=identity_residual(u, z))
-    res = identity_residual(u, z)
     kind = "complex-first-quadrant"
     if abs(z.imag) <= 1e-12 * (1.0 + abs(z)):
         z = complex(z.real, 0.0)
         kind = "negative-real" if z.real <= 0 else "sole-positive"
-    return GenAiryZero(index=-1, kind=kind, value=z, refined=True,
-                       residual=res)
+    return GenAiryZero(index=-1, kind=kind, value=z, refined=True, u=u)
+
+
+def _newton_bisect(u, lo, hi, flo, what):
+    """The zero of Ai_u in [lo, hi], across which it changes sign (flo
+    is its value at lo): Newton steps from the midpoint, with f' from
+    Ai' and Bi', and a bisection wherever a step would leave the
+    bracket.  Returns once a step is below _BRENT_XTOL + _BRENT_RTOL |x|:
+    near a zero of Ai_u, f'' = x f is small, so the error after that
+    step is far below it."""
+    x = 0.5 * (lo + hi)
+    for _ in range(_ROOT_MAX_ITER):
+        f, fp = _genairy_real_pair(u, x)
+        if f == 0.0:
+            return x
+        if (f < 0.0) == (flo < 0.0):
+            lo, flo = x, f
+        else:
+            hi = x
+        step = f / fp if fp != 0.0 else math.inf
+        if abs(step) <= _BRENT_XTOL + _BRENT_RTOL * abs(x):
+            return x - step
+        x -= step
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+    raise ConvergenceError(f"no convergence for {what} of Ai_u, u = {u}",
+                           last=x)
 
 
 def _real_root(u, brackets, what, last=None):
     """The zero of Ai_u in the first (lo, hi) of brackets across which
-    eval_genairy_real changes sign, by brentq to _BRENT_XTOL, _BRENT_RTOL;
-    ConvergenceError when none of them brackets a zero."""
-    def f(s):
-        return eval_genairy_real(u, s)
-
+    eval_genairy_real changes sign, by _newton_bisect; ConvergenceError
+    when none of them brackets a zero."""
     for lo, hi in brackets:
-        if f(lo) * f(hi) <= 0:
-            # imported here: scipy.optimize adds about half again to the
-            # package's import time
-            from scipy.optimize import brentq
-            return brentq(f, lo, hi, xtol=_BRENT_XTOL, rtol=_BRENT_RTOL)
+        flo = eval_genairy_real(u, lo)
+        fhi = eval_genairy_real(u, hi)
+        if flo == 0.0:
+            return lo
+        if fhi == 0.0:
+            return hi
+        if flo * fhi < 0:
+            return _newton_bisect(u, lo, hi, flo, what)
     raise ConvergenceError(f"no sign change found for {what} of Ai_u, "
                            f"u = {u}", last=last)
 
@@ -206,9 +255,10 @@ def _brackets_around(x, tau):
 def neg_zeros(u, m, refine=False):
     """m-th negative real zero of Ai_u: -T(3 pi tau_m / 8), tau_m = 4m-3+mu(u).
 
-    The series value is refined by brentq in a bracket around it when
+    The series value is refined in a bracket around it (_real_root) when
     refine=True or when its truncation estimate (twice the first omitted
-    term) exceeds brentq's own accuracy, xtol + rtol |x|: every m <= 12.
+    term) exceeds the refinement's own accuracy, _BRENT_XTOL +
+    _BRENT_RTOL |x|: every m <= 12.
     For tau < 1 (m = 1 with u mod 2 in [4/3, 2)) the series is not used:
     the zero is the one between the second zero and the origin.
     """
@@ -230,7 +280,7 @@ def neg_zeros(u, m, refine=False):
             x = _real_root(u, _brackets_around(x, tau), "negative zero",
                            last=x)
     return GenAiryZero(index=m, kind="negative-real", value=complex(x),
-                       refined=refined, residual=identity_residual(u, x))
+                       refined=refined, u=u)
 
 
 def sole_positive_zero(u) -> Optional[GenAiryZero]:
@@ -243,13 +293,13 @@ def sole_positive_zero(u) -> Optional[GenAiryZero]:
     r = math.fmod(u, 2.0)
     if abs(r - 4.0 / 3.0) < 1e-12:
         return GenAiryZero(index=0, kind="sole-positive", value=0.0 + 0.0j,
-                           refined=True, residual=identity_residual(u, 0.0))
+                           refined=True, u=u)
     if vartheta(u) == 0:
         return None
     x = _real_root(u, ((1e-12, 0.5 * 2.0 ** k) for k in range(8)),
                    "sole positive zero")
     return GenAiryZero(index=0, kind="sole-positive", value=complex(x),
-                       refined=True, residual=identity_residual(u, x))
+                       refined=True, u=u)
 
 
 def _check_polynomial_case(u):
@@ -291,6 +341,6 @@ def complex_zeros(u, m, refine=False):
     if refine or not _series_suffices(t, z):
         rz = refine_zero(u, z)
         return GenAiryZero(index=m, kind="complex-first-quadrant",
-                           value=rz.value, refined=True, residual=rz.residual)
+                           value=rz.value, refined=True, u=u)
     return GenAiryZero(index=m, kind="complex-first-quadrant", value=z,
-                       refined=False, residual=identity_residual(u, z))
+                       refined=False, u=u)

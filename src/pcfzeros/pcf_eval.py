@@ -56,12 +56,12 @@ Exponentially large/small results carry a real exponent so that
 value * e^exponent is the true function value.
 """
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import mpmath as mp
-import scipy.special as sp
 
 from .errors import ConvergenceError, DomainError, require_finite
 
@@ -124,6 +124,17 @@ class ValidationRecord:
     g2_ref: Optional[float]
     eps1: float
     eps2: Optional[float]
+
+
+@functools.lru_cache(maxsize=256)
+def _rgamma(x):
+    """1/Gamma(x) for real x, correctly rounded but for rare double
+    roundings: 0 at the poles, +-inf where it leaves the double range.
+    From mpmath at 80 bits, since 1/math.gamma is up to 4 ulps off
+    (x = -5.7); cached, as the callers ask for the same few x = c + a/2
+    at every point of a given a."""
+    with mp.workprec(80):
+        return float(mp.rgamma(x))
 
 
 def _maybe_unscale(v):
@@ -226,10 +237,10 @@ def _asym_sums(a, z, cut):
     K = 0.0
     if arg > math.pi / 2.0:
         K = 1j * math.sqrt(2.0 * math.pi) * cmath.exp(-1j * math.pi * a) \
-            * sp.rgamma(0.5 + a)
+            * _rgamma(0.5 + a)
     elif arg < -math.pi / 2.0:
         K = -1j * math.sqrt(2.0 * math.pi) * cmath.exp(1j * math.pi * a) \
-            * sp.rgamma(0.5 + a)
+            * _rgamma(0.5 + a)
     if K == 0.0:
         ecap = e1.real
         m1 = S1 * cmath.exp(1j * e1.imag)
@@ -260,10 +271,9 @@ def _eval_series_double(a, z):
     # U(a,0) and U'(a,0) leave double range for a below about -325 and
     # above about 290: decline there, and the selectors fall through.
     # 1/Gamma is checked before the power of 2, which raises OverflowError
-    # below a = -2048; as Python floats, the products overflow to inf
-    # without a numpy warning.
-    g0 = float(sp.rgamma(0.75 + 0.5 * a))
-    g1 = float(sp.rgamma(0.25 + 0.5 * a))
+    # below a = -2048; as Python floats, the products overflow to inf.
+    g0 = _rgamma(0.75 + 0.5 * a)
+    g1 = _rgamma(0.25 + 0.5 * a)
     U0 = Up0 = math.inf
     if math.isfinite(g0) and math.isfinite(g1):
         U0 = SQRT_PI * 2.0 ** (-0.5 * a - 0.25) * g0
@@ -498,8 +508,9 @@ class TaylorWalker:
 
 def _eval_series_mp(a, z, tol):
     """Arbitrary-precision fallback: same Maclaurin decomposition via
-    mpmath's 1F1, at escalating precision until two runs agree to tol.
-    Where U or U' would leave double range, log|U| goes into exponent."""
+    mpmath's 1F1, at escalating precision until two runs agree to tol;
+    ConvergenceError when four rounds never do.  Where U or U' would
+    leave double range, log|U| goes into exponent."""
     w_abs = abs(z) ** 2 / 2.0
     # crude cancellation estimate: largest term ~ e^{|w|}, result ~ e^{-|w|/2}
     dps = int(20 + 0.9 * w_abs / math.log(10.0))
@@ -550,6 +561,9 @@ def _eval_series_mp(a, z, tol):
                 break
         prev = cur
         dps += 15
+    else:
+        raise ConvergenceError(f"U({a}, {z}): mpmath rounds up to {dps - 15} "
+                               f"digits agree only to {est:.3g}")
     return _maybe_unscale(PcfValue(cur[0], cur[1], "series", max(est, 1e-15),
                                    cur[2]))
 
@@ -680,7 +694,7 @@ def eval_U_quadrature(a, z):
         raise DomainError(
             f"integrand t^(a-1/2) e^(-t^2/2 - z t) of U({a}, {z}) "
             "overflows a double") from None
-    pref = cmath.exp(-z * z / 4.0) * sp.rgamma(a + 0.5)
+    pref = cmath.exp(-z * z / 4.0) * _rgamma(a + 0.5)
     val = pref * I
     der = pref * (-z / 2.0 * I - I1)
     est = (abs(errI) + abs(errI1)) * abs(pref) / max(abs(val), 1e-300)

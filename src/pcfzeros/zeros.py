@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from . import genairy
 from .airy import real_airy_zero
 from .coeffs import CorrectionInput, correction1, correction2
@@ -212,4 +210,6 @@ def hermite_zeros(n, terms=3, refine=True):
     if n % 2 == 1:
         out.append(0.0)
     out.extend(pos)
+    # imported here, so that importing the package does not load numpy
+    import numpy as np
     return np.array(out)

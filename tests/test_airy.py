@@ -1,11 +1,14 @@
 import cmath
 import math
+import random
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from pcfzeros.airy import (eval_ai, eval_ai_rotated, eval_bi_real,
                            real_airy_zero)
+from pcfzeros.errors import DomainError
 
 import oracles
 
@@ -129,3 +132,83 @@ def test_scaled_overflow_protocol():
 def test_bad_rotation_index():
     with pytest.raises(Exception):
         eval_ai_rotated(2, 1.0)
+
+
+def _envelope_errors(z, v):
+    """Errors of an AiryValue at z against 30-digit mpmath: Ai's over
+    |Ai| + |Ai'|/sqrt(1+|z|), and Ai''s over that times sqrt(1+|z|)."""
+    with mp.workdps(30):
+        zz = mp.mpc(z)
+        ai, aip = mp.airyai(zz), mp.airyai(zz, 1)
+        scale = mp.sqrt(1 + abs(zz))
+        env = abs(ai) + abs(aip) / scale
+        f = mp.exp(v.exponent)
+        return (float(abs(mp.mpc(v.value) * f - ai) / env),
+                float(abs(mp.mpc(v.derivative) * f - aip) / (env * scale)))
+
+
+def test_ai_against_mpmath_on_seeded_sample():
+    # log-uniform |z| over every region of the kernel, all arguments
+    rng = random.Random(2002)
+    worst = 0.0
+    for _ in range(2000):
+        r = math.exp(rng.uniform(math.log(0.01), math.log(60.0)))
+        z = cmath.rect(r, rng.uniform(-math.pi, math.pi))
+        worst = max(worst, *_envelope_errors(z, eval_ai(z)))
+    assert worst <= 5e-14
+
+
+def test_ai_on_the_real_axis_against_mpmath():
+    # zeta in double-double keeps the phase error of the oscillating
+    # region far below eps |zeta|, which is 7e-14 at x = -60
+    rng = random.Random(3)
+    for _ in range(300):
+        x = rng.uniform(-60.0, 60.0)
+        assert max(_envelope_errors(x, eval_ai(x))) <= 1e-14, x
+
+
+def test_bi_real_against_mpmath():
+    rng = random.Random(4)
+    xs = [rng.uniform(-60.0, 60.0) for _ in range(300)] + [-9.5, -2.0, 2.0,
+                                                           9.5, 60.0]
+    with mp.workdps(30):
+        for x in xs:
+            v = eval_bi_real(x)
+            bi, bip = mp.airybi(x), mp.airybi(x, 1)
+            scale = mp.sqrt(1 + abs(x))
+            env = abs(bi) + abs(bip) / scale
+            f = mp.exp(v.exponent)
+            assert abs(v.value.real * f - bi) <= 1e-14 * env, x
+            assert abs(v.derivative.real * f - bip) <= 1e-14 * env * scale, x
+
+
+@pytest.mark.parametrize("r", [10.0, 100.0, 1e3, 1e4])
+def test_scaled_exponent_matches_log_ai(r):
+    # exponent + log|value| is log|Ai|, also where Ai leaves double range
+    with mp.workdps(30):
+        for k in range(24):
+            z = cmath.rect(r, -math.pi + (k + 0.5) * math.pi / 12.0)
+            v = eval_ai(z)
+            ref = mp.log(abs(mp.airyai(mp.mpc(z))))
+            got = v.exponent + math.log(abs(v.value))
+            assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref)), z
+            # unscaled only while the value is inside double range
+            assert v.exponent != 0.0 or abs(ref) < 700.0, z
+            assert 0.0 < abs(v.value) < math.inf
+
+
+def test_real_airy_zero_within_two_ulps_of_mpmath():
+    with mp.workdps(30):
+        for m in list(range(1, 41)) + [100, 1000, 3000, 6000]:
+            x = real_airy_zero(m)
+            assert abs(mp.mpf(x) - mp.airyaizero(m)) <= 2 * math.ulp(x), m
+    zs = [real_airy_zero(m) for m in range(1, 6001)]
+    assert all(z2 < z1 for z1, z2 in zip(zs, zs[1:]))
+
+
+def test_airy_rejects_non_finite_and_huge_arguments():
+    for z in (complex(math.nan, 0.0), complex(0.0, math.inf), 1e200):
+        with pytest.raises(DomainError):
+            eval_ai(z)
+    with pytest.raises(DomainError):
+        eval_bi_real(math.inf)

@@ -341,3 +341,59 @@ def test_console_entry_point():
                        env=env)
     assert r.returncode == 0
     assert "apos-complex" in r.stdout
+
+
+def _child_env():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_import_loads_neither_scipy_nor_numpy():
+    code = ("import sys, pcfzeros, pcfzeros.cli; "
+            "print(sorted(m for m in ('scipy', 'numpy') if m in sys.modules))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, env=_child_env())
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
+# runs the CLI with every import of scipy refused
+_NO_SCIPY = """
+import sys
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError("scipy refused")
+sys.meta_path.insert(0, Refuse())
+from pcfzeros import cli, hermite_zeros
+if sys.argv[1] == "hermite":
+    print(len(hermite_zeros(20)))
+else:
+    sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeros", "--a", "8.3", "--count", "20"],
+    ["zeros", "--a", "-6.2", "--count", "20"],
+    ["validate", "--a", "8.3", "--count", "5"],
+    ["phase-grid", "--a", "8.3", "--re-min", "-6", "--re-max", "0",
+     "--im-min", "5", "--im-max", "10", "--nx", "4", "--ny", "4",
+     "--out", "-"],
+    ["hermite"],
+])
+def test_runs_without_scipy(tmp_path, argv):
+    argv = [str(tmp_path / "g.csv") if x == "-" else x for x in argv]
+    r = subprocess.run([sys.executable, "-c", _NO_SCIPY] + argv,
+                       capture_output=True, text=True, env=_child_env())
+    assert r.returncode == 0, r.stderr
+    assert "scipy" not in r.stderr
+    if argv[0] == "hermite":
+        assert r.stdout.strip() == "20"
+    elif argv[0] == "phase-grid":
+        assert len((tmp_path / "g.csv").read_text().splitlines()) == 18
+    else:
+        assert len(r.stdout.splitlines()) > 5

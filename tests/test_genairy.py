@@ -219,3 +219,42 @@ def test_refine_zero_accepts_its_noise_floor():
         z = complex_zeros(u, m, refine=True)
         assert z.refined and z.residual <= 1e-12
         assert abs(z.value - seed.value) <= 1e-12 * abs(seed.value)
+
+
+@pytest.mark.parametrize("u", [2.0, 5.5, 9.1, 12.4, 16.6])
+def test_real_roots_match_brentq_in_few_evaluations(monkeypatch, u):
+    # scipy's brentq on the same function and tolerances is the oracle
+    from scipy.optimize import brentq
+    from pcfzeros import genairy
+    calls = []
+    pair = genairy._genairy_real_pair
+
+    def counted(u_, x):
+        calls.append(x)
+        return pair(u_, x)
+
+    monkeypatch.setattr(genairy, "_genairy_real_pair", counted)
+    roots = [neg_zeros(u, m, refine=True).value.real for m in range(1, 13)]
+    # Newton converges fast where brentq took about 10 evaluations
+    assert len(calls) / len(roots) <= 6.0
+    tol = genairy._BRENT_XTOL, genairy._BRENT_RTOL
+    for x in roots:
+        ref = brentq(lambda s: genairy.eval_genairy_real(u, s), x - 0.05,
+                     x + 0.05, xtol=tol[0], rtol=tol[1])
+        assert abs(x - ref) <= tol[0] + tol[1] * abs(x)
+
+
+def test_seed_residual_is_computed_when_read(monkeypatch):
+    from pcfzeros import genairy
+    calls = []
+    rotated = genairy.eval_ai_rotated
+
+    def counted(l, z):
+        calls.append(z)
+        return rotated(l, z)
+
+    monkeypatch.setattr(genairy, "eval_ai_rotated", counted)
+    z = complex_zeros(12.4, 40)
+    assert not z.refined and not calls
+    assert z.residual == identity_residual(12.4, z.value)
+    assert z.residual < 1e-12

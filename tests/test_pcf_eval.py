@@ -454,3 +454,24 @@ def test_series_estimate_bounds_its_error():
         u, _ = oracles.mp_U_pair(a, z, exponent=v.exponent)
         assert abs(v.value - u) <= v.est_accuracy * abs(u), (a, z)
     assert bounded >= 70
+
+
+def test_rgamma_against_mpmath():
+    rng = random.Random(17)
+    xs = [rng.uniform(-170.0, 171.6) for _ in range(2000)]
+    xs += [k + 0.5 for k in range(-170, 171)] + [-169.999, 1e-5, 171.6]
+    with mp.workdps(30):
+        for x in xs:
+            ref = mp.rgamma(x)
+            assert abs(pcf_eval._rgamma(x) - ref) <= 1e-15 * abs(ref), x
+    for pole in (0.0, -1.0, -7.0, -170.0, -1e300):
+        assert pcf_eval._rgamma(pole) == 0.0
+    assert pcf_eval._rgamma(200.0) == 0.0
+    assert pcf_eval._rgamma(-180.5) == -math.inf
+
+
+def test_mpmath_stage_raises_when_its_rounds_disagree():
+    # at a = 1000.3 the rounds' starting precision ignores the a-dependent
+    # cancellation: they never agree to tol, and no answer is returned
+    with pytest.raises(ConvergenceError):
+        eval_U(1000.3, 2 + 1j)
