@@ -48,9 +48,8 @@ _SQRT_PI = math.sqrt(math.pi)
 # 27 at R0; the asymptotic series' smallest term is 1e-17 at R1
 _R_SERIES = 2.0
 _R_ASYM = 9.5
-# grid steps are at most half a diagonal long; ray steps at most this
-_GRID_REACH = 0.71
-_RAY_STEP = 0.7
+# the longest Taylor step: half a diagonal of the grid
+_REACH = 0.71
 # |exponent| up to this is folded back into the value
 _FOLD = 650.0
 # beyond this |z| the double-double products of zeta overflow
@@ -293,8 +292,8 @@ def _horner(rc, d):
 
 def _walk(t0, t1, w, wp):
     """(w, w') at t1 from their values at t0, by Taylor steps of length
-    at most _RAY_STEP along the segment."""
-    n = max(1, math.ceil(abs(t1 - t0) / _RAY_STEP))
+    at most _REACH along the segment."""
+    n = max(1, math.ceil(abs(t1 - t0) / _REACH))
     h = (t1 - t0) / n
     rho = abs(h)
     for j in range(n):
@@ -329,7 +328,7 @@ def _grid(g):
                      else _R_SERIES) * g / r
             ai, aip, _ = _ai_direct(start)
             ai, aip = _walk(start, g, ai, aip)
-        rc = _GRID[g] = _coeffs(g, ai, aip, _GRID_REACH)
+        rc = _GRID[g] = _coeffs(g, ai, aip, _REACH)
     return rc
 
 
