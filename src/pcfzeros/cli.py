@@ -6,7 +6,7 @@ Subcommands:
   phase-grid  emit (x, y, arg U(a, x+iy)) over a rectangle
 
 zeros and validate refine each family's zeros in index order as one
-chain, with one TaylorWalker carrying U and U' from zero to zero, as
+chain, with one chain Evaluator carrying U and U' from zero to zero, as
 sweep and hermite_zeros do.  phase-grid evaluates its points as one
 eval_U_path, row by row with every other row backwards.  Everything
 runs in this process; the --jobs flag of zeros is accepted and has no
@@ -31,7 +31,7 @@ from .errors import (ConvergenceError, DomainError, PolynomialCaseError,
                      require_finite)
 # eval_U is not called here; perfbench/spans.py patches cli.eval_U, and
 # tests/test_bench_names.py requires every such name to resolve
-from .pcf_eval import (TaylorWalker, eval_U,  # noqa: F401
+from .pcf_eval import (Evaluator, eval_U,  # noqa: F401
                        eval_U_path, metrics)
 from .refine import STEP_TOL, t_iterate
 
@@ -118,14 +118,14 @@ def _records(args, refine):
     the exit code: 4 when some zero did not converge, each such zero
     reported on stderr with the other records kept.
 
-    Each family is refined as one chain: a TaylorWalker made here carries
-    U and U' from each zero to the next.
+    Each family is refined as one chain: a chain Evaluator made here
+    carries U and U' from each zero to the next.
     """
     a = args.a
     records = []
     code = 0
     for kind, ms in _tasks_for(args):
-        walker = TaylorWalker(a, STEP_TOL)
+        walker = Evaluator(a, STEP_TOL, "chain")
         for m in ms:
             try:
                 approx = _FAMILY_FN[kind](a, m, terms=args.terms)

@@ -1,53 +1,45 @@
 """Independent evaluation of U(a,z) and U'(a,z) for validation/refinement.
 
-Region map of eval_U: each method is tried in turn and the first whose
-a-posteriori estimate meets its threshold answers.
+Methods, each with an a-posteriori error estimate:
 
-  1. asymptotic — large |z|: the compound expansion, i.e. the recessive
+  asymptotic — large |z|: the compound expansion, i.e. the recessive
      series plus, beyond |arg z| = pi/2, the dominant series weighted by
      the connection constant i sqrt(2 pi) e^{-i pi a}/Gamma(a+1/2)
-     (conjugated in the lower half-plane).  asym_pair sums both
-     Poincare-type series.  Accepted when the smallest term is below
-     max(1e-13, tol/100).
-  2. series — small |z|: Maclaurin expansion of the even/odd standard
+     (conjugated in the lower half-plane), both summed by asym_pair.
+  series — small |z|: Maclaurin expansion of the even/odd standard
      solutions with gamma-function connection coefficients, in doubles;
-     kummer_pair sums both Kummer series, and cancellation is tracked by
-     the sums of the term magnitudes.
-  3. taylor — moderate |z|, between Maclaurin cancellation and asymptotic
-     truncation: Taylor steps of Weber's equation w'' = (z^2/4 + a) w
-     along the ray from the origin, where U and U' are gamma-function
-     values.  Stable where U is dominant, i.e. outside |arg z| < pi/4.
-  4. series in mpmath — last resort: the Maclaurin decomposition at
-     escalating precision, capped at _MP_MAX_DPS digits, past which it
-     raises ConvergenceError.
+     kummer_pair sums both Kummer series and the term magnitudes, which
+     track the cancellation.
+  taylor — moderate |z|: two runs of Taylor steps of Weber's equation
+     w'' = (z^2/4 + a) w, whose difference gives the estimate.  The
+     carried stage steps them on from the last point answered, the origin
+     stage along the ray from z = 0, stable where U is dominant, i.e.
+     outside |arg z| < pi/4.
+  mpmath — last resort: the Maclaurin decomposition at escalating
+     precision, capped at _MP_MAX_DPS digits (ConvergenceError past it).
 
-eval_U_path applies this map to a sequence of points, and eval_U is its
-one-point case.  Along a path the taylor stage first steps the two runs
-it holds at the previous point on to the next, then, if their estimate
-fails, starts from the origin as above.  Where the previous point was
-answered by taylor, those carried steps are tried right after the
-asymptotic method, before the series, which seldom answers next to a
-taylor answer; the origin comes after the series as above, and the
-carried steps are not taken a second time.  After an asymptotic, series
-or mpmath answer both runs restart from that answer, whose estimate
-they carry as the error of their start.  Neighbouring points, as along
-the rows of a grid, cost a few Taylor steps each instead of a walk from
-the origin, and in the recessive sector, where the walk from the origin
-loses accuracy, the short steps keep theirs.  The asymptotic method
-stays first: far out, where it answers in a few terms, the carried
-steps would take many and be less accurate.
+An Evaluator tries at each point the stages of one entry of the stage
+table _SCALES in order, and the first answer within its limit is taken.
+The taylor runs then step on from a taylor answer, or restart from any
+other, carrying its error by the entry's rule.  The entries:
 
-eval_U_near_zero, t_iterate's default evaluator, judges the error
-against |U'| and tries asymptotic (smallest term below 1e-15), series,
-then mpmath.
-
-TaylorWalker evaluates along a chain of nearby points: the iterates and
-zeros of sweep, of hermite_zeros and of each zero family that CLI zeros
-and validate refine.  It carries (U, U') from the previous point by the
-same Taylor steps, restarts once from the origin when the carried
-estimate is too large, and falls back to eval_U_near_zero (re-seeding
-from its answer) when that fails too, as at large |z|, where the steps
-pass their cap and the asymptotic method answers.
+  relative (eval_U, eval_U_path): error relative to |U|.  Asymptotic
+     (smallest term and estimate below cut = max(1e-13, tol/100)), series,
+     carried, origin, mpmath; after a taylor answer, next to which the
+     series seldom answers: asymptotic, carried, series, origin, mpmath.
+     The asymptotic method stays first: far out it answers in a few terms
+     where the steps would take many.  A start carries max(4, est/eps)
+     ulps, which the estimate amplifies by the runs' growth.  Neighbouring
+     points, as along the rows of a grid, cost a few Taylor steps each.
+  chain (sweep, hermite_zeros, CLI zeros and validate): error of U over
+     max(|U|, |U'|/(1 + |z|)), since |U| -> 0 at a zero.  Carried, origin,
+     asymptotic (wherever its smallest term is below 1e-15), series and
+     mpmath (1e-12).  The taylor estimate is _WALK_SAFETY times the runs'
+     difference plus the est of their start, within max(1e-12,
+     tol/10 (1 + |z|)^2) for t_iterate's step tolerance tol: near a zero,
+     where |U'| ~ (1 + |z|) ref, that moves it by at most tol/10 (1 + |z|).
+  point (eval_U_near_zero, t_iterate's default): the chain entry without
+     the taylor stages, which took minutes in refinement.
 
 quadrature — adaptive integration of the real-integral representation
 (valid for a > -1/2) — is an independent cross-check.
@@ -76,7 +68,7 @@ _MP_MAX_DPS = 1000
 # mpmath mantissas outside [1/_MP_FOLD, _MP_FOLD] have log|U| folded into
 # the exponent, since they would leave double range
 _MP_FOLD = 1e300
-# eval_U_near_zero's default tolerance on the U'-scaled error
+# the point and chain entries' limit on the U'-scaled error
 _NEAR_ZERO_TOL = 1e-12
 # Taylor steps: |h| * sqrt(|a| + |z|^2/4) per step, the step-count cap,
 # and the term size (relative to |w| + |h w'| = 1) that ends a series
@@ -86,7 +78,8 @@ _TAYLOR_MAX_TERMS = 200
 _TAYLOR_TINY = 1e-17
 _INV_KK = [0.0, 0.0] + [1.0 / (k * (k - 1))
                         for k in range(2, _TAYLOR_MAX_TERMS)]
-# TaylorWalker's estimate is this multiple of the difference of its runs
+# the chain entry's taylor estimate is this multiple of the difference
+# of its runs
 _WALK_SAFETY = 10.0
 # the double Maclaurin series declines where max(|U(a,0)|, |U'(a,0)|) is
 # below this: for a > 0 the two differ by a factor of about sqrt(a), so
@@ -301,28 +294,24 @@ def _eval_series_double(a, z):
     return _maybe_unscale(PcfValue(m, dm, "series", est, -w.real / 2.0))
 
 
-def _origin_log(a):
-    """U(a,0) and U'(a,0) as (signs, logs of magnitudes), so that neither
-    underflows for large |a|; a log is -inf where 1/Gamma vanishes."""
+def _origin_value(a):
+    """U(a,0) and U'(a,0) as an answer, scaled by e^-exponent so that
+    neither underflows for large |a|, with an error of about |log U(a,0)|
+    ulps."""
     out = []
     for x, sign, p2 in ((0.75 + 0.5 * a, 1.0, -0.5 * a - 0.25),
                         (0.25 + 0.5 * a, -1.0, -0.5 * a + 0.25)):
         if x <= 0.0 and x == math.floor(x):
-            out += [0.0, -math.inf]
+            out += [0.0, -math.inf]  # 1/Gamma vanishes
             continue
         if x < 0.0 and math.floor(x) % 2:
             sign = -sign
         out += [sign, _LOG_SQRT_PI + p2 * _LN2 - math.lgamma(x)]
-    return out
-
-
-def _origin_data(a):
-    """(U(a,0), U'(a,0), exponent, ulps): the origin data scaled by
-    e^-exponent, and the error they carry in ulps, about |log U(a,0)|."""
-    s0, l0, s1, l1 = _origin_log(a)
+    s0, l0, s1, l1 = out
     e0 = max(l0, l1)
     ulps = 4.0 + sum(abs(x) for x in (l0, l1) if math.isfinite(x))
-    return s0 * math.exp(l0 - e0), s1 * math.exp(l1 - e0), e0, ulps
+    return PcfValue(s0 * math.exp(l0 - e0), s1 * math.exp(l1 - e0),
+                    "series", ulps * _EPS, e0)
 
 
 def _taylor_run(a, z0, z1, n, w, v):
@@ -394,116 +383,165 @@ def _taylor_pair(a, z0, z1, starts):
     return out
 
 
-def _taylor_estimate(diff, ulps):
-    """Relative error bound of a Taylor answer from diff, the relative
-    difference of its two runs, and ulps, the error of their start in
-    units of _EPS.  A start error grows along the runs as their rounding
-    does, so it is amplified by diff/_EPS, not added as it is."""
+def _start(z, v, seed):
+    """The taylor runs' start at z from the answer v there: (z, both runs
+    at v's data, the error seed(v.est_accuracy) they carry, v's exponent
+    kept apart from the runs' own)."""
+    return z, [(v.value, v.derivative, 0.0)] * 2, seed(v.est_accuracy), \
+        v.exponent
+
+
+def _relative_estimate(runs, ulps, z):
+    """Relative error bound of a taylor answer from the relative
+    difference of its runs and ulps, their start's error in units of
+    _EPS, which grows along the runs as their rounding does, so it is
+    amplified by diff/_EPS, not added.  inf where U or U' ends at 0."""
+    (w1, d1, x1), (w2, d2, x2) = runs
+    if w2 == 0.0 or d2 == 0.0:
+        return math.inf
+    f = math.exp(x1 - x2)
+    diff = max(abs(w1 * f - w2) / abs(w2), abs(d1 * f - d2) / abs(d2))
     return max(100.0, ulps) * diff + ulps * _EPS
 
 
-def _origin_start(a):
-    """The taylor stage's start at z = 0: (point, runs, ulps, exponent),
-    each run's (w, d, x) meaning U = w e^(x + exponent), U' = d e^(...)."""
-    w0, u0, e0, ulps = _origin_data(a)
-    return 0j, [(w0, u0, 0.0)] * 2, ulps, e0
+def _scaled_estimate(runs, err, z):
+    """Error bound of a taylor answer's U over max(|U|, |U'|/(1 + |z|)):
+    _WALK_SAFETY times the runs' difference in U, plus err, their start's."""
+    (w1, _, x1), (w2, d2, x2) = runs
+    diff = abs(w1 * math.exp(x1 - x2) - w2)
+    ref = max(abs(w2), abs(d2) / (1.0 + abs(z)))
+    return _WALK_SAFETY * diff / ref + err
 
 
-def _step_taylor(a, z, start):
-    """The taylor answer at z from the runs of start, and the start it
-    leaves at z; None when the steps cannot be taken (see _taylor_pair)
-    or a run ends at U = 0 or U' = 0."""
-    z0, starts, ulps, e0 = start
-    runs = _taylor_pair(a, z0, z, starts)
-    if runs is None:
-        return None
-    (w1, d1, x1), (w2, d2, x2) = runs
-    if w2 == 0.0 or d2 == 0.0:
-        return None
-    f = math.exp(x1 - x2)
-    diff = max(abs(w1 * f - w2) / abs(w2), abs(d1 * f - d2) / abs(d2))
-    est = _taylor_estimate(diff, ulps)
-    v = _maybe_unscale(PcfValue(w2, d2, "taylor", est, e0 + x2))
-    return v, (z, runs, ulps, e0)
+def _scaled_error(v, z):
+    """The error of answer v on _scaled_estimate's scale."""
+    ref = max(abs(v.value), abs(v.derivative) / (1.0 + abs(z)), 1e-300)
+    return v.est_accuracy * abs(v.value) / ref
 
 
-def _accept_taylor(a, z, start, tol):
-    """_step_taylor's (answer, start) when the answer's estimate is at
-    most tol, else None."""
-    r = _step_taylor(a, z, start)
-    return r if r is not None and r[0].est_accuracy <= tol else None
+class Evaluator:
+    """U(a,z) and U'(a,z) at a sequence of points, for one fixed a.
 
-
-def _eval_taylor(a, z):
-    """U(a,z) and U'(a,z) by Taylor steps along the ray from the origin.
-
-    U is dominant away from |arg z| < pi/4, so outward stepping is stable
-    there; elsewhere rounding errors grow and the estimate says so.  The
-    estimate is 100 times the relative difference of the two runs of
-    _taylor_pair.  The origin data carry about |log U(a,0)| ulps of
-    error, which the steps amplify like the first step's rounding, so a
-    larger factor is used when that count exceeds 100.  None when the step
-    count would pass _TAYLOR_MAX_STEPS.
-    """
-    r = _step_taylor(a, z, _origin_start(a))
-    return None if r is None else r[0]
-
-
-class TaylorWalker:
-    """U(a,z) and U'(a,z) carried from point to point of a chain.
-
-    Called as walker(a, z) in place of eval_U_near_zero, for one fixed a.
-    It holds both runs of _taylor_pair at the last point and steps them
-    on to z, so that each evaluation costs a few Taylor steps from its
-    neighbour.  The estimate bounds the error of U over
-    max(|U|, |U'|/(1 + |z|)), the U'-scaled measure of eval_U_near_zero:
-    _WALK_SAFETY times the runs' difference in U, plus the error of the
-    data they started from.  The answer is accepted while it is at most
-    max(_NEAR_ZERO_TOL, tol/10 (1 + |z|)^2), where tol is t_iterate's
-    step tolerance: near a zero, where |U'| ~ (1 + |z|) ref, that moves
-    the zero by at most tol/10 (1 + |z|).  Past it, the runs restart once
-    from the origin, then eval_U_near_zero answers and re-seeds them.
+    Called as ev(a, z), so that it stands in for eval_U_near_zero as
+    t_iterate's evaluator.  scale names the entry of _SCALES whose stages
+    it tries, at tol (module docstring).  It holds both taylor runs at the
+    last point answered, so that a point near it costs a few Taylor
+    steps, and returns the last answer again for the same point.
     """
 
-    def __init__(self, a, tol):
+    def __init__(self, a, tol=1e-11, scale="relative"):
+        require_finite(a=a)
         self.a = float(a)
         self.tol = tol
-        w0, u0, e0, ulps = _origin_data(self.a)
-        self._origin = (0j, [(w0, u0, e0)] * 2, ulps * _EPS)
-        self._start = None   # (point, runs there, error carried in)
-        self._last = None    # the PcfValue returned at that point
+        self._scale = _SCALES[scale]
+        self._origin_start = None  # made when the origin stage first runs
+        self._start = None         # the runs' start at the last point
+        self._last = None          # the answer there
+        self._stepped = False      # whether that answer is a taylor one
 
     def __call__(self, a, z):
         if float(a) != self.a:
-            raise DomainError(f"walker for a = {self.a} asked for a = {a}")
+            raise DomainError(f"evaluator for a = {self.a} asked for a = {a}")
         z = complex(z)
+        if not cmath.isfinite(z):
+            raise DomainError(f"z = {z} is not finite")
         if self._start is not None and z == self._start[0]:
             return self._last
-        limit = max(_NEAR_ZERO_TOL, 0.1 * self.tol * (1.0 + abs(z)) ** 2)
-        tries = [self._origin]
-        if self._start is not None:
-            tries.insert(0, self._start)
-        for z0, starts, base in tries:
-            runs = _taylor_pair(self.a, z0, z, starts)
-            if runs is None:
-                continue
-            (w1, _, x1), (w2, d2, x2) = runs
-            diff = abs(w1 * math.exp(x1 - x2) - w2)
-            ref = max(abs(w2), abs(d2) / (1.0 + abs(z)))
-            est = _WALK_SAFETY * diff / ref + base
-            if est <= limit:
-                return self._settle(z, runs, base,
-                                    PcfValue(w2, d2, "taylor", est, x2))
-        v = eval_U_near_zero(self.a, z)
-        # est_accuracy bounds the U'-scaled error whether it is relative
-        # to |U| or to max(|U|, |U'|/(1 + |z|))
-        return self._settle(z, [(v.value, v.derivative, v.exponent)] * 2,
-                            v.est_accuracy, v)
+        scale = self._scale
+        # each stage gives (answer, the runs' start it leaves or None), or
+        # None; the last stage of every order answers or raises
+        for stage in scale.orders[self._stepped]:
+            limit = scale.limits[stage](self.tol, z)
+            r = getattr(self, "_" + stage)(z, limit)
+            if r is not None:
+                break
+        v, start = r
+        self._stepped = start is not None
+        self._start = start or _start(z, v, scale.seed)
+        self._last = v
+        return v
 
-    def _settle(self, z, runs, base, v):
-        self._start = (z, runs, base)
-        self._last = _maybe_unscale(v)
-        return self._last
+    def _asymptotic(self, z, limit):
+        cut, accept = limit
+        v = None if z == 0.0 else _eval_asymptotic(self.a, z, cut)
+        ok = v is not None and self._scale.error(v, z) <= accept
+        return (v, None) if ok else None
+
+    def _series(self, z, limit):
+        v = _eval_series_double(self.a, z)
+        return (v, None) if self._scale.error(v, z) <= limit else None
+
+    def _carried(self, z, limit):
+        return self._taylor(z, limit, self._start)
+
+    def _origin(self, z, limit):
+        if self._origin_start is None:
+            self._origin_start = _start(0j, _origin_value(self.a),
+                                        self._scale.seed)
+        return self._taylor(z, limit, self._origin_start)
+
+    def _mpmath(self, z, limit):
+        return _eval_series_mp(self.a, z, limit), None
+
+    def _taylor(self, z, limit, start):
+        if start is None:
+            return None
+        z0, runs, err, e0 = start
+        runs = _taylor_pair(self.a, z0, z, runs)
+        if runs is None:
+            return None
+        est = self._scale.estimate(runs, err, z)
+        if not est <= limit:
+            return None
+        w, d, x = runs[1]
+        v = _maybe_unscale(PcfValue(w, d, "taylor", est, e0 + x))
+        return v, (z, runs, err, e0)
+
+
+@dataclass(frozen=True)
+class _Scale:
+    """An entry of the stage table."""
+    orders: tuple     # the stage order, and the order after a taylor answer
+    limits: dict      # stage -> (tol, z) -> its limit, the asymptotic
+    #                   stage's as (truncation cut, limit of its error)
+    estimate: object  # (runs, error of their start, z) -> taylor estimate
+    error: object     # (answer, z) -> its error on this scale
+    seed: object      # est of an answer -> the error of a start from it
+
+
+def _tol(tol, z):
+    return tol
+
+
+def _truncated(tol, z):
+    return 1e-15, math.inf
+
+
+def _step_limit(tol, z):
+    return max(_NEAR_ZERO_TOL, 0.1 * tol * (1.0 + abs(z)) ** 2)
+
+
+_SCALES = {
+    "relative": _Scale(
+        orders=(("asymptotic", "series", "carried", "origin", "mpmath"),
+                ("asymptotic", "carried", "series", "origin", "mpmath")),
+        limits={"asymptotic": lambda tol, z: (max(1e-13, tol * 1e-2),) * 2,
+                "series": _tol, "carried": _tol, "origin": _tol,
+                "mpmath": _tol},
+        estimate=_relative_estimate, error=lambda v, z: v.est_accuracy,
+        seed=lambda est: max(4.0, est / _EPS)),
+    "chain": _Scale(
+        orders=(("carried", "origin", "asymptotic", "series", "mpmath"),) * 2,
+        limits={"carried": _step_limit, "origin": _step_limit,
+                "asymptotic": _truncated,
+                "series": lambda tol, z: _NEAR_ZERO_TOL,
+                "mpmath": lambda tol, z: _NEAR_ZERO_TOL},
+        estimate=_scaled_estimate, error=_scaled_error, seed=lambda est: est),
+    "point": _Scale(
+        orders=(("asymptotic", "series", "mpmath"),) * 2,
+        limits={"asymptotic": _truncated, "series": _tol, "mpmath": _tol},
+        estimate=_scaled_estimate, error=_scaled_error, seed=lambda est: est),
+}
 
 
 def _eval_series_mp(a, z, tol):
@@ -569,86 +607,23 @@ def _eval_series_mp(a, z, tol):
 
 
 def eval_U(a, z, tol=1e-11):
-    """U(a,z) and U'(a,z) with est_accuracy <= tol where attainable.
-
-    Tries, in order, the methods of the region map in the module
-    docstring and returns the first whose estimate meets its threshold.
-    """
-    return eval_U_path(a, [z], tol)[0]
+    """U(a,z) and U'(a,z) with est_accuracy <= tol where attainable, from
+    the relative entry of the stage table (module docstring)."""
+    return Evaluator(a, tol)(a, z)
 
 
 def eval_U_path(a, zs, tol=1e-11):
-    """eval_U at each point of zs, in order: one PcfValue per point.
-
-    Each point goes through eval_U's region map, except that the taylor
-    stage first steps on from the previous point, and after a taylor
-    answer does so before the series (module docstring), so the cost
-    falls when each point is close to the one before it.  The first
-    point takes eval_U's order.
-    """
-    require_finite(a=a)
-    a = float(a)
-    cut = max(1e-13, tol * 1e-2)
-    origin = None
-    carried = None
-    stepped = False  # the previous point was answered by taylor
-    out = []
-    for z in zs:
-        require_finite(z=z)
-        z = complex(z)
-        v = None
-        if z != 0.0:
-            v = _eval_asymptotic(a, z, cut)
-            if v is not None and v.est_accuracy > cut:
-                v = None
-        if v is None and stepped:
-            # next to a taylor answer the double series seldom answers, so
-            # the carried steps go first; when they fail they are dropped,
-            # not taken again below
-            v, carried = _accept_taylor(a, z, carried, tol) or (None, None)
-        if v is None:
-            v = _eval_series_double(a, z)
-            if v.est_accuracy > tol:
-                v = None
-        if v is None:
-            if origin is None:
-                origin = _origin_start(a)
-            for start in (carried, origin):
-                r = None if start is None else _accept_taylor(a, z, start,
-                                                              tol)
-                if r is not None:
-                    v, carried = r
-                    break
-        if v is None:
-            v = _eval_series_mp(a, z, tol)
-        stepped = v.method == "taylor"
-        if not stepped:
-            carried = (z, [(v.value, v.derivative, 0.0)] * 2,
-                       max(4.0, v.est_accuracy / _EPS), v.exponent)
-        out.append(v)
-    return out
+    """eval_U at each point of zs, in order, by one Evaluator: the cost
+    falls when each point is close to the one before it."""
+    ev = Evaluator(a, tol)
+    return [ev(a, z) for z in zs]
 
 
-def eval_U_near_zero(a, z, tol=_NEAR_ZERO_TOL):
-    """U and U' for use inside root refinement.
-
-    Near a zero the *relative* accuracy of U is meaningless (|U| -> 0);
-    what matters is the absolute error measured against |U'|.  The
-    asymptotic path is accepted whenever its divergent series truncates,
-    and the series path is judged by the derivative-scaled error.
-    """
-    z = complex(z)
-    a = float(a)
-    if z != 0.0:
-        v = _eval_asymptotic(a, z, 1e-15)
-        if v is not None:
-            return v
-    v = _eval_series_double(a, z)
-    abs_err = v.est_accuracy * abs(v.value)
-    ref = max(abs(v.value), abs(v.derivative) / (1.0 + abs(z)), 1e-300)
-    if abs_err / ref <= tol:
-        return v
-    return _eval_series_mp(a, z, tol)
+def eval_U_near_zero(a, z):
+    """U and U' for use inside root refinement, by the point entry of the
+    stage table: near a zero the relative accuracy of U is meaningless
+    (|U| -> 0); the error is judged against |U'|."""
+    return Evaluator(a, _NEAR_ZERO_TOL, "point")(a, z)
 
 
 def eval_U_prime(a, z):

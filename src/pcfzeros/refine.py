@@ -6,7 +6,7 @@ t_iterate applies the fourth-order fixed-point map
 
 and sweep alternates the displacement H+(z) = z + pi p^{-1/2} with
 t_iterate to walk consecutive zeros along the anti-Stokes direction,
-evaluating U with one TaylorWalker for the whole chain.
+evaluating U with one chain Evaluator for the whole chain.
 """
 import cmath
 import math
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import (ChainBreakError, ConvergenceError, DomainError,
                      require_finite)
-from .pcf_eval import TaylorWalker, eval_U_near_zero
+from .pcf_eval import Evaluator, eval_U_near_zero
 
 # refuse to iterate when z^2/4 + a is this close to 0 (turning point)
 TURNING_GUARD = 1e-8
@@ -97,7 +97,7 @@ def sweep(a, z_start, count, tol=STEP_TOL):
     require_finite(a=a, z_start=z_start)
     if count < 1:
         raise DomainError("count must be >= 1")
-    walker = TaylorWalker(a, tol)
+    walker = Evaluator(a, tol, "chain")
     first = t_iterate(a, z_start, tol=tol, evaluator=walker)
     out = [first]
     z = first.value

@@ -21,7 +21,7 @@ from .coeffs import CorrectionInput, correction1, correction2
 from .errors import DomainError, require_finite
 from .genairy import vartheta  # noqa: F401  (part of this module's API)
 from .mapping import ZETA_AT_0, _sigma, invert_zeta, zeta
-from .pcf_eval import TaylorWalker
+from .pcf_eval import Evaluator
 
 _EXP_IPI3 = cmath.exp(1j * math.pi / 3.0)
 
@@ -196,9 +196,9 @@ def hermite_zeros(n, terms=3, refine=True):
     from .refine import STEP_TOL, t_iterate
     u = 2.0 * n + 1.0
     a = -0.5 * u
-    walker = TaylorWalker(a, STEP_TOL)
+    walker = Evaluator(a, STEP_TOL, "chain")
     pos = []
-    # smallest zero first (m = 1 is the largest), so that the walker
+    # smallest zero first (m = 1 is the largest), so that the evaluator
     # carries U from each zero to the next
     for m in range(n // 2, 0, -1):
         zu = zeros_aneg_positive(a, m, terms=terms).z.real

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import random
 import time
@@ -10,7 +11,7 @@ import pytest
 
 from pcfzeros import pcf_eval
 from pcfzeros.errors import ConvergenceError, DomainError, PcfzerosError
-from pcfzeros.pcf_eval import (TaylorWalker, eval_U, eval_U_near_zero,
+from pcfzeros.pcf_eval import (Evaluator, eval_U, eval_U_near_zero,
                                eval_U_path, eval_U_prime, eval_U_quadrature,
                                metrics, residual_eq319, winding_number)
 from pcfzeros.refine import STEP_TOL, t_iterate
@@ -183,6 +184,13 @@ def test_winding_number_certifies_zero():
     assert winding_number(8.3, z + 1.0 + 1.0j, 0.2) == 0
 
 
+def _from_origin(a, z):
+    """The origin stage's relative answer at z, whatever its estimate;
+    None where its steps cannot be taken."""
+    r = Evaluator(a)._origin(complex(z), math.inf)
+    return None if r is None else r[0]
+
+
 def test_taylor_estimate_bounds_error():
     # 7 a x 9 arg z x 6 |z|, spanning the recessive sector where the
     # outward integration loses accuracy and must say so
@@ -191,7 +199,7 @@ def test_taylor_estimate_bounds_error():
         for i in range(9):
             for j in range(6):
                 z = cmath.rect(0.5 + 13.5 * j / 5, 0.1 + 2.9 * i / 8)
-                v = pcf_eval._eval_taylor(a, z)
+                v = _from_origin(a, z)
                 if v is None or v.est_accuracy > 1e-6:
                     continue
                 accepted += 1
@@ -218,7 +226,7 @@ def test_taylor_carries_exponent_for_large_negative_a():
     a = -400.3
     accepted = 0
     for z in (0.5 + 0.5j, 1.0, 2.0 + 3.0j, -5.0 + 10.0j, 30.0 + 1.0j):
-        v = pcf_eval._eval_taylor(a, z)
+        v = _from_origin(a, z)
         if v is None:
             continue
         accepted += 1
@@ -296,7 +304,7 @@ def test_walker_estimate_bounds_error(case):
     # U'-scaled error of U within the estimate, U' to 1e-12 relative, and
     # every point answered by the walk, not by its fallback
     a, points = _walker_chain(case)
-    walk = TaylorWalker(a, STEP_TOL)
+    walk = Evaluator(a, STEP_TOL, "chain")
     for z in points:
         v = walk(a, z)
         assert v.method == "taylor", z
@@ -326,6 +334,8 @@ PATH_BOXES = {
     # from the taylor region near the zeros out to |z| ~ 18, where the
     # asymptotic method answers; rows cross between the two
     "straddle": (8.3, (-12.0, 0.0, 4.0, 14.0)),
+    # along the positive real axis, recessive, from the origin outward
+    "axis": (2.5, (0.0, 7.0, 0.0, 2.0)),
 }
 # at tol 1e-11 a third of the far box goes to mpmath at |z| ~ 40, which
 # takes seconds; at 1e-6 the asymptotic method answers there everywhere
@@ -333,18 +343,27 @@ PATH_CASES = [(name, tol) for name in PATH_BOXES for tol in (1e-6, 1e-11)
               if (name, tol) != ("far", 1e-11)]
 
 
-def _check_path(name, tol):
-    """Every answer of eval_U_path along the snake over the box within
-    2 tol (relative) of scalar eval_U, and every 13th of pcfu."""
+def _path_failures(name, tol):
+    """The points of the snake over the box where the answer of
+    eval_U_path is not within 2 tol (relative) of scalar eval_U, or, at
+    every 13th point, of pcfu."""
     a, box = PATH_BOXES[name]
     zs = _snake(box)
+    bad = []
     for k, (z, v) in enumerate(zip(zs, eval_U_path(a, zs, tol))):
         s = eval_U(a, z, tol)
         u = v.value * math.exp(v.exponent - s.exponent)
-        assert abs(u - s.value) <= 2.0 * tol * abs(s.value), (a, z, v)
+        ok = abs(u - s.value) <= 2.0 * tol * abs(s.value)
         if k % 13 == 0:
             ref, _ = oracles.mp_U_pair(a, z, exponent=v.exponent)
-            assert abs(v.value - ref) <= 2.0 * tol * abs(ref), (a, z, v)
+            ok = ok and abs(v.value - ref) <= 2.0 * tol * abs(ref)
+        if not ok:
+            bad.append((z, v))
+    return bad
+
+
+def _check_path(name, tol):
+    assert _path_failures(name, tol) == []
 
 
 @pytest.mark.parametrize("name,tol", PATH_CASES)
@@ -365,17 +384,24 @@ def test_path_asymptotic_answers_are_the_scalar_ones(name, tol):
             assert repr(v) == repr(s), (a, z, tol)
 
 
-@pytest.mark.parametrize("name,tol", [("aneg", 1e-11), ("recessive", 1e-6)])
+@pytest.mark.parametrize("name,tol", [("recessive", 1e-6), ("axis", 1e-6),
+                                      ("axis", 1e-11)])
 def test_path_check_fails_with_additive_carried_error(monkeypatch, name,
                                                       tol):
     # after a re-seed the runs start with the error of the answer they
     # start from; adding it to the estimate instead of amplifying it by
     # the runs' growth lets the estimate pass wrong answers, which the
-    # check above must see
-    monkeypatch.setattr(pcf_eval, "_taylor_estimate",
-                        lambda diff, ulps: 100.0 * diff + ulps * pcf_eval._EPS)
-    with pytest.raises(AssertionError):
-        _check_path(name, tol)
+    # check above must see, at more than one point
+    def additive(runs, ulps, z):
+        (w1, d1, x1), (w2, d2, x2) = runs
+        f = math.exp(x1 - x2)
+        diff = max(abs(w1 * f - w2) / abs(w2), abs(d1 * f - d2) / abs(d2))
+        return 100.0 * diff + ulps * pcf_eval._EPS
+
+    relative = pcf_eval._SCALES["relative"]
+    monkeypatch.setitem(pcf_eval._SCALES, "relative",
+                        dataclasses.replace(relative, estimate=additive))
+    assert len(_path_failures(name, tol)) >= 2
 
 
 def _scalar_selector(a, z, tol):
@@ -388,7 +414,7 @@ def _scalar_selector(a, z, tol):
     v = pcf_eval._eval_series_double(a, z)
     if v.est_accuracy <= tol:
         return v
-    v = pcf_eval._eval_taylor(a, z)
+    v = _from_origin(a, z)
     if v is not None and v.est_accuracy <= tol:
         return v
     return pcf_eval._eval_series_mp(a, z, tol)
