@@ -630,17 +630,21 @@ def eval_U_prime(a, z):
     """U'(a,z) via the recurrence U' = -z/2 U(a,z) - (a+1/2) U(a+1,z).
 
     Independent of the derivative bundled in eval_U; used as cross-check.
+    The true double: 0 where U' underflows, DomainError where it
+    overflows.
     """
     z = complex(z)
     va = eval_U(a, z)
     vb = eval_U(a + 1.0, z)
-    u, _ = va.unscaled()
-    ub, _ = vb.unscaled()
-    if va.exponent != 0.0 or vb.exponent != 0.0:
-        # combine in the scale of va
-        ub = vb.value * math.exp(vb.exponent - va.exponent)
-        return -z / 2.0 * va.value - (a + 0.5) * ub
-    return -z / 2.0 * u - (a + 0.5) * ub
+    e = max(va.exponent, vb.exponent)
+    try:
+        d = (-z / 2.0 * va.value * math.exp(va.exponent - e)
+             - (a + 0.5) * vb.value * math.exp(vb.exponent - e)) * math.exp(e)
+        if cmath.isfinite(d):
+            return d
+    except OverflowError:
+        pass
+    raise DomainError(f"U'({a}, {z}) overflows a double")
 
 
 def eval_U_quadrature(a, z):

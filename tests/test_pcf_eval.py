@@ -132,6 +132,16 @@ def test_prime_recurrence_vs_bundled_derivative():
         assert abs(alt - up) <= 1e-10 * max(1.0, abs(up))
 
 
+def test_prime_is_the_true_double_beyond_the_exponent_range():
+    # U'(0.5, 60) ~ -30 e^-904 underflows to 0; U'(0.5, 60i) ~ e^900
+    # overflows; U'(0.5, 40) ~ -9.6e-175 is a normal double
+    assert eval_U_prime(0.5, 60.0) == 0.0
+    with pytest.raises(DomainError, match="overflows"):
+        eval_U_prime(0.5, 60j)
+    ref = oracles.mp_U_pair(0.5, 40.0)[1]
+    assert abs(eval_U_prime(0.5, 40.0) - ref) <= 1e-12 * abs(ref)
+
+
 def test_scaled_value_protocol():
     # z^2/4 = 900 is far outside double range: exponent must carry it
     v = eval_U(0.5, 60.0)
