@@ -2,35 +2,31 @@
 
 Methods, each with an a-posteriori error estimate:
 
-  asymptotic — large |z|: the compound expansion, i.e. the recessive
-     series plus, beyond |arg z| = pi/2, the dominant series weighted by
-     the connection constant i sqrt(2 pi) e^{-i pi a}/Gamma(a+1/2)
+  asymptotic — large |z|: the recessive series plus, beyond |arg z| =
+     pi/2, the dominant one times i sqrt(2 pi) e^{-i pi a}/Gamma(a+1/2)
      (conjugated in the lower half-plane), both summed by asym_pair.
-  series — small |z|: Maclaurin expansion of the even/odd standard
-     solutions with gamma-function connection coefficients, in doubles;
-     kummer_pair sums both Kummer series and the term magnitudes, which
-     track the cancellation.
+  series — small |z|: the Maclaurin expansion in doubles, summed by
+     kummer_pair with the term magnitudes that track its cancellation.
   taylor — moderate |z|: two runs of Taylor steps of Weber's equation
-     w'' = (z^2/4 + a) w, whose difference gives the estimate.  The
-     carried stage steps them on from the last point answered, the origin
-     stage along the ray from z = 0, stable where U is dominant, i.e.
-     outside |arg z| < pi/4.
-  mpmath — last resort: the Maclaurin decomposition at escalating
-     precision, capped at _MP_MAX_DPS digits (ConvergenceError past it).
+     w'' = (z^2/4 + a) w, whose difference gives the estimate, stepped on
+     from the last point answered (carried) or along the ray from z = 0
+     (origin; stable where U is dominant, outside |arg z| < pi/4).
+  mpmath — last resort: the Maclaurin expansion at escalating precision,
+     capped at _MP_MAX_DPS digits (ConvergenceError past it).
 
 An Evaluator tries at each point the stages of one entry of the stage
 table _SCALES in order, and the first answer within its limit is taken.
 The taylor runs then step on from a taylor answer, or restart from any
 other, carrying its error by the entry's rule.  The entries:
 
-  relative (eval_U, eval_U_path): error relative to |U|.  Asymptotic
-     (smallest term and estimate below cut = max(1e-13, tol/100)), series,
-     carried, origin, mpmath; after a taylor answer, next to which the
-     series seldom answers: asymptotic, carried, series, origin, mpmath.
-     The asymptotic method stays first: far out it answers in a few terms
-     where the steps would take many.  A start carries max(4, est/eps)
-     ulps, which the estimate amplifies by the runs' growth.  Neighbouring
-     points, as along the rows of a grid, cost a few Taylor steps each.
+  relative (eval_U, eval_U_path): error relative to |U|, within tol.
+     Asymptotic (smallest term and estimate below max(1e-13, tol/100)),
+     series, carried, origin, mpmath; after a taylor answer, next to
+     which the series seldom answers: asymptotic, carried, series, origin,
+     mpmath.  The asymptotic method stays first: far out it answers in a
+     few terms where the steps would take many.  A start carries
+     max(4, est/eps) ulps, which the estimate amplifies by the runs'
+     growth.  Points along the rows of a grid cost a few steps each.
   chain (sweep, hermite_zeros, CLI zeros and validate): error of U over
      max(|U|, |U'|/(1 + |z|)), since |U| -> 0 at a zero.  Carried, origin,
      asymptotic (wherever its smallest term is below 1e-15), series and
@@ -78,8 +74,7 @@ _TAYLOR_MAX_TERMS = 200
 _TAYLOR_TINY = 1e-17
 _INV_KK = [0.0, 0.0] + [1.0 / (k * (k - 1))
                         for k in range(2, _TAYLOR_MAX_TERMS)]
-# the chain entry's taylor estimate is this multiple of the difference
-# of its runs
+# the chain entry's taylor estimate: this times the runs' difference
 _WALK_SAFETY = 10.0
 # the double Maclaurin series declines where max(|U(a,0)|, |U'(a,0)|) is
 # below this: for a > 0 the two differ by a factor of about sqrt(a), so
@@ -148,43 +143,26 @@ def kummer_pair(b1, b2, w):
     of S.  Each series stops once its terms fall below 1e-17 of the
     largest.
     """
-    t1 = 1.0 + 0.0j
-    S1 = t1
-    D1 = 0.0 + 0.0j
-    mx1 = A1 = 1.0
-    t2 = 1.0 + 0.0j
-    S2 = t2
-    D2 = 0.0 + 0.0j
-    mx2 = A2 = 1.0
-    done1 = False
-    done2 = False
+    return _kummer(b1, 0.5, w) + _kummer(b2, 1.5, w)
+
+
+def _kummer(b, c, w):
+    t = S = 1.0 + 0.0j
+    D = 0.0 + 0.0j
+    mx = A = 1.0
     aw = abs(w)
     for k in range(_KUMMER_MAX_TERMS):
-        if not done1:
-            dt = t1 * (b1 + k) / ((0.5 + k) * (k + 1))
-            D1 += (k + 1) * dt
-            t1 = dt * w
-            S1 += t1
-            at = abs(t1)
-            A1 += at
-            if at > mx1:
-                mx1 = at
-            if at < 1e-17 * mx1 and k > aw:
-                done1 = True
-        if not done2:
-            dt = t2 * (b2 + k) / ((1.5 + k) * (k + 1))
-            D2 += (k + 1) * dt
-            t2 = dt * w
-            S2 += t2
-            at = abs(t2)
-            A2 += at
-            if at > mx2:
-                mx2 = at
-            if at < 1e-17 * mx2 and k > aw:
-                done2 = True
-        if done1 and done2:
+        dt = t * (b + k) / ((c + k) * (k + 1))
+        D += (k + 1) * dt
+        t = dt * w
+        S += t
+        at = abs(t)
+        A += at
+        if at > mx:
+            mx = at
+        if at < 1e-17 * mx and k > aw:
             break
-    return S1, D1, A1, S2, D2, A2
+    return S, D, A
 
 
 def asym_pair(a, z2inv):
@@ -384,18 +362,17 @@ def _taylor_pair(a, z0, z1, starts):
 
 
 def _start(z, v, seed):
-    """The taylor runs' start at z from the answer v there: (z, both runs
-    at v's data, the error seed(v.est_accuracy) they carry, v's exponent
-    kept apart from the runs' own)."""
+    """The taylor runs' start at z from the answer v there: (z, runs at
+    v's data, their error seed(v.est_accuracy), v's exponent kept apart)."""
     return z, [(v.value, v.derivative, 0.0)] * 2, seed(v.est_accuracy), \
         v.exponent
 
 
 def _relative_estimate(runs, ulps, z):
-    """Relative error bound of a taylor answer from the relative
-    difference of its runs and ulps, their start's error in units of
-    _EPS, which grows along the runs as their rounding does, so it is
-    amplified by diff/_EPS, not added.  inf where U or U' ends at 0."""
+    """Relative error bound of a taylor answer from its runs' relative
+    difference diff and their start's error of ulps * _EPS, which grows as
+    their rounding does: amplified by diff/_EPS, not added.  inf where U
+    or U' ends at 0."""
     (w1, d1, x1), (w2, d2, x2) = runs
     if w2 == 0.0 or d2 == 0.0:
         return math.inf
@@ -422,11 +399,10 @@ def _scaled_error(v, z):
 class Evaluator:
     """U(a,z) and U'(a,z) at a sequence of points, for one fixed a.
 
-    Called as ev(a, z), so that it stands in for eval_U_near_zero as
-    t_iterate's evaluator.  scale names the entry of _SCALES whose stages
-    it tries, at tol (module docstring).  It holds both taylor runs at the
-    last point answered, so that a point near it costs a few Taylor
-    steps, and returns the last answer again for the same point.
+    Called as ev(a, z), as t_iterate calls its evaluator.  scale names
+    the entry of _SCALES whose stages it tries (module docstring).  It
+    holds both taylor runs at the last point answered, so that a point
+    near it costs a few Taylor steps; the same point gets the same answer.
     """
 
     def __init__(self, a, tol=1e-11, scale="relative"):
@@ -434,7 +410,6 @@ class Evaluator:
         self.a = float(a)
         self.tol = tol
         self._scale = _SCALES[scale]
-        self._origin_start = None  # made when the origin stage first runs
         self._start = None         # the runs' start at the last point
         self._last = None          # the answer there
         self._stepped = False      # whether that answer is a taylor one
@@ -448,8 +423,8 @@ class Evaluator:
         if self._start is not None and z == self._start[0]:
             return self._last
         scale = self._scale
-        # each stage gives (answer, the runs' start it leaves or None), or
-        # None; the last stage of every order answers or raises
+        # a stage gives (answer, the runs' start it leaves or None) or None;
+        # the last stage of every order answers or raises
         for stage in scale.orders[self._stepped]:
             limit = scale.limits[stage](self.tol, z)
             r = getattr(self, "_" + stage)(z, limit)
@@ -475,10 +450,11 @@ class Evaluator:
         return self._taylor(z, limit, self._start)
 
     def _origin(self, z, limit):
-        if self._origin_start is None:
-            self._origin_start = _start(0j, _origin_value(self.a),
-                                        self._scale.seed)
         return self._taylor(z, limit, self._origin_start)
+
+    @functools.cached_property
+    def _origin_start(self):
+        return _start(0j, _origin_value(self.a), self._scale.seed)
 
     def _mpmath(self, z, limit):
         return _eval_series_mp(self.a, z, limit), None
@@ -502,8 +478,8 @@ class Evaluator:
 class _Scale:
     """An entry of the stage table."""
     orders: tuple     # the stage order, and the order after a taylor answer
-    limits: dict      # stage -> (tol, z) -> its limit, the asymptotic
-    #                   stage's as (truncation cut, limit of its error)
+    limits: dict      # stage -> (tol, z) -> its limit; (cut, limit) for
+    #                   the asymptotic stage, cut bounding its smallest term
     estimate: object  # (runs, error of their start, z) -> taylor estimate
     error: object     # (answer, z) -> its error on this scale
     seed: object      # est of an answer -> the error of a start from it
@@ -511,10 +487,6 @@ class _Scale:
 
 def _tol(tol, z):
     return tol
-
-
-def _truncated(tol, z):
-    return 1e-15, math.inf
 
 
 def _step_limit(tol, z):
@@ -533,13 +505,14 @@ _SCALES = {
     "chain": _Scale(
         orders=(("carried", "origin", "asymptotic", "series", "mpmath"),) * 2,
         limits={"carried": _step_limit, "origin": _step_limit,
-                "asymptotic": _truncated,
+                "asymptotic": lambda tol, z: (1e-15, math.inf),
                 "series": lambda tol, z: _NEAR_ZERO_TOL,
                 "mpmath": lambda tol, z: _NEAR_ZERO_TOL},
         estimate=_scaled_estimate, error=_scaled_error, seed=lambda est: est),
     "point": _Scale(
         orders=(("asymptotic", "series", "mpmath"),) * 2,
-        limits={"asymptotic": _truncated, "series": _tol, "mpmath": _tol},
+        limits={"asymptotic": lambda tol, z: (1e-15, math.inf),
+                "series": _tol, "mpmath": _tol},
         estimate=_scaled_estimate, error=_scaled_error, seed=lambda est: est),
 }
 
