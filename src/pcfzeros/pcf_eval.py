@@ -20,7 +20,7 @@ The taylor runs then step on from a taylor answer, or restart from any
 other, carrying its error by the entry's rule.  The entries:
 
   relative (eval_U, eval_U_path): error relative to |U|, within tol.
-     Asymptotic (smallest term and estimate below max(1e-13, tol/100)),
+     Asymptotic (if its smallest term is below max(1e-13, tol/100)),
      series, carried, origin, mpmath; after a taylor answer, next to
      which the series seldom answers: asymptotic, carried, series, origin,
      mpmath.  The asymptotic method stays first: far out it answers in a
@@ -197,13 +197,19 @@ def asym_pair(a, z2inv):
 
 
 def _asym_sums(a, z, cut):
-    """(mantissa, exponent, truncation term) of U(a,z) from the compound
-    expansion; None when the smallest term exceeds cut."""
+    """(mantissa, exponent, error bound of the mantissa) of U(a,z) from
+    the compound expansion; None when the smallest term exceeds cut.  The
+    error weighs each series' truncation and rounding, and the rounding
+    of the exponents and of K's phase, about eps (|z|^2/4 + |a| |log z|).
+    Near a Stokes line the remainder exceeds the smallest term by up to
+    about sqrt(pi N/2), N ~ |z|^2/2 terms (Olver's chi(N)): 1 + |z|."""
     S1, S2, mn = asym_pair(a, 1.0 / (2.0 * z * z))
     if mn > cut:
         return None
     lg = cmath.log(z)
     e1 = -z * z / 4.0 - (a + 0.5) * lg
+    rnd = _EPS * (abs(z) ** 2 / 4.0 + (abs(a) + 1.0) * (abs(lg) + math.pi))
+    mn *= 1.0 + abs(z)
     arg = cmath.phase(z)
     K = 0.0
     if arg > math.pi / 2.0:
@@ -215,26 +221,28 @@ def _asym_sums(a, z, cut):
     if K == 0.0:
         ecap = e1.real
         m1 = S1 * cmath.exp(1j * e1.imag)
-        return m1, ecap, mn
+        return m1, ecap, mn + abs(S1) * (rnd + 4.4e-16)
     e2 = z * z / 4.0 + (a - 0.5) * lg
     ecap = max(e1.real, e2.real)
     m = S1 * cmath.exp(e1 - ecap) + K * S2 * cmath.exp(e2 - ecap)
-    return m, ecap, mn
+    w1 = math.exp(e1.real - ecap)
+    w2 = abs(K) * math.exp(e2.real - ecap)
+    err = (w1 + w2) * mn + (w1 * abs(S1) + w2 * abs(S2)) * (rnd + 4.4e-16)
+    return m, ecap, err
 
 
 def _eval_asymptotic(a, z, cut):
     r = _asym_sums(a, z, cut)
     if r is None:
         return None
-    m, ecap, mn = r
+    m, ecap, err = r
     r2 = _asym_sums(a + 1.0, z, cut)
     if r2 is None:
         return None
-    m2, ecap2, mn2 = r2
+    m2, ecap2, err2 = r2
     # U'(a,z) = -z/2 U(a,z) - (a+1/2) U(a+1,z), in the common scale ecap
     dm = -z / 2.0 * m - (a + 0.5) * m2 * cmath.exp(ecap2 - ecap)
-    denom = max(abs(m), 1e-300)
-    est = (max(mn, mn2) + 4.4e-16) / denom
+    est = max(err / max(abs(m), 1e-300), err2 / max(abs(m2), 1e-300))
     return _maybe_unscale(PcfValue(m, dm, "asymptotic", est, ecap))
 
 
@@ -497,7 +505,7 @@ _SCALES = {
     "relative": _Scale(
         orders=(("asymptotic", "series", "carried", "origin", "mpmath"),
                 ("asymptotic", "carried", "series", "origin", "mpmath")),
-        limits={"asymptotic": lambda tol, z: (max(1e-13, tol * 1e-2),) * 2,
+        limits={"asymptotic": lambda tol, z: (max(1e-13, tol * 1e-2), tol),
                 "series": _tol, "carried": _tol, "origin": _tol,
                 "mpmath": _tol},
         estimate=_relative_estimate, error=lambda v, z: v.est_accuracy,
