@@ -5,12 +5,13 @@ Subcommands:
   validate    compare asymptotic zeros against refined/oracle references
   phase-grid  emit (x, y, arg U(a, x+iy)) over a rectangle
 
-zeros and validate refine each family's zeros in index order as one
-chain, with one chain Evaluator carrying U and U' from zero to zero, as
-sweep and hermite_zeros do.  phase-grid evaluates its points as one
-eval_U_path, row by row with every other row backwards.  Everything
-runs in this process; the --jobs flag of zeros is accepted and has no
-effect.
+zeros and validate take the families of zeros, their counts and the
+index of each family's first zero from zeros.families.  They refine
+each family's zeros in index order as one chain, with one chain
+Evaluator carrying U and U' from zero to zero, as sweep and
+hermite_zeros do.  phase-grid evaluates its points as one eval_U_path,
+row by row with every other row backwards.  Everything runs in this
+process; the --jobs flag of zeros is accepted and has no effect.
 
 Exit codes: 0 ok, 2 bad flags, 3 polynomial-case complex request,
 4 solver non-convergence (partial output emitted).  The PCFZ_LOG
@@ -78,39 +79,26 @@ _FAMILY_FN = {
 }
 
 
+_FAMILY_KIND = {"apos": "apos-complex", "pos": "aneg-positive",
+                "nonpos": "aneg-nonpositive", "complex": "aneg-complex"}
+
+
 def _tasks_for(args):
-    """(kind, indices) of each family to compute, in refinement order."""
-    a = args.a
-    fam = args.family
-    if fam == "auto":
-        tasks = []
-        for f in zmod.families(a, complex_count=args.count):
-            if f.count == 0:
-                continue
-            if f.kind == "aneg-nonpositive":
-                start = 1 - zmod.vartheta(f.u)
-                ms = range(start, start + f.count)
-            else:
-                ms = range(1, (f.count or args.count) + 1)
-            tasks.append((f.kind, ms))
-        return tasks
-    kind = {"apos": "apos-complex", "pos": "aneg-positive",
-            "nonpos": "aneg-nonpositive", "complex": "aneg-complex"}[fam]
-    if kind == "apos-complex" and a <= 0 or kind != "apos-complex" and a >= 0:
-        raise DomainError(f"family {fam} incompatible with a={a}")
-    if kind == "aneg-positive":
-        ms = range(1, zmod.count_positive(-2.0 * a) + 1)
-    elif kind == "aneg-nonpositive":
-        u = -2.0 * a
-        start = 1 - zmod.vartheta(u)
-        ms = range(start, start + zmod.m_minus(a))
-    else:
-        if kind == "aneg-complex":
-            # raises PolynomialCaseError for odd-integer u
-            from .genairy import _check_polynomial_case
-            _check_polynomial_case(-2.0 * a)
-        ms = range(1, args.count + 1)
-    return [(kind, ms)]
+    """(kind, indices) of each family to compute, in refinement order:
+    the non-empty families of zeros.families, or the one --family names."""
+    fams = zmod.families(args.a, complex_count=args.count)
+    if args.family != "auto":
+        kind = _FAMILY_KIND[args.family]
+        fams = [f for f in fams if f.kind == kind]
+        if not fams:
+            raise DomainError(f"family {args.family} incompatible with "
+                              f"a={args.a}")
+        if kind == "aneg-complex" and fams[0].count == 0:
+            # empty in the Hermite case, where this raises
+            # PolynomialCaseError
+            _FAMILY_FN[kind](args.a, 1)
+    return [(f.kind, range(f.start, f.start + f.count))
+            for f in fams if f.count]
 
 
 def _records(args, refine):

@@ -32,6 +32,7 @@ class ZeroFamily:
     a: float
     u: float
     count: Optional[int]  # None = unbounded
+    start: int = 1  # first index: 1 - vartheta(u) for aneg-nonpositive
 
 
 @dataclass(frozen=True)
@@ -77,24 +78,23 @@ def m_minus(a, terms=3):
 
 
 def families(a, complex_count=None):
-    """The zero families of U(a, .) with their counts."""
+    """The zero families of U(a, .) with their counts and first indices;
+    for a < 0 all three, the empty ones with count 0."""
     require_finite(a=a)
     a = float(a)
     if a > 0:
         return [ZeroFamily("apos-complex", a, 2.0 * a, complex_count)]
     if a < 0:
         u = -2.0 * a
-        fams = []
-        if u > 3.0:
-            fams.append(ZeroFamily("aneg-positive", a, u, count_positive(u)))
-        fams.append(ZeroFamily("aneg-nonpositive", a, u, m_minus(a)))
         try:
             genairy._check_polynomial_case(u)
-            fams.append(ZeroFamily("aneg-complex", a, u, complex_count))
         except DomainError:
             # Hermite polynomial case: all zeros real, no complex family
-            fams.append(ZeroFamily("aneg-complex", a, u, 0))
-        return fams
+            complex_count = 0
+        return [ZeroFamily("aneg-positive", a, u, count_positive(u)),
+                ZeroFamily("aneg-nonpositive", a, u, m_minus(a),
+                           1 - vartheta(u)),
+                ZeroFamily("aneg-complex", a, u, complex_count)]
     raise DomainError("a = 0 is not covered by the u = 2|a| expansions")
 
 

@@ -67,6 +67,28 @@ def test_zeros_auto_enumerates_all_families(capsys):
     assert sorted(fams["aneg-complex"]) == [1, 2]
 
 
+@pytest.mark.parametrize("family,kind", [
+    ("apos", "apos-complex"), ("pos", "aneg-positive"),
+    ("nonpos", "aneg-nonpositive"), ("complex", "aneg-complex")])
+@pytest.mark.parametrize("a", [8.3, 0.05, -0.6, -0.7, -6.2, -6.5, -30.7606])
+def test_explicit_family_rows_are_the_auto_rows(capsys, a, family, kind):
+    # -0.6: vartheta = 1, the non-positive zeros start at index 0;
+    # -0.7: u <= 3, no positive zeros; -6.5: Hermite, no complex zeros
+    argv = ["zeros", "--a", repr(a), "--no-refine", "--format", "json",
+            "--count", "4"]
+    rc, out = run_cli(capsys, argv)
+    assert rc == 0
+    auto = [row for row in json.loads(out) if row["family"] == kind]
+    rc, out = run_cli(capsys, argv + ["--family", family])
+    if (kind == "apos-complex") != (a > 0):
+        assert (rc, out) == (2, "")
+    elif kind == "aneg-complex" and a == -6.5:
+        assert (rc, out) == (3, "")
+    else:
+        assert rc == 0
+        assert json.loads(out) == auto
+
+
 def test_exit_code_bad_family(capsys):
     rc, _ = run_cli(capsys, ["zeros", "--a", "8.3", "--family", "pos"])
     assert rc == 2

@@ -68,6 +68,13 @@ def test_families_structure():
     assert fams["aneg-positive"].count == 3
     assert fams["aneg-nonpositive"].count == 3
     assert fams["aneg-complex"].count is None
+    # vartheta(12.4) = 0: the non-positive zeros start at index 1
+    assert fams["aneg-nonpositive"].start == 1
+
+    # u = 1.2 <= 3: no positive zeros; vartheta = 1: index 0 comes first
+    fams = {f.kind: f for f in families(-0.6)}
+    assert fams["aneg-positive"].count == 0
+    assert fams["aneg-nonpositive"].start == 0
 
     # polynomial case: no complex family
     fams = {f.kind: f for f in families(-6.5)}
