@@ -533,6 +533,9 @@ def _eval_series_mp(a, z, tol):
     w_abs = abs(z) ** 2 / 2.0
     # crude cancellation estimate: largest term ~ e^{|w|}, result ~ e^{-|w|/2}
     dps = int(20 + 0.9 * w_abs / math.log(10.0))
+    # the cancellation takes up to about 1.5 |w| / ln 10 digits: the rounds
+    # grow with |w| to reach it, rather than start there
+    step = max(15, int(0.3 * w_abs / math.log(10.0)))
     prev = None
     est = math.inf
     for _ in range(4):
@@ -542,25 +545,26 @@ def _eval_series_mp(a, z, tol):
         with mp.workdps(dps):
             zz = mp.mpc(z)
             w = zz * zz / 2.0
-            b1 = 0.5 * a + 0.25
-            b2 = 0.5 * a + 0.75
+            # formed at the working precision: rounded to doubles, each
+            # round would sum the series of a slightly different a
+            half_a = mp.mpf(a) / 2
+            b1 = half_a + 0.25
+            b2 = half_a + 0.75
             try:
                 M1 = mp.hyp1f1(b1, 0.5, w)
                 M2 = mp.hyp1f1(b2, 1.5, w)
                 D1 = mp.hyp1f1(b1 + 1.0, 1.5, w) * (b1 / 0.5)
-                # b2 / 1.5 is not exact in doubles, and the cancellation
-                # between the two solutions would amplify its rounding
-                D2 = mp.hyp1f1(b2 + 1.0, 2.5, w) * b2 / 1.5
+                D2 = mp.hyp1f1(b2 + 1.0, 2.5, w) * (b2 / 1.5)
             except ValueError as e:
                 # hypsum gives up on a series whose sum is exactly 0, as
                 # 1F1(-1; 1/2; 1/2) for U(-5/2, 1): no relative accuracy
                 raise ConvergenceError(
                     f"U({a}, {z}): mpmath's 1F1 series failed at {dps} "
                     "digits") from e
-            U0 = mp.sqrt(mp.pi) * mp.mpf(2.0) ** (-0.5 * a - 0.25) \
-                * mp.rgamma(0.75 + 0.5 * a)
-            Up0 = -mp.sqrt(mp.pi) * mp.mpf(2.0) ** (-0.5 * a + 0.25) \
-                * mp.rgamma(0.25 + 0.5 * a)
+            U0 = mp.sqrt(mp.pi) * mp.mpf(2.0) ** (-half_a - 0.25) \
+                * mp.rgamma(b2)
+            Up0 = -mp.sqrt(mp.pi) * mp.mpf(2.0) ** (-half_a + 0.25) \
+                * mp.rgamma(b1)
             E = mp.exp(-1j * mp.im(w) / 2.0)
             m = U0 * E * M1 + Up0 * zz * E * M2
             dm = (U0 * E * zz * (D1 - 0.5 * M1)
@@ -579,10 +583,11 @@ def _eval_series_mp(a, z, tol):
             if est <= tol:
                 break
         prev = cur
-        dps += 15
+        dps += step
     else:
-        raise ConvergenceError(f"U({a}, {z}): mpmath rounds up to {dps - 15} "
-                               f"digits agree only to {est:.3g}")
+        raise ConvergenceError(f"U({a}, {z}): mpmath rounds up to "
+                               f"{dps - step} digits agree only to "
+                               f"{est:.3g}")
     return _maybe_unscale(PcfValue(cur[0], cur[1], "series", max(est, 1e-15),
                                    cur[2]))
 

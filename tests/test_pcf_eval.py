@@ -354,6 +354,9 @@ PATH_BOXES = {
     "straddle": (8.3, (-12.0, 0.0, 4.0, 14.0)),
     # along the positive real axis, recessive, from the origin outward
     "axis": (2.5, (0.0, 7.0, 0.0, 2.0)),
+    # the recessive box where a / 2 + 1/4 is not a double: mpmath answers
+    # near z = 6, and must sum the series of this a and not a neighbour
+    "mpmath": (0.3, (0.5, 6.0, 0.0, 3.0)),
 }
 # at tol 1e-11 a third of the far box goes to mpmath at |z| ~ 40, which
 # takes seconds; at 1e-6 the asymptotic method answers there everywhere
@@ -537,6 +540,15 @@ def test_rgamma_against_mpmath():
         assert pcf_eval._rgamma(pole) == 0.0
     assert pcf_eval._rgamma(200.0) == 0.0
     assert pcf_eval._rgamma(-180.5) == -math.inf
+
+
+def test_mpmath_rounds_reach_the_cancellation_at_large_w():
+    # the Maclaurin series of U(0.5, 40) cancels about 1.5 |w| / ln 10 ~
+    # 521 digits, past the start (332) plus three rounds of 15 digits
+    a, z = 0.5, 40.0
+    v = eval_U(a, z, tol=1e-15)
+    ref, _ = oracles.mp_U_pair(a, z, dps=60, exponent=v.exponent)
+    assert abs(v.value - ref) <= 1e-15 * abs(ref)
 
 
 def test_mpmath_stage_raises_when_its_rounds_disagree():
