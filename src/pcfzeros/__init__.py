@@ -12,7 +12,7 @@ from .genairy import GenAiryZero, IndexShift, complex_zeros, index_shift, \
     mu, neg_zeros, refine_zero, sole_positive_zero, t_series, vartheta
 from .mapping import MapBundle, invert_zeta, map_bundle, zeta
 from .pcf_eval import PcfValue, ValidationRecord, eval_U, eval_U_prime, \
-    eval_U_quadrature, metrics, residual_eq319, winding_number
+    metrics, residual_eq319, winding_number
 from .refine import RefinedZero, h_displacement, sweep, t_iterate
 from .zeros import ZeroApproximation, ZeroFamily, count_positive, families, \
     hermite_zeros, m_minus, zeros_aneg_complex, zeros_aneg_nonpositive, \
@@ -29,7 +29,7 @@ __all__ = [
     "PcfzerosError", "PolynomialCaseError", "RefinedZero",
     "ValidationRecord", "ZeroApproximation", "ZeroFamily",
     "complex_zeros", "correction1", "correction2", "count_positive",
-    "eval_U", "eval_U_prime", "eval_U_quadrature", "eval_ai",
+    "eval_U", "eval_U_prime", "eval_ai",
     "eval_ai_rotated", "eval_bi_real", "families", "g_coeff",
     "h_displacement", "hermite_zeros", "index_shift", "invert_zeta",
     "kernel_backend", "m_minus", "map_bundle", "metrics", "mu",

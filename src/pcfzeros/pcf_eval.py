@@ -37,9 +37,6 @@ other, carrying its error by the entry's rule.  The entries:
   point (eval_U_near_zero, t_iterate's default): the chain entry without
      the taylor stages, which took minutes in refinement.
 
-quadrature — adaptive integration of the real-integral representation
-(valid for a > -1/2) — is an independent cross-check.
-
 Exponentially large/small results carry a real exponent so that
 value * e^exponent is the true function value.
 """
@@ -89,7 +86,7 @@ _ASYM_MAX_TERMS = 64
 class PcfValue:
     value: complex
     derivative: complex
-    method: str  # series | asymptotic | taylor | quadrature
+    method: str  # asymptotic | series | taylor (mpmath answers: series)
     est_accuracy: float
     # value * e**exponent is the true U; 0 unless out of double range
     exponent: float = 0.0
@@ -631,39 +628,6 @@ def eval_U_prime(a, z):
     except OverflowError:
         pass
     raise DomainError(f"U'({a}, {z}) overflows a double")
-
-
-def eval_U_quadrature(a, z):
-    """U(a,z) by adaptive quadrature of the real-integral representation;
-    only valid for a > -1/2."""
-    if a <= -0.5:
-        raise DomainError("integral representation requires a > -1/2")
-    z = complex(z)
-
-    def f(t):
-        return t ** (a - 0.5) * cmath.exp(-0.5 * t * t - z * t)
-
-    def f1(t):
-        return t ** (a + 0.5) * cmath.exp(-0.5 * t * t - z * t)
-
-    # imported here, as only this cross-check needs it
-    from scipy.integrate import quad
-    # |integrand| peaks where (a - 1/2)/t = t + Re z and decays like a
-    # Gaussian of unit width past it; truncate well past the peak
-    peak = 0.5 * (math.sqrt(z.real ** 2 + 4.0 * max(a - 0.5, 0.0)) - z.real)
-    upper = max(10.0, abs(z) + 10.0, peak + 10.0)
-    try:
-        I, errI = quad(f, 0.0, upper, complex_func=True, limit=200)
-        I1, errI1 = quad(f1, 0.0, upper, complex_func=True, limit=200)
-    except OverflowError:
-        raise DomainError(
-            f"integrand t^(a-1/2) e^(-t^2/2 - z t) of U({a}, {z}) "
-            "overflows a double") from None
-    pref = cmath.exp(-z * z / 4.0) * _rgamma(a + 0.5)
-    val = pref * I
-    der = pref * (-z / 2.0 * I - I1)
-    est = (abs(errI) + abs(errI1)) * abs(pref) / max(abs(val), 1e-300)
-    return PcfValue(val, der, "quadrature", est)
 
 
 def residual_eq319(a, w):

@@ -1,13 +1,18 @@
 """Independent reference implementations used only by the tests.
 
 Everything here is deliberately built from first principles (Maclaurin
-series in mpmath, bisection, eigenvalue quadrature nodes) so that the
-package code under test shares no evaluation path with the oracles.
+series in mpmath, bisection, eigenvalue quadrature nodes, adaptive
+quadrature) so that the package code under test shares no evaluation
+path with the oracles.
 """
+import cmath
 import math
 
 import mpmath as mp
 import numpy as np
+
+from pcfzeros.errors import DomainError
+from pcfzeros.pcf_eval import PcfValue
 
 DPS = 30
 
@@ -122,6 +127,40 @@ def mp_U_pair(a, z, dps=40, exponent=0.0):
         du = -zz / 2 * u - (a + 0.5) * mp.pcfu(a + 1, zz)
         s = mp.exp(-exponent)
         return complex(u * s), complex(du * s)
+
+
+def eval_U_quadrature(a, z):
+    """U(a,z) by adaptive quadrature of the real-integral representation;
+    only valid for a > -1/2."""
+    if a <= -0.5:
+        raise DomainError("integral representation requires a > -1/2")
+    z = complex(z)
+
+    def f(t):
+        return t ** (a - 0.5) * cmath.exp(-0.5 * t * t - z * t)
+
+    def f1(t):
+        return t ** (a + 0.5) * cmath.exp(-0.5 * t * t - z * t)
+
+    # imported here, as only this oracle needs scipy
+    from scipy.integrate import quad
+    # |integrand| peaks where (a - 1/2)/t = t + Re z and decays like a
+    # Gaussian of unit width past it; truncate well past the peak
+    peak = 0.5 * (math.sqrt(z.real ** 2 + 4.0 * max(a - 0.5, 0.0)) - z.real)
+    upper = max(10.0, abs(z) + 10.0, peak + 10.0)
+    try:
+        I, errI = quad(f, 0.0, upper, complex_func=True, limit=200)
+        I1, errI1 = quad(f1, 0.0, upper, complex_func=True, limit=200)
+    except OverflowError:
+        raise DomainError(
+            f"integrand t^(a-1/2) e^(-t^2/2 - z t) of U({a}, {z}) "
+            "overflows a double") from None
+    with mp.workdps(DPS):
+        pref = cmath.exp(-z * z / 4.0) * float(mp.rgamma(a + 0.5))
+    val = pref * I
+    der = pref * (-z / 2.0 * I - I1)
+    est = (abs(errI) + abs(errI1)) * abs(pref) / max(abs(val), 1e-300)
+    return PcfValue(val, der, "quadrature", est)
 
 
 def mp_U_prime(a, z, dps=40, h=1e-6):

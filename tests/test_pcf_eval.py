@@ -12,12 +12,13 @@ import pytest
 from pcfzeros import pcf_eval
 from pcfzeros.errors import ConvergenceError, DomainError, PcfzerosError
 from pcfzeros.pcf_eval import (Evaluator, eval_U, eval_U_near_zero,
-                               eval_U_path, eval_U_prime, eval_U_quadrature,
-                               metrics, residual_eq319, winding_number)
+                               eval_U_path, eval_U_prime, metrics,
+                               residual_eq319, winding_number)
 from pcfzeros.refine import STEP_TOL, t_iterate
 from pcfzeros.zeros import hermite_zeros, zeros_aneg_complex, zeros_apos
 
 import oracles
+from oracles import eval_U_quadrature
 
 
 def test_large_z_normalization():
