@@ -530,8 +530,9 @@ def _eval_series_mp(a, z, tol):
     w_abs = abs(z) ** 2 / 2.0
     # crude cancellation estimate: largest term ~ e^{|w|}, result ~ e^{-|w|/2}
     dps = int(20 + 0.9 * w_abs / math.log(10.0))
-    # the cancellation takes up to about 1.5 |w| / ln 10 digits: the rounds
-    # grow with |w| to reach it, rather than start there
+    # the cancellation can take 1.5 |w| / ln 10 digits; starting there
+    # would slow the calls whose rounds agree sooner, so the rounds grow
+    # with |w| to reach it
     step = max(15, int(0.3 * w_abs / math.log(10.0)))
     prev = None
     est = math.inf
