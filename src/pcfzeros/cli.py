@@ -168,7 +168,7 @@ def cmd_zeros(args):
     return code
 
 
-def _oracle_reference(a, count):
+def _oracle_reference(a):
     """Independent Hermite-node oracle (polynomial case only)."""
     import numpy as np
     u = -2.0 * a
@@ -185,7 +185,7 @@ def cmd_validate(args):
     a = args.a
     code = 0
     if args.reference == "oracle":
-        refs = _oracle_reference(a, args.count)
+        refs = _oracle_reference(a)
         fam = "aneg-positive"
         pairs = []
         for m in range(1, len(refs) + 1):

@@ -14,8 +14,9 @@ import mpmath as mp
 from .errors import DomainError
 from .mapping import _zeta_raw, map_bundle
 
-# corrections blow up as zeta0 -> 0 (zero colliding with the turning point)
-ZETA_GUARD = 1e-8
+# corrections blow up as zeta0 -> 0 (zero at the turning point) and their
+# terms cancel: correction1 is 10% off at |zeta0| = 2e-5 (u = 2n + 4/3)
+ZETA_GUARD = 1e-4
 
 
 @dataclass(frozen=True)

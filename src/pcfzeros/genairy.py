@@ -86,6 +86,8 @@ def vartheta(u):
 
 
 def index_shift(u):
+    """Away from the Hermite case u = 2n + 1, m_plus is M+ and m_minus + 1
+    is M- (zeros.count_positive, zeros.m_minus)."""
     return IndexShift(mu=mu(u), vartheta=vartheta(u),
                       m_plus=math.floor((u + 1.0) / 4.0),
                       m_minus=math.floor((u - 1.0) / 4.0))

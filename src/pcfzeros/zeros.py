@@ -6,9 +6,11 @@ Airy zero) and applying the u^{-2}, u^{-4} correction terms.
 
 For a < 0 (u = -2a) there are three families: M+ positive real zeros
 (from the Airy zeros directly), M- non-positive real zeros (from the
-negative real zeros of the combination Ai_u), and an infinite string of
-complex zeros (from the first-quadrant zeros of Ai_u).  Back-transforms
-report z in the second quadrant to one zero per conjugate pair.
+real zeros of the combination Ai_u), and an infinite string of complex
+zeros (from the first-quadrant zeros of Ai_u).  Back-transforms report
+z in the second quadrant to one zero per conjugate pair.  M+ and M- are
+closed forms from DLMF 12.11(i); for odd n the zero at the origin of the
+Hermite case u = 2n + 1 is one of the M-.
 """
 import cmath
 import math
@@ -17,9 +19,9 @@ from typing import Optional
 
 from . import genairy
 from .airy import real_airy_zero
-from .coeffs import CorrectionInput, correction1, correction2
+from .coeffs import ZETA_GUARD, CorrectionInput, correction1, correction2
 from .errors import DomainError, require_finite
-from .genairy import vartheta  # noqa: F401  (part of this module's API)
+from .genairy import vartheta
 from .mapping import ZETA_AT_0, _sigma, invert_zeta, zeta
 from .pcf_eval import Evaluator
 
@@ -46,35 +48,34 @@ class ZeroApproximation:
     terms_used: int
 
 
+def _hermite_order(u):
+    """n when u is within 1e-12 of 2n + 1 (the Hermite case H_n)."""
+    n = round((u - 1.0) / 2.0)
+    return n if abs(u - (2 * n + 1)) < 1e-12 else None
+
+
 def count_positive(u):
-    """M+: the number of positive real zeros of U(-u/2, x).
-
-    4n-1 < u < 4n+3 gives n zeros (0 for 1 < u <= 3); odd integer
-    u = 2n+1 (Hermite case H_n) gives n//2.
-    """
-    if u <= 3.0:
-        return 0
-    nearest = round(u)
-    if nearest % 2 == 1 and abs(u - nearest) < 1e-12:
-        return ((nearest - 1) // 2) // 2
-    return int(math.floor((u + 1.0) / 4.0))
+    """M+: the number of positive real zeros of U(-u/2, x), u > 0 (DLMF
+    12.11(i)): n for 4n-1 < u < 4n+3; n//2 at u = 2n+1 (H_n), where for
+    odd n the zero at the origin is one of the M-."""
+    n = _hermite_order(u)
+    return math.floor((u + 1.0) / 4.0) if n is None else n // 2
 
 
-def m_minus(a, terms=3):
-    """M-: the number of non-positive real zeros of U(a, x) for a < 0.
+def _nonpositive_indices(u):
+    """The indices of the M- = floor((u+1)/2) - M+ non-positive zeros."""
+    n = _hermite_order(u)
+    if n is not None:
+        return range(1, 1 + n - n // 2)
+    first = 1 - vartheta(u)
+    return range(first, first + math.floor((u - 1.0) / 4.0) + 1)
 
-    Operational rule: the count of indices zeros_aneg_nonpositive accepts,
-    i.e. whose mapped zero stays above zeta(0) and whose assembled xhat-
-    is still non-negative.
-    """
-    count = vartheta(_u_neg(a))  # index 0 (the sole positive zero of Ai_u)
-    for m in range(1, 10001):
-        try:
-            zeros_aneg_nonpositive(a, m, terms=terms)
-        except DomainError:
-            return count
-        count += 1
-    raise DomainError("runaway M- search")
+
+def m_minus(a):
+    """M-: the number of non-positive real zeros of U(a, x), a < 0.
+    U(a, x) has n real zeros for -n - 1/2 < a < -n + 1/2 (DLMF 12.11(i)),
+    and n at u = 2n + 1, where for odd n the origin is one of the M-."""
+    return len(_nonpositive_indices(_u_neg(a)))
 
 
 def families(a, complex_count=None):
@@ -91,31 +92,31 @@ def families(a, complex_count=None):
         except DomainError:
             # Hermite polynomial case: all zeros real, no complex family
             complex_count = 0
+        ms = _nonpositive_indices(u)
         return [ZeroFamily("aneg-positive", a, u, count_positive(u)),
-                ZeroFamily("aneg-nonpositive", a, u, m_minus(a),
-                           1 - vartheta(u)),
+                ZeroFamily("aneg-nonpositive", a, u, len(ms), ms.start),
                 ZeroFamily("aneg-complex", a, u, complex_count)]
     raise DomainError("a = 0 is not covered by the u = 2|a| expansions")
 
 
 def _assemble(m, kind, u, zeta0, terms, back):
-    """Common pipeline: invert zeta, apply corrections, back-transform."""
+    """Common pipeline: invert zeta, apply corrections, back-transform.
+    A correction is kept while defined (zeta0 outside ZETA_GUARD) and
+    smaller in modulus than the term before it."""
     if terms not in (1, 2, 3):
         raise DomainError("terms must be 1, 2 or 3")
     z0 = invert_zeta(zeta0)
-    zh = z0
-    coeffs = ()
-    if terms >= 2:
+    zh, coeffs, prev = z0, (), z0
+    if terms >= 2 and abs(zeta0) >= ZETA_GUARD:
         inp = CorrectionInput(z0=z0, zeta0=zeta0, sigma0=_sigma(z0, zeta0))
-        c1 = correction1(inp)
-        coeffs = (c1,)
-        zh = z0 + c1 / u ** 2
-        if terms >= 3:
-            c2 = correction2(inp)
-            coeffs = (c1, c2)
-            zh = zh + c2 / u ** 4
-    return ZeroApproximation(m=m, kind=kind, z0=z0, terms=coeffs,
-                             zhat=zh, z=back(zh), terms_used=terms)
+        for corr, power in ((correction1, 2), (correction2, 4))[:terms - 1]:
+            c = corr(inp)
+            step = c / u ** power
+            if not abs(step) < abs(prev):
+                break
+            coeffs, zh, prev = coeffs + (c,), zh + step, step
+    return ZeroApproximation(m=m, kind=kind, z0=z0, terms=coeffs, zhat=zh,
+                             z=back(zh), terms_used=1 + len(coeffs))
 
 
 def zeros_apos(a, m, terms=3):
@@ -138,15 +139,19 @@ def _u_neg(a):
     return -2.0 * a
 
 
+def _real_zeta0(x, u):
+    """x u^{-2/3}, raised to zeta(0) (the origin): the zero next to the
+    origin can map just below it near u = 4k + 3."""
+    return complex(max(x * u ** (-2.0 / 3.0), ZETA_AT_0))
+
+
 def zeros_aneg_positive(a, m, terms=3):
     """m-th positive real zero of U(a, .), a < 0; m = 1 is the largest."""
     u = _u_neg(a)
-    if u <= 3.0:
-        raise DomainError("no positive zeros for u <= 3")
     mplus = count_positive(u)
     if not 1 <= m <= mplus:
         raise DomainError(f"index {m} outside 1..{mplus}")
-    zeta0 = complex(real_airy_zero(m) * u ** (-2.0 / 3.0))
+    zeta0 = _real_zeta0(real_airy_zero(m), u)
     back = lambda zh: complex(2.0 * math.sqrt(0.5 * u) * zh.real)
     return _assemble(m, "aneg-positive", u, zeta0, terms, back)
 
@@ -154,24 +159,18 @@ def zeros_aneg_positive(a, m, terms=3):
 def zeros_aneg_nonpositive(a, m, terms=3):
     """Non-positive real zeros of U(a, .), a < 0, indexed per the
     1-vartheta convention: m = 0 (only when vartheta = 1) maps the sole
-    positive zero of Ai_u; m >= 1 map its negative zeros."""
+    positive zero of Ai_u; m >= 1 map its negative zeros, M- in all."""
     u = _u_neg(a)
-    th = vartheta(u)
-    if m < 1 - th:
-        raise DomainError(f"index {m} below {1 - th}")
+    ms = _nonpositive_indices(u)
+    if m not in ms:
+        raise DomainError(f"index {m} outside {ms.start}..{ms.stop - 1}")
     if m == 0:
         az = genairy.sole_positive_zero(u).value.real
     else:
         az = genairy.neg_zeros(u, m).value.real
-    zeta0 = complex(az * u ** (-2.0 / 3.0))
-    if zeta0.real < ZETA_AT_0 - 1e-9:
-        raise DomainError(
-            f"index {m} beyond M-: mapped zero below zeta(0)")
     back = lambda zh: complex(-2.0 * math.sqrt(0.5 * u) * zh.real)
-    out = _assemble(m, "aneg-nonpositive", u, zeta0, terms, back)
-    if out.zhat.real < -1e-9:
-        raise DomainError(f"index {m} beyond M-: assembled xhat negative")
-    return out
+    return _assemble(m, "aneg-nonpositive", u, _real_zeta0(az, u), terms,
+                     back)
 
 
 def zeros_aneg_complex(a, m, terms=3):
@@ -206,10 +205,7 @@ def hermite_zeros(n, terms=3, refine=True):
             zu = t_iterate(a, zu, evaluator=walker).value.real
         pos.append(zu / math.sqrt(2.0))
     pos = sorted(pos)
-    out = [-x for x in reversed(pos)]
-    if n % 2 == 1:
-        out.append(0.0)
-    out.extend(pos)
+    out = [-x for x in reversed(pos)] + [0.0] * (n % 2) + pos
     # imported here, so that importing the package does not load numpy
     import numpy as np
     return np.array(out)

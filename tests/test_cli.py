@@ -2,6 +2,7 @@ import cmath
 import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,6 +12,9 @@ import pytest
 
 from pcfzeros import cli, pcf_eval
 from pcfzeros.errors import ConvergenceError
+from pcfzeros.zeros import hermite_zeros
+
+import oracles
 
 TABLE2 = {
     1: complex(-1.3827361451259055, 6.6036342033286323),
@@ -152,16 +156,40 @@ def test_validate_reports_each_non_convergence_and_exits_4(capsys):
     assert parse_csv(cap.out) == []
 
 
-def test_undefined_t_map_step_reports_non_convergence(capsys):
-    # the seed next to the turning point is -4.8e23, where
-    # p^(1/2) U/U' rounds to i, a branch point of arctan
-    rc = cli.main(["zeros", "--a", "-1.6666667166666664",
-                   "--family", "nonpos"])
-    cap = capsys.readouterr()
-    assert rc == 4
-    assert cap.err.startswith(
-        "pcfzeros: non-convergence at aneg-nonpositive m=1: T(z) undefined")
-    assert parse_csv(cap.out) == []
+def test_zeros_hermite_case_includes_the_origin(capsys):
+    # u = 11: U(-5.5, x) = e^{-x^2/4} He_5(x), whose five zeros are
+    # sqrt(2) times those of H_5; the middle one is the origin
+    rc, out = run_cli(capsys, ["zeros", "--a", "-5.5", "--format", "json"])
+    assert rc == 0
+    rows = json.loads(out)
+    assert len(rows) == 5
+    got = sorted(r["z_refined_re"] for r in rows)
+    want = [math.sqrt(2.0) * x for x in hermite_zeros(5)]
+    assert all(abs(g - w) <= 1e-12 for g, w in zip(got, want))
+
+
+def test_zeros_next_to_the_origin_are_certified(capsys):
+    # u = 10.99: the third non-positive zero lies just left of the origin
+    rc, out = run_cli(capsys, ["zeros", "--a", "-5.495", "--format", "json"])
+    assert rc == 0
+    rows = [r for r in json.loads(out) if r["family"] == "aneg-nonpositive"]
+    assert len(rows) == 3
+    for r in rows:
+        z = complex(r["z_refined_re"], r["z_refined_im"])
+        u, du = oracles.mp_U_pair(-5.495, z)
+        spacing = math.pi / abs(cmath.sqrt(-0.25 * z * z + 5.495))
+        assert abs(u / du) <= 1e-10 * spacing, z
+
+
+def test_zeros_seed_next_to_the_turning_point(capsys):
+    # the seed of this zero keeps its leading term only: its corrections
+    # have lost their digits next to the turning point
+    rc, out = run_cli(capsys, ["zeros", "--a", "-1.6666667166666664",
+                               "--family", "nonpos", "--format", "json"])
+    assert rc == 0
+    [row] = json.loads(out)
+    assert row["terms_used"] == 1
+    assert abs(row["z_refined_re"] + 2.589234964184031) <= 1e-13
 
 
 def test_non_convergence_keeps_the_other_records(capsys, monkeypatch):

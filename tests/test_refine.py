@@ -8,8 +8,8 @@ import pytest
 
 from pcfzeros import cli
 from pcfzeros.errors import ConvergenceError, DomainError
-from pcfzeros.pcf_eval import PcfValue, eval_U
-from pcfzeros.refine import h_displacement, sweep, t_iterate
+from pcfzeros.pcf_eval import Evaluator, PcfValue, eval_U
+from pcfzeros.refine import STEP_TOL, h_displacement, sweep, t_iterate
 from pcfzeros.zeros import (families, hermite_zeros, zeros_aneg_complex,
                             zeros_aneg_nonpositive, zeros_aneg_positive,
                             zeros_apos)
@@ -169,3 +169,12 @@ def test_non_finite_input_or_value_raises_package_error(call, error):
         assert "is not finite" in str(info.value)
     if error is ConvergenceError:
         assert calls == [1.0 + 6.0j] and info.value.last == 1.0 + 6.0j
+
+
+def test_undefined_t_map_step_raises():
+    # at z = -4.8e23, p^(1/2) U/U' rounds to i, a branch point of arctan;
+    # the three-term seed of the zero next to the turning point at this a
+    a = -1.6666667166666664
+    for evaluator in (None, Evaluator(a, STEP_TOL, "chain")):
+        with pytest.raises(ConvergenceError, match="^T\\(z\\) undefined"):
+            t_iterate(a, -4.758490314673354e+23, evaluator=evaluator)

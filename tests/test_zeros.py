@@ -43,16 +43,42 @@ def test_m_minus_values():
     assert m_minus(-2.55) >= 1
 
 
+def _sign_changes_left_of_origin(a):
+    # the grid ends at +1e-9, so that a zero at x = 0 is counted
+    lo = -(2.2 * math.sqrt(-a) + 2.0)
+    xs = [lo + (1e-9 - lo) * k / 199.0 for k in range(200)]
+    return oracles.sign_change_count(
+        a, xs, lambda aa, x: oracles.mp_U(aa, x, dps=30).real)
+
+
 @pytest.mark.parametrize("a", [-2.7, -2.75, -5.72, -5.75, -5.8, -5.943,
                                -30.7606])
 def test_m_minus_against_sign_change_oracle_where_tau1_below_1(a):
     # u mod 2 in [4/3, 2): tau_1 = 1 + mu(u) < 1, where the tau-series of
     # the first negative zero of Ai_u is evaluated near t = 0
-    lo = -(2.2 * math.sqrt(-a) + 2.0)
-    xs = [lo * (1.0 - k / 199.0) for k in range(200)]
+    assert m_minus(a) == _sign_changes_left_of_origin(a)
+
+
+@pytest.mark.parametrize("a", [-1.5, -3.4999, -5.495, -5.5, -7.5,
+                               -15.4999])
+def test_m_minus_against_sign_change_oracle_next_to_the_origin(a):
+    # at and just below u = 4k + 3 one zero lies at or just left of the
+    # origin, where its Airy-type zero maps just below zeta(0)
+    assert m_minus(a) == _sign_changes_left_of_origin(a)
+
+
+@pytest.mark.parametrize("u", [1.05, 6.95, 11.0 - 1e-8, 11.000001, 15.0,
+                               30.95])
+def test_real_zero_count_against_sign_change_oracle(u):
+    # DLMF 12.11(i): floor((u + 1)/2) real zeros, n at u = 2n + 1; just
+    # above an odd u the new zero comes in from far left of the turning
+    # point, hence the wide grid
+    a = -0.5 * u
+    lo, hi = -(math.sqrt(2.0 * u) + 8.0), math.sqrt(2.0 * u) + 1.0
+    xs = sorted([lo + (hi - lo) * k / 400.0 for k in range(401)] + [1e-9])
     n = oracles.sign_change_count(
         a, xs, lambda aa, x: oracles.mp_U(aa, x, dps=30).real)
-    assert m_minus(a) == n
+    assert count_positive(u) + m_minus(a) == n
 
 
 def test_m_minus_tracks_m_plus_for_large_u():
@@ -129,8 +155,8 @@ def test_aneg_nonpositive_zeros_and_index_window():
     # vartheta=0 here: no index 0, and nothing beyond M-
     with pytest.raises(DomainError):
         zeros_aneg_nonpositive(a, 0)
-    with pytest.raises(DomainError):
-        zeros_aneg_nonpositive(a, 9)
+    with pytest.raises(DomainError, match="outside 1..3"):
+        zeros_aneg_nonpositive(a, 4)
 
 
 def test_aneg_nonpositive_index_zero_in_vartheta_window():
@@ -140,6 +166,54 @@ def test_aneg_nonpositive_index_zero_in_vartheta_window():
     z0 = zeros_aneg_nonpositive(a, 0, terms=3).z
     assert z0.imag == 0.0 and z0.real <= 0.0
     assert abs(t_iterate(a, z0).value - z0) < 1e-3
+
+
+def _certified_distinct(a, zs):
+    # each refined zero has |U/U'| small next to the local spacing, by
+    # mpmath's U, and no two of them are the same zero
+    for z in zs:
+        u, du = oracles.mp_U_pair(a, z)
+        spacing = math.pi / abs(cmath.sqrt(-0.25 * z * z - a))
+        assert abs(u / du) <= 1e-10 * spacing, (a, z)
+    xs = sorted(z.real for z in zs)
+    assert all(b - x > 1e-6 for x, b in zip(xs, xs[1:])), xs
+
+
+_REAL_FAMILY_FN = {"aneg-positive": zeros_aneg_positive,
+                   "aneg-nonpositive": zeros_aneg_nonpositive}
+
+
+def _refined_real_zeros(a):
+    return [t_iterate(a, _REAL_FAMILY_FN[f.kind](a, m).z).value
+            for f in families(a)[:2]
+            for m in range(f.start, f.start + f.count)]
+
+
+@pytest.mark.parametrize("a, kind", [(-5.5, "aneg-nonpositive"),
+                                     (-5.495, "aneg-nonpositive"),
+                                     (-7.5, "aneg-nonpositive"),
+                                     (-5.5005, "aneg-positive")])
+def test_zero_next_to_the_origin_is_seeded_at_the_origin(a, kind):
+    # its Airy-type zero maps just below zeta(0): the seed is the origin,
+    # without corrections, and refines to the zero U has there (x = 0 at
+    # u = 2n + 1, odd n); the family's last index is that zero
+    fam = next(f for f in families(a) if f.kind == kind)
+    seed = _REAL_FAMILY_FN[kind](a, fam.start + fam.count - 1)
+    assert abs(seed.z) < 1e-15 and seed.terms_used == 1
+    if a in (-5.5, -7.5):
+        assert abs(t_iterate(a, seed.z).value) <= 1e-12
+    _certified_distinct(a, _refined_real_zeros(a))
+
+
+@pytest.mark.parametrize("n, k", [(1, 5), (1, 7), (5, 6), (20, 4), (20, 6)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_turning_point_seeds_refine_to_distinct_zeros(n, k, sign):
+    # at u = 2n + 4/3 +- 10^-k a real zero sits next to the turning point,
+    # where the corrections lose their digits; those seeds keep fewer terms
+    a = -0.5 * (2 * n + 4.0 / 3.0 + sign * 10.0 ** -k)
+    first = families(a)[1].start
+    assert zeros_aneg_nonpositive(a, first).terms_used < 3
+    _certified_distinct(a, _refined_real_zeros(a))
 
 
 def test_aneg_complex_second_quadrant():
