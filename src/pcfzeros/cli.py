@@ -14,8 +14,9 @@ row by row with every other row backwards.  Everything runs in this
 process; the --jobs flag of zeros is accepted and has no effect.
 
 Exit codes: 0 ok, 2 bad flags, 3 polynomial-case complex request,
-4 solver non-convergence (partial output emitted).  The PCFZ_LOG
-environment variable sets diagnostic verbosity and never affects output.
+4 solver non-convergence or a seed t_iterate refuses (partial output
+emitted).  The PCFZ_LOG environment variable sets diagnostic verbosity
+and never affects output.
 """
 import argparse
 import csv
@@ -103,8 +104,9 @@ def _tasks_for(args):
 
 def _records(args, refine):
     """One OutputRecord per zero that _tasks_for names, in its order, and
-    the exit code: 4 when some zero did not converge, each such zero
-    reported on stderr with the other records kept.
+    the exit code: 4 when some zero did not converge or t_iterate refused
+    its seed (DomainError), each such zero reported on stderr with the
+    other records kept.
 
     Each family is refined as one chain: a chain Evaluator made here
     carries U and U' from each zero to the next.
@@ -120,7 +122,11 @@ def _records(args, refine):
                 z_approx = approx.z
                 z_refined = eps1 = eps2 = residual = None
                 if refine:
-                    rz = t_iterate(a, z_approx, evaluator=walker)
+                    try:
+                        rz = t_iterate(a, z_approx, evaluator=walker)
+                    except DomainError as e:
+                        # a seed on the turning point, where T is undefined
+                        raise ConvergenceError(str(e), last=z_approx) from e
                     z_refined = rz.value
                     if z_approx.imag == 0.0:
                         z_refined = complex(z_refined.real, 0.0)

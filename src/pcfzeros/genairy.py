@@ -94,14 +94,12 @@ def index_shift(u):
 
 
 def t_series(t):
-    """Large-|t| expansion T(t) = t^(2/3)(1 + 5/(48 t^2) - ...).
-
-    Returns (value, reliable); reliable is False for |t| < 2 where the
-    truncated series is not trustworthy.
+    """Large-|t| expansion T(t) = t^(2/3)(1 + 5/(48 t^2) - ...), summed
+    to the t^-8 term; _series_suffices decides where that is accurate
+    enough to stand without refinement.
     """
     t = complex(t)
-    val = t ** (2.0 / 3.0) * (1.0 + _t_correction(t * t))
-    return val, abs(t) >= 2.0
+    return t ** (2.0 / 3.0) * (1.0 + _t_correction(t * t))
 
 
 def _t_correction(t2):
@@ -276,7 +274,7 @@ def neg_zeros(u, m, refine=False):
         refined = True
     else:
         t = 3.0 * math.pi * tau / 8.0
-        x = -t_series(t)[0].real
+        x = -t_series(t).real
         refined = refine or not _series_suffices(t, x)
         if refined:
             x = _real_root(u, _brackets_around(x, tau), "negative zero",
@@ -323,7 +321,7 @@ def _complex_seed(u, m):
         mm = math.floor((u - 1.0) / 4.0)
         tau = 4.0 * m + 4.0 * mm - u + 1.0 + (2j / math.pi) * math.log(abs(2.0 * c))
     t = 3.0 * math.pi * tau / 8.0
-    return t, cmath.exp(1j * math.pi / 3.0) * t_series(t)[0]
+    return t, cmath.exp(1j * math.pi / 3.0) * t_series(t)
 
 
 def complex_zeros(u, m, refine=False):

@@ -2,19 +2,18 @@
 
 zeta(zhat) is the Liouville-Green variable made analytic through the
 turning point zhat = 1: (2/3) zeta^{3/2} = integral_1^zhat sqrt(t^2-1) dt,
-evaluated through cancellation-safe recasts on |zhat| >= 1 and |zhat| < 1.
-map_bundle adds beta, sigma = (zeta/(zhat^2-1))^{1/2} and the derivative
-chain, with a high-precision fallback near the (removable) singularity at
-zhat = 1.  invert_zeta solves zeta(zhat) = target by Newton.  Its start
-for a real target below -1/2 is closed-form: with zhat = cos(phi/2) on
-[0, 1), the definition reduces to phi - sin(phi) = (8/3)(-zeta)^{3/2},
-solved for phi by a scalar Newton iteration, so the zeta-Newton that
-follows only confirms it.  Each zeta-Newton step takes sigma from the
-zeta it has just evaluated.
+evaluated through cancellation-safe recasts on |zhat| >= 1 and |zhat| < 1,
+and at 40 digits within TP_GUARD of the turning point, where they cancel.
+sigma = (zeta/(zhat^2-1))^{1/2} = dzhat/dzeta is the one further piece of
+map data the zero expansions read.  invert_zeta solves zeta(zhat) =
+target by Newton.  Its start for a real target below -1/2 is
+closed-form: with zhat = cos(phi/2) on [0, 1), the definition reduces to
+phi - sin(phi) = (8/3)(-zeta)^{3/2}, solved for phi by a scalar Newton
+iteration, so the zeta-Newton that follows only confirms it.  Each
+zeta-Newton step takes sigma from the zeta it has just evaluated.
 """
 import cmath
 import math
-from dataclasses import dataclass
 
 import mpmath as mp
 
@@ -25,21 +24,10 @@ from .errors import ConvergenceError, DomainError
 TP_GUARD = 1e-3
 
 ZETA_AT_0 = -0.25 * (3.0 * math.pi) ** (2.0 / 3.0)
+_SIGMA_AT_TP = 1.0 / 2.0 ** (1.0 / 3.0)
 
 # cap on the phi-Newton of _real_section_start, which needs at most 5
 _PHI_MAX_ITER = 20
-
-
-@dataclass(frozen=True)
-class MapBundle:
-    zhat: complex
-    zeta: complex
-    beta: complex
-    sigma: complex
-    zeta1: complex  # d zeta / d zhat
-    zeta2: complex
-    sigma1: complex
-    sigma2: complex
 
 
 def _check_cut(zh):
@@ -79,69 +67,15 @@ def zeta(zh):
     return z
 
 
-def _beta(zh):
-    if abs(zh) >= 1.0:
-        return (1.0 - 1.0 / (zh * zh)) ** -0.5
-    # continuation through the upper/lower side of the cut [-1,1];
-    # real zhat in (-1,1) uses the upper-side value
-    sgn = -1.0 if zh.imag >= 0.0 else 1.0
-    return sgn * 1j * zh * (1.0 - zh * zh) ** -0.5
-
-
-def _bundle_exact_tp():
-    # limits at zhat = 1 of sigma, zeta and their derivatives
-    c = 2.0 ** (1.0 / 3.0)
-    return MapBundle(zhat=1.0 + 0.0j, zeta=0.0 + 0.0j, beta=complex("inf"),
-                     sigma=1.0 / c, zeta1=c, zeta2=c / 5.0,
-                     sigma1=-1.0 / (5.0 * c),
-                     sigma2=26.0 / (175.0 * c))
-
-
-def _bundle_mp(zh):
-    """map_bundle near the turning point: same rational chain, evaluated
-    at 40 digits so the 0/0 cancellations still leave ~25 good digits."""
-    with mp.workdps(40):
-        z = mp.mpc(zh)
-        zt = _zeta_raw(z, mp)
-        sg = mp.sqrt(zt / (z * z - 1.0))
-        zeta1 = 1.0 / sg
-        sigma1 = (1.0 - 2.0 * z * sg ** 3) / (2.0 * zt)
-        zeta2 = (2.0 * z * sg ** 3 - 1.0) / (2.0 * sg ** 2 * zt)
-        sigma2 = ((6.0 * sg ** 6 + 4.0 * sg ** 4 * zt - z * sg ** 3 - 1.0)
-                  / (2.0 * sg * zt ** 2))
-        beta = z * sg / mp.sqrt(zt)
-        return MapBundle(zhat=complex(zh), zeta=complex(zt),
-                         beta=complex(beta), sigma=complex(sg),
-                         zeta1=complex(zeta1), zeta2=complex(zeta2),
-                         sigma1=complex(sigma1), sigma2=complex(sigma2))
-
-
 def _sigma(zh, zt):
-    """sigma = (zeta/(zhat^2-1))^{1/2} from zt = zeta(zh), away from
-    zhat = 1; real for real zhat > -1."""
+    """sigma = (zeta/(zhat^2-1))^{1/2} from zt = zeta(zh), with its limit
+    2^{-1/3} at zhat = 1; real for real zhat > -1."""
+    if zh == 1.0:
+        return complex(_SIGMA_AT_TP)
     sg = cmath.sqrt(zt / (zh * zh - 1.0))
     if zh.imag == 0.0 and -1.0 < zh.real:
         sg = complex(sg.real, 0.0)
     return sg
-
-
-def map_bundle(zh):
-    """zeta, beta, sigma and derivatives at one point, mutually consistent."""
-    zh = complex(zh)
-    _check_cut(zh)
-    if zh == 1.0:
-        return _bundle_exact_tp()
-    if abs(zh - 1.0) < TP_GUARD:
-        return _bundle_mp(zh)
-    zt = zeta(zh)
-    sg = _sigma(zh, zt)
-    zeta1 = 1.0 / sg
-    sigma1 = (1.0 - 2.0 * zh * sg ** 3) / (2.0 * zt)
-    zeta2 = (2.0 * zh * sg ** 3 - 1.0) / (2.0 * sg * sg * zt)
-    sigma2 = ((6.0 * sg ** 6 + 4.0 * sg ** 4 * zt - zh * sg ** 3 - 1.0)
-              / (2.0 * sg * zt * zt))
-    return MapBundle(zhat=zh, zeta=zt, beta=_beta(zh), sigma=sg,
-                     zeta1=zeta1, zeta2=zeta2, sigma1=sigma1, sigma2=sigma2)
 
 
 def _real_section_start(zt):
@@ -170,8 +104,8 @@ def invert_zeta(zt_target, tol=1e-14, max_iter=60):
     to rounding, so the Newton loop below evaluates zeta once to confirm
     it); the turning-point linearization for other small targets; the
     iterated large-|zeta| form otherwise.  Each Newton step uses
-    dzhat/dzeta = sigma, taken from the zeta just evaluated (map_bundle's
-    40-digit path within TP_GUARD of zhat = 1).
+    dzhat/dzeta = sigma, taken by _sigma from the zeta just evaluated
+    (zeta's 40-digit value within TP_GUARD of zhat = 1).
     """
     zt_target = complex(zt_target)
     if zt_target.imag == 0.0 and zt_target.real < -0.5:
@@ -197,10 +131,6 @@ def invert_zeta(zt_target, tol=1e-14, max_iter=60):
                     abs(zh.imag) < 1e-13 * (1.0 + abs(zh)):
                 zh = complex(zh.real, 0.0)
             return zh
-        if abs(zh - 1.0) < TP_GUARD:
-            sg = map_bundle(zh).sigma
-        else:
-            sg = _sigma(zh, zt)
-        zh = zh - sg * f
+        zh = zh - _sigma(zh, zt) * f
     raise ConvergenceError("invert_zeta did not converge", last=zh,
                            residual=abs(f))

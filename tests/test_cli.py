@@ -156,6 +156,22 @@ def test_validate_reports_each_non_convergence_and_exits_4(capsys):
     assert parse_csv(cap.out) == []
 
 
+def test_seed_on_the_turning_point_is_reported_and_the_rest_kept(capsys):
+    # u = 10/3 to rounding: the m = 0 non-positive seed is the turning
+    # point itself, which t_iterate refuses with a DomainError
+    rc = cli.main(["zeros", "--a", "-1.6666666666666665", "--count", "2",
+                   "--format", "json"])
+    cap = capsys.readouterr()
+    assert rc == 4
+    assert len(cap.err.splitlines()) == 1
+    assert "aneg-nonpositive m=0: iterate too close to the turning point" \
+        in cap.err
+    rows = json.loads(cap.out)
+    assert [(r["family"], r["m"]) for r in rows] == [
+        ("aneg-complex", 1), ("aneg-complex", 2), ("aneg-positive", 1)]
+    assert all(r["z_refined_re"] is not None for r in rows)
+
+
 def test_zeros_hermite_case_includes_the_origin(capsys):
     # u = 11: U(-5.5, x) = e^{-x^2/4} He_5(x), whose five zeros are
     # sqrt(2) times those of H_5; the middle one is the origin

@@ -1,82 +1,14 @@
-import cmath
-import math
-
 import pytest
 
-from pcfzeros.coeffs import (CorrectionInput, correction1, correction2,
-                             g_coeff, upsilon1)
+from pcfzeros.coeffs import CorrectionInput, correction1, correction2
 from pcfzeros.errors import DomainError
-from pcfzeros.mapping import map_bundle
-
-UP_TP = -9.0 / (140.0 * 2.0 ** (2.0 / 3.0))
-
-
-def test_g_values_at_origin():
-    assert g_coeff(1, 0.0) == pytest.approx(-0.25)
-    assert g_coeff(2, 0.0) == pytest.approx(19.0 / 32.0)
-
-
-def test_g1_limit_at_infinity():
-    assert g_coeff(1, 1e6) == pytest.approx(-1.0 / 24.0, rel=1e-9)
-
-
-def test_g_even_in_zhat():
-    for s in (1, 2, 3, 4):
-        for zh in (0.4 + 0.3j, 2.0 + 1.0j, 0.1 - 0.9j):
-            assert g_coeff(s, zh) == pytest.approx(g_coeff(s, -zh))
-
-
-def test_g_pole_rejected():
-    with pytest.raises(DomainError):
-        g_coeff(1, 1.0)
-    with pytest.raises(DomainError):
-        g_coeff(3, -1.0)
-    with pytest.raises(DomainError):
-        g_coeff(5, 2.0)
-
-
-def test_g_finite_differences_consistency():
-    # the G_s are smooth rational functions away from +/-1; probe that the
-    # closed forms behave analytically (Cauchy-Riemann via two directions)
-    h = 1e-6
-    for s in (1, 2, 3, 4):
-        zh = 1.7 + 0.9j
-        dx = (g_coeff(s, zh + h) - g_coeff(s, zh - h)) / (2 * h)
-        dy = (g_coeff(s, zh + 1j * h) - g_coeff(s, zh - 1j * h)) / (2 * h)
-        assert abs(dx - dy / 1j) <= 1e-6 * max(1.0, abs(dx))
-
-
-def test_upsilon1_matches_raw_combination_away_from_tp():
-    for zh in (2.0 + 1.0j, 0.3 + 0.2j, 4.0 + 0.0j, 0.5 - 0.5j):
-        b = map_bundle(zh)
-        raw = zh * b.sigma * g_coeff(1, zh) / b.zeta - 5.0 / (48.0 * b.zeta ** 2)
-        assert abs(upsilon1(zh) - raw) <= 1e-12 * max(1.0, abs(raw))
-
-
-def test_upsilon1_turning_point_limit():
-    assert upsilon1(1.0) == pytest.approx(UP_TP)
-    # removable singularity: the value approached smoothly from both sides
-    for e in (1e-4, 1e-5, 1e-6, -1e-5, 1e-5j):
-        assert abs(upsilon1(1.0 + e) - UP_TP) < 5e-4
-
-
-def test_upsilon1_continuous_across_guard_bands():
-    # double-precision formula vs high-precision band vs hard limit must
-    # join without jumps (points tight enough that the genuine variation,
-    # slope ~0.02, stays below the tolerance)
-    for lo, hi in ((1.0 + 0.99e-2, 1.0 + 1.01e-2),
-                   (1.0 + 0.9e-7, 1.0 + 1.1e-7)):
-        assert abs(upsilon1(lo) - upsilon1(hi)) < 1e-5
-
-
-def test_upsilon1_singular_point_rejected():
-    with pytest.raises(DomainError):
-        upsilon1(-1.0)
+from pcfzeros.mapping import _sigma, zeta
 
 
 def _inp(zh):
-    b = map_bundle(zh)
-    return CorrectionInput(z0=zh, zeta0=b.zeta, sigma0=b.sigma)
+    zh = complex(zh)
+    zt = zeta(zh)
+    return CorrectionInput(z0=zh, zeta0=zt, sigma0=_sigma(zh, zt))
 
 
 def test_corrections_conjugation_equivariance():

@@ -29,14 +29,8 @@ def test_mu_range():
 
 def test_t_series_leading_term():
     for t in (50.0, 500.0, 5000.0):
-        val, ok = t_series(t)
-        assert ok
+        val = t_series(t)
         assert abs(val / t ** (2.0 / 3.0) - 1.0) < 1.0 / t
-
-
-def test_t_series_reliability_flag():
-    assert t_series(1.0)[1] is False
-    assert t_series(3.0)[1] is True
 
 
 def test_t_series_against_bisected_zeros():
@@ -46,12 +40,12 @@ def test_t_series_against_bisected_zeros():
     # tail); from tau=9 on it is below 1e-6 as expected.
     u = 2.0
     t = 3.0 * math.pi * 5.0 / 8.0
-    asym = -t_series(t)[0].real
+    asym = -t_series(t).real
     ref = oracles.genairy_zero_bisect(u, asym - 0.2, asym + 0.2)
     err_tau5 = abs(asym - ref)
     assert err_tau5 <= 2e-5
     t = 3.0 * math.pi * 9.0 / 8.0
-    asym = -t_series(t)[0].real
+    asym = -t_series(t).real
     ref = oracles.genairy_zero_bisect(u, asym - 0.2, asym + 0.2)
     assert abs(asym - ref) <= 1e-6 < err_tau5
 
@@ -172,7 +166,7 @@ def test_asymptotic_error_decreases_in_m():
         for m in range(2, 21):
             # the raw series itself: neg_zeros refines it wherever its
             # truncation estimate exceeds the refinement's accuracy
-            raw = -t_series(3.0 * math.pi * (4 * m - 3 + mu(u)) / 8.0)[0].real
+            raw = -t_series(3.0 * math.pi * (4 * m - 3 + mu(u)) / 8.0).real
             ref = neg_zeros(u, m, refine=True).value.real
             errs.append(abs(raw - ref))
         # monotone decay until the double-precision noise floor (~1e-14)
@@ -183,7 +177,7 @@ def test_asymptotic_error_decreases_in_m():
 def test_neg_zeros_default_is_accurate_and_tail_bounds_raw_error(u):
     for m in range(2, 11):
         t = 3.0 * math.pi * (4 * m - 3 + mu(u)) / 8.0
-        raw = -t_series(t)[0].real
+        raw = -t_series(t).real
         # bisected to 1e-14: at m = 10 the raw error is ~2e-13, below the
         # oracle's default 1e-12 resolution
         ref = oracles.genairy_zero_bisect(u, raw - 0.2, raw + 0.2, tol=1e-14)

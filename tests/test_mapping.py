@@ -7,7 +7,7 @@ import pytest
 from pcfzeros import mapping
 from pcfzeros.airy import real_airy_zero
 from pcfzeros.errors import DomainError
-from pcfzeros.mapping import (ZETA_AT_0, invert_zeta, map_bundle, zeta)
+from pcfzeros.mapping import ZETA_AT_0, invert_zeta, zeta
 
 
 def test_zeta_turning_point():
@@ -46,56 +46,12 @@ def test_local_expansion_near_turning_point():
         assert abs(r - 1.0) < 0.05
 
 
-def test_bundle_identities():
-    for zh in (2.0 + 1.0j, 0.5 + 0.0j, 1.0 + 2.0j, 0.3 - 0.8j, 5.0 + 0.0j):
-        b = map_bundle(zh)
-        assert abs(b.zeta1 * b.sigma - 1.0) <= 1e-12
-        assert abs(b.sigma1 - (1.0 - 2.0 * zh * b.sigma ** 3)
-                   / (2.0 * b.zeta)) <= 1e-12 * max(1, abs(b.sigma1))
-        assert abs(b.zeta2 - (2.0 * zh * b.sigma ** 3 - 1.0)
-                   / (2.0 * b.sigma ** 2 * b.zeta)) \
-            <= 1e-12 * max(1, abs(b.zeta2))
-        # sigma^2 (zhat^2-1) = zeta
-        assert abs(b.sigma ** 2 * (zh * zh - 1.0) - b.zeta) <= \
-            1e-12 * max(1, abs(b.zeta))
-
-
-def test_bundle_derivatives_by_finite_differences():
-    h = 1e-6
-    for zh in (2.0 + 1.0j, 0.4 + 0.6j, 1.0 + 0.00005j, 3.0 + 0.0j):
-        b = map_bundle(zh)
-        z1 = (zeta(zh + h) - zeta(zh - h)) / (2 * h)
-        z2 = (zeta(zh + h) - 2 * zeta(zh) + zeta(zh - h)) / h ** 2
-        s1 = (map_bundle(zh + h).sigma - map_bundle(zh - h).sigma) / (2 * h)
-        s2 = (map_bundle(zh + h).sigma - 2 * b.sigma
-              + map_bundle(zh - h).sigma) / h ** 2
-        assert abs(b.zeta1 - z1) < 1e-7 * max(1, abs(z1))
-        assert abs(b.zeta2 - z2) < 1e-3 * max(1, abs(z2))
-        assert abs(b.sigma1 - s1) < 1e-7 * max(1, abs(s1))
-        assert abs(b.sigma2 - s2) < 1e-3 * max(1, abs(s2))
-
-
-def test_bundle_turning_point_limits():
-    b = map_bundle(1.0)
+def test_sigma_turning_point_limit():
+    # sigma = (zeta/(zhat^2-1))^{1/2} -> 2^{-1/3} as zhat -> 1
     c = 2.0 ** (1.0 / 3.0)
-    assert b.sigma == pytest.approx(1.0 / c)
-    assert b.zeta1 == pytest.approx(c)
-    assert b.zeta2 == pytest.approx(c / 5.0)
-    assert b.sigma1 == pytest.approx(-1.0 / (5.0 * c))
-    assert b.sigma2 == pytest.approx(26.0 / (175.0 * c))
-    # the guarded high-precision path must agree with the exact limits
-    nearby = map_bundle(1.0 + 1e-7)
-    assert abs(nearby.sigma - b.sigma) < 1e-6
-    assert abs(nearby.sigma2 - b.sigma2) < 1e-4
-
-
-def test_beta_limits():
-    assert abs(map_bundle(1e6).beta - 1.0) < 1e-11
-    assert abs(map_bundle(1e6 * 1j).beta - 1.0) < 1e-11
-    # beta continues through the upper side of the cut on (-1,1)
-    up = map_bundle(0.5 + 1e-9j).beta
-    on = map_bundle(0.5).beta
-    assert abs(up - on) < 1e-7
+    assert mapping._sigma(1.0 + 0.0j, 0.0j) == pytest.approx(1.0 / c)
+    zh = 1.0 + 1e-7 + 0.0j
+    assert abs(mapping._sigma(zh, zeta(zh)) - 1.0 / c) < 1e-6
 
 
 def test_invert_zeta_round_trip():
@@ -109,6 +65,16 @@ def test_invert_zeta_round_trip():
         back = invert_zeta(zt)
         assert abs(back - zh) <= 1e-11 * (1.0 + abs(zh))
         n += 1
+
+
+def test_invert_zeta_round_trip_near_turning_point():
+    # within TP_GUARD zeta is evaluated at 40 digits; the Newton steps
+    # take sigma from _sigma all the same
+    for k in range(3, 16):
+        for j in range(8):
+            zh = 1.0 + 10.0 ** -k * cmath.exp(1j * math.pi * j / 4.0)
+            back = invert_zeta(zeta(zh))
+            assert abs(back - zh) <= 1e-11 * (1.0 + abs(zh)), (k, j)
 
 
 def test_invert_zeta_anchors():

@@ -216,6 +216,21 @@ def test_turning_point_seeds_refine_to_distinct_zeros(n, k, sign):
     _certified_distinct(a, _refined_real_zeros(a))
 
 
+@pytest.mark.parametrize("n", [1, 5, 20, 100])
+@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_second_correction_never_worsens_a_turning_point_seed(n, k, sign):
+    # u = 2n + 4/3 +- 10^(-k/2): the first non-positive zero has |zeta0|
+    # between about 1e-4 and 1e-2, where correction2's 1/zeta0^5 amplifies
+    # the rounding of (z0, zeta0, sigma0)
+    a = -0.5 * (2 * n + 4.0 / 3.0 + sign * 10.0 ** (-k / 2))
+    first = families(a)[1].start
+    z1, z2, z3 = (zeros_aneg_nonpositive(a, first, terms=t).z
+                  for t in (1, 2, 3))
+    ref = t_iterate(a, z1).value
+    assert abs(z3 - ref) <= abs(z2 - ref)
+
+
 def test_aneg_complex_second_quadrant():
     zs = [zeros_aneg_complex(-6.2, m, terms=3).z for m in range(1, 6)]
     for z in zs:
