@@ -1,67 +1,65 @@
 """Turning-point change of variables.
 
 zeta(zhat) is the Liouville-Green variable made analytic through the
-turning point zhat = 1: (2/3) zeta^{3/2} = integral_1^zhat sqrt(t^2-1) dt,
-evaluated through cancellation-safe recasts on |zhat| >= 1 and |zhat| < 1,
-and at 40 digits within TP_GUARD of the turning point, where they cancel.
-sigma = (zeta/(zhat^2-1))^{1/2} = dzhat/dzeta is the one further piece of
-map data the zero expansions read.  invert_zeta solves zeta(zhat) =
-target by Newton.  Its start for a real target below -1/2 is
-closed-form: with zhat = cos(phi/2) on [0, 1), the definition reduces to
-phi - sin(phi) = (8/3)(-zeta)^{3/2}, solved for phi by a scalar Newton
-iteration, so the zeta-Newton that follows only confirms it.  Each
-zeta-Newton step takes sigma from the zeta it has just evaluated.
+turning point zhat = 1: (2/3) zeta^{3/2} = integral_1^zhat sqrt(t^2-1) dt.
+Within TP_RADIUS of zhat = 1, zeta = d P(d) (d = zhat - 1) and sigma =
+(zeta/(zhat^2-1))^{1/2} = dzhat/dzeta = (P(d)/(2 + d))^{1/2}, the map data
+the zero expansions read, are Taylor sums in doubles; outside it, closed
+forms, zeta through cancellation-safe recasts on |zhat| >= 1 and < 1.
+invert_zeta solves zeta(zhat) = target by Newton.  Its start for a real
+target below -1/2 is closed-form: with zhat = cos(phi/2) on [0, 1), the
+definition reduces to phi - sin(phi) = (8/3)(-zeta)^{3/2}, solved for
+phi by a scalar Newton iteration, so the zeta-Newton that follows only
+confirms it.  Each zeta-Newton step takes sigma from the zeta just found.
 """
 import cmath
 import math
 
-import mpmath as mp
-
 from .errors import ConvergenceError, DomainError
 
-# inside this distance from zhat=1 the double-precision recasts lose too
-# many digits to cancellation; switch to 40-digit arithmetic
-TP_GUARD = 1e-3
+# within this distance of zhat = 1 the closed forms of zeta, sigma and the
+# corrections (coeffs) cancel; each Taylor table (see tests/test_coeffs.py)
+# ends before its first term below 1e-16 of its leading one at this radius
+TP_RADIUS = 0.05
+
+# P(d) = zeta(1 + d)/d, P(0) = 2^{1/3}
+_P = (1.2599210498948732, 0.12599210498948732, -0.014399097713084265,
+      0.0029598145299117654, -0.0007683674364067188, 0.0002277163999971104,
+      -7.363016532116176e-05, 2.5336048019211565e-05, -9.136143762223522e-06)
 
 ZETA_AT_0 = -0.25 * (3.0 * math.pi) ** (2.0 / 3.0)
-_SIGMA_AT_TP = 1.0 / 2.0 ** (1.0 / 3.0)
 
 # cap on the phi-Newton of _real_section_start, which needs at most 5
 _PHI_MAX_ITER = 20
 
 
-def _check_cut(zh):
-    if zh.imag == 0.0 and zh.real <= -1.0:
-        raise DomainError(f"zhat={zh} lies on the cut (-inf,-1]")
+def taylor(cs, d):
+    """sum_k cs[k] d^k, by Horner."""
+    s = 0.0
+    for c in reversed(cs):
+        s = s * d + c
+    return s
 
 
-def _zeta_raw(zh, m):
-    """zeta via the two recast branches; m is the math/cmath-style module
-    (cmath for doubles, mpmath context for the high-precision path)."""
-    # the 2/3 exponent must match the working precision: a double 2/3
-    # inside the mp path costs ~1e-15 relative error, which the near-1
-    # cancellations amplify
-    two3 = 2.0 / 3.0 if m is cmath else mp.mpf(2) / 3
+def _zeta_raw(zh):
+    """zeta via the two recast branches."""
     if abs(zh) >= 1.0:
         y = 1.0 / (zh * zh)
-        s = m.sqrt(1.0 - y)
-        br = 0.75 * (s - y * m.log(1.0 + s) - y * m.log(zh))
-        return m.exp(2 * two3 * m.log(zh)) * br ** two3
-    ac = -1j * m.log(zh + 1j * m.sqrt(1.0 - zh * zh))
-    br = 0.75 * (ac - zh * m.sqrt(1.0 - zh * zh))
-    return -(br ** two3)
+        s = cmath.sqrt(1.0 - y)
+        br = 0.75 * (s - y * cmath.log(1.0 + s) - y * cmath.log(zh))
+        return cmath.exp(4.0 / 3.0 * cmath.log(zh)) * br ** (2.0 / 3.0)
+    ac = -1j * cmath.log(zh + 1j * cmath.sqrt(1.0 - zh * zh))
+    br = 0.75 * (ac - zh * cmath.sqrt(1.0 - zh * zh))
+    return -(br ** (2.0 / 3.0))
 
 
 def zeta(zh):
     """The turning-point variable; real for real zhat in (-1, inf), 0 at 1."""
     zh = complex(zh)
-    _check_cut(zh)
-    if zh == 1.0:
-        return 0.0 + 0.0j
-    if abs(zh - 1.0) < TP_GUARD:
-        with mp.workdps(40):
-            return complex(_zeta_raw(mp.mpc(zh), mp))
-    z = _zeta_raw(zh, cmath)
+    if zh.imag == 0.0 and zh.real <= -1.0:
+        raise DomainError(f"zhat={zh} lies on the cut (-inf,-1]")
+    d = zh - 1.0
+    z = d * taylor(_P, d) if abs(d) < TP_RADIUS else _zeta_raw(zh)
     if zh.imag == 0.0 and zh.real > -1.0:
         z = complex(z.real, 0.0)
     return z
@@ -70,9 +68,9 @@ def zeta(zh):
 def _sigma(zh, zt):
     """sigma = (zeta/(zhat^2-1))^{1/2} from zt = zeta(zh), with its limit
     2^{-1/3} at zhat = 1; real for real zhat > -1."""
-    if zh == 1.0:
-        return complex(_SIGMA_AT_TP)
-    sg = cmath.sqrt(zt / (zh * zh - 1.0))
+    d = zh - 1.0
+    sg = cmath.sqrt(taylor(_P, d) / (2.0 + d) if abs(d) < TP_RADIUS
+                    else zt / (d * (zh + 1.0)))
     if zh.imag == 0.0 and -1.0 < zh.real:
         sg = complex(sg.real, 0.0)
     return sg
@@ -104,8 +102,8 @@ def invert_zeta(zt_target, tol=1e-14, max_iter=60):
     to rounding, so the Newton loop below evaluates zeta once to confirm
     it); the turning-point linearization for other small targets; the
     iterated large-|zeta| form otherwise.  Each Newton step uses
-    dzhat/dzeta = sigma, taken by _sigma from the zeta just evaluated
-    (zeta's 40-digit value within TP_GUARD of zhat = 1).
+    dzhat/dzeta = sigma, taken by _sigma from the zeta just evaluated;
+    within TP_RADIUS of zhat = 1 both are Taylor sums in doubles.
     """
     zt_target = complex(zt_target)
     if zt_target.imag == 0.0 and zt_target.real < -0.5:

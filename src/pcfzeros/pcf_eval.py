@@ -395,8 +395,14 @@ def _scaled_estimate(runs, err, z):
 
 
 def _scaled_error(v, z):
-    """The error of answer v on _scaled_estimate's scale."""
-    ref = max(abs(v.value), abs(v.derivative) / (1.0 + abs(z)), 1e-300)
+    """The error of answer v on _scaled_estimate's scale; inf, so that its
+    stage declines, where U or U' is not finite or its size overflows."""
+    if not (cmath.isfinite(v.value) and cmath.isfinite(v.derivative)):
+        return math.inf
+    try:
+        ref = max(abs(v.value), abs(v.derivative) / (1.0 + abs(z)), 1e-300)
+    except OverflowError:
+        return math.inf
     return v.est_accuracy * abs(v.value) / ref
 
 

@@ -19,11 +19,10 @@ from typing import Optional
 
 from . import genairy
 from .airy import real_airy_zero
-from .coeffs import (CORRECTION2_GUARD, ZETA_GUARD, CorrectionInput,
-                     correction1, correction2)
+from .coeffs import CorrectionInput, correction1, correction2
 from .errors import DomainError, require_finite
 from .genairy import vartheta
-from .mapping import ZETA_AT_0, _sigma, invert_zeta, zeta
+from .mapping import ZETA_AT_0, _sigma, invert_zeta
 from .pcf_eval import Evaluator
 
 _EXP_IPI3 = cmath.exp(1j * math.pi / 3.0)
@@ -102,19 +101,15 @@ def families(a, complex_count=None):
 
 def _assemble(m, kind, u, zeta0, terms, back):
     """Common pipeline: invert zeta, apply corrections, back-transform.
-    A correction is kept while defined (|zeta0| at least its guard) and
-    smaller in modulus than the term before it."""
+    A correction is kept while smaller in modulus than the term before it,
+    next to the turning point too, where it is a Taylor sum (coeffs)."""
     if terms not in (1, 2, 3):
         raise DomainError("terms must be 1, 2 or 3")
     z0 = invert_zeta(zeta0)
     zh, coeffs, prev = z0, (), z0
     if terms >= 2:
         inp = CorrectionInput(z0=z0, zeta0=zeta0, sigma0=_sigma(z0, zeta0))
-        for corr, power, guard in ((correction1, 2, ZETA_GUARD),
-                                   (correction2, 4, CORRECTION2_GUARD)
-                                   )[:terms - 1]:
-            if abs(zeta0) < guard:
-                break
+        for corr, power in ((correction1, 2), (correction2, 4))[:terms - 1]:
             c = corr(inp)
             step = c / u ** power
             if not abs(step) < abs(prev):

@@ -111,6 +111,24 @@ def hermite_nodes(n):
     return np.sort(np.linalg.eigvalsh(T))
 
 
+def mp_zeta_over_d(d):
+    """P(d) = zeta(1 + d)/d for |d| < 2, at the working precision.  With
+    t = 1 + s^2 d, (2/3) zeta^{3/2} = integral_1^{1+d} sqrt(t^2 - 1) dt
+    gives P = (3 integral_0^1 s^2 sqrt(2 + s^2 d) ds)^{2/3}; the integral
+    is summed from the binomial series of sqrt(2 + s^2 d), term by term,
+    so nothing cancels next to the turning point d = 0."""
+    d = mp.mpmathify(d)
+    # c = 3 sqrt(2) binomial(1/2, k) (d/2)^k
+    q, c, k = 0, 3 * mp.sqrt(2), 0
+    while True:
+        t = c / (2 * k + 3)
+        q += t
+        if abs(t) <= mp.eps * abs(q):
+            return q ** (mp.mpf(2) / 3)
+        c *= (mp.mpf(1) / 2 - k) / (k + 1) * d / 2
+        k += 1
+
+
 def mp_U(a, z, dps=40):
     """U(a,z) by mpmath's independent implementation."""
     with mp.workdps(dps):

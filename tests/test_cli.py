@@ -157,19 +157,26 @@ def test_validate_reports_each_non_convergence_and_exits_4(capsys):
 
 
 def test_seed_on_the_turning_point_is_reported_and_the_rest_kept(capsys):
-    # u = 10/3 to rounding: the m = 0 non-positive seed is the turning
-    # point itself, which t_iterate refuses with a DomainError
+    # u = 10/3 to rounding: the m = 0 non-positive zero's leading term is
+    # the turning point zhat = 1 itself; the corrections' limits there
+    # move its seed to zhat = 1.002796, about 1e-5 from the zero, and all
+    # four zeros are refined
     rc = cli.main(["zeros", "--a", "-1.6666666666666665", "--count", "2",
                    "--format", "json"])
     cap = capsys.readouterr()
-    assert rc == 4
-    assert len(cap.err.splitlines()) == 1
-    assert "aneg-nonpositive m=0: iterate too close to the turning point" \
-        in cap.err
+    assert rc == 0
+    assert cap.err == ""
     rows = json.loads(cap.out)
     assert [(r["family"], r["m"]) for r in rows] == [
-        ("aneg-complex", 1), ("aneg-complex", 2), ("aneg-positive", 1)]
+        ("aneg-complex", 1), ("aneg-complex", 2), ("aneg-nonpositive", 0),
+        ("aneg-positive", 1)]
     assert all(r["z_refined_re"] is not None for r in rows)
+    row = rows[2]
+    scale = 2.0 * math.sqrt(1.6666666666666665)
+    seed, zero = -row["z_approx_re"] / scale, -row["z_refined_re"] / scale
+    assert row["terms_used"] == 3
+    assert abs(seed - 1.002796) < 1e-6
+    assert abs(zero - seed) < 2e-5
 
 
 def test_zeros_hermite_case_includes_the_origin(capsys):
@@ -198,13 +205,13 @@ def test_zeros_next_to_the_origin_are_certified(capsys):
 
 
 def test_zeros_seed_next_to_the_turning_point(capsys):
-    # the seed of this zero keeps its leading term only: its corrections
-    # have lost their digits next to the turning point
+    # the seed of this zero keeps all three terms: next to the turning
+    # point its corrections are Taylor sums
     rc, out = run_cli(capsys, ["zeros", "--a", "-1.6666667166666664",
                                "--family", "nonpos", "--format", "json"])
     assert rc == 0
     [row] = json.loads(out)
-    assert row["terms_used"] == 1
+    assert row["terms_used"] == 3
     assert abs(row["z_refined_re"] + 2.589234964184031) <= 1e-13
 
 

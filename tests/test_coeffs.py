@@ -1,8 +1,14 @@
+import cmath
+import math
+import time
+
+import mpmath as mp
 import pytest
 
+import oracles
+from pcfzeros import coeffs, mapping
 from pcfzeros.coeffs import CorrectionInput, correction1, correction2
-from pcfzeros.errors import DomainError
-from pcfzeros.mapping import _sigma, zeta
+from pcfzeros.mapping import TP_RADIUS, _sigma, zeta
 
 
 def _inp(zh):
@@ -26,13 +32,64 @@ def test_corrections_real_on_real_section():
     assert abs(complex(correction2(i)).imag) < 1e-12
 
 
-def test_corrections_reject_turning_point_collision():
-    i = CorrectionInput(z0=1.0 + 1e-9j, zeta0=1e-12 + 0j,
-                       sigma0=2.0 ** (-1.0 / 3.0))
-    with pytest.raises(DomainError):
-        correction1(i)
-    with pytest.raises(DomainError):
-        correction2(i)
+def _mp_inp(d):
+    """CorrectionInput at zhat = 1 + d, at the working precision, from the
+    oracle's P(d) = zeta(1 + d)/d: zeta = d P, sigma = (P/(2 + d))^{1/2}."""
+    d = mp.mpmathify(d)
+    p = oracles.mp_zeta_over_d(d)
+    return CorrectionInput(z0=1 + d, zeta0=d * p, sigma0=mp.sqrt(p / (2 + d)))
+
+
+def _mp_closed(corr, d, dps):
+    """corr's closed form at zhat = 1 + d, at dps digits (TP_RADIUS 0, so
+    that no Taylor sum is taken)."""
+    with pytest.MonkeyPatch.context() as patch, mp.workdps(dps):
+        patch.setattr(coeffs, "TP_RADIUS", 0.0)
+        return complex(corr(_mp_inp(d)))
+
+
+def test_taylor_tables_regenerate():
+    # the Taylor coefficients in d = zhat - 1 of P(d) = zeta(1 + d)/d and
+    # of the two corrections, by a 64-node trapezoid rule on |d| = 1/2 at
+    # 40 digits (the series converge for |d| < 2): each table holds them
+    # rounded to doubles, and ends before its first term below 1e-16 of
+    # its leading one at |d| = TP_RADIUS
+    t0 = time.perf_counter()
+    n, r = 64, mp.mpf(1) / 2
+    with mp.workdps(40):
+        ds = [r * mp.expjpi(mp.mpf(2 * j) / n) for j in range(n)]
+        rows = [(inp.zeta0 / d, correction1(inp), correction2(inp))
+                for d, inp in ((d, _mp_inp(d)) for d in ds)]
+        for f, table in enumerate((mapping._P, coeffs._C1, coeffs._C2)):
+            cs = [mp.fsum(row[f] * (d / r) ** -k for d, row in zip(ds, rows))
+                  .real / n / r ** k for k in range(len(table) + 1)]
+            assert tuple(float(c) for c in cs[:-1]) == table
+            size = [abs(c) * TP_RADIUS ** k / abs(cs[0])
+                    for k, c in enumerate(cs)]
+            assert size[-1] < 1e-16 <= min(size[:-1])
+    assert time.perf_counter() - t0 < 2.0
+
+
+def test_corrections_at_the_turning_point_equal_their_limits():
+    # zeta0 = 0 at z0 = 1: correction1 -> 9/280; correction2's limit is
+    # its closed form at z0 = 1 + 1e-30, to 1e-30
+    i = CorrectionInput(z0=1.0 + 0j, zeta0=0j, sigma0=2.0 ** (-1.0 / 3.0))
+    c2 = _mp_closed(correction2, mp.mpf("1e-30"), 250)
+    assert abs(correction1(i) - 9.0 / 280.0) <= 1e-15 * 9.0 / 280.0
+    assert abs(correction2(i) - c2) <= 1e-15 * abs(c2)
+
+
+@pytest.mark.parametrize("k", range(16))
+def test_corrections_against_mpmath_through_the_turning_point(k):
+    # zhat = 1 + 10^-k e^{i pi j/4} in doubles: Taylor sums within
+    # TP_RADIUS, closed forms outside, against the closed forms at 50
+    # digits beyond those their 1/zeta0^5 cancels
+    for j in range(8):
+        zh = 1.0 + 10.0 ** -k * cmath.exp(1j * math.pi * j / 4.0)
+        inp = _inp(zh)
+        for corr, tol in ((correction1, 1e-11), (correction2, 1e-6)):
+            ref = _mp_closed(corr, mp.mpc(zh - 1.0), 50 + 6 * k)
+            assert abs(corr(inp) - ref) <= tol * abs(ref), (j, corr)
 
 
 def test_corrections_scale_oracle():

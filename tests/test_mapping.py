@@ -1,9 +1,11 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+import oracles
 from pcfzeros import mapping
 from pcfzeros.airy import real_airy_zero
 from pcfzeros.errors import DomainError
@@ -67,14 +69,31 @@ def test_invert_zeta_round_trip():
         n += 1
 
 
+@pytest.mark.parametrize("delta", [10.0 ** -k for k in range(16)] + [0.2])
+def test_map_against_mpmath_through_the_turning_point(delta):
+    # zhat = 1 + delta e^{i pi j/4}: zeta and sigma are Taylor sums in
+    # doubles within TP_RADIUS of zhat = 1 and closed forms outside, sigma
+    # from (zhat - 1)(zhat + 1); both against the oracle's P(d) = zeta(1 +
+    # d)/d at 50 digits
+    for j in range(8):
+        zh = 1.0 + delta * cmath.exp(1j * math.pi * j / 4.0)
+        with mp.workdps(50):
+            d = mp.mpc(zh - 1.0)
+            p = oracles.mp_zeta_over_d(d)
+            zt_ref, sg_ref = complex(d * p), complex(mp.sqrt(p / (2 + d)))
+        zt = zeta(zh)
+        assert abs(zt - zt_ref) <= 1e-14 * abs(zt_ref), j
+        assert abs(mapping._sigma(zh, zt) - sg_ref) <= 1e-14 * abs(sg_ref), j
+
+
 def test_invert_zeta_round_trip_near_turning_point():
-    # within TP_GUARD zeta is evaluated at 40 digits; the Newton steps
-    # take sigma from _sigma all the same
-    for k in range(3, 16):
+    # within TP_RADIUS zeta and sigma are Taylor sums in doubles; the
+    # Newton steps take sigma from _sigma all the same
+    for k in range(16):
         for j in range(8):
             zh = 1.0 + 10.0 ** -k * cmath.exp(1j * math.pi * j / 4.0)
             back = invert_zeta(zeta(zh))
-            assert abs(back - zh) <= 1e-11 * (1.0 + abs(zh)), (k, j)
+            assert abs(back - zh) <= 1e-14 * (1.0 + abs(zh)), (k, j)
 
 
 def test_invert_zeta_anchors():

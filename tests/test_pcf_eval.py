@@ -557,3 +557,19 @@ def test_mpmath_stage_raises_when_its_rounds_disagree():
     # cancellation: they never agree to tol, and no answer is returned
     with pytest.raises(ConvergenceError):
         eval_U(1000.3, 2 + 1j)
+
+
+@pytest.mark.parametrize("value", [complex(math.nan, math.nan),
+                                   complex(math.inf, 0.0),
+                                   complex(1.5e308, 1.5e308)])
+def test_series_stage_declines_a_non_finite_or_overflowing_answer(
+        monkeypatch, value):
+    # at a = -500.3 the double series overflows next to the first complex
+    # zero, z = -45.08 + 0.63i: its answer is not finite, or too large for
+    # abs(); the chain and point stages decline it instead of raising
+    monkeypatch.setattr(pcf_eval, "_eval_series_double",
+                        lambda a, z: pcf_eval.PcfValue(value, value, "series",
+                                                       1e-16))
+    for scale in ("chain", "point"):
+        ev = Evaluator(-500.3, STEP_TOL, scale)
+        assert ev._series(-45.08 + 0.63j, 1e-3) is None

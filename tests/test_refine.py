@@ -173,7 +173,8 @@ def test_non_finite_input_or_value_raises_package_error(call, error):
 
 def test_undefined_t_map_step_raises():
     # at z = -4.8e23, p^(1/2) U/U' rounds to i, a branch point of arctan;
-    # the three-term seed of the zero next to the turning point at this a
+    # the closed-form corrections once made it the three-term seed of the
+    # zero next to the turning point at this a (now -2.589, from Taylor sums)
     a = -1.6666667166666664
     for evaluator in (None, Evaluator(a, STEP_TOL, "chain")):
         with pytest.raises(ConvergenceError, match="^T\\(z\\) undefined"):

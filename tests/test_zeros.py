@@ -209,10 +209,15 @@ def test_zero_next_to_the_origin_is_seeded_at_the_origin(a, kind):
 @pytest.mark.parametrize("sign", [1, -1])
 def test_turning_point_seeds_refine_to_distinct_zeros(n, k, sign):
     # at u = 2n + 4/3 +- 10^-k a real zero sits next to the turning point,
-    # where the corrections lose their digits; those seeds keep fewer terms
+    # where the corrections are Taylor sums: its seed keeps all three
+    # terms, each no farther from the zero than the one before
     a = -0.5 * (2 * n + 4.0 / 3.0 + sign * 10.0 ** -k)
     first = families(a)[1].start
-    assert zeros_aneg_nonpositive(a, first).terms_used < 3
+    seeds = [zeros_aneg_nonpositive(a, first, terms=t) for t in (1, 2, 3)]
+    assert seeds[2].terms_used == 3
+    ref = t_iterate(a, seeds[0].z).value
+    z1, z2, z3 = (abs(s.z - ref) for s in seeds)
+    assert z3 <= z2 <= z1
     _certified_distinct(a, _refined_real_zeros(a))
 
 
@@ -221,14 +226,19 @@ def test_turning_point_seeds_refine_to_distinct_zeros(n, k, sign):
 @pytest.mark.parametrize("sign", [1, -1])
 def test_second_correction_never_worsens_a_turning_point_seed(n, k, sign):
     # u = 2n + 4/3 +- 10^(-k/2): the first non-positive zero has |zeta0|
-    # between about 1e-4 and 1e-2, where correction2's 1/zeta0^5 amplifies
-    # the rounding of (z0, zeta0, sigma0)
+    # between about 1e-4 and 1e-2, where correction2's closed form, with
+    # its 1/zeta0^5, would amplify the rounding of (z0, zeta0, sigma0).
+    # At k = 4 all three terms are kept, and at n = 5 correction2 helps
     a = -0.5 * (2 * n + 4.0 / 3.0 + sign * 10.0 ** (-k / 2))
     first = families(a)[1].start
     z1, z2, z3 = (zeros_aneg_nonpositive(a, first, terms=t).z
                   for t in (1, 2, 3))
     ref = t_iterate(a, z1).value
     assert abs(z3 - ref) <= abs(z2 - ref)
+    if k == 4:
+        assert zeros_aneg_nonpositive(a, first).terms_used == 3
+    if k == 4 and n == 5:
+        assert abs(z3 - ref) < abs(z2 - ref)
 
 
 def test_aneg_complex_second_quadrant():
