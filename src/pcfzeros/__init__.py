@@ -7,12 +7,12 @@ from .airy import AiryValue, eval_ai, eval_ai_rotated, eval_bi_real, \
 from .coeffs import CorrectionInput, correction1, correction2
 from .errors import ChainBreakError, ConvergenceError, DomainError, \
     PcfzerosError, PolynomialCaseError
-from .genairy import GenAiryZero, IndexShift, complex_zeros, index_shift, \
-    mu, neg_zeros, refine_zero, sole_positive_zero, t_series, vartheta
+from .genairy import GenAiryZero, complex_zeros, mu, neg_zeros, \
+    refine_zero, sole_positive_zero, t_series, vartheta
 from .mapping import invert_zeta, zeta
-from .pcf_eval import PcfValue, ValidationRecord, eval_U, eval_U_prime, \
-    metrics, residual_eq319, winding_number
-from .refine import RefinedZero, h_displacement, sweep, t_iterate
+from .pcf_eval import PcfValue, ValidationRecord, eval_U, metrics, \
+    winding_number
+from .refine import RefinedZero, sweep, t_iterate
 from .zeros import ZeroApproximation, ZeroFamily, count_positive, families, \
     hermite_zeros, m_minus, zeros_aneg_complex, zeros_aneg_nonpositive, \
     zeros_aneg_positive, zeros_apos
@@ -24,16 +24,14 @@ kernel_backend = "pure"
 
 __all__ = [
     "AiryValue", "ChainBreakError", "ConvergenceError", "CorrectionInput",
-    "DomainError", "GenAiryZero", "IndexShift", "PcfValue",
-    "PcfzerosError", "PolynomialCaseError", "RefinedZero",
-    "ValidationRecord", "ZeroApproximation", "ZeroFamily",
-    "complex_zeros", "correction1", "correction2", "count_positive",
-    "eval_U", "eval_U_prime", "eval_ai",
-    "eval_ai_rotated", "eval_bi_real", "families",
-    "h_displacement", "hermite_zeros", "index_shift", "invert_zeta",
-    "kernel_backend", "m_minus", "metrics", "mu",
-    "neg_zeros", "real_airy_zero", "refine_zero", "residual_eq319",
-    "sole_positive_zero", "sweep", "t_iterate", "t_series",
-    "vartheta", "winding_number", "zeros_aneg_complex",
-    "zeros_aneg_nonpositive", "zeros_aneg_positive", "zeros_apos", "zeta",
+    "DomainError", "GenAiryZero", "PcfValue", "PcfzerosError",
+    "PolynomialCaseError", "RefinedZero", "ValidationRecord",
+    "ZeroApproximation", "ZeroFamily", "complex_zeros", "correction1",
+    "correction2", "count_positive", "eval_U", "eval_ai", "eval_ai_rotated",
+    "eval_bi_real", "families", "hermite_zeros", "invert_zeta",
+    "kernel_backend", "m_minus", "metrics", "mu", "neg_zeros",
+    "real_airy_zero", "refine_zero", "sole_positive_zero", "sweep",
+    "t_iterate", "t_series", "vartheta", "winding_number",
+    "zeros_aneg_complex", "zeros_aneg_nonpositive", "zeros_aneg_positive",
+    "zeros_apos", "zeta",
 ]

@@ -63,14 +63,6 @@ class GenAiryZero:
         return identity_residual(self.u, self.value)
 
 
-@dataclass(frozen=True)
-class IndexShift:
-    mu: float
-    vartheta: int
-    m_plus: int
-    m_minus: int
-
-
 def mu(u):
     """Periodic phase shift of period 2: 2u on [0,4/3) mod 2, else 2u-4."""
     if u < 0:
@@ -83,14 +75,6 @@ def vartheta(u):
     """1 when u reduced mod 2 lies in (1, 4/3), else 0."""
     r = math.fmod(u, 2.0)
     return 1 if 1.0 < r < 4.0 / 3.0 else 0
-
-
-def index_shift(u):
-    """Away from the Hermite case u = 2n + 1, m_plus is M+ and m_minus + 1
-    is M- (zeros.count_positive, zeros.m_minus)."""
-    return IndexShift(mu=mu(u), vartheta=vartheta(u),
-                      m_plus=math.floor((u + 1.0) / 4.0),
-                      m_minus=math.floor((u - 1.0) / 4.0))
 
 
 def t_series(t):

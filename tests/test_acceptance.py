@@ -11,13 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from pcfzeros.genairy import (complex_zeros, identity_residual, index_shift,
-                              neg_zeros, vartheta)
+from pcfzeros.genairy import (complex_zeros, identity_residual, neg_zeros,
+                              vartheta)
 from pcfzeros.mapping import invert_zeta, zeta
 from pcfzeros.pcf_eval import eval_U, metrics, winding_number
 from pcfzeros.refine import t_iterate
-from pcfzeros.zeros import (count_positive, hermite_zeros, zeros_aneg_complex,
-                            zeros_apos)
+from pcfzeros.zeros import (count_positive, hermite_zeros, m_minus,
+                            zeros_aneg_complex, zeros_apos)
 from pcfzeros.airy import eval_ai, eval_ai_rotated
 
 import oracles
@@ -208,10 +208,10 @@ def test_criterion_8_counting():
             a, xs, lambda aa, x: oracles.mp_U(aa, x, dps=25).real)
         assert count_positive(u) == n, u
     for u, th, mp_, mm in GRID:
-        s = index_shift(u)
         assert vartheta(u) == th, u
-        assert s.m_plus == mp_, u
-        assert s.m_minus == mm, u
+        assert count_positive(u) == mp_, u
+        # the grid's m- is M- - 1 (no u on it is an odd integer)
+        assert m_minus(-0.5 * u) - 1 == mm, u
     print("[criterion 8] M+ matches sign-change oracle on 5 u values; "
           "vartheta/m+/m- match hand values on 20-point grid: PASS")
 

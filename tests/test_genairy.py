@@ -5,9 +5,9 @@ import pytest
 
 from pcfzeros.errors import PolynomialCaseError
 from pcfzeros.genairy import (_complex_seed, _t_series_tail, complex_zeros,
-                              identity_residual, index_shift, mu, neg_zeros,
-                              refine_zero, sole_positive_zero, t_series,
-                              vartheta)
+                              identity_residual, mu, neg_zeros, refine_zero,
+                              sole_positive_zero, t_series, vartheta)
+from pcfzeros.zeros import count_positive, m_minus
 
 import oracles
 
@@ -70,12 +70,12 @@ def test_neg_zero_m1_is_refined():
 
 
 def test_index_shift_values():
-    s = index_shift(12.4)
-    assert s.m_plus == 3
-    assert s.m_minus == 2
-    assert s.vartheta == 0
-    assert s.mu == pytest.approx(0.8)
-    assert index_shift(16.6).m_plus == 4
+    # M+ and M- - 1 enter the tau of the complex zeros
+    assert count_positive(12.4) == 3
+    assert m_minus(-6.2) - 1 == 2
+    assert vartheta(12.4) == 0
+    assert mu(12.4) == pytest.approx(0.8)
+    assert count_positive(16.6) == 4
 
 
 def test_vartheta():
@@ -121,7 +121,7 @@ def test_complex_zeros_tau_branch_example():
     # u=16.6: cos(8.3 pi) > 0, m+ = 4
     u = 16.6
     assert math.cos(0.5 * u * math.pi) > 0
-    assert index_shift(u).m_plus == 4
+    assert count_positive(u) == 4
     z1 = complex_zeros(u, 1, refine=True)
     assert z1.residual <= 1e-12
 

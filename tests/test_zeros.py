@@ -6,13 +6,13 @@ import pytest
 
 from pcfzeros.errors import DomainError
 from pcfzeros.genairy import complex_zeros, identity_residual
-from pcfzeros.pcf_eval import residual_eq319
 from pcfzeros.refine import t_iterate
 from pcfzeros.zeros import (count_positive, families, hermite_zeros, m_minus,
                             zeros_aneg_complex, zeros_aneg_nonpositive,
                             zeros_aneg_positive, zeros_apos)
 
 import oracles
+from oracles import residual_eq319
 
 
 def test_count_positive_values():
