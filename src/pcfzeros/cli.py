@@ -152,8 +152,8 @@ def _write_rows(rows, fields, header, fmt):
     as an empty cell."""
     out = sys.stdout
     if fmt == "json":
-        json.dump(rows, out, indent=1)
-        out.write("\n")
+        # one write: json.dump writes each token of the rows apart
+        out.write(json.dumps(rows, indent=1) + "\n")
         return
     out.write("# pcfzeros " + header + "\n")
     w = csv.DictWriter(out, fieldnames=fields, lineterminator="\n")

@@ -220,6 +220,30 @@ def test_taylor_estimate_bounds_error():
     assert accepted >= 300
 
 
+def test_origin_path_up_the_imaginary_axis_bounds_its_error():
+    # where the ray from z = 0 declines the chain limit, the origin stage
+    # steps up the imaginary axis and then across; 10 arg z x 12 |z| next
+    # to the first zeros of a > 0 (at a <= 0.3 the ray answers them all)
+    accepted = 0
+    for a in (-20.3, 0.3, 8.3, 20.3, 60.0):
+        for i in range(10):
+            for j in range(12):
+                z = cmath.rect(2.0 + 2.0 * j, math.radians(91.0 + 4.0 * i))
+                ev = Evaluator(a, STEP_TOL, "chain")
+                limit = pcf_eval._step_limit(STEP_TOL, z)
+                if ev._taylor(z, limit, ev._at_origin) is not None:
+                    continue
+                r = ev._origin(z, limit)
+                if r is None:
+                    continue
+                accepted += 1
+                v = r[0]
+                u, du = oracles.mp_U_pair(a, z, exponent=v.exponent)
+                ref = max(abs(u), abs(du) / (1.0 + abs(z)))
+                assert abs(v.value - u) <= v.est_accuracy * ref, (a, z)
+    assert accepted >= 20
+
+
 def test_readme_grid_stays_in_double_precision(monkeypatch):
     def refuse(*args):
         raise AssertionError("mpmath fallback reached")

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from pcfzeros import cli
+from pcfzeros import cli, pcf_eval
 from pcfzeros.errors import ConvergenceError, DomainError
 from pcfzeros.pcf_eval import PcfValue, eval_U
 from pcfzeros.refine import sweep, t_iterate
@@ -63,6 +63,23 @@ def test_lands_on_an_exact_zero():
     # mpmath's 1F1 series fails; the chain evaluator's Taylor steps
     # answer there
     assert t_iterate(-2.5, zeros_aneg_positive(-2.5, 1).z).value == 1.0
+
+
+@pytest.mark.parametrize("a", [20.3, 60.0, 100.3, 300.3])
+def test_first_zero_for_large_a_needs_no_mpmath(monkeypatch, a):
+    # from a ~ 20 the ray from z = 0 misses the chain limit at the first
+    # zero, and the mpmath fallback costs seconds at a = 300.3; the origin
+    # stage's path up the imaginary axis answers instead
+    def refuse(*args):
+        raise AssertionError("mpmath fallback reached")
+
+    monkeypatch.setattr(pcf_eval, "_eval_series_mp", refuse)
+    z = t_iterate(a, zeros_apos(a, 1).z).value
+    if a <= 100.3:
+        # pcfu takes seconds at a = 300.3
+        u, du = oracles.mp_U_pair(a, z)
+        spacing = math.pi / abs(cmath.sqrt(-z * z / 4.0 - a))
+        assert abs(u / du) <= 1e-10 * spacing
 
 
 def test_sweep_matches_independent_ladder():
