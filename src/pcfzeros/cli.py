@@ -13,10 +13,10 @@ hermite_zeros do.  phase-grid evaluates its points as one eval_U_path,
 row by row with every other row backwards.  Everything runs in this
 process; the --jobs flag of zeros is accepted and has no effect.
 
-Exit codes: 0 ok, 2 bad flags, 3 polynomial-case complex request,
-4 solver non-convergence or a seed t_iterate refuses (partial output
-emitted).  The PCFZ_LOG environment variable sets diagnostic verbosity
-and never affects output.
+Exit codes: 0 ok, 2 bad flags, 3 complex zeros requested in the Hermite
+case (genairy.hermite_order), 4 solver non-convergence or a seed
+t_iterate refuses (partial output emitted).  The PCFZ_LOG environment
+variable sets diagnostic verbosity and never affects output.
 """
 import argparse
 import csv
@@ -31,6 +31,7 @@ from typing import Optional
 from . import zeros as zmod
 from .errors import (ConvergenceError, DomainError, PolynomialCaseError,
                      require_finite)
+from .genairy import hermite_order
 # eval_U is not called here; perfbench/spans.py patches cli.eval_U, and
 # tests/test_bench_names.py requires every such name to resolve
 from .pcf_eval import (Evaluator, eval_U,  # noqa: F401
@@ -94,10 +95,9 @@ def _tasks_for(args):
         if not fams:
             raise DomainError(f"family {args.family} incompatible with "
                               f"a={args.a}")
-        if kind == "aneg-complex" and fams[0].count == 0:
-            # empty in the Hermite case, where this raises
-            # PolynomialCaseError
-            _FAMILY_FN[kind](args.a, 1)
+        if kind == "aneg-complex" and hermite_order(fams[0].u) is not None:
+            raise PolynomialCaseError(f"a = {args.a} is the Hermite case "
+                                      "a = -n - 1/2: no complex zeros")
     return [(f.kind, range(f.start, f.start + f.count))
             for f in fams if f.count]
 
@@ -175,13 +175,12 @@ def cmd_zeros(args):
 
 
 def _oracle_reference(a):
-    """Independent Hermite-node oracle (polynomial case only)."""
+    """Independent Hermite-node oracle (the Hermite case, n >= 1, only)."""
     import numpy as np
-    u = -2.0 * a
-    n = round((u - 1.0) / 2.0)
-    if n < 1 or abs(u - (2 * n + 1)) > 1e-9:
-        raise DomainError("oracle reference requires the polynomial case "
-                          "a = -n - 1/2")
+    n = hermite_order(-2.0 * a)
+    if n is None or n < 1:
+        raise DomainError("oracle reference requires the Hermite case "
+                          "a = -n - 1/2, n >= 1")
     nodes = np.polynomial.hermite.hermgauss(n)[0]
     pos = sorted(x for x in nodes if x > 0)[::-1]  # decreasing, m=1 largest
     return [math.sqrt(2.0) * x for x in pos]  # back to the U(a, z) variable
@@ -268,11 +267,11 @@ def _build_parser():
                              "always enumerated fully)")
         sp.add_argument("--terms", type=int, choices=(1, 2, 3), default=3)
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
+        sp.add_argument("--family", default="auto",
+                        choices=("auto", "apos", "pos", "nonpos", "complex"))
 
     sp = sub.add_parser("zeros", help="compute zero tables")
     common(sp)
-    sp.add_argument("--family", default="auto",
-                    choices=("auto", "apos", "pos", "nonpos", "complex"))
     sp.add_argument("--refine", action=argparse.BooleanOptionalAction,
                     default=True)
     sp.add_argument("--jobs", type=int, default=1,
@@ -282,8 +281,6 @@ def _build_parser():
 
     sp = sub.add_parser("validate", help="compare against references")
     common(sp)
-    sp.add_argument("--family", default="auto",
-                    choices=("auto", "apos", "pos", "nonpos", "complex"))
     sp.add_argument("--reference", choices=("refined", "oracle"),
                     default="refined")
     sp.set_defaults(fn=cmd_validate)

@@ -11,8 +11,9 @@ class DomainError(PcfzerosError, ValueError):
 
 
 class PolynomialCaseError(DomainError):
-    """u is an odd integer: U reduces to a Hermite polynomial and the
-    complex-zero machinery does not apply."""
+    """u = -2a is within 1e-12 of an odd integer 2n + 1 (the test is
+    genairy.hermite_order): U(a, z) is e^{-z^2/4} He_n(z), whose zeros
+    are all real, so there is no complex zero to compute."""
 
 
 class ConvergenceError(PcfzerosError, RuntimeError):

@@ -17,6 +17,9 @@ complex ones by Newton on the identity of refine_zero).  For u mod 2 in
 useless near t = 0: it is found in the bracket between the second zero
 and the origin instead.
 
+hermite_order decides the Hermite case u = 2n + 1 for the whole package;
+outside it complex_zeros answers however close u is to an odd integer.
+
 The identity residual of a zero (GenAiryZero.residual) costs two
 rotated Airy evaluations, and is computed when first read.
 """
@@ -29,10 +32,6 @@ from typing import Optional
 
 from .airy import eval_ai_rotated, eval_ai, eval_bi_real
 from .errors import ConvergenceError, DomainError, PolynomialCaseError
-
-# guard band around odd-integer u inside which the complex-zero formulas
-# blow up (log of 2cos(u pi/2) diverges)
-POLY_GUARD = 1e-8
 
 # rounding level of the identity residual per (1+|z|)^{3/2}: the phase
 # of Ai_{+-1} at z is off by about eps |z|^{3/2}; measured residuals at
@@ -69,6 +68,14 @@ def mu(u):
         raise DomainError("mu requires u >= 0")
     r = math.fmod(u, 2.0)
     return 2.0 * r if r < 4.0 / 3.0 else 2.0 * r - 4.0
+
+
+def hermite_order(u):
+    """n when |u - (2n + 1)| < 1e-12 (u > 0), else None: the Hermite case,
+    where U(-u/2, z) = e^{-z^2/4} He_n(z) has n real zeros and no complex
+    ones (DLMF 12.7.2, 12.11(i))."""
+    n = round((u - 1.0) / 2.0)
+    return n if abs(u - (2 * n + 1)) < 1e-12 else None
 
 
 def vartheta(u):
@@ -286,14 +293,6 @@ def sole_positive_zero(u) -> Optional[GenAiryZero]:
                        refined=True, u=u)
 
 
-def _check_polynomial_case(u):
-    n = round((u - 1.0) / 2.0)
-    if n >= 0 and abs(u - (2 * n + 1)) < POLY_GUARD:
-        raise PolynomialCaseError(
-            f"u={u} is (within {POLY_GUARD:g} of) an odd integer: "
-            "polynomial case, no complex zeros")
-
-
 def _complex_seed(u, m):
     """(t, seed) of the m-th complex zero: seed = e^{i pi/3} T(t) with
     t = 3 pi tau / 8, tau branch-selected by the sign of cos(u pi/2)."""
@@ -314,13 +313,16 @@ def complex_zeros(u, m, refine=False):
     The seed e^{i pi/3} T(3 pi tau / 8) (arg -> pi/3 as m grows) is
     Newton-refined by refine_zero when refine=True or when its truncation
     estimate fails the same test as in neg_zeros: every m <= 13 at
-    u = 12.4.
+    u = 12.4.  PolynomialCaseError in the Hermite case (hermite_order).
     """
     if u <= 0:
         raise DomainError("complex_zeros requires u > 0")
     if m < 1:
         raise DomainError("zero index must be >= 1")
-    _check_polynomial_case(u)
+    n = hermite_order(u)
+    if n is not None:
+        raise PolynomialCaseError(f"u = {u} is the Hermite case 2n + 1, "
+                                  f"n = {n}: no complex zeros")
     t, z = _complex_seed(u, m)
     if refine or not _series_suffices(t, z):
         rz = refine_zero(u, z)

@@ -9,8 +9,9 @@ For a < 0 (u = -2a) there are three families: M+ positive real zeros
 real zeros of the combination Ai_u), and an infinite string of complex
 zeros (from the first-quadrant zeros of Ai_u).  Back-transforms report
 z in the second quadrant to one zero per conjugate pair.  M+ and M- are
-closed forms from DLMF 12.11(i); for odd n the zero at the origin of the
-Hermite case u = 2n + 1 is one of the M-.
+closed forms from DLMF 12.11(i).  In the Hermite case u = 2n + 1
+(genairy.hermite_order), and only there, the complex family is empty;
+for odd n the zero at the origin is then one of the M-.
 """
 import cmath
 import math
@@ -21,7 +22,7 @@ from . import genairy
 from .airy import real_airy_zero
 from .coeffs import CorrectionInput, correction1, correction2
 from .errors import DomainError, require_finite
-from .genairy import vartheta
+from .genairy import hermite_order, vartheta
 from .mapping import ZETA_AT_0, _sigma, invert_zeta
 from .pcf_eval import Evaluator
 
@@ -48,23 +49,17 @@ class ZeroApproximation:
     terms_used: int
 
 
-def _hermite_order(u):
-    """n when u is within 1e-12 of 2n + 1 (the Hermite case H_n)."""
-    n = round((u - 1.0) / 2.0)
-    return n if abs(u - (2 * n + 1)) < 1e-12 else None
-
-
 def count_positive(u):
     """M+: the number of positive real zeros of U(-u/2, x), u > 0 (DLMF
     12.11(i)): n for 4n-1 < u < 4n+3; n//2 at u = 2n+1 (H_n), where for
     odd n the zero at the origin is one of the M-."""
-    n = _hermite_order(u)
+    n = hermite_order(u)
     return math.floor((u + 1.0) / 4.0) if n is None else n // 2
 
 
 def _nonpositive_indices(u):
     """The indices of the M- = floor((u+1)/2) - M+ non-positive zeros."""
-    n = _hermite_order(u)
+    n = hermite_order(u)
     if n is not None:
         return range(1, 1 + n - n // 2)
     first = 1 - vartheta(u)
@@ -80,17 +75,15 @@ def m_minus(a):
 
 def families(a, complex_count=None):
     """The zero families of U(a, .) with their counts and first indices;
-    for a < 0 all three, the empty ones with count 0."""
+    for a < 0 all three, the empty ones with count 0 (the complex family
+    in the Hermite case)."""
     require_finite(a=a)
     a = float(a)
     if a > 0:
         return [ZeroFamily("apos-complex", a, 2.0 * a, complex_count)]
     if a < 0:
         u = -2.0 * a
-        try:
-            genairy._check_polynomial_case(u)
-        except DomainError:
-            # Hermite polynomial case: all zeros real, no complex family
+        if hermite_order(u) is not None:
             complex_count = 0
         ms = _nonpositive_indices(u)
         return [ZeroFamily("aneg-positive", a, u, count_positive(u)),
@@ -185,7 +178,7 @@ def zeros_aneg_complex(a, m, terms=3):
     return _assemble(m, "aneg-complex", u, zeta0, terms, back)
 
 
-def hermite_zeros(n, terms=3, refine=True):
+def hermite_zeros(n, terms=3):
     """All real zeros of the Hermite polynomial H_n via the u = 2n+1
     positive-zero family (x = sqrt(u) xhat+), symmetry for the rest."""
     require_finite(n=n)
@@ -201,8 +194,7 @@ def hermite_zeros(n, terms=3, refine=True):
     # carries U from each zero to the next
     for m in range(n // 2, 0, -1):
         zu = zeros_aneg_positive(a, m, terms=terms).z.real
-        if refine:
-            zu = t_iterate(a, zu, evaluator=walker).value.real
+        zu = t_iterate(a, zu, evaluator=walker).value.real
         pos.append(zu / math.sqrt(2.0))
     pos = sorted(pos)
     out = [-x for x in reversed(pos)] + [0.0] * (n % 2) + pos

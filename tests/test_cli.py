@@ -116,8 +116,9 @@ def test_exit_code_non_finite_a(capsys, a):
 
 
 def test_exit_code_polynomial_case(capsys):
-    rc, _ = run_cli(capsys, ["zeros", "--a", "-6.5", "--family", "complex"])
-    assert rc == 3
+    for a in ("-6.5", repr(-6.5 - 2.5e-13)):
+        rc, _ = run_cli(capsys, ["zeros", "--a", a, "--family", "complex"])
+        assert rc == 3, a
 
 
 def _failures(err):
@@ -204,6 +205,25 @@ def test_zeros_next_to_the_origin_are_certified(capsys):
         assert abs(u / du) <= 1e-10 * spacing, z
 
 
+@pytest.mark.parametrize("u", [5.0 + 1e-10, 13.0 - 1e-9, 13.0 + 1e-9])
+def test_complex_zeros_next_to_the_hermite_case_are_certified(capsys, u):
+    # outside hermite_order's 1e-12 of an odd u the complex zeros exist
+    # (far left, next to the negative axis): three distinct zeros, each
+    # certified by mpmath's independent U
+    a = -0.5 * u
+    rc, out = run_cli(capsys, ["zeros", "--a", repr(a), "--family",
+                               "complex", "--count", "3", "--format", "json"])
+    assert rc == 0
+    zs = [complex(r["z_refined_re"], r["z_refined_im"])
+          for r in json.loads(out)]
+    assert len(zs) == 3
+    for i, z in enumerate(zs):
+        val, der = oracles.mp_U_pair(a, z)
+        spacing = math.pi / abs(cmath.sqrt(-0.25 * z * z - a))
+        assert abs(val / der) <= 1e-10 * spacing, z
+        assert all(abs(z - w) > 0.25 * spacing for w in zs[i + 1:]), z
+
+
 def test_zeros_seed_next_to_the_turning_point(capsys):
     # the seed of this zero keeps all three terms: next to the turning
     # point its corrections are Taylor sums
@@ -271,9 +291,12 @@ def test_validate_oracle_reference(capsys):
 
 
 def test_validate_oracle_requires_polynomial_case(capsys):
-    rc, _ = run_cli(capsys, ["validate", "--a", "-6.2",
-                             "--reference", "oracle"])
-    assert rc == 2
+    # -30.50000000005: u = 61 + 1e-10 is outside the Hermite case, and U
+    # has 31 real zeros, not the 30 of H_30
+    for a in ("-6.2", "-30.50000000005"):
+        rc, out = run_cli(capsys, ["validate", "--a", a,
+                                   "--reference", "oracle"])
+        assert (rc, out) == (2, ""), a
 
 
 def test_validate_refined_reference(capsys):

@@ -113,8 +113,10 @@ def test_complex_zeros_argument_trend():
 def test_complex_zeros_polynomial_case_rejected():
     with pytest.raises(PolynomialCaseError):
         complex_zeros(13.0, 1)
+    # within hermite_order's 1e-12 of 2n + 1; 5 + 1e-10 lies outside it
+    # and has complex zeros (test_cli's certification test)
     with pytest.raises(PolynomialCaseError):
-        complex_zeros(5.0 + 1e-10, 1)
+        complex_zeros(5.0 + 5e-13, 1)
 
 
 def test_complex_zeros_tau_branch_example():

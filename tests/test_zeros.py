@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pcfzeros.errors import DomainError
+from pcfzeros.errors import DomainError, PolynomialCaseError
 from pcfzeros.genairy import complex_zeros, identity_residual
 from pcfzeros.refine import t_iterate
 from pcfzeros.zeros import (count_positive, families, hermite_zeros, m_minus,
@@ -108,6 +108,27 @@ def test_families_structure():
 
     with pytest.raises(DomainError):
         families(0.0)
+
+
+@pytest.mark.parametrize("delta", [0.0, 4e-13, -4e-13, 2e-12, -2e-12,
+                                   1e-10, -1e-10, 5e-9, -5e-9, 1e-7, -1e-7])
+def test_one_hermite_case_next_to_odd_u(delta):
+    # u = 2n + 1 + delta: the Hermite case, n real zeros and no complex
+    # family, exactly when |delta| < 1e-12; outside it n + [delta > 0]
+    # real zeros (DLMF 12.11(i)) and the complex family as requested,
+    # which genairy seeds too
+    for n in range(41):
+        a = -(2 * n + 1 + delta) / 2.0
+        hermite = abs(delta) < 1e-12
+        fams = {f.kind: f for f in families(a, complex_count=3)}
+        assert fams["aneg-complex"].count == (0 if hermite else 3), (n, a)
+        assert count_positive(-2.0 * a) + m_minus(a) == \
+            n + (delta >= 1e-12), (n, a)
+        if hermite:
+            with pytest.raises(PolynomialCaseError):
+                complex_zeros(-2.0 * a, 1)
+        else:
+            assert complex_zeros(-2.0 * a, 1).value.imag > 0, (n, a)
 
 
 def test_apos_zeros_second_quadrant_and_ordering():
