@@ -21,7 +21,6 @@ variable sets diagnostic verbosity and never affects output.
 import argparse
 import csv
 import json
-import logging
 import math
 import os
 import sys
@@ -37,8 +36,6 @@ from .genairy import hermite_order
 from .pcf_eval import (Evaluator, eval_U,  # noqa: F401
                        eval_U_path, metrics)
 from .refine import STEP_TOL, t_iterate
-
-log = logging.getLogger("pcfzeros")
 
 _ZEROS_FIELDS = ["family", "a", "m", "terms_used",
                  "z_approx_re", "z_approx_im", "z_refined_re", "z_refined_im",
@@ -299,11 +296,16 @@ def _build_parser():
 
 
 def main(argv=None):
-    level = os.environ.get("PCFZ_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    log.debug("args: %s", args)
+    args = _build_parser().parse_args(argv)
+    name = os.environ.get("PCFZ_LOG")
+    if name:
+        import logging
+        # a name that is not a level (BASIC_FORMAT, say) is WARNING, as
+        # an unknown one is
+        level = logging.getLevelName(name.upper())
+        logging.basicConfig(level=level if isinstance(level, int)
+                            else logging.WARNING)
+        logging.getLogger("pcfzeros").debug("args: %s", args)
     try:
         require_finite(a=args.a)
         return args.fn(args)

@@ -116,7 +116,11 @@ def invert_zeta(zt_target, tol=1e-14, max_iter=60):
         e = 2.0 ** (-1.0 / 3.0) * zt_target
         zh = 1.0 + e * (1.0 - e / 10.0)
     else:
-        xi = (2.0 / 3.0) * zt_target ** 1.5
+        try:
+            xi = (2.0 / 3.0) * zt_target ** 1.5
+        except OverflowError:
+            raise DomainError(f"|zeta| = {abs(zt_target):.3g}: its 3/2 "
+                              "power leaves the double range") from None
         zh = cmath.sqrt(2.0 * xi)
         for _ in range(4):
             zh = cmath.sqrt(2.0 * xi + 0.5 + cmath.log(2.0 * zh))

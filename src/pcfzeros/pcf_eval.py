@@ -19,6 +19,12 @@ Methods, each with an a-posteriori error estimate:
   mpmath — last resort: the Maclaurin expansion at escalating precision,
      capped at _MP_MAX_DPS digits (ConvergenceError past it).
 
+mpmath is imported on first use, by this stage and by _rgamma (the
+80-bit 1/Gamma of the asymptotic reflection term and of the series),
+so that importing the package, and the chains of CLI zeros and
+validate, sweep and hermite_zeros, which answer in doubles, do not
+load it.
+
 An Evaluator tries at each point the stages of one entry of the stage
 table _SCALES in order, and the first answer within its limit is taken.
 The taylor runs then step on from a taylor answer, or restart from any
@@ -49,8 +55,6 @@ import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
-
-import mpmath as mp
 
 from .errors import ConvergenceError, DomainError, require_finite
 
@@ -126,6 +130,7 @@ def _rgamma(x):
     From mpmath at 80 bits, since 1/math.gamma is up to 4 ulps off
     (x = -5.7); cached, as the callers ask for the same few x = c + a/2
     at every point of a given a."""
+    import mpmath as mp
     with mp.workprec(80):
         return float(mp.rgamma(x))
 
@@ -544,6 +549,7 @@ def _eval_series_mp(a, z, tol):
     mpmath's 1F1, at escalating precision until two runs agree to tol;
     ConvergenceError when four rounds never do.  Where U or U' would
     leave double range, log|U| goes into exponent."""
+    import mpmath as mp
     w_abs = abs(z) ** 2 / 2.0
     # crude cancellation estimate: largest term ~ e^{|w|}, result ~ e^{-|w|/2}
     dps = int(20 + 0.9 * w_abs / math.log(10.0))

@@ -66,11 +66,21 @@ def _nonpositive_indices(u):
     return range(first, first + math.floor((u - 1.0) / 4.0) + 1)
 
 
+def _count(ms, u):
+    """len(ms), or DomainError where the count does not fit in an index."""
+    try:
+        return len(ms)
+    except OverflowError:
+        raise DomainError(f"u = {u}: more non-positive zeros than an "
+                          "index holds") from None
+
+
 def m_minus(a):
     """M-: the number of non-positive real zeros of U(a, x), a < 0.
     U(a, x) has n real zeros for -n - 1/2 < a < -n + 1/2 (DLMF 12.11(i)),
     and n at u = 2n + 1, where for odd n the origin is one of the M-."""
-    return len(_nonpositive_indices(_u_neg(a)))
+    u = _u_neg(a)
+    return _count(_nonpositive_indices(u), u)
 
 
 def families(a, complex_count=None):
@@ -82,20 +92,22 @@ def families(a, complex_count=None):
     if a > 0:
         return [ZeroFamily("apos-complex", a, 2.0 * a, complex_count)]
     if a < 0:
-        u = -2.0 * a
+        u = _u_neg(a)
         if hermite_order(u) is not None:
             complex_count = 0
         ms = _nonpositive_indices(u)
         return [ZeroFamily("aneg-positive", a, u, count_positive(u)),
-                ZeroFamily("aneg-nonpositive", a, u, len(ms), ms.start),
+                ZeroFamily("aneg-nonpositive", a, u, _count(ms, u), ms.start),
                 ZeroFamily("aneg-complex", a, u, complex_count)]
     raise DomainError("a = 0 is not covered by the u = 2|a| expansions")
 
 
 def _assemble(m, kind, u, zeta0, terms, back):
     """Common pipeline: invert zeta, apply corrections, back-transform.
-    A correction is kept while smaller in modulus than the term before it,
-    next to the turning point too, where it is a Taylor sum (coeffs)."""
+    A correction is kept while it is defined and smaller in modulus than
+    the term before it, next to the turning point too, where it is a
+    Taylor sum (coeffs); one whose arithmetic leaves the double range is
+    undefined."""
     if terms not in (1, 2, 3):
         raise DomainError("terms must be 1, 2 or 3")
     z0 = invert_zeta(zeta0)
@@ -103,8 +115,11 @@ def _assemble(m, kind, u, zeta0, terms, back):
     if terms >= 2:
         inp = CorrectionInput(z0=z0, zeta0=zeta0, sigma0=_sigma(z0, zeta0))
         for corr, power in ((correction1, 2), (correction2, 4))[:terms - 1]:
-            c = corr(inp)
-            step = c / u ** power
+            try:
+                c = corr(inp)
+                step = c / u ** power
+            except (OverflowError, ZeroDivisionError):
+                break  # undefined in doubles: z0 or u ** power
             if not abs(step) < abs(prev):
                 break
             coeffs, zh, prev = coeffs + (c,), zh + step, step
@@ -129,7 +144,9 @@ def _u_neg(a):
     require_finite(a=a)
     if a >= 0:
         raise DomainError("this family requires a < 0")
-    return -2.0 * a
+    u = -2.0 * a
+    require_finite(u=u)  # a below -8.99e307
+    return u
 
 
 def _real_zeta0(x, u):

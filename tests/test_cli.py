@@ -456,6 +456,86 @@ def test_import_loads_neither_scipy_nor_numpy():
     assert r.stdout.strip() == "[]"
 
 
+# the paths that answer in doubles, each run in one fresh interpreter
+_DEFAULT_PATHS = """
+import contextlib, io, sys
+import pcfzeros
+from pcfzeros import cli, hermite_zeros, sweep, zeros_apos
+runs = [["zeros", "--a", a, "--count", "150", "--format", "json"]
+        for a in ("8.3", "20.3", "-6.2")]
+runs += [["zeros", "--a", "8.3", "--count", "3000", "--no-refine"],
+         ["validate", "--a", "8.3", "--count", "5"]]
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+assert len(hermite_zeros(256)) == 256
+assert len(sweep(8.3, zeros_apos(8.3, 1).z, 50)) == 50
+print("mpmath" in sys.modules)
+"""
+
+
+def test_default_paths_do_not_import_mpmath():
+    r = subprocess.run([sys.executable, "-c", _DEFAULT_PATHS],
+                       capture_output=True, text=True, env=_child_env())
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
+
+
+_FIRST_USE = """
+import sys
+from pcfzeros import eval_U, pcf_eval
+print("mpmath" in sys.modules)
+print(repr(eval_U(8.3, -6 + 10j)))
+print(repr(pcf_eval._eval_series_mp(0.3, 6.0, 1e-12)))
+print("mpmath" in sys.modules)
+"""
+
+
+def test_mpmath_is_imported_on_first_use():
+    # the asymptotic answer needs 1/Gamma(a + 1/2) from _rgamma; the
+    # mpmath stage imports it on its own
+    r = subprocess.run([sys.executable, "-c", _FIRST_USE],
+                       capture_output=True, text=True, env=_child_env())
+    assert r.returncode == 0, r.stderr
+    v = pcf_eval.eval_U(8.3, -6 + 10j)
+    assert v.method == "asymptotic"
+    assert r.stdout.splitlines() == [
+        "False", repr(v), repr(pcf_eval._eval_series_mp(0.3, 6.0, 1e-12)),
+        "True"]
+
+
+def _run_with_log(value):
+    env = _child_env()
+    env.pop("PCFZ_LOG", None)
+    if value is not None:
+        env["PCFZ_LOG"] = value
+    return subprocess.run([sys.executable, "-m", "pcfzeros.cli", "zeros",
+                           "--a", "8.3", "--count", "1"],
+                          capture_output=True, text=True, env=env)
+
+
+def test_pcfz_log_never_changes_the_output():
+    plain = _run_with_log(None)
+    assert plain.returncode == 0, plain.stderr
+    debug = _run_with_log("DEBUG")
+    assert debug.returncode == 0, debug.stderr
+    assert "DEBUG:pcfzeros:args:" in debug.stderr
+    # a logging attribute that is not a level counts as WARNING
+    other = _run_with_log("basic_format")
+    assert other.returncode == 0, other.stderr
+    assert "Traceback" not in other.stderr
+    assert debug.stdout == other.stdout == plain.stdout
+
+
+@pytest.mark.parametrize("a", ["1e-300", "1e300"])
+def test_extreme_a_exits_without_a_traceback(a):
+    r = subprocess.run([sys.executable, "-m", "pcfzeros.cli", "zeros",
+                        f"--a={a}", "--count", "2"],
+                       capture_output=True, text=True, env=_child_env())
+    assert r.returncode in (0, 2, 4), r.stderr
+    assert "Traceback" not in r.stderr
+
+
 # runs the CLI with every import of scipy refused
 _NO_SCIPY = """
 import sys

@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from pcfzeros.errors import DomainError, PolynomialCaseError
+from pcfzeros.errors import DomainError, PcfzerosError, PolynomialCaseError
 from pcfzeros.genairy import complex_zeros, identity_residual
 from pcfzeros.refine import t_iterate
-from pcfzeros.zeros import (count_positive, families, hermite_zeros, m_minus,
-                            zeros_aneg_complex, zeros_aneg_nonpositive,
-                            zeros_aneg_positive, zeros_apos)
+from pcfzeros.zeros import (ZeroApproximation, count_positive, families,
+                            hermite_zeros, m_minus, zeros_aneg_complex,
+                            zeros_aneg_nonpositive, zeros_aneg_positive,
+                            zeros_apos)
 
 import oracles
 from oracles import residual_eq319
@@ -301,6 +302,49 @@ def test_bad_indices_rejected():
         zeros_apos(8.3, 1, terms=4)
     with pytest.raises(DomainError):
         zeros_aneg_complex(-6.2, 0)
+
+
+@pytest.mark.parametrize("fn, args", [
+    (zeros_apos, (1e-300, 1)), (zeros_aneg_complex, (-1e-300, 1)),
+    (zeros_apos, (1e-250, 2)), (zeros_apos, (5e-324, 1)),
+    (zeros_aneg_complex, (-5e-324, 1)), (zeros_apos, (1e77, 1)),
+    (zeros_apos, (1e300, 1)), (zeros_aneg_positive, (-1e100, 1)),
+    (zeros_aneg_nonpositive, (-1e100, 1)),
+    (zeros_aneg_positive, (-1.7e308, 1)), (families, (-1e20,)),
+    (families, (-1e300,)),
+], ids=lambda x: getattr(x, "__name__", repr(x)))
+def test_extreme_a_gives_a_seed_or_a_package_error(fn, args):
+    try:
+        got = fn(*args)
+    except PcfzerosError:
+        return
+    if isinstance(got, ZeroApproximation):
+        assert cmath.isfinite(got.z)
+
+
+def test_tiny_a_keeps_the_leading_term():
+    # the corrections overflow for 0 < a < ~1e-206 (z0 ~ a^(-1/2)), and
+    # u ** 2 underflows below ~1e-162: both are undefined, not raised
+    for a in (1e-300, 1e-180):
+        s = zeros_apos(a, 1)
+        assert s.terms_used == 1
+        assert s.z == zeros_apos(a, 1, terms=1).z
+
+
+def test_huge_a_seed_is_the_leading_term():
+    # past u ~ 1.3e77 u ** 4 overflows; the steps are below an ulp anyway
+    for a in (1e77, 1e300):
+        assert zeros_apos(a, 1).z == zeros_apos(a, 1, terms=1).z
+
+
+def test_real_counts_beyond_an_index_are_a_domain_error():
+    with pytest.raises(DomainError, match="index"):
+        families(-1e20)
+    with pytest.raises(DomainError, match="index"):
+        m_minus(-1e20)
+    assert families(-1e15)[1].count == m_minus(-1e15)
+    # a seed needs only its index, not the count
+    assert cmath.isfinite(zeros_aneg_nonpositive(-1e20, 1).z)
 
 
 def test_hermite_small_orders_exact():
