@@ -24,8 +24,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from operator import itemgetter
 
 from . import zeros as zmod
 from .errors import (ConvergenceError, DomainError, PolynomialCaseError,
@@ -43,31 +42,6 @@ _ZEROS_FIELDS = ["family", "a", "m", "terms_used",
 _VALIDATE_FIELDS = ["family", "a", "m", "z_approx_re", "z_approx_im",
                     "z_ref_re", "z_ref_im", "g1_approx", "g1_ref",
                     "eps1", "eps2"]
-
-
-@dataclass(frozen=True)
-class OutputRecord:
-    family: str
-    a: float
-    m: int
-    terms_used: int
-    z_approx: complex
-    z_refined: Optional[complex]
-    eps1: Optional[float]
-    eps2: Optional[float]
-    residual: Optional[float]
-
-    def row(self):
-        zr = self.z_refined
-        return {
-            "family": self.family, "a": self.a, "m": self.m,
-            "terms_used": self.terms_used,
-            "z_approx_re": self.z_approx.real,
-            "z_approx_im": self.z_approx.imag,
-            "z_refined_re": None if zr is None else zr.real,
-            "z_refined_im": None if zr is None else zr.imag,
-            "eps1": self.eps1, "eps2": self.eps2, "residual": self.residual,
-        }
 
 
 _FAMILY_FN = {
@@ -100,24 +74,26 @@ def _tasks_for(args):
 
 
 def _records(args, refine):
-    """One OutputRecord per zero that _tasks_for names, in its order, and
-    the exit code: 4 when some zero did not converge or t_iterate refused
-    its seed (DomainError), each such zero reported on stderr with the
-    other records kept.
+    """One row per zero that _tasks_for names, in its order, and the exit
+    code: 4 when some zero did not converge or t_iterate refused its seed
+    (DomainError), each such zero reported on stderr with the other rows
+    kept.  A row is a dict keyed by _ZEROS_FIELDS, in their order; the
+    refined fields are None without refine.
 
     Each family is refined as one chain: a chain Evaluator made here
     carries U and U' from each zero to the next.
     """
     a = args.a
-    records = []
+    rows = []
     code = 0
     for kind, ms in _tasks_for(args):
         walker = Evaluator(a, STEP_TOL, "chain")
+        fn = _FAMILY_FN[kind]
         for m in ms:
             try:
-                approx = _FAMILY_FN[kind](a, m, terms=args.terms)
+                approx = fn(a, m, terms=args.terms)
                 z_approx = approx.z
-                z_refined = eps1 = eps2 = residual = None
+                zr_re = zr_im = eps1 = eps2 = residual = None
                 if refine:
                     try:
                         rz = t_iterate(a, z_approx, evaluator=walker)
@@ -127,6 +103,7 @@ def _records(args, refine):
                     z_refined = rz.value
                     if z_approx.imag == 0.0:
                         z_refined = complex(z_refined.real, 0.0)
+                    zr_re, zr_im = z_refined.real, z_refined.imag
                     residual = rz.residual
                     rec = metrics(z_approx, z_refined, m=m)
                     eps1 = rec.eps1
@@ -136,38 +113,36 @@ def _records(args, refine):
                 print(f"pcfzeros: non-convergence at {kind} m={m}: {e}",
                       file=sys.stderr)
                 continue
-            records.append(OutputRecord(
-                family=kind, a=a, m=m, terms_used=approx.terms_used,
-                z_approx=z_approx, z_refined=z_refined,
-                eps1=eps1, eps2=eps2, residual=residual))
-    return records, code
+            rows.append({
+                "family": kind, "a": a, "m": m,
+                "terms_used": approx.terms_used,
+                "z_approx_re": z_approx.real, "z_approx_im": z_approx.imag,
+                "z_refined_re": zr_re, "z_refined_im": zr_im,
+                "eps1": eps1, "eps2": eps2, "residual": residual})
+    return rows, code
 
 
 def _write_rows(rows, fields, header, fmt):
     """Write rows (dicts keyed by fields) to stdout as a JSON list, or as
     CSV after the '# pcfzeros <header>' line, floats in repr and None
-    as an empty cell."""
+    as an empty cell (csv.writer's own conversions)."""
     out = sys.stdout
     if fmt == "json":
         # one write: json.dump writes each token of the rows apart
         out.write(json.dumps(rows, indent=1) + "\n")
         return
     out.write("# pcfzeros " + header + "\n")
-    w = csv.DictWriter(out, fieldnames=fields, lineterminator="\n")
-    w.writeheader()
-    for row in rows:
-        w.writerow({k: ("" if v is None else repr(v) if
-                        isinstance(v, float) else v)
-                    for k, v in row.items()})
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(fields)
+    w.writerows(map(itemgetter(*fields), rows))
 
 
 def cmd_zeros(args):
-    records, code = _records(args, args.refine)
-    records.sort(key=lambda r: (r.family, r.m))
+    rows, code = _records(args, args.refine)
+    rows.sort(key=itemgetter("family", "m"))
     header = (f"zeros v1 a={args.a!r} family={args.family} "
               f"terms={args.terms} refine={int(args.refine)}")
-    _write_rows([r.row() for r in records], _ZEROS_FIELDS, header,
-                args.format)
+    _write_rows(rows, _ZEROS_FIELDS, header, args.format)
     return code
 
 
@@ -194,8 +169,11 @@ def cmd_validate(args):
             approx = zmod.zeros_aneg_positive(a, m, terms=args.terms)
             pairs.append((fam, m, approx.z, complex(refs[m - 1])))
     else:
-        records, code = _records(args, refine=True)
-        pairs = [(r.family, r.m, r.z_approx, r.z_refined) for r in records]
+        found, code = _records(args, refine=True)
+        pairs = [(r["family"], r["m"],
+                  complex(r["z_approx_re"], r["z_approx_im"]),
+                  complex(r["z_refined_re"], r["z_refined_im"]))
+                 for r in found]
     rows = []
     for fam, m, za, zr in pairs:
         rec = metrics(za, zr, m=m)

@@ -6,6 +6,7 @@ data (zeta0, sigma0) there.  Their terms cancel like 1/zeta0^2 and
 1/zeta0^5 as z0 -> 1, so within mapping.TP_RADIUS of the turning point
 both are summed in doubles from their Taylor series in z0 - 1 instead.
 """
+import cmath
 from dataclasses import dataclass
 
 from .mapping import TP_RADIUS, taylor
@@ -38,18 +39,24 @@ def correction1(inp):
 
 
 def correction2(inp):
-    """Second correction term: the O(u^-4) coefficient."""
+    """Second correction term: the O(u^-4) coefficient.  Its closed form
+    is a polynomial in x = z0 sigma0, z0^2, sigma0^2 and zeta0, summed
+    by Horner in x.  Where the arithmetic leaves the double range it
+    raises OverflowError, which zeros._assemble takes as undefined."""
     z0, zt0, s0 = inp.z0, inp.zeta0, inp.sigma0
     if abs(z0 - 1.0) < TP_RADIUS:
         return taylor(_C2, z0 - 1.0)
-    return -s0 / (46080.0 * zt0 ** 5) * (
-        200.0 * z0 ** 7 * s0 ** 9 * (221.0 * z0 ** 2 + 35.0)
-        - 720.0 * z0 ** 5 * s0 ** 7 * zt0 * (221.0 * z0 ** 2 + 25.0)
-        - 4000.0 * z0 ** 4 * s0 ** 6
-        + 24.0 * z0 ** 3 * s0 ** 5 * zt0 ** 2 * (8847.0 * z0 ** 2 + 580.0)
-        + 5400.0 * z0 ** 2 * s0 ** 4 * zt0
-        - 10.0 * z0 * s0 ** 3 * (12432.0 * z0 ** 2 * zt0 ** 3
-                                 + 288.0 * zt0 ** 3 - 25.0)
-        - 1200.0 * s0 ** 2 * zt0 ** 2
-        + 27360.0 * z0 * s0 * zt0 ** 4
-        - 5525.0)
+    x, p = z0 * s0, z0 * z0
+    zt2 = zt0 * zt0
+    zt3 = zt2 * zt0
+    den = 46080.0 * zt2 * zt3
+    poly = ((((((200.0 * (221.0 * p + 35.0) * x) * x
+                - 720.0 * zt0 * (221.0 * p + 25.0)) * x
+               - 4000.0) * x
+              + 24.0 * zt2 * (8847.0 * p + 580.0)) * x
+             + 5400.0 * zt0) * x
+            - 10.0 * zt3 * (12432.0 * p + 288.0) + 250.0) * x - 1200.0 * zt2
+    c = -s0 / den * (s0 * s0 * poly + 27360.0 * x * zt2 * zt2 - 5525.0)
+    if not (cmath.isfinite(den) and cmath.isfinite(c)):
+        raise OverflowError("correction2 leaves the double range")
+    return c

@@ -71,11 +71,14 @@ def mu(u):
 
 
 def hermite_order(u):
-    """n when |u - (2n + 1)| < 1e-12 (u > 0), else None: the Hermite case,
-    where U(-u/2, z) = e^{-z^2/4} He_n(z) has n real zeros and no complex
-    ones (DLMF 12.7.2, 12.11(i))."""
-    n = round((u - 1.0) / 2.0)
-    return n if abs(u - (2 * n + 1)) < 1e-12 else None
+    """n when u is within 1e-12 of 2n + 1 (u > 0), else None: the Hermite
+    case, where U(-u/2, z) = e^{-z^2/4} He_n(z) has n real zeros and no
+    complex ones (DLMF 12.7.2, 12.11(i)).  The test is on fmod(u, 2),
+    which is exact: every double from 2^53 on is an even integer, so no
+    u there is the Hermite case."""
+    if abs(math.fmod(u, 2.0) - 1.0) < 1e-12:
+        return round((u - 1.0) / 2.0)
+    return None
 
 
 def vartheta(u):

@@ -10,7 +10,9 @@ invert_zeta solves zeta(zhat) = target by Newton.  Its start for a real
 target below -1/2 is closed-form: with zhat = cos(phi/2) on [0, 1), the
 definition reduces to phi - sin(phi) = (8/3)(-zeta)^{3/2}, solved for
 phi by a scalar Newton iteration, so the zeta-Newton that follows only
-confirms it.  Each zeta-Newton step takes sigma from the zeta just found.
+confirms it.  For a large target the start is the large-zhat inversion
+of the definition, summed to its 1/zhat^8 term.  Each zeta-Newton step
+takes sigma from the zeta just found.
 """
 import cmath
 import math
@@ -31,6 +33,20 @@ ZETA_AT_0 = -0.25 * (3.0 * math.pi) ** (2.0 / 3.0)
 
 # cap on the phi-Newton of _real_section_start, which needs at most 5
 _PHI_MAX_ITER = 20
+
+# for large zhat, 2 xi = zhat (zhat^2 - 1)^{1/2} - ln(zhat + (zhat^2 -
+# 1)^{1/2}) with xi = (2/3) zeta^{3/2} inverts, in y = 1/zhat^2, to
+# zhat^2 = 2 xi + 1/2 + ln 2zhat - sum_k _W[k] y^{k+1}
+# (tests/test_mapping.py checks the coefficients against the definition)
+_W = (0.125, 0.03125, 5.0 / 384.0, 7.0 / 1024.0)
+# fixed-point passes on zhat^2 = w from w = 2 xi; each gains a factor
+# of about 1/(2|w|)
+_W_PASSES = 5
+_LN2 = math.log(2.0)
+# zeta's own rounding is about eps (4/3)|ln zhat| relative (the
+# exp((4/3) ln zhat) of _zeta_raw), past tol once |zeta| > ~1e40; a large
+# target is accepted within 2 eps |ln 4w| = 4 eps |ln 2zhat| of it
+_ZETA_ROUNDING = 2.0 * 2.0 ** -52
 
 
 def taylor(cs, d):
@@ -101,9 +117,12 @@ def invert_zeta(zt_target, tol=1e-14, max_iter=60):
     of _real_section_start (phi - sin(phi) = (8/3)(-zeta)^{3/2}, accurate
     to rounding, so the Newton loop below evaluates zeta once to confirm
     it); the turning-point linearization for other small targets; the
-    iterated large-|zeta| form otherwise.  Each Newton step uses
-    dzhat/dzeta = sigma, taken by _sigma from the zeta just evaluated;
-    within TP_RADIUS of zhat = 1 both are Taylor sums in doubles.
+    large-zhat inversion (_W) otherwise, by fixed-point passes on zhat^2.
+    For a large target the loop accepts at zeta's own rounding where
+    that exceeds tol, as it does once |zeta| is past about 1e40.  Each
+    Newton step uses dzhat/dzeta = sigma, taken by _sigma from the zeta
+    just evaluated; within TP_RADIUS of zhat = 1 both are Taylor sums in
+    doubles.
     """
     zt_target = complex(zt_target)
     if zt_target.imag == 0.0 and zt_target.real < -0.5:
@@ -117,13 +136,21 @@ def invert_zeta(zt_target, tol=1e-14, max_iter=60):
         zh = 1.0 + e * (1.0 - e / 10.0)
     else:
         try:
-            xi = (2.0 / 3.0) * zt_target ** 1.5
+            x = (4.0 / 3.0) * zt_target ** 1.5  # 2 xi
+            if cmath.isinf(x):
+                raise OverflowError
         except OverflowError:
             raise DomainError(f"|zeta| = {abs(zt_target):.3g}: its 3/2 "
                               "power leaves the double range") from None
-        zh = cmath.sqrt(2.0 * xi)
-        for _ in range(4):
-            zh = cmath.sqrt(2.0 * xi + 0.5 + cmath.log(2.0 * zh))
+        w1, w2, w3, w4 = _W
+        c = x + 0.5 + _LN2
+        w = x
+        for _ in range(_W_PASSES):
+            y = 1.0 / w
+            lw = cmath.log(w)  # ln 2zhat = ln 2 + (1/2) ln w
+            w = c + 0.5 * lw - y * (w1 + y * (w2 + y * (w3 + y * w4)))
+        zh = cmath.sqrt(w)
+        tol = max(tol, _ZETA_ROUNDING * abs(lw + 2.0 * _LN2))
     f = None
     for _ in range(max_iter):
         zt = zeta(zh)

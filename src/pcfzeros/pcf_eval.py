@@ -89,6 +89,9 @@ _WALK_SAFETY = 10.0
 # below this: for a > 0 the two differ by a factor of about sqrt(a), so
 # the smaller would be near the subnormal range
 _ORIGIN_TINY = 1e-290
+# every stage forms |z|^2 (the step limit, the asymptotic rounding, the
+# Taylor reach, the mpmath precision): an Evaluator refuses |z| past this
+_Z_MAX = 1e154
 # term caps of the Kummer (Maclaurin) and Poincare (asymptotic) sums
 _KUMMER_MAX_TERMS = 4000
 _ASYM_MAX_TERMS = 64
@@ -293,7 +296,8 @@ def _eval_series_double(a, z):
 def _origin_value(a):
     """U(a,0) and U'(a,0) as an answer, scaled by e^-exponent so that
     neither underflows for large |a|, with an error of about |log U(a,0)|
-    ulps."""
+    ulps; None past a ~ 2.55e305, where log Gamma leaves the double
+    range."""
     out = []
     for x, sign, p2 in ((0.75 + 0.5 * a, 1.0, -0.5 * a - 0.25),
                         (0.25 + 0.5 * a, -1.0, -0.5 * a + 0.25)):
@@ -302,7 +306,10 @@ def _origin_value(a):
             continue
         if x < 0.0 and math.floor(x) % 2:
             sign = -sign
-        out += [sign, _LOG_SQRT_PI + p2 * _LN2 - math.lgamma(x)]
+        try:
+            out += [sign, _LOG_SQRT_PI + p2 * _LN2 - math.lgamma(x)]
+        except OverflowError:
+            return None
     s0, l0, s1, l1 = out
     e0 = max(l0, l1)
     ulps = 4.0 + sum(abs(x) for x in (l0, l1) if math.isfinite(x))
@@ -447,6 +454,9 @@ class Evaluator:
         z = complex(z)
         if not cmath.isfinite(z):
             raise DomainError(f"z = {z} is not finite")
+        if abs(z) > _Z_MAX:
+            raise DomainError(f"|z| = {abs(z):.3g}: |z|^2 leaves the double "
+                              "range")
         if self._start is not None and z == self._start[0]:
             return self._last
         scale = self._scale
@@ -485,7 +495,8 @@ class Evaluator:
 
     @functools.cached_property
     def _at_origin(self):
-        return _start(0j, _origin_value(self.a), self._scale.seed)
+        v = _origin_value(self.a)
+        return None if v is None else _start(0j, v, self._scale.seed)
 
     def _mpmath(self, z, limit):
         return _eval_series_mp(self.a, z, limit), None

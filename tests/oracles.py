@@ -131,6 +131,21 @@ def mp_zeta_over_d(d):
         k += 1
 
 
+def mp_two_xi(zh):
+    """2 xi = (4/3) zeta^{3/2} = zhat r - ln(zhat + r), r = (zhat - 1)^{1/2}
+    (zhat + 1)^{1/2}, at the working precision: the closed form of the
+    integral, which cancels only next to the turning point zhat = 1."""
+    zh = mp.mpmathify(zh)
+    r = mp.sqrt(zh - 1) * mp.sqrt(zh + 1)
+    return zh * r - mp.log(zh + r)
+
+
+def mp_zeta(zh):
+    """zeta(zhat) = ((3/4) 2 xi)^{2/3}, principal power: the branch of the
+    package for Re zhat > 0 and |arg zeta| < 2 pi/3."""
+    return (mp_two_xi(zh) * 3 / 4) ** (mp.mpf(2) / 3)
+
+
 def mp_U(a, z, dps=40):
     """U(a,z) by mpmath's independent implementation."""
     with mp.workdps(dps):

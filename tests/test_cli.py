@@ -267,6 +267,22 @@ def test_csv_json_cross_format_equality(capsys):
             assert float(rc_[key]) == rj[key]
 
 
+@pytest.mark.parametrize("refine", ["--refine", "--no-refine"])
+def test_csv_lines_are_the_json_rows_in_repr(capsys, refine):
+    # each CSV line is the row's values in field order, floats in repr
+    # and a missing value (unrefined) as an empty cell
+    args = ["zeros", "--a", "-6.2", "--count", "3", refine]
+    _, out_csv = run_cli(capsys, args)
+    _, out_json = run_cli(capsys, args + ["--format", "json"])
+    lines = out_csv.splitlines()
+    rows = json.loads(out_json)
+    assert lines[0].startswith("# pcfzeros zeros v1 a=-6.2 ")
+    assert lines[1] == ",".join(rows[0])
+    assert lines[2:] == [",".join("" if v is None else repr(v)
+                                  if isinstance(v, float) else str(v)
+                                  for v in row.values()) for row in rows]
+
+
 def test_deterministic_output(capsys):
     args = ["zeros", "--a", "-6.2", "--count", "2", "--jobs", "1"]
     _, out1 = run_cli(capsys, args)
@@ -534,6 +550,26 @@ def test_extreme_a_exits_without_a_traceback(a):
                        capture_output=True, text=True, env=_child_env())
     assert r.returncode in (0, 2, 4), r.stderr
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("a", ["6e305", "1e308"])
+def test_huge_a_is_a_package_error(a):
+    # past a ~ 2.55e305 log Gamma(a/2 + 3/4) overflows, so the evaluator's
+    # origin stage declines; past a ~ 4.5e307 the zero's |z|^2 leaves the
+    # double range, which the evaluator refuses
+    r = subprocess.run([sys.executable, "-m", "pcfzeros.cli", "zeros",
+                        f"--a={a}", "--count", "1"],
+                       capture_output=True, text=True, env=_child_env())
+    assert r.returncode in (2, 4), r.stderr
+    assert "Traceback" not in r.stderr
+    assert len(r.stderr.splitlines()) == 1, r.stderr
+
+
+def test_tiny_a_zeros_are_refined(capsys):
+    rc, out = run_cli(capsys, ["zeros", "--a", "1e-200", "--count", "2"])
+    assert rc == 0
+    rows = parse_csv(out)
+    assert [int(r["m"]) for r in rows] == [1, 2]
 
 
 # runs the CLI with every import of scipy refused

@@ -6,9 +6,10 @@ import mpmath as mp
 import pytest
 
 import oracles
+from test_mapping import seed_targets
 from pcfzeros import coeffs, mapping
 from pcfzeros.coeffs import CorrectionInput, correction1, correction2
-from pcfzeros.mapping import TP_RADIUS, _sigma, zeta
+from pcfzeros.mapping import TP_RADIUS, _sigma, invert_zeta, zeta
 
 
 def _inp(zh):
@@ -33,9 +34,16 @@ def test_corrections_real_on_real_section():
 
 
 def _mp_inp(d):
-    """CorrectionInput at zhat = 1 + d, at the working precision, from the
-    oracle's P(d) = zeta(1 + d)/d: zeta = d P, sigma = (P/(2 + d))^{1/2}."""
+    """CorrectionInput at zhat = 1 + d, at the working precision.  For
+    |d| < 3/2 from the oracle's P(d) = zeta(1 + d)/d: zeta = d P, sigma =
+    (P/(2 + d))^{1/2}, which nothing cancels in next to d = 0; farther
+    out, where that series converges slowly or not at all (|d| >= 2),
+    from the closed form oracles.mp_zeta (Re zhat > 0)."""
     d = mp.mpmathify(d)
+    if abs(d) >= 1.5:
+        zt = oracles.mp_zeta(1 + d)
+        return CorrectionInput(z0=1 + d, zeta0=zt,
+                               sigma0=mp.sqrt(zt / (d * (2 + d))))
     p = oracles.mp_zeta_over_d(d)
     return CorrectionInput(z0=1 + d, zeta0=d * p, sigma0=mp.sqrt(p / (2 + d)))
 
@@ -100,3 +108,31 @@ def test_corrections_scale_oracle():
         i = _inp(zh)
         assert abs(correction1(i)) < 5.0
         assert abs(correction2(i)) < 50.0
+
+
+def test_correction2_at_seeds_far_from_the_turning_point():
+    # |z0| from 2 to about 13, where no other mpmath comparison reaches:
+    # the closed form at 40 digits, from z0 alone
+    n = 0
+    for zt0 in seed_targets(13):
+        z0 = invert_zeta(zt0)
+        if abs(z0) <= 2.0:
+            continue
+        # as zeros._assemble forms it
+        inp = CorrectionInput(z0=z0, zeta0=zt0, sigma0=_sigma(z0, zt0))
+        with mp.workdps(40):
+            zt = oracles.mp_zeta(z0)
+        assert abs(zt - zt0) <= 1e-13 * abs(zt0)  # the same branch
+        ref = _mp_closed(correction2, mp.mpc(z0 - 1.0), 40)
+        assert abs(correction2(inp) - ref) <= 1e-12 * abs(ref), inp
+        n += 1
+    assert n > 500
+
+
+def test_correction2_overflow_raises():
+    # |z0| ~ 1e50: every power of the closed form leaves the double range,
+    # which _assemble takes as an undefined correction
+    zh = 1e50 * cmath.exp(0.25j * math.pi)
+    inp = _inp(zh)
+    with pytest.raises(OverflowError):
+        correction2(inp)

@@ -5,8 +5,9 @@ import pytest
 
 from pcfzeros.errors import PolynomialCaseError
 from pcfzeros.genairy import (_complex_seed, _t_series_tail, complex_zeros,
-                              identity_residual, mu, neg_zeros, refine_zero,
-                              sole_positive_zero, t_series, vartheta)
+                              hermite_order, identity_residual, mu, neg_zeros,
+                              refine_zero, sole_positive_zero, t_series,
+                              vartheta)
 from pcfzeros.zeros import count_positive, m_minus
 
 import oracles
@@ -117,6 +118,15 @@ def test_complex_zeros_polynomial_case_rejected():
     # and has complex zeros (test_cli's certification test)
     with pytest.raises(PolynomialCaseError):
         complex_zeros(5.0 + 5e-13, 1)
+
+
+def test_hermite_order_is_exact_for_huge_u():
+    # fmod(u, 2) is exact: from 2^53 on every double is an even integer
+    assert hermite_order(2.0 ** 53 - 1.0) == 2 ** 52 - 1
+    for u in (2.0 ** 53, 2.0 ** 53 + 2.0, 1e17, 1e300):
+        assert hermite_order(u) is None
+    assert hermite_order(13.0 + 5e-13) == 6
+    assert hermite_order(13.0 + 2e-12) is None
 
 
 def test_complex_zeros_tau_branch_example():

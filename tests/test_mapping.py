@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from pcfzeros import mapping
+from pcfzeros import genairy, mapping
 from pcfzeros.airy import real_airy_zero
 from pcfzeros.errors import DomainError
 from pcfzeros.mapping import ZETA_AT_0, invert_zeta, zeta
@@ -171,6 +171,61 @@ def test_invert_zeta_large_u_form():
     zh = invert_zeta(zt)
     approx = cmath.sqrt(2.0 * xi + 0.5 + cmath.log(2.0 * zh))
     assert abs(zh / approx - 1.0) < 1e-2
+
+
+def test_large_zhat_start_coefficients_against_the_definition():
+    # zhat^2 = 2 xi + 1/2 + ln 2zhat - sum_k _W[k] y^{k+1}, y = 1/zhat^2,
+    # is the large-zhat expansion of the definition: at 40 digits what is
+    # left is its next term, -(21/5120) y^5; a wrong coefficient would
+    # leave a power of y below the fifth
+    assert len(mapping._W) == 4
+    with mp.workdps(40):
+        for r in (20, 40):
+            for j in range(-3, 4):
+                zh = r * mp.expjpi(mp.mpf(j) / 8)
+                y = 1 / zh ** 2
+                rest = zh ** 2 - (oracles.mp_two_xi(zh) + mp.mpf(1) / 2
+                                  + mp.log(2 * zh)
+                                  - sum(c * y ** (k + 1)
+                                        for k, c in enumerate(mapping._W)))
+                assert abs(rest / (-mp.mpf(21) / 5120 * y ** 5) - 1) < 0.01
+
+
+def seed_targets(step=1):
+    """The zeta targets of every step-th seed at the seed benchmark's
+    fixed a: the apos ray at a = 8.3 and 20.3 and the aneg-complex
+    family at a = -6.2, m = 1..3000 (test_coeffs uses them too)."""
+    ms = range(1, 3001, step)
+    out = []
+    for a in (8.3, 20.3):
+        u = 2.0 * a
+        out += [cmath.exp(1j * math.pi / 3.0) * abs(real_airy_zero(m))
+                * u ** (-2.0 / 3.0) for m in ms]
+    u = 12.4
+    out += [genairy.complex_zeros(u, m).value * u ** (-2.0 / 3.0)
+            for m in ms]
+    return out
+
+
+def test_invert_zeta_seed_targets_cost_few_zeta_calls(monkeypatch):
+    # the large-zhat start is accurate to rounding at most of these
+    # targets, so that zeta's Newton mostly only confirms it (2.62 calls a target with the
+    # start's leading log term alone)
+    calls = []
+    zeta_fn = mapping.zeta
+
+    def counted(zh):
+        calls.append(zh)
+        return zeta_fn(zh)
+
+    monkeypatch.setattr(mapping, "zeta", counted)
+    counts = []
+    for zt in seed_targets():
+        calls.clear()
+        invert_zeta(zt)
+        counts.append(len(calls))
+    assert sum(counts) / len(counts) <= 1.9
+    assert max(counts) <= 4
 
 
 def test_cauchy_riemann_probe():

@@ -331,6 +331,30 @@ def test_tiny_a_keeps_the_leading_term():
         assert s.z == zeros_apos(a, 1, terms=1).z
 
 
+def test_tiny_a_seeds_down_to_the_double_range():
+    # |zeta0| ~ a^{-2/3}: past |zeta0| ~ 1e40 zeta's own rounding exceeds
+    # invert_zeta's tol, which a large target is accepted at instead.  As
+    # a -> 0 the seed tends to a limit, which every decade reaches; from
+    # a ~ 1e-308 on, (4/3) zeta0^{3/2} leaves the double range
+    limit = zeros_apos(1e-300, 1).z
+    for e in range(1, 306):
+        z = zeros_apos(10.0 ** -e, 1).z
+        assert cmath.isfinite(z), e
+        if e >= 40:
+            assert abs(z - limit) <= 1e-13 * abs(limit), e
+    for e in range(306, 324):
+        try:
+            assert cmath.isfinite(zeros_apos(10.0 ** -e, 1).z)
+        except DomainError:
+            pass
+
+
+def test_huge_u_is_not_the_hermite_case():
+    # every double from 2^53 on is an even integer, so 2n + 1 is none
+    assert families(-1e17, complex_count=3)[2].count == 3
+    assert cmath.isfinite(zeros_aneg_complex(-1e300, 1).z)
+
+
 def test_huge_a_seed_is_the_leading_term():
     # past u ~ 1.3e77 u ** 4 overflows; the steps are below an ulp anyway
     for a in (1e77, 1e300):
