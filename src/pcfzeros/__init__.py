@@ -4,7 +4,7 @@ and independent-evaluation validation."""
 
 from .airy import AiryValue, eval_ai, eval_ai_rotated, eval_bi_real, \
     real_airy_zero
-from .coeffs import CorrectionInput, correction1, correction2
+from .coeffs import correction1, correction2
 from .errors import ChainBreakError, ConvergenceError, DomainError, \
     PcfzerosError, PolynomialCaseError
 from .genairy import GenAiryZero, complex_zeros, mu, neg_zeros, \
@@ -23,10 +23,10 @@ __version__ = "0.1.0"
 kernel_backend = "pure"
 
 __all__ = [
-    "AiryValue", "ChainBreakError", "ConvergenceError", "CorrectionInput",
-    "DomainError", "GenAiryZero", "PcfValue", "PcfzerosError",
-    "PolynomialCaseError", "RefinedZero", "ValidationRecord",
-    "ZeroApproximation", "ZeroFamily", "complex_zeros", "correction1",
+    "AiryValue", "ChainBreakError", "ConvergenceError", "DomainError",
+    "GenAiryZero", "PcfValue", "PcfzerosError", "PolynomialCaseError",
+    "RefinedZero", "ValidationRecord", "ZeroApproximation", "ZeroFamily",
+    "complex_zeros", "correction1",
     "correction2", "count_positive", "eval_U", "eval_ai", "eval_ai_rotated",
     "eval_bi_real", "families", "hermite_zeros", "invert_zeta",
     "kernel_backend", "m_minus", "metrics", "mu", "neg_zeros",

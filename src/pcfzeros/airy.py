@@ -26,8 +26,10 @@ Region map (R0 = _R_SERIES, R1 = _R_ASYM):
 zeta = (2/3) z^(3/2) is formed in double-double arithmetic: its rounding
 would otherwise enter the phase of Ai as an error of up to eps |zeta|,
 7e-14 at |z| = 60.  The zeros a_m are -T(3 pi (4m - 1)/8) from the
-series of DLMF 9.9.18 (genairy.t_series), summed against a double-double
-t^(2/3), with Newton steps on Ai for m <= _NEWTON_ZEROS.
+series of DLMF 9.9.18 (_t_correction, which genairy.t_series sums too),
+summed against a double-double t^(2/3); the first _NEWTON_ZEROS of them
+are held as Newton-polished constants (tests/test_airy.py regenerates
+them).
 """
 import bisect
 import cmath
@@ -432,13 +434,30 @@ def eval_bi_real(x):
 # term the series omits is 1.6 ulps of a_14, and falls below 0.1 ulp
 # from m = 20 on
 _NEWTON_ZEROS = 20
+_POLISHED_ZEROS = (
+    -2.338107410459767, -4.087949444130971, -5.520559828095552,
+    -6.786708090071759, -7.944133587120853, -9.02265085334098,
+    -10.040174341558085, -11.008524303733262, -11.936015563236262,
+    -12.828776752865757, -13.691489035210719, -14.527829951775335,
+    -15.340755135977997, -16.132685156945772, -16.90563399742994,
+    -17.66130010569706, -18.401132599207116, -19.126380474246954,
+    -19.8381298917215, -20.537332907677566)
+# the largest index m for which 4m - 1 and 4m - 3, the tau of a_m and
+# of the genairy seeds, are exact in doubles
+MAX_INDEX = 2 ** 51
 # 3 pi/8 as a double-double
 _3PI8 = 3.0 * math.pi / 8.0
 _3PI8_LO = 4.592425496802574e-17
-_AI_ZEROS_CACHE = []
 
 
-def _zero_estimate(m, t_correction):
+def _t_correction(t2):
+    """T(t)/t^(2/3) - 1 of DLMF 9.9.18, to the t^-8 term, with t2 = t^2."""
+    return (5.0 / (48.0 * t2) - 5.0 / (36.0 * t2 * t2)
+            + 77125.0 / (82944.0 * t2 ** 3)
+            - 108056875.0 / (6967296.0 * t2 ** 4))
+
+
+def _zero_estimate(m):
     """-T(3 pi (4m - 1)/8) of DLMF 9.9.6, 9.9.18, with t^(2/3) in
     double-double: the rounding of t, of the exponent 2/3 and of the
     power then stays below an ulp of a_m."""
@@ -448,25 +467,15 @@ def _zero_estimate(m, t_correction):
     y = t ** _TWO3
     # t^(2/3) = y (1 + (2/3) e/t + log(t)/(3 2^53)), to first order
     corr = _TWO3 * e / t + _TWO3_LO * math.log(t)
-    return -(y + y * (corr + t_correction(t * t)))
+    return -(y + y * (corr + _t_correction(t * t)))
 
 
 def real_airy_zero(m):
-    """The m-th negative real zero a_m of Ai (m >= 1), a_1 > a_2 > ..."""
-    if m < 1 or m != int(m):
-        raise DomainError("zero index must be a positive integer")
-    m = int(m)
-    if m > len(_AI_ZEROS_CACHE):
-        # imported here: genairy imports this module
-        from .genairy import _t_correction
-        for k in range(len(_AI_ZEROS_CACHE) + 1, max(2 * m, 16) + 1):
-            x = _zero_estimate(k, _t_correction)
-            if k <= _NEWTON_ZEROS:
-                for _ in range(4):
-                    v = eval_ai(x)
-                    dx = v.value.real / v.derivative.real
-                    x -= dx
-                    if abs(dx) <= 1e-16 * abs(x):
-                        break
-            _AI_ZEROS_CACHE.append(x)
-    return _AI_ZEROS_CACHE[m - 1]
+    """The m-th negative real zero a_m of Ai (1 <= m <= MAX_INDEX),
+    a_1 > a_2 > ..."""
+    if not 1 <= m <= MAX_INDEX or m != int(m):
+        raise DomainError(f"zero index must be an integer in "
+                          f"1..{MAX_INDEX}")
+    if m <= _NEWTON_ZEROS:
+        return _POLISHED_ZEROS[int(m) - 1]
+    return _zero_estimate(m)

@@ -6,12 +6,14 @@ Subcommands:
   phase-grid  emit (x, y, arg U(a, x+iy)) over a rectangle
 
 zeros and validate take the families of zeros, their counts and the
-index of each family's first zero from zeros.families.  They refine
+index of each family's first zero from zeros.families, and seed each
+family through one zeros._seeder, called per index.  They refine
 each family's zeros in index order as one chain, with one chain
 Evaluator carrying U and U' from zero to zero, as sweep and
 hermite_zeros do.  phase-grid evaluates its points as one eval_U_path,
 row by row with every other row backwards.  Everything runs in this
-process; the --jobs flag of zeros is accepted and has no effect.
+process; the --jobs flag of zeros is accepted and has no effect.  JSON
+output is laid out as json.dumps(rows, indent=1) lays it out.
 
 Exit codes: 0 ok, 2 bad flags, 3 complex zeros requested in the Hermite
 case (genairy.hermite_order), 4 solver non-convergence or a seed
@@ -44,6 +46,9 @@ _VALIDATE_FIELDS = ["family", "a", "m", "z_approx_re", "z_approx_im",
                     "eps1", "eps2"]
 
 
+# the per-index seed functions; _records seeds through zeros._seeder,
+# but perfbench/spans.py patches this table, and
+# tests/test_bench_names.py requires every such name to resolve
 _FAMILY_FN = {
     "apos-complex": zmod.zeros_apos,
     "aneg-positive": zmod.zeros_aneg_positive,
@@ -88,11 +93,10 @@ def _records(args, refine):
     code = 0
     for kind, ms in _tasks_for(args):
         walker = Evaluator(a, STEP_TOL, "chain")
-        fn = _FAMILY_FN[kind]
+        seed = zmod._seeder(kind, a, args.terms)
         for m in ms:
             try:
-                approx = fn(a, m, terms=args.terms)
-                z_approx = approx.z
+                _, _, _, z_approx, terms_used = seed(m)
                 zr_re = zr_im = eps1 = eps2 = residual = None
                 if refine:
                     try:
@@ -115,7 +119,7 @@ def _records(args, refine):
                 continue
             rows.append({
                 "family": kind, "a": a, "m": m,
-                "terms_used": approx.terms_used,
+                "terms_used": terms_used,
                 "z_approx_re": z_approx.real, "z_approx_im": z_approx.imag,
                 "z_refined_re": zr_re, "z_refined_im": zr_im,
                 "eps1": eps1, "eps2": eps2, "residual": residual})
@@ -128,8 +132,15 @@ def _write_rows(rows, fields, header, fmt):
     as an empty cell (csv.writer's own conversions)."""
     out = sys.stdout
     if fmt == "json":
-        # one write: json.dump writes each token of the rows apart
-        out.write(json.dumps(rows, indent=1) + "\n")
+        # the layout of json.dumps(rows, indent=1), in one write; any
+        # indent selects json's pure-Python encoder, so each row goes
+        # through the C encoder, its separators giving the indentation
+        if not rows:
+            out.write("[]\n")
+            return
+        items = [json.dumps(r, separators=(",\n  ", ": "))[1:-1]
+                 for r in rows]
+        out.write("[\n {\n  " + "\n },\n {\n  ".join(items) + "\n }\n]\n")
         return
     out.write("# pcfzeros " + header + "\n")
     w = csv.writer(out, lineterminator="\n")
@@ -164,10 +175,9 @@ def cmd_validate(args):
     if args.reference == "oracle":
         refs = _oracle_reference(a)
         fam = "aneg-positive"
-        pairs = []
-        for m in range(1, len(refs) + 1):
-            approx = zmod.zeros_aneg_positive(a, m, terms=args.terms)
-            pairs.append((fam, m, approx.z, complex(refs[m - 1])))
+        seed = zmod._seeder(fam, a, args.terms)
+        pairs = [(fam, m, seed(m)[3], complex(ref))
+                 for m, ref in enumerate(refs, 1)]
     else:
         found, code = _records(args, refine=True)
         pairs = [(r["family"], r["m"],

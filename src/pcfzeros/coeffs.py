@@ -2,12 +2,12 @@
 
 correction1/correction2 are the O(u^-2), O(u^-4) terms of the zero
 expansions, as rational functions of the leading zero z0 and the map
-data (zeta0, sigma0) there.  Their terms cancel like 1/zeta0^2 and
-1/zeta0^5 as z0 -> 1, so within mapping.TP_RADIUS of the turning point
-both are summed in doubles from their Taylor series in z0 - 1 instead.
+data (zeta0, sigma0) there; both take these three values as their
+arguments.  Their terms cancel like 1/zeta0^2 and 1/zeta0^5 as z0 -> 1,
+so within mapping.TP_RADIUS of the turning point both are summed in
+doubles from their Taylor series in z0 - 1 instead.
 """
 import cmath
-from dataclasses import dataclass
 
 from .mapping import TP_RADIUS, taylor
 
@@ -22,28 +22,22 @@ _C2 = (-0.011941777864992151, 0.013724382100011352, -0.014056628008201838,
        0.0024655612644051313, -0.0016611970682723564, 0.0010962868799634469)
 
 
-@dataclass(frozen=True)
-class CorrectionInput:
-    z0: complex      # leading zero in the mapped plane (zhat / xhat / what)
-    zeta0: complex
-    sigma0: complex
-
-
-def correction1(inp):
-    """First correction term: the O(u^-2) coefficient of the zero expansion."""
-    z0, zt0, s0 = inp.z0, inp.zeta0, inp.sigma0
+def correction1(z0, zt0, s0):
+    """First correction term: the O(u^-2) coefficient of the zero
+    expansion, at the leading zero z0 in the mapped plane (zhat, xhat or
+    what) with zt0 = zeta(z0) and s0 = sigma there (mapping._sigma)."""
     if abs(z0 - 1.0) < TP_RADIUS:
         return taylor(_C1, z0 - 1.0)
     return s0 / (48.0 * zt0 ** 2) * (12.0 * z0 * s0 * zt0
                                      - 10.0 * z0 ** 3 * s0 ** 3 + 5.0)
 
 
-def correction2(inp):
-    """Second correction term: the O(u^-4) coefficient.  Its closed form
-    is a polynomial in x = z0 sigma0, z0^2, sigma0^2 and zeta0, summed
-    by Horner in x.  Where the arithmetic leaves the double range it
-    raises OverflowError, which zeros._assemble takes as undefined."""
-    z0, zt0, s0 = inp.z0, inp.zeta0, inp.sigma0
+def correction2(z0, zt0, s0):
+    """Second correction term: the O(u^-4) coefficient, from the same
+    (z0, zeta0, sigma0) as correction1.  Its closed form is a polynomial
+    in x = z0 sigma0, z0^2, sigma0^2 and zeta0, summed by Horner in x.
+    Where the arithmetic leaves the double range it raises OverflowError,
+    which zeros._expand takes as undefined."""
     if abs(z0 - 1.0) < TP_RADIUS:
         return taylor(_C2, z0 - 1.0)
     x, p = z0 * s0, z0 * z0

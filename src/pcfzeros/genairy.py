@@ -15,7 +15,10 @@ zeros by a safeguarded Newton iteration in a bracket around the seed,
 complex ones by Newton on the identity of refine_zero).  For u mod 2 in
 [4/3, 2) the first negative zero has tau < 1, where the series is
 useless near t = 0: it is found in the bracket between the second zero
-and the origin instead.
+and the origin instead.  complex_seeder(u) forms the part of tau that
+does not depend on m once for a whole family; complex_zeros is one call
+of it.  Indices stop at airy.MAX_INDEX, up to which tau is exact in
+doubles.
 
 hermite_order decides the Hermite case u = 2n + 1 for the whole package;
 outside it complex_zeros answers however close u is to an odd integer.
@@ -30,7 +33,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .airy import eval_ai_rotated, eval_ai, eval_bi_real
+from .airy import (MAX_INDEX, _t_correction, eval_ai_rotated, eval_ai,
+                   eval_bi_real)
 from .errors import ConvergenceError, DomainError, PolynomialCaseError
 
 # rounding level of the identity residual per (1+|z|)^{3/2}: the phase
@@ -43,6 +47,9 @@ _RESIDUAL_NOISE = 10.0 * sys.float_info.epsilon
 # scipy's brentq, the tests' oracle for these roots)
 _BRENT_XTOL = 1e-14
 _BRENT_RTOL = 4.0 * sys.float_info.epsilon
+# e^{i pi/3}: the direction of the complex zeros of Ai_u for large m,
+# and of the leading terms of the a > 0 zeros (zeros)
+_EXP_IPI3 = cmath.exp(1j * math.pi / 3.0)
 # iteration cap of the real root search: bisection alone halves the
 # widest bracket (64) to _BRENT_XTOL in about 53 steps
 _ROOT_MAX_ITER = 100
@@ -94,13 +101,6 @@ def t_series(t):
     """
     t = complex(t)
     return t ** (2.0 / 3.0) * (1.0 + _t_correction(t * t))
-
-
-def _t_correction(t2):
-    """T(t)/t^(2/3) - 1 from the terms of t_series, with t2 = t^2."""
-    return (5.0 / (48.0 * t2) - 5.0 / (36.0 * t2 * t2)
-            + 77125.0 / (82944.0 * t2 ** 3)
-            - 108056875.0 / (6967296.0 * t2 ** 4))
 
 
 # the first coefficient of DLMF 9.9.18 that t_series leaves out (of t^-10)
@@ -258,8 +258,7 @@ def neg_zeros(u, m, refine=False):
     """
     if u <= 0:
         raise DomainError("neg_zeros requires u > 0")
-    if m < 1:
-        raise DomainError("zero index must be >= 1")
+    _check_index(m)
     tau = 4.0 * m - 3.0 + mu(u)
     if tau < 1.0:
         x2 = neg_zeros(u, 2).value.real
@@ -296,22 +295,39 @@ def sole_positive_zero(u) -> Optional[GenAiryZero]:
                        refined=True, u=u)
 
 
-def _complex_seed(u, m):
-    """(t, seed) of the m-th complex zero: seed = e^{i pi/3} T(t) with
-    t = 3 pi tau / 8, tau branch-selected by the sign of cos(u pi/2)."""
+def _check_index(m):
+    """DomainError unless m is an integer in 1..MAX_INDEX, where tau is
+    exact."""
+    if not 1 <= m <= MAX_INDEX or m != int(m):
+        raise DomainError(f"zero index {m} is not an integer in "
+                          f"1..{MAX_INDEX}")
+
+
+def _tau_offset(u):
+    """(4 M, s, i l) with tau_m = 4m + 4 M - u + s + i l for the complex
+    zeros, the branch selected by the sign of c = cos(u pi/2): M = M+,
+    s = -1 for c > 0, else M = floor((u - 1)/4), s = 1; l = (2/pi)
+    ln|2c|."""
     c = math.cos(0.5 * u * math.pi)
     if c > 0:
-        mp = math.floor((u + 1.0) / 4.0)
-        tau = 4.0 * m + 4.0 * mp - u - 1.0 + (2j / math.pi) * math.log(2.0 * c)
-    else:
-        mm = math.floor((u - 1.0) / 4.0)
-        tau = 4.0 * m + 4.0 * mm - u + 1.0 + (2j / math.pi) * math.log(abs(2.0 * c))
-    t = 3.0 * math.pi * tau / 8.0
-    return t, cmath.exp(1j * math.pi / 3.0) * t_series(t)
+        return (4.0 * math.floor((u + 1.0) / 4.0), -1.0,
+                (2j / math.pi) * math.log(2.0 * c))
+    return (4.0 * math.floor((u - 1.0) / 4.0), 1.0,
+            (2j / math.pi) * math.log(abs(2.0 * c)))
 
 
-def complex_zeros(u, m, refine=False):
-    """m-th complex zero of Ai_u in the first quadrant.
+def _complex_seed(u, m, offset):
+    """(t, seed) of the m-th complex zero: seed = e^{i pi/3} T(t) with
+    t = 3 pi tau / 8, offset = _tau_offset(u)."""
+    k4, s, il = offset
+    t = 3.0 * math.pi * (4.0 * m + k4 - u + s + il) / 8.0
+    return t, _EXP_IPI3 * t_series(t)
+
+
+def complex_seeder(u):
+    """The m-th complex zero of Ai_u in the first quadrant as a function
+    zero(m, refine=False) -> (value, refined), with u checked and
+    _tau_offset(u) formed once.
 
     The seed e^{i pi/3} T(3 pi tau / 8) (arg -> pi/3 as m grows) is
     Newton-refined by refine_zero when refine=True or when its truncation
@@ -320,16 +336,24 @@ def complex_zeros(u, m, refine=False):
     """
     if u <= 0:
         raise DomainError("complex_zeros requires u > 0")
-    if m < 1:
-        raise DomainError("zero index must be >= 1")
     n = hermite_order(u)
     if n is not None:
         raise PolynomialCaseError(f"u = {u} is the Hermite case 2n + 1, "
                                   f"n = {n}: no complex zeros")
-    t, z = _complex_seed(u, m)
-    if refine or not _series_suffices(t, z):
-        rz = refine_zero(u, z)
-        return GenAiryZero(index=m, kind="complex-first-quadrant",
-                           value=rz.value, refined=True, u=u)
-    return GenAiryZero(index=m, kind="complex-first-quadrant", value=z,
-                       refined=False, u=u)
+    offset = _tau_offset(u)
+
+    def zero(m, refine=False):
+        _check_index(m)
+        t, z = _complex_seed(u, m, offset)
+        if refine or not _series_suffices(t, z):
+            return refine_zero(u, z).value, True
+        return z, False
+
+    return zero
+
+
+def complex_zeros(u, m, refine=False):
+    """m-th complex zero of Ai_u in the first quadrant (complex_seeder)."""
+    value, refined = complex_seeder(u)(m, refine)
+    return GenAiryZero(index=m, kind="complex-first-quadrant", value=value,
+                       refined=refined, u=u)

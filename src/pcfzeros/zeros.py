@@ -12,21 +12,24 @@ z in the second quadrant to one zero per conjugate pair.  M+ and M- are
 closed forms from DLMF 12.11(i).  In the Hermite case u = 2n + 1
 (genairy.hermite_order), and only there, the complex family is empty;
 for odd n the zero at the origin is then one of the M-.
+
+Every seed goes through one path, _seeder(kind, a, terms): it checks a,
+terms and the Hermite case and forms the family's constants once, and
+returns the seed as a function of the index m, a plain tuple of
+ZeroApproximation's fields.  The CLI and hermite_zeros call it per m;
+zeros_apos and the zeros_aneg_* functions wrap it for one index.
 """
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 from . import genairy
 from .airy import real_airy_zero
-from .coeffs import CorrectionInput, correction1, correction2
+from .coeffs import correction1, correction2
 from .errors import DomainError, require_finite
-from .genairy import hermite_order, vartheta
+from .genairy import _EXP_IPI3, hermite_order, vartheta
 from .mapping import ZETA_AT_0, _sigma, invert_zeta
 from .pcf_eval import Evaluator
-
-_EXP_IPI3 = cmath.exp(1j * math.pi / 3.0)
 
 
 @dataclass(frozen=True)
@@ -102,42 +105,117 @@ def families(a, complex_count=None):
     raise DomainError("a = 0 is not covered by the u = 2|a| expansions")
 
 
-def _assemble(m, kind, u, zeta0, terms, back):
-    """Common pipeline: invert zeta, apply corrections, back-transform.
-    A correction is kept while it is defined and smaller in modulus than
-    the term before it, next to the turning point too, where it is a
-    Taylor sum (coeffs); one whose arithmetic leaves the double range is
-    undefined."""
+def _scale(u, k):
+    """u ** k, the divisor of the k-th order correction, or 0.0 where it
+    overflows: a correction is then undefined (dividing by it fails), as
+    where u ** k underflows."""
+    try:
+        return u ** k
+    except OverflowError:
+        return 0.0
+
+
+def _expand(zeta0, terms, u2, u4):
+    """(z0, kept correction coefficients, zhat) for the leading term at
+    zeta0: invert zeta, then add the corrections c1 / u^2 and c2 / u^4
+    (u2, u4 from _scale).  A correction is kept while it is defined and
+    smaller in modulus than the term before it, next to the turning point
+    too, where it is a Taylor sum (coeffs); one whose arithmetic leaves
+    the double range is undefined."""
+    z0 = invert_zeta(zeta0)
+    if terms == 1:
+        return z0, (), z0
+    sigma0 = _sigma(z0, zeta0)
+    try:
+        c1 = correction1(z0, zeta0, sigma0)
+        step1 = c1 / u2
+    except (OverflowError, ZeroDivisionError):
+        return z0, (), z0  # undefined in doubles: z0 or u ** 2
+    if not abs(step1) < abs(z0):
+        return z0, (), z0
+    zh = z0 + step1
+    if terms == 2:
+        return z0, (c1,), zh
+    try:
+        c2 = correction2(z0, zeta0, sigma0)
+        step2 = c2 / u4
+    except (OverflowError, ZeroDivisionError):
+        return z0, (c1,), zh
+    if not abs(step2) < abs(step1):
+        return z0, (c1,), zh
+    return z0, (c1, c2), zh + step2
+
+
+def _seeder(kind, a, terms):
+    """The seed of the m-th zero of family kind at a as a function of m,
+    returning the tuple (z0, terms, zhat, z, terms_used) of
+    ZeroApproximation's fields: a, terms and the Hermite case are checked
+    and the family's constants (u, u^{-2/3}, u^2, u^4, the back-transform
+    factor, genairy's tau offset) formed once; per m it checks the index
+    and runs the Airy or generalised-Airy zero, invert_zeta, sigma, the
+    corrections and the back-transform."""
+    if kind == "apos-complex":
+        require_finite(a=a)
+        if a <= 0:
+            raise DomainError("zeros_apos requires a > 0")
+        u = 2.0 * a
+    else:
+        u = _u_neg(a)
     if terms not in (1, 2, 3):
         raise DomainError("terms must be 1, 2 or 3")
-    z0 = invert_zeta(zeta0)
-    zh, coeffs, prev = z0, (), z0
-    if terms >= 2:
-        inp = CorrectionInput(z0=z0, zeta0=zeta0, sigma0=_sigma(z0, zeta0))
-        for corr, power in ((correction1, 2), (correction2, 4))[:terms - 1]:
-            try:
-                c = corr(inp)
-                step = c / u ** power
-            except (OverflowError, ZeroDivisionError):
-                break  # undefined in doubles: z0 or u ** power
-            if not abs(step) < abs(prev):
-                break
-            coeffs, zh, prev = coeffs + (c,), zh + step, step
-    return ZeroApproximation(m=m, kind=kind, z0=z0, terms=coeffs, zhat=zh,
-                             z=back(zh), terms_used=1 + len(coeffs))
+    upow = u ** (-2.0 / 3.0)
+    u2, u4 = _scale(u, 2), _scale(u, 4)
+
+    if kind == "apos-complex":
+        back = 2j * math.sqrt(a)
+
+        def seed(m):
+            zeta0 = _EXP_IPI3 * abs(real_airy_zero(m)) * upow
+            z0, coeffs, zh = _expand(zeta0, terms, u2, u4)
+            return z0, coeffs, zh, back * zh, 1 + len(coeffs)
+    elif kind == "aneg-complex":
+        zero = genairy.complex_seeder(u)
+        back = -2.0 * math.sqrt(0.5 * u)
+
+        def seed(m):
+            zeta0 = zero(m)[0] * upow
+            z0, coeffs, zh = _expand(zeta0, terms, u2, u4)
+            return z0, coeffs, zh, back * zh.conjugate(), 1 + len(coeffs)
+    else:
+        positive = kind == "aneg-positive"
+        if positive:
+            first, last = 1, count_positive(u)
+            back = 2.0 * math.sqrt(0.5 * u)
+        else:
+            ms = _nonpositive_indices(u)
+            first, last = ms.start, ms.stop - 1
+            back = -2.0 * math.sqrt(0.5 * u)
+
+        def seed(m):
+            if not first <= m <= last:
+                raise DomainError(f"index {m} outside {first}..{last}")
+            if positive:
+                x = real_airy_zero(m)
+            elif m == 0:
+                x = genairy.sole_positive_zero(u).value.real
+            else:
+                x = genairy.neg_zeros(u, m).value.real
+            # raised to zeta(0) (the origin): the zero next to the
+            # origin can map just below it near u = 4k + 3
+            zeta0 = complex(max(x * upow, ZETA_AT_0))
+            z0, coeffs, zh = _expand(zeta0, terms, u2, u4)
+            return z0, coeffs, zh, complex(back * zh.real), 1 + len(coeffs)
+    return seed
+
+
+def _approximation(kind, a, m, terms):
+    """The m-th zero of family kind at a, through the family's seeder."""
+    return ZeroApproximation(m, kind, *_seeder(kind, a, terms)(m))
 
 
 def zeros_apos(a, m, terms=3):
     """m-th (second-quadrant) complex zero of U(a, .), a > 0."""
-    require_finite(a=a)
-    if a <= 0:
-        raise DomainError("zeros_apos requires a > 0")
-    if m < 1:
-        raise DomainError("zero index must be >= 1")
-    u = 2.0 * a
-    zeta0 = _EXP_IPI3 * abs(real_airy_zero(m)) * u ** (-2.0 / 3.0)
-    back = lambda zh: 2j * math.sqrt(a) * zh
-    return _assemble(m, "apos-complex", u, zeta0, terms, back)
+    return _approximation("apos-complex", a, m, terms)
 
 
 def _u_neg(a):
@@ -149,50 +227,22 @@ def _u_neg(a):
     return u
 
 
-def _real_zeta0(x, u):
-    """x u^{-2/3}, raised to zeta(0) (the origin): the zero next to the
-    origin can map just below it near u = 4k + 3."""
-    return complex(max(x * u ** (-2.0 / 3.0), ZETA_AT_0))
-
-
 def zeros_aneg_positive(a, m, terms=3):
     """m-th positive real zero of U(a, .), a < 0; m = 1 is the largest."""
-    u = _u_neg(a)
-    mplus = count_positive(u)
-    if not 1 <= m <= mplus:
-        raise DomainError(f"index {m} outside 1..{mplus}")
-    zeta0 = _real_zeta0(real_airy_zero(m), u)
-    back = lambda zh: complex(2.0 * math.sqrt(0.5 * u) * zh.real)
-    return _assemble(m, "aneg-positive", u, zeta0, terms, back)
+    return _approximation("aneg-positive", a, m, terms)
 
 
 def zeros_aneg_nonpositive(a, m, terms=3):
     """Non-positive real zeros of U(a, .), a < 0, indexed per the
     1-vartheta convention: m = 0 (only when vartheta = 1) maps the sole
     positive zero of Ai_u; m >= 1 map its negative zeros, M- in all."""
-    u = _u_neg(a)
-    ms = _nonpositive_indices(u)
-    if m not in ms:
-        raise DomainError(f"index {m} outside {ms.start}..{ms.stop - 1}")
-    if m == 0:
-        az = genairy.sole_positive_zero(u).value.real
-    else:
-        az = genairy.neg_zeros(u, m).value.real
-    back = lambda zh: complex(-2.0 * math.sqrt(0.5 * u) * zh.real)
-    return _assemble(m, "aneg-nonpositive", u, _real_zeta0(az, u), terms,
-                     back)
+    return _approximation("aneg-nonpositive", a, m, terms)
 
 
 def zeros_aneg_complex(a, m, terms=3):
     """m-th complex zero of U(a, .) for a < 0, reported in the second
     quadrant (z = -2 sqrt|a| conj(what), what in the first quadrant)."""
-    u = _u_neg(a)
-    if m < 1:
-        raise DomainError("zero index must be >= 1")
-    gz = genairy.complex_zeros(u, m)
-    zeta0 = gz.value * u ** (-2.0 / 3.0)
-    back = lambda zh: -2.0 * math.sqrt(0.5 * u) * zh.conjugate()
-    return _assemble(m, "aneg-complex", u, zeta0, terms, back)
+    return _approximation("aneg-complex", a, m, terms)
 
 
 def hermite_zeros(n, terms=3):
@@ -206,11 +256,12 @@ def hermite_zeros(n, terms=3):
     u = 2.0 * n + 1.0
     a = -0.5 * u
     walker = Evaluator(a, STEP_TOL, "chain")
+    seed = _seeder("aneg-positive", a, terms)
     pos = []
     # smallest zero first (m = 1 is the largest), so that the evaluator
     # carries U from each zero to the next
     for m in range(n // 2, 0, -1):
-        zu = zeros_aneg_positive(a, m, terms=terms).z.real
+        zu = seed(m)[3].real  # z
         zu = t_iterate(a, zu, evaluator=walker).value.real
         pos.append(zu / math.sqrt(2.0))
     pos = sorted(pos)

@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from pcfzeros import airy
 from pcfzeros.airy import (eval_ai, eval_ai_rotated, eval_bi_real,
                            real_airy_zero)
 from pcfzeros.errors import DomainError
@@ -195,6 +196,21 @@ def test_scaled_exponent_matches_log_ai(r):
             # unscaled only while the value is inside double range
             assert v.exponent != 0.0 or abs(ref) < 700.0, z
             assert 0.0 < abs(v.value) < math.inf
+
+
+def test_polished_zeros_regenerate():
+    # the held a_1..a_20 are the series estimates after Newton steps on
+    # Ai; past them a_m is the estimate itself
+    for m, held in enumerate(airy._POLISHED_ZEROS, 1):
+        x = airy._zero_estimate(m)
+        for _ in range(4):
+            v = eval_ai(x)
+            dx = v.value.real / v.derivative.real
+            x -= dx
+            if abs(dx) <= 1e-16 * abs(x):
+                break
+        assert x == held == real_airy_zero(m), m
+    assert real_airy_zero(21) == airy._zero_estimate(21)
 
 
 def test_real_airy_zero_within_two_ulps_of_mpmath():

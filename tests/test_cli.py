@@ -11,6 +11,7 @@ import sys
 import pytest
 
 from pcfzeros import cli, pcf_eval
+from pcfzeros import zeros as zmod
 from pcfzeros.errors import ConvergenceError
 from pcfzeros.zeros import hermite_zeros
 
@@ -250,6 +251,56 @@ def test_non_convergence_keeps_the_other_records(capsys, monkeypatch):
     assert [int(row["m"]) for row in parse_csv(cap.out)] == [1, 3]
     assert len(cap.err.splitlines()) == 1
     assert "apos-complex m=2: no convergence" in cap.err
+
+
+@pytest.mark.parametrize("a", ["8.3", "20.3", "-6.2", "-1.6666666666666665",
+                               "1e-200", "-6.5000000005", "-30.5"])
+def test_cli_seeds_are_the_per_index_seeds(capsys, a):
+    # the CLI seeds each family through zeros._seeder, the per-index
+    # functions one zero at a time through the same path: bit for bit
+    # the same z and terms_used
+    rc, out = run_cli(capsys, ["zeros", "--a", a, "--count", "300",
+                               "--no-refine", "--format", "json"])
+    assert rc == 0
+    rows = json.loads(out)
+    assert {r["family"] for r in rows} == {
+        f.kind for f in zmod.families(float(a), complex_count=1) if f.count}
+    for r in rows:
+        s = cli._FAMILY_FN[r["family"]](float(a), r["m"])
+        assert (repr(r["z_approx_re"]), repr(r["z_approx_im"]),
+                r["terms_used"]) == (repr(s.z.real), repr(s.z.imag),
+                                     s.terms_used), r
+
+
+def test_seed_non_convergence_keeps_the_other_rows(capsys, monkeypatch):
+    # a seed whose zeta inversion fails at m = 2: reported, exit 4, and
+    # the rows of m = 1 and 3 kept
+    invert_zeta = zmod.invert_zeta
+    calls = []
+
+    def failing_second(target):
+        calls.append(target)
+        if len(calls) == 2:
+            raise ConvergenceError("invert_zeta did not converge", last=0j)
+        return invert_zeta(target)
+
+    monkeypatch.setattr(zmod, "invert_zeta", failing_second)
+    rc = cli.main(["zeros", "--a", "8.3", "--count", "3", "--no-refine"])
+    cap = capsys.readouterr()
+    assert rc == 4
+    assert [int(row["m"]) for row in parse_csv(cap.out)] == [1, 3]
+    assert cap.err.splitlines() == [
+        "pcfzeros: non-convergence at apos-complex m=2: invert_zeta did "
+        "not converge"]
+
+
+@pytest.mark.parametrize("rows", [
+    [], [{"family": "x", "a": -0.0, "m": 1, "eps1": None, "z": 1e-300,
+          "w": 1e300}, {"family": "y", "a": 8.3, "m": 2, "eps1": -0.0,
+                        "z": None, "w": -1e300}]], ids=["empty", "rows"])
+def test_json_writer_is_json_dumps_with_indent_1(capsys, rows):
+    cli._write_rows(rows, [], "", "json")
+    assert capsys.readouterr().out == json.dumps(rows, indent=1) + "\n"
 
 
 def test_csv_json_cross_format_equality(capsys):

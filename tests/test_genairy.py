@@ -4,10 +4,10 @@ import math
 import pytest
 
 from pcfzeros.errors import PolynomialCaseError
-from pcfzeros.genairy import (_complex_seed, _t_series_tail, complex_zeros,
-                              hermite_order, identity_residual, mu, neg_zeros,
-                              refine_zero, sole_positive_zero, t_series,
-                              vartheta)
+from pcfzeros.genairy import (_complex_seed, _t_series_tail, _tau_offset,
+                              complex_zeros, hermite_order, identity_residual,
+                              mu, neg_zeros, refine_zero, sole_positive_zero,
+                              t_series, vartheta)
 from pcfzeros.zeros import count_positive, m_minus
 
 import oracles
@@ -150,9 +150,11 @@ def test_refinement_shift_decreases_with_m():
     # the raw series itself: complex_zeros refines it wherever its
     # truncation estimate exceeds the refinement's accuracy
     u = 12.4
-    d1 = abs(complex_zeros(u, 1, refine=True).value - _complex_seed(u, 1)[1])
+    offset = _tau_offset(u)
+    d1 = abs(complex_zeros(u, 1, refine=True).value
+             - _complex_seed(u, 1, offset)[1])
     d50 = abs(complex_zeros(u, 50, refine=True).value
-              - _complex_seed(u, 50)[1])
+              - _complex_seed(u, 50, offset)[1])
     assert d1 > d50
 
 
@@ -205,7 +207,7 @@ def test_raw_complex_zeros_flag_reliability_by_series_tail():
     # from m = 14 on the tail estimate passes and the raw value is exact
     u = 12.4
     for m in (1, 2, 3, 14, 15, 16):
-        raw = _complex_seed(u, m)[1]
+        raw = _complex_seed(u, m, _tau_offset(u))[1]
         got = complex_zeros(u, m)
         ref = complex_zeros(u, m, refine=True)
         assert ref.refined

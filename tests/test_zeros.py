@@ -1,11 +1,14 @@
 import cmath
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from pcfzeros.airy import MAX_INDEX, real_airy_zero
 from pcfzeros.errors import DomainError, PcfzerosError, PolynomialCaseError
-from pcfzeros.genairy import complex_zeros, identity_residual
+from pcfzeros.genairy import complex_zeros, identity_residual, neg_zeros
 from pcfzeros.refine import t_iterate
 from pcfzeros.zeros import (ZeroApproximation, count_positive, families,
                             hermite_zeros, m_minus, zeros_aneg_complex,
@@ -14,6 +17,7 @@ from pcfzeros.zeros import (ZeroApproximation, count_positive, families,
 
 import oracles
 from oracles import residual_eq319
+from test_cli import _child_env
 
 
 def test_count_positive_values():
@@ -294,14 +298,50 @@ def test_aneg_complex_series_zeros_satisfy_the_identity():
 
 
 def test_bad_indices_rejected():
-    with pytest.raises(DomainError):
-        zeros_apos(-1.0, 1)
-    with pytest.raises(DomainError):
-        zeros_apos(8.3, 0)
-    with pytest.raises(DomainError):
-        zeros_apos(8.3, 1, terms=4)
-    with pytest.raises(DomainError):
-        zeros_aneg_complex(-6.2, 0)
+    # each error of the per-index functions, exactly of its class
+    cases = [(zeros_apos, -1.0, 1, 3, DomainError),
+             (zeros_aneg_complex, -6.5, 1, 3, PolynomialCaseError),
+             (zeros_aneg_positive, -6.2, 4, 3, DomainError),  # M+ = 3
+             (zeros_aneg_nonpositive, -6.2, 4, 3, DomainError)]
+    for fn, a in ((zeros_apos, 8.3), (zeros_aneg_positive, -6.2),
+                  (zeros_aneg_nonpositive, -6.2), (zeros_aneg_complex, -6.2)):
+        cases += [(fn, a, 0, 3, DomainError), (fn, a, 1, 4, DomainError),
+                  (fn, math.nan, 1, 3, DomainError)]
+    for fn, a, m, terms, error in cases:
+        with pytest.raises(DomainError) as info:
+            fn(a, m, terms=terms)
+        assert type(info.value) is error, (fn.__name__, a, m, terms)
+
+
+_HUGE_INDICES = """
+import time
+from pcfzeros import zeros_aneg_complex, zeros_apos
+t = time.perf_counter()
+zs = [zeros_apos(8.3, 10**9).z, zeros_aneg_complex(-6.2, 10**9).z]
+print(time.perf_counter() - t, all(z.real < 0 < z.imag for z in zs))
+"""
+
+
+def test_huge_indices_seed_in_milliseconds():
+    # a_m comes from its series, with no table of the zeros before it
+    r = subprocess.run([sys.executable, "-c", _HUGE_INDICES],
+                       capture_output=True, text=True, env=_child_env(),
+                       timeout=60)
+    assert r.returncode == 0, r.stderr
+    seconds, second_quadrant = r.stdout.split()
+    assert float(seconds) < 0.1
+    assert second_quadrant == "True"
+
+
+def test_indices_past_exact_tau_are_a_domain_error():
+    # 4m - 1 is exact in doubles up to m = MAX_INDEX = 2^51
+    assert real_airy_zero(MAX_INDEX) < real_airy_zero(MAX_INDEX - 1)
+    for fn, args in ((real_airy_zero, ()), (neg_zeros, (12.4,)),
+                     (complex_zeros, (12.4,)), (zeros_apos, (8.3,)),
+                     (zeros_aneg_complex, (-6.2,))):
+        assert fn(*args, MAX_INDEX) is not None
+        with pytest.raises(DomainError):
+            fn(*args, MAX_INDEX + 1)
 
 
 @pytest.mark.parametrize("fn, args", [
