@@ -34,8 +34,8 @@ from .errors import (ConvergenceError, DomainError, PolynomialCaseError,
 from .genairy import hermite_order
 # eval_U is not called here; perfbench/spans.py patches cli.eval_U, and
 # tests/test_bench_names.py requires every such name to resolve
-from .pcf_eval import (Evaluator, eval_U,  # noqa: F401
-                       eval_U_path, metrics)
+from .pcf_eval import (Evaluator, _errors, eval_U,  # noqa: F401
+                       eval_U_path)
 from .refine import STEP_TOL, t_iterate
 
 _ZEROS_FIELDS = ["family", "a", "m", "terms_used",
@@ -109,9 +109,7 @@ def _records(args, refine):
                         z_refined = complex(z_refined.real, 0.0)
                     zr_re, zr_im = z_refined.real, z_refined.imag
                     residual = rz.residual
-                    rec = metrics(z_approx, z_refined, m=m)
-                    eps1 = rec.eps1
-                    eps2 = rec.eps2
+                    _, _, eps1, eps2 = _compare(z_approx, z_refined)
             except ConvergenceError as e:
                 code = 4
                 print(f"pcfzeros: non-convergence at {kind} m={m}: {e}",
@@ -124,6 +122,15 @@ def _records(args, refine):
                 "z_refined_re": zr_re, "z_refined_im": zr_im,
                 "eps1": eps1, "eps2": eps2, "residual": residual})
     return rows, code
+
+
+def _compare(z_approx, z_ref):
+    """(g1_approx, g1_ref, eps1, eps2) of metrics; no eps for a zero at
+    the origin (a = -n - 1/2, n odd), refined to a rounding error of 0."""
+    if abs(z_ref) <= STEP_TOL:
+        return abs(z_approx), abs(z_ref), None, None
+    g1a, g1r, _, _, eps1, eps2 = _errors(z_approx, z_ref)
+    return g1a, g1r, eps1, eps2
 
 
 def _write_rows(rows, fields, header, fmt):
@@ -186,13 +193,13 @@ def cmd_validate(args):
                  for r in found]
     rows = []
     for fam, m, za, zr in pairs:
-        rec = metrics(za, zr, m=m)
+        g1a, g1r, eps1, eps2 = _compare(za, zr)
         rows.append({
             "family": fam, "a": a, "m": m,
             "z_approx_re": za.real, "z_approx_im": za.imag,
             "z_ref_re": zr.real, "z_ref_im": zr.imag,
-            "g1_approx": rec.g1_approx, "g1_ref": rec.g1_ref,
-            "eps1": rec.eps1, "eps2": rec.eps2,
+            "g1_approx": g1a, "g1_ref": g1r,
+            "eps1": eps1, "eps2": eps2,
         })
     header = (f"validate v1 a={a!r} reference={args.reference} "
               f"terms={args.terms}")

@@ -13,9 +13,11 @@ Methods, each with an a-posteriori error estimate:
      origin stage steps along the ray, stable where U is dominant,
      outside |arg z| < pi/4; where the ray declines and 0 < |Re z| <
      |Im z|, it steps up the imaginary axis, along which U is dominant,
-     to i Im z and then across to z, judged by the same estimate and
-     limit.  The ray stays first: next to the lines |Re z| = |Im z| it
-     is the more accurate of the two.
+     to i Im z and then across to z; where 0 < |Im z| < |Re z|, as next
+     to the first zeros at large -a, along the real axis to Re z and
+     then across.  Both are judged by the ray's estimate and limit.  The
+     ray stays first: next to the lines |Re z| = |Im z| it is the more
+     accurate.
   mpmath — last resort: the Maclaurin expansion at escalating precision,
      capped at _MP_MAX_DPS digits (ConvergenceError past it).
 
@@ -81,8 +83,10 @@ _TAYLOR_REACH = 4.0
 _TAYLOR_MAX_STEPS = 1000
 _TAYLOR_MAX_TERMS = 200
 _TAYLOR_TINY = 1e-17
-_INV_KK = [0.0, 0.0] + [1.0 / (k * (k - 1))
-                        for k in range(2, _TAYLOR_MAX_TERMS)]
+# _taylor_run's passes, two terms each: k, k + 1, 1/(k (k-1)), 1/((k+1) k)
+_TAYLOR_PASSES = tuple((float(k), float(k + 1), 1.0 / (k * (k - 1)),
+                        1.0 / ((k + 1) * k))
+                       for k in range(2, _TAYLOR_MAX_TERMS, 2))
 # the chain entry's taylor estimate: this times the runs' difference
 _WALK_SAFETY = 10.0
 # the double Maclaurin series declines where max(|U(a,0)|, |U'(a,0)|) is
@@ -95,6 +99,8 @@ _Z_MAX = 1e154
 # term caps of the Kummer (Maclaurin) and Poincare (asymptotic) sums
 _KUMMER_MAX_TERMS = 4000
 _ASYM_MAX_TERMS = 64
+# asym_pair's s and 2s
+_ASYM_TERMS = tuple((float(s), 2.0 * s) for s in range(1, _ASYM_MAX_TERMS))
 
 
 @dataclass(frozen=True)
@@ -188,15 +194,17 @@ def asym_pair(a, z2inv):
     Returns (S1, S2, minterm) where minterm bounds the truncation error
     relative to the leading terms.
     """
-    t1 = 1.0 + 0.0j
-    S1 = t1
-    t2 = 1.0 + 0.0j
-    S2 = t2
+    t1 = t2 = S1 = S2 = 1.0 + 0.0j
     mn = 1.0
-    for s in range(1, _ASYM_MAX_TERMS):
-        t1 = -t1 * (a - 1.5 + 2 * s) * (a - 0.5 + 2 * s) * z2inv / s
-        t2 = t2 * (-a - 1.5 + 2 * s) * (-a - 0.5 + 2 * s) * z2inv / s
-        m = max(abs(t1), abs(t2))
+    b1, b2, b3, b4 = a - 1.5, a - 0.5, -a - 1.5, -a - 0.5
+    for s, s2 in _ASYM_TERMS:
+        t1 = -t1 * (b1 + s2) * (b2 + s2) * z2inv / s
+        t2 = t2 * (b3 + s2) * (b4 + s2) * z2inv / s
+        # m = max(|t1|, |t2|), NaNs as max orders them
+        m = abs(t1)
+        m2 = abs(t2)
+        if m2 > m:
+            m = m2
         if m > mn:
             # divergent tail reached; first omitted term bounds the error
             mn = m
@@ -340,14 +348,15 @@ def _taylor_run(a, z0, z1, n, w, v):
         p2, p1 = w, v
         s, d = w + v, v
         # two terms per pass: d_k = t and d_{k+1} = u
-        for k in range(2, _TAYLOR_MAX_TERMS, 2):
-            t = (c0 * p2 + c1 * p3 + c2 * p4) * _INV_KK[k]
-            u = (c0 * p1 + c1 * p2 + c2 * p3) * _INV_KK[k + 1]
+        for k, k1, r, r1 in _TAYLOR_PASSES:
+            t = (c0 * p2 + c1 * p3 + c2 * p4) * r
+            u = (c0 * p1 + c1 * p2 + c2 * p3) * r1
             s += t + u
-            d += k * t + (k + 1) * u
+            d += k * t + k1 * u
             if abs(t) + abs(u) < _TAYLOR_TINY:
                 break
-            p4, p3, p2, p1 = p2, p1, t, u
+            p4, p3 = p2, p1
+            p2, p1 = t, u
         # keep |w| + |v| = 1; the scale goes into the exponent
         m = abs(s) + abs(d)
         if not 0.0 < m < math.inf:
@@ -370,22 +379,22 @@ def _taylor_pair(a, z0, z1, starts):
     n = math.ceil(reach / _TAYLOR_REACH) if math.isfinite(reach) else 0
     if not 0 < n <= _TAYLOR_MAX_STEPS:
         return None
+    n2 = n + n // 3 + 1
+    (w1, d1, x1), (w2, d2, x2) = starts
     # on the real axis with real data both runs step in floats, which
     # round as the complex operations with zero imaginary parts do
-    real = (z0.imag == 0.0 and z1.imag == 0.0
-            and all(w.imag == 0.0 and d.imag == 0.0 for w, d, _ in starts))
-    if real:
+    if (z0.imag == 0.0 and z1.imag == 0.0 and w1.imag == 0.0
+            and d1.imag == 0.0 and w2.imag == 0.0 and d2.imag == 0.0):
         z0, z1, dz = z0.real, z1.real, dz.real
-    out = []
-    for steps, (w, d, x) in zip((n, n + n // 3 + 1), starts):
-        if real:
-            w, d = w.real, d.real
-        r = _taylor_run(a, z0, z1, steps, w, d * dz / steps)
-        if r is None:
-            return None
-        w, v, expo = r
-        out.append((complex(w), complex(v * steps / dz), x + expo))
-    return out
+        w1, d1, w2, d2 = w1.real, d1.real, w2.real, d2.real
+    r1 = _taylor_run(a, z0, z1, n, w1, d1 * dz / n)
+    if r1 is None:
+        return None
+    r2 = _taylor_run(a, z0, z1, n2, w2, d2 * dz / n2)
+    if r2 is None:
+        return None
+    return ((complex(r1[0]), complex(r1[1] * n / dz), x1 + r1[2]),
+            (complex(r2[0]), complex(r2[1] * n2 / dz), x2 + r2[2]))
 
 
 def _start(z, v, seed):
@@ -444,6 +453,11 @@ class Evaluator:
         self.a = float(a)
         self.tol = tol
         self._scale = _SCALES[scale]
+        limits = self._scale.limits
+        # each stage order as (stage method, its limit) pairs
+        self._orders = tuple(tuple((getattr(Evaluator, "_" + s), limits[s])
+                                   for s in order)
+                             for order in self._scale.orders)
         self._start = None         # the runs' start at the last point
         self._last = None          # the answer there
         self._stepped = False      # whether that answer is a taylor one
@@ -459,17 +473,15 @@ class Evaluator:
                               "range")
         if self._start is not None and z == self._start[0]:
             return self._last
-        scale = self._scale
         # a stage gives (answer, the runs' start it leaves or None) or None;
         # the last stage of every order answers or raises
-        for stage in scale.orders[self._stepped]:
-            limit = scale.limits[stage](self.tol, z)
-            r = getattr(self, "_" + stage)(z, limit)
+        for stage, limit in self._orders[self._stepped]:
+            r = stage(self, z, limit(self.tol, z))
             if r is not None:
                 break
         v, start = r
         self._stepped = start is not None
-        self._start = start or _start(z, v, scale.seed)
+        self._start = start or _start(z, v, self._scale.seed)
         self._last = v
         return v
 
@@ -491,6 +503,9 @@ class Evaluator:
         if r is None and 0.0 < abs(z.real) < abs(z.imag):
             # U is dominant up the imaginary axis: step there, then across
             r = self._taylor(z, limit, self._at_origin, 1j * z.imag)
+        elif r is None and 0.0 < abs(z.imag) < abs(z.real):
+            # next to the real axis: along it, then across
+            r = self._taylor(z, limit, self._at_origin, complex(z.real))
         return r
 
     @functools.cached_property
@@ -651,19 +666,20 @@ def metrics(z_approx, z_ref, m=0):
     z_ref = complex(z_ref)
     if z_ref == 0.0:
         raise DomainError("metrics requires a nonzero reference")
+    return ValidationRecord(m, z_approx, z_ref, *_errors(z_approx, z_ref))
+
+
+def _errors(z_approx, z_ref):
+    """metrics' (g1_approx, g1_ref, g2_approx, g2_ref, eps1, eps2) of
+    complex z_approx and nonzero z_ref, without the record."""
     g1a = abs(z_approx)
     g1r = abs(z_ref)
     eps1 = abs(1.0 - g1a / g1r)
     if z_ref.real * z_ref.imag != 0.0 and z_approx.imag != 0.0:
         g2a = z_approx.real / z_approx.imag
         g2r = z_ref.real / z_ref.imag
-        eps2 = abs(1.0 - g2a / g2r)
-    else:
-        g2a = g2r = eps2 = None
-    return ValidationRecord(m=m, z_approx=z_approx, z_ref=z_ref,
-                            g1_approx=g1a, g1_ref=g1r,
-                            g2_approx=g2a, g2_ref=g2r,
-                            eps1=eps1, eps2=eps2)
+        return g1a, g1r, g2a, g2r, eps1, abs(1.0 - g2a / g2r)
+    return g1a, g1r, None, None, eps1, None
 
 
 def winding_number(a, center, radius, npoints=24):

@@ -5,7 +5,9 @@ series in mpmath, bisection, eigenvalue quadrature nodes, adaptive
 quadrature) so that the package code under test shares no evaluation
 path with the oracles.  The exceptions are eval_U_prime and
 residual_eq319: identities that combine eval_U at other a or z, and so
-check it against itself.
+check it against itself; and the loop forms of the evaluator's two
+kernels, _taylor_run and asym_pair, which the package's kernels must
+match bit for bit.
 """
 import cmath
 import math
@@ -14,7 +16,8 @@ import mpmath as mp
 import numpy as np
 
 from pcfzeros.errors import DomainError
-from pcfzeros.pcf_eval import PcfValue, eval_U
+from pcfzeros.pcf_eval import (_ASYM_MAX_TERMS, _TAYLOR_MAX_TERMS,
+                               _TAYLOR_TINY, PcfValue, eval_U)
 
 DPS = 30
 
@@ -164,6 +167,17 @@ def mp_U_pair(a, z, dps=40, exponent=0.0):
         return complex(u * s), complex(du * s)
 
 
+def mp_zero_ratio(a, z, dps=60):
+    """|U(a,z)/U'(a,z)| by mpmath, U' from the recurrence of mp_U_pair,
+    the ratio formed at the working precision: at a zero for large -a,
+    |U'| is far outside the double range (about 1e552 at a = -500.3)."""
+    with mp.workdps(dps):
+        zz = mp.mpc(z)
+        u = mp.pcfu(a, zz)
+        du = -zz / 2 * u - (a + 0.5) * mp.pcfu(a + 1, zz)
+        return float(abs(u / du))
+
+
 def eval_U_quadrature(a, z):
     """U(a,z) by adaptive quadrature of the real-integral representation;
     only valid for a > -1/2."""
@@ -247,3 +261,63 @@ def sign_change_count(a, xs, eval_fn):
     vals = [eval_fn(a, x) for x in xs]
     signs = [1 if v > 0 else -1 for v in vals]
     return sum(1 for s1, s2 in zip(signs, signs[1:]) if s1 != s2)
+
+
+_INV_KK = [0.0, 0.0] + [1.0 / (k * (k - 1))
+                        for k in range(2, _TAYLOR_MAX_TERMS)]
+
+
+def taylor_run_loop(a, z0, z1, n, w, v):
+    """pcf_eval._taylor_run in its loop form: the pass index k is an int
+    and 1/(k (k-1)) a list item."""
+    h = (z1 - z0) / n
+    h2 = h * h
+    c2 = h2 * h2 / 4.0
+    expo = 0.0
+    for j in range(n):
+        t0 = z0 + j * h
+        c0 = h2 * (t0 * t0 / 4.0 + a)
+        c1 = h2 * h * t0 / 2.0
+        p4 = p3 = 0.0
+        p2, p1 = w, v
+        s, d = w + v, v
+        # two terms per pass: d_k = t and d_{k+1} = u
+        for k in range(2, _TAYLOR_MAX_TERMS, 2):
+            t = (c0 * p2 + c1 * p3 + c2 * p4) * _INV_KK[k]
+            u = (c0 * p1 + c1 * p2 + c2 * p3) * _INV_KK[k + 1]
+            s += t + u
+            d += k * t + (k + 1) * u
+            if abs(t) + abs(u) < _TAYLOR_TINY:
+                break
+            p4, p3, p2, p1 = p2, p1, t, u
+        # keep |w| + |v| = 1; the scale goes into the exponent
+        m = abs(s) + abs(d)
+        if not 0.0 < m < math.inf:
+            return None
+        w, v = s / m, d / m
+        expo += math.log(m)
+    return w, v, expo
+
+
+def asym_pair_loop(a, z2inv):
+    """pcf_eval.asym_pair in its loop form: the factors formed from a and
+    s at every term, and max of the two term sizes."""
+    t1 = 1.0 + 0.0j
+    S1 = t1
+    t2 = 1.0 + 0.0j
+    S2 = t2
+    mn = 1.0
+    for s in range(1, _ASYM_MAX_TERMS):
+        t1 = -t1 * (a - 1.5 + 2 * s) * (a - 0.5 + 2 * s) * z2inv / s
+        t2 = t2 * (-a - 1.5 + 2 * s) * (-a - 0.5 + 2 * s) * z2inv / s
+        m = max(abs(t1), abs(t2))
+        if m > mn:
+            # divergent tail reached; first omitted term bounds the error
+            mn = m
+            break
+        S1 += t1
+        S2 += t2
+        mn = m
+        if mn < 1e-18:
+            break
+    return S1, S2, mn

@@ -193,6 +193,24 @@ def test_zeros_hermite_case_includes_the_origin(capsys):
     assert all(abs(g - w) <= 1e-12 for g, w in zip(got, want))
 
 
+@pytest.mark.parametrize("a", [-1.5, -3.5, -5.5])
+@pytest.mark.parametrize("command", ["zeros", "validate"])
+def test_zero_at_the_origin_has_no_relative_errors(capsys, a, command):
+    # at a = -n - 1/2, n odd, the origin is a zero: refined to within a
+    # rounding error of 0, its eps1 would compare that rounding with the
+    # seed's (6e15 at a = -1.5); its eps1 and eps2 are left empty, the
+    # other rows' kept
+    rc, out = run_cli(capsys, [command, "--a", repr(a), "--format", "json"])
+    assert rc == 0
+    rows = json.loads(out)
+    key = "z_refined_re" if command == "zeros" else "z_ref_re"
+    [origin] = [r for r in rows if abs(r[key]) <= 1e-13]
+    assert origin["eps1"] is None and origin["eps2"] is None
+    others = [r for r in rows if r is not origin]
+    assert len(others) == round(-a - 1.5)  # n zeros in all
+    assert all(r["eps1"] < 1e-6 for r in others)
+
+
 def test_zeros_next_to_the_origin_are_certified(capsys):
     # u = 10.99: the third non-positive zero lies just left of the origin
     rc, out = run_cli(capsys, ["zeros", "--a", "-5.495", "--format", "json"])
@@ -223,6 +241,21 @@ def test_complex_zeros_next_to_the_hermite_case_are_certified(capsys, u):
         spacing = math.pi / abs(cmath.sqrt(-0.25 * z * z - a))
         assert abs(val / der) <= 1e-10 * spacing, z
         assert all(abs(z - w) > 0.25 * spacing for w in zs[i + 1:]), z
+
+
+def test_complex_zeros_at_large_negative_a(capsys):
+    # the first zero lies next to the negative real axis, where the
+    # evaluator steps along the real axis from the origin; mpmath would
+    # need more than its 1000 digits there
+    a = -1000.3
+    rc, out = run_cli(capsys, ["zeros", "--a", repr(a), "--family",
+                               "complex", "--count", "3", "--format", "json"])
+    assert rc == 0
+    rows = json.loads(out)
+    assert [r["m"] for r in rows] == [1, 2, 3]
+    z = complex(rows[0]["z_refined_re"], rows[0]["z_refined_im"])
+    spacing = math.pi / abs(cmath.sqrt(-0.25 * z * z - a))
+    assert oracles.mp_zero_ratio(a, z) <= 1e-10 * spacing
 
 
 def test_zeros_seed_next_to_the_turning_point(capsys):

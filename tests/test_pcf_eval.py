@@ -244,6 +244,31 @@ def test_origin_path_up_the_imaginary_axis_bounds_its_error():
     assert accepted >= 20
 
 
+def test_origin_path_along_the_real_axis_bounds_its_error():
+    # where the ray declines next to the negative real axis at large -a,
+    # the origin stage steps along the real axis and then across; 8 arg z
+    # x 6 |z| up to 2 sqrt(-a), where the first complex zeros lie
+    accepted = 0
+    for a in (-100.3, -300.3):
+        for i in range(8):
+            for j in range(6):
+                rad = (0.2 + 0.2 * j) * 2.0 * math.sqrt(-a)
+                z = cmath.rect(rad, math.radians(179.0 - 5.0 * i))
+                ev = Evaluator(a, STEP_TOL, "chain")
+                limit = pcf_eval._step_limit(STEP_TOL, z)
+                if ev._taylor(z, limit, ev._at_origin) is not None:
+                    continue
+                r = ev._origin(z, limit)
+                if r is None:
+                    continue
+                accepted += 1
+                v = r[0]
+                u, du = oracles.mp_U_pair(a, z, exponent=v.exponent)
+                ref = max(abs(u), abs(du) / (1.0 + abs(z)))
+                assert abs(v.value - u) <= v.est_accuracy * ref, (a, z)
+    assert accepted >= 10
+
+
 def test_readme_grid_stays_in_double_precision(monkeypatch):
     def refuse(*args):
         raise AssertionError("mpmath fallback reached")
@@ -491,6 +516,61 @@ def test_real_taylor_run_in_floats_is_the_complex_run(a, z0, z1, n, w, v):
                              complex(v))
     assert type(f[0]) is float and type(f[1]) is float
     assert repr((complex(f[0]), complex(f[1]), f[2])) == repr(c)
+
+
+def _taylor_run_inputs(rng, real):
+    """(a, z0, z1, n, w, v) whose step reach |h| sqrt(|a| + |z0|^2/4) is
+    log-uniform in [1e-3, 1e4]: the series of a step ends by its term
+    size below a reach of about 65, at the term cap above, and overflows
+    (None) from about 2 600."""
+    def num(scale):
+        x = rng.uniform(-scale, scale)
+        return x if real else complex(x, rng.uniform(-scale, scale))
+
+    a = rng.uniform(-500.0, 500.0)
+    z0, n = num(30.0), rng.randint(1, 40)
+    reach = 10.0 ** rng.uniform(-3.0, 4.0)
+    h = reach / math.sqrt(abs(a) + abs(z0) ** 2 / 4.0)
+    if not real:
+        h *= cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+    elif rng.random() < 0.5:
+        h = -h
+    return a, z0, z0 + n * h, n, num(1.0), num(1.0)
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_taylor_run_is_its_loop_form_bit_for_bit(real):
+    rng = random.Random(23)
+    cases = [_taylor_run_inputs(rng, real) for _ in range(400)]
+    one = 1.0 if real else 1.0 + 0.0j
+    cases += [(1e4, 0.0 * one, one, 1, one, 0.0 * one),  # the term cap
+              (-1e8, 0.0 * one, one, 1, one, 0.0 * one),  # overflow
+              (8.3, 0.0 * one, one, 3, math.nan * one, one)]  # NaN data
+    overflowed = 0
+    for args in cases:
+        r = pcf_eval._taylor_run(*args)
+        assert repr(r) == repr(oracles.taylor_run_loop(*args)), args
+        overflowed += r is None
+    assert 10 <= overflowed < 100
+
+
+def test_asym_pair_is_its_loop_form_bit_for_bit():
+    rng = random.Random(23)
+    inf, nan = math.inf, math.nan
+    cases = [(-0.5, complex(inf, 0.0)), (nan, 0.01 + 0j), (2.0, nan + 0j),
+             (8.3, complex(0.0, inf)), (-6.2, 0j), (1e300, 1e-300 + 0j)]
+    for _ in range(2000):
+        z = cmath.rect(10.0 ** rng.uniform(-0.5, 2.0),
+                       rng.uniform(-math.pi, math.pi))
+        a = rng.uniform(-60.0, 60.0)
+        cases.append((a, 1.0 / (2.0 * z * z)))
+    small = 0
+    for a, z2inv in cases:
+        r = pcf_eval.asym_pair(a, z2inv)
+        assert repr(r) == repr(oracles.asym_pair_loop(a, z2inv)), (a, z2inv)
+        small += r[2] < 1e-18
+    # both exits are taken: terms below 1e-18, and the divergent tail
+    assert 100 <= small <= len(cases) - 100, small
 
 
 def test_hermite_chain_steps_in_floats(monkeypatch):

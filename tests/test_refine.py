@@ -82,6 +82,22 @@ def test_first_zero_for_large_a_needs_no_mpmath(monkeypatch, a):
         assert abs(u / du) <= 1e-10 * spacing
 
 
+@pytest.mark.parametrize("a", [-100.3, -500.3, -1000.3])
+def test_first_complex_zero_for_large_negative_a_needs_no_mpmath(
+        monkeypatch, a):
+    # the first aneg-complex zero lies next to the negative real axis,
+    # where neither the ray nor the path up the imaginary axis answers;
+    # the origin stage's path along the real axis does (mpmath took
+    # seconds at a = -500.3 and passed its precision cap at -1000.3)
+    def refuse(*args):
+        raise AssertionError("mpmath fallback reached")
+
+    monkeypatch.setattr(pcf_eval, "_eval_series_mp", refuse)
+    z = t_iterate(a, zeros_aneg_complex(a, 1).z).value
+    spacing = math.pi / abs(cmath.sqrt(-z * z / 4.0 - a))
+    assert oracles.mp_zero_ratio(a, z) <= 1e-10 * spacing
+
+
 def test_sweep_matches_independent_ladder():
     a = 8.3
     z1 = t_iterate(a, zeros_apos(a, 1, terms=3).z).value
