@@ -6,14 +6,15 @@ Subcommands:
   phase-grid  emit (x, y, arg U(a, x+iy)) over a rectangle
 
 zeros and validate take the families of zeros, their counts and the
-index of each family's first zero from zeros.families, and seed each
-family through one zeros._seeder, called per index.  They refine
-each family's zeros in index order as one chain, with one chain
-Evaluator carrying U and U' from zero to zero, as sweep and
-hermite_zeros do.  phase-grid evaluates its points as one eval_U_path,
-row by row with every other row backwards.  Everything runs in this
-process; the --jobs flag of zeros is accepted and has no effect.  JSON
-output is laid out as json.dumps(rows, indent=1) lays it out.
+index of each family's first zero from zeros.families.  They refine
+each family through zeros._refine_family, the path hermite_zeros takes:
+one chain, nearest the origin first, with one chain Evaluator carrying
+U and U' from zero to zero, the rows in index order.  zeros --no-refine
+seeds each index through one zeros._seeder.  phase-grid evaluates its
+points as one eval_U_path, row by row with every other row backwards.
+Everything runs in this process; the --jobs flag of zeros is accepted
+and has no effect.  JSON output is laid out as json.dumps(rows,
+indent=1) lays it out.
 
 Exit codes: 0 ok, 2 bad flags, 3 complex zeros requested in the Hermite
 case (genairy.hermite_order), 4 solver non-convergence or a seed
@@ -32,11 +33,12 @@ from . import zeros as zmod
 from .errors import (ConvergenceError, DomainError, PolynomialCaseError,
                      require_finite)
 from .genairy import hermite_order
-# eval_U is not called here; perfbench/spans.py patches cli.eval_U, and
-# tests/test_bench_names.py requires every such name to resolve
-from .pcf_eval import (Evaluator, _errors, eval_U,  # noqa: F401
-                       eval_U_path)
-from .refine import STEP_TOL, t_iterate
+# eval_U and t_iterate are not called here (zeros._refine_family looks
+# t_iterate up through refine); perfbench/spans.py patches cli.eval_U and
+# cli.t_iterate, and tests/test_bench_names.py requires every such name
+# to resolve
+from .pcf_eval import _errors, eval_U, eval_U_path  # noqa: F401
+from .refine import STEP_TOL, t_iterate  # noqa: F401
 
 _ZEROS_FIELDS = ["family", "a", "m", "terms_used",
                  "z_approx_re", "z_approx_im", "z_refined_re", "z_refined_im",
@@ -85,36 +87,33 @@ def _records(args, refine):
     kept.  A row is a dict keyed by _ZEROS_FIELDS, in their order; the
     refined fields are None without refine.
 
-    Each family is refined as one chain: a chain Evaluator made here
-    carries U and U' from each zero to the next.
+    With refine each family comes from zeros._refine_family, which
+    refines it as one chain, nearest the origin first; without, each
+    index is seeded in turn.
     """
     a = args.a
     rows = []
     code = 0
     for kind, ms in _tasks_for(args):
-        walker = Evaluator(a, STEP_TOL, "chain")
-        seed = zmod._seeder(kind, a, args.terms)
-        for m in ms:
-            try:
-                _, _, _, z_approx, terms_used = seed(m)
-                zr_re = zr_im = eps1 = eps2 = residual = None
-                if refine:
-                    try:
-                        rz = t_iterate(a, z_approx, evaluator=walker)
-                    except DomainError as e:
-                        # a seed on the turning point, where T is undefined
-                        raise ConvergenceError(str(e), last=z_approx) from e
-                    z_refined = rz.value
-                    if z_approx.imag == 0.0:
-                        z_refined = complex(z_refined.real, 0.0)
-                    zr_re, zr_im = z_refined.real, z_refined.imag
-                    residual = rz.residual
-                    _, _, eps1, eps2 = _compare(z_approx, z_refined)
-            except ConvergenceError as e:
+        if refine:
+            found = zmod._refine_family(kind, a, args.terms, ms)
+        else:
+            found = _seeds(zmod._seeder(kind, a, args.terms), ms)
+        for m, got in zip(ms, found):
+            if isinstance(got, ConvergenceError):
                 code = 4
-                print(f"pcfzeros: non-convergence at {kind} m={m}: {e}",
+                print(f"pcfzeros: non-convergence at {kind} m={m}: {got}",
                       file=sys.stderr)
                 continue
+            _, (_, _, _, z_approx, terms_used), rz = got
+            zr_re = zr_im = eps1 = eps2 = residual = None
+            if rz is not None:
+                z_refined = rz.value
+                if z_approx.imag == 0.0:
+                    z_refined = complex(z_refined.real, 0.0)
+                zr_re, zr_im = z_refined.real, z_refined.imag
+                residual = rz.residual
+                _, _, eps1, eps2 = _compare(z_approx, z_refined)
             rows.append({
                 "family": kind, "a": a, "m": m,
                 "terms_used": terms_used,
@@ -122,6 +121,18 @@ def _records(args, refine):
                 "z_refined_re": zr_re, "z_refined_im": zr_im,
                 "eps1": eps1, "eps2": eps2, "residual": residual})
     return rows, code
+
+
+def _seeds(seed, ms):
+    """zeros._refine_family's entries without the refinement, one index
+    at a time: (m, seed(m), None), or the ConvergenceError it raised."""
+    for m in ms:
+        try:
+            s = seed(m)
+        except ConvergenceError as e:
+            yield e
+        else:
+            yield m, s, None
 
 
 def _compare(z_approx, z_ref):

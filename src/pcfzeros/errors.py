@@ -34,3 +34,15 @@ def require_finite(**values):
     for name, x in values.items():
         if not cmath.isfinite(x):
             raise DomainError(f"{name} = {x} is not finite")
+
+
+def _positive_int(n, message):
+    """n as an int where it is an integral value >= 1, as the zero indices
+    take it (2.0 is 2); DomainError(message) for anything else: 2.5, NaN,
+    inf or a non-number."""
+    try:
+        if n >= 1 and n == int(n):
+            return int(n)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(message)

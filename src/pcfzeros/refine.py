@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import (ChainBreakError, ConvergenceError, DomainError,
-                     require_finite)
+                     _positive_int, require_finite)
 # eval_U_near_zero is not called here; perfbench/spans.py patches
 # refine.eval_U_near_zero, and tests/test_bench_names.py requires every
 # such name to resolve
@@ -89,8 +89,7 @@ def sweep(a, z_start, count, tol=STEP_TOL):
     within a quarter spacing of the previous zero raises ChainBreakError.
     """
     require_finite(a=a, z_start=z_start)
-    if count < 1:
-        raise DomainError("count must be >= 1")
+    count = _positive_int(count, "count must be an integer >= 1")
     walker = Evaluator(a, tol, "chain")
     first = t_iterate(a, z_start, tol=tol, evaluator=walker)
     out = [first]

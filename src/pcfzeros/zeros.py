@@ -16,17 +16,25 @@ for odd n the zero at the origin is then one of the M-.
 Every seed goes through one path, _seeder(kind, a, terms): it checks a,
 terms and the Hermite case and forms the family's constants once, and
 returns the seed as a function of the index m, a plain tuple of
-ZeroApproximation's fields.  The CLI and hermite_zeros call it per m;
-zeros_apos and the zeros_aneg_* functions wrap it for one index.
+ZeroApproximation's fields.  zeros_apos and the zeros_aneg_* functions
+wrap it for one index, and CLI zeros --no-refine calls it per m.
+
+Every refined family goes through one path too, _refine_family: CLI
+zeros and validate and hermite_zeros refine a family's zeros as one
+chain, nearest the origin first, with one chain Evaluator carrying U
+and U' from each zero to the next (Glaser, Liu & Rokhlin, SIAM J. Sci.
+Comput. 29, 2007).  A real family's m = 1 is its zero farthest from the
+origin, so its chain runs backwards through the indices.
 """
 import math
 from dataclasses import dataclass
 from typing import Optional
 
-from . import genairy
+from . import genairy, refine
 from .airy import real_airy_zero
 from .coeffs import correction1, correction2
-from .errors import DomainError, require_finite
+from .errors import (ConvergenceError, DomainError, _positive_int,
+                     require_finite)
 from .genairy import _EXP_IPI3, hermite_order, vartheta
 from .mapping import ZETA_AT_0, _sigma, invert_zeta
 from .pcf_eval import Evaluator
@@ -208,6 +216,37 @@ def _seeder(kind, a, terms):
     return seed
 
 
+def _refine_family(kind, a, terms, ms):
+    """The zeros ms (a range of indices) of family kind at a, seeded by
+    _seeder and refined by refine.t_iterate as one chain: one chain
+    Evaluator carries U and U' from each zero to the next, nearest the
+    origin first, so a real family, whose m = 1 is its farthest zero,
+    runs in reverse index order.  One entry per index, in index order:
+    (m, the seed tuple, the RefinedZero), or the ConvergenceError that
+    zero raised, t_iterate refusing a seed on the turning point among
+    them.  A DomainError from the seed itself propagates."""
+    seed = _seeder(kind, a, terms)
+    walker = Evaluator(a, refine.STEP_TOL, "chain")
+    backwards = kind in ("aneg-positive", "aneg-nonpositive")
+    out = []
+    for m in reversed(ms) if backwards else ms:
+        try:
+            s = seed(m)
+            z = s[3]
+            try:
+                # looked up per zero, so that a patched refine.t_iterate
+                # sees every refinement
+                out.append((m, s, refine.t_iterate(a, z, evaluator=walker)))
+            except DomainError as e:
+                # a seed on the turning point, where T is undefined
+                raise ConvergenceError(str(e), last=z) from e
+        except ConvergenceError as e:
+            out.append(e)
+    if backwards:
+        out.reverse()
+    return out
+
+
 def _approximation(kind, a, m, terms):
     """The m-th zero of family kind at a, through the family's seeder."""
     return ZeroApproximation(m, kind, *_seeder(kind, a, terms)(m))
@@ -246,25 +285,20 @@ def zeros_aneg_complex(a, m, terms=3):
 
 
 def hermite_zeros(n, terms=3):
-    """All real zeros of the Hermite polynomial H_n via the u = 2n+1
-    positive-zero family (x = sqrt(u) xhat+), symmetry for the rest."""
+    """All real zeros of the Hermite polynomial H_n, in increasing order,
+    via the u = 2n+1 positive-zero family (x = sqrt(u) xhat+), refined as
+    one chain by _refine_family, and symmetry for the rest; the first
+    zero that does not converge raises its ConvergenceError.  n may be
+    any integral value >= 1 (4.0 is 4)."""
     require_finite(n=n)
-    if n < 1 or n != int(n):
-        raise DomainError("Hermite order must be a positive integer")
-    # local import: refine depends on pcf_eval
-    from .refine import STEP_TOL, t_iterate
-    u = 2.0 * n + 1.0
-    a = -0.5 * u
-    walker = Evaluator(a, STEP_TOL, "chain")
-    seed = _seeder("aneg-positive", a, terms)
-    pos = []
-    # smallest zero first (m = 1 is the largest), so that the evaluator
-    # carries U from each zero to the next
-    for m in range(n // 2, 0, -1):
-        zu = seed(m)[3].real  # z
-        zu = t_iterate(a, zu, evaluator=walker).value.real
-        pos.append(zu / math.sqrt(2.0))
-    pos = sorted(pos)
+    n = _positive_int(n, "Hermite order must be a positive integer")
+    a = -0.5 * (2.0 * n + 1.0)
+    found = _refine_family("aneg-positive", a, terms, range(1, n // 2 + 1))
+    for got in found:
+        if isinstance(got, ConvergenceError):
+            raise got
+    # m = 1 is the largest zero
+    pos = [rz.value.real / math.sqrt(2.0) for _, _, rz in reversed(found)]
     out = [-x for x in reversed(pos)] + [0.0] * (n % 2) + pos
     # imported here, so that importing the package does not load numpy
     import numpy as np

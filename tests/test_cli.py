@@ -8,9 +8,10 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from pcfzeros import cli, pcf_eval
+from pcfzeros import cli, pcf_eval, refine
 from pcfzeros import zeros as zmod
 from pcfzeros.errors import ConvergenceError
 from pcfzeros.zeros import hermite_zeros
@@ -258,6 +259,51 @@ def test_complex_zeros_at_large_negative_a(capsys):
     assert oracles.mp_zero_ratio(a, z) <= 1e-10 * spacing
 
 
+def _real_zeros(capsys, a, family):
+    rc, out = run_cli(capsys, ["zeros", f"--a={a!r}", "--family", family,
+                               "--format", "json"])
+    assert rc == 0
+    return sorted(r["z_refined_re"] for r in json.loads(out))
+
+
+@pytest.mark.parametrize("family", ["pos", "nonpos"])
+def test_real_zeros_at_large_negative_a_against_golub_welsch(capsys,
+                                                              family):
+    # a = -3000.5: U(a, x) = e^{-x^2/4} He_3000(x), whose zeros are sqrt(2)
+    # times the Gauss-Hermite nodes.  Each family is refined from the
+    # origin outward; from its farthest zero every chain would start with
+    # a Taylor path longer than the evaluator takes, and mpmath would
+    # need more than its 1000 digits
+    from scipy.linalg import eigvalsh_tridiagonal
+    n = 3000
+    got = _real_zeros(capsys, -n - 0.5, family)
+    assert len(got) == n // 2
+    nodes = eigvalsh_tridiagonal(np.zeros(n), np.sqrt(np.arange(1, n) / 2.0))
+    want = math.sqrt(2.0) * (nodes[n // 2:] if family == "pos"
+                             else nodes[:n // 2])
+    assert np.max(np.abs(np.array(got) / want - 1.0)) <= 1e-10
+
+
+def test_positive_zeros_at_large_negative_a_are_one_spacing_apart(capsys):
+    # away from the Hermite case: all M+ = 1500 zeros, each gap between
+    # neighbours 0.6 to 1.4 local spacings pi / p^{1/2} (p at the gap's
+    # midpoint), so that no zero is missing or found twice
+    a = -3000.3
+    got = _real_zeros(capsys, a, "pos")
+    assert len(got) == zmod.count_positive(-2.0 * a) == 1500
+    for x, y in zip(got, got[1:]):
+        mid = 0.5 * (x + y)
+        spacing = math.pi / math.sqrt(-0.25 * mid * mid - a)
+        assert 0.6 <= (y - x) / spacing <= 1.4, (x, y)
+
+
+def test_cli_and_hermite_zeros_refine_through_one_path(capsys):
+    # a = -256.5 is H_256: the same chain from the same seeds, bit for
+    # bit the same zeros
+    got = [x / math.sqrt(2.0) for x in _real_zeros(capsys, -256.5, "pos")]
+    assert got == list(hermite_zeros(256)[128:])
+
+
 def test_zeros_seed_next_to_the_turning_point(capsys):
     # the seed of this zero keeps all three terms: next to the turning
     # point its corrections are Taylor sums
@@ -269,21 +315,43 @@ def test_zeros_seed_next_to_the_turning_point(capsys):
     assert abs(row["z_refined_re"] + 2.589234964184031) <= 1e-13
 
 
-def test_non_convergence_keeps_the_other_records(capsys, monkeypatch):
-    t_iterate = cli.t_iterate
+def _failing_at(monkeypatch, zero):
+    """Make refine.t_iterate, through which zeros._refine_family refines
+    every zero, raise ConvergenceError from the seed zero and only
+    there."""
+    t_iterate = refine.t_iterate
 
-    def failing_at_m2(a, z, evaluator=None):
-        if abs(z - cli.zmod.zeros_apos(a, 2).z) == 0.0:
+    def failing(a, z, evaluator=None):
+        if abs(z - zero) == 0.0:
             raise ConvergenceError(f"no convergence from {z}", last=z)
         return t_iterate(a, z, evaluator=evaluator)
 
-    monkeypatch.setattr(cli, "t_iterate", failing_at_m2)
+    monkeypatch.setattr(refine, "t_iterate", failing)
+
+
+def test_non_convergence_keeps_the_other_records(capsys, monkeypatch):
+    _failing_at(monkeypatch, zmod.zeros_apos(8.3, 2).z)
     rc = cli.main(["zeros", "--a", "8.3", "--count", "3", "--jobs", "1"])
     cap = capsys.readouterr()
     assert rc == 4
     assert [int(row["m"]) for row in parse_csv(cap.out)] == [1, 3]
     assert len(cap.err.splitlines()) == 1
     assert "apos-complex m=2: no convergence" in cap.err
+
+
+@pytest.mark.parametrize("command", ["zeros", "validate"])
+def test_real_family_non_convergence_keeps_the_other_records(
+        capsys, monkeypatch, command):
+    # the chain runs from m = 3 (nearest the origin) to m = 1; the rows
+    # and the one stderr line come out in index order all the same
+    _failing_at(monkeypatch, zmod.zeros_aneg_positive(-6.2, 2).z)
+    rc = cli.main([command, "--a=-6.2", "--family", "pos"])
+    cap = capsys.readouterr()
+    assert rc == 4
+    assert [int(row["m"]) for row in parse_csv(cap.out)] == [1, 3]
+    assert cap.err.splitlines() == [
+        "pcfzeros: non-convergence at aneg-positive m=2: no convergence "
+        f"from {zmod.zeros_aneg_positive(-6.2, 2).z}"]
 
 
 @pytest.mark.parametrize("a", ["8.3", "20.3", "-6.2", "-1.6666666666666665",

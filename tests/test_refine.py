@@ -4,6 +4,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from pcfzeros import cli, pcf_eval
@@ -199,6 +200,26 @@ def test_non_finite_input_or_value_raises_package_error(call, error):
         assert "is not finite" in str(info.value)
     if error is ConvergenceError:
         assert calls == [1.0 + 6.0j] and info.value.last == 1.0 + 6.0j
+
+
+@pytest.mark.parametrize("call, length", [
+    (lambda: hermite_zeros(2.0), 2),
+    (lambda: hermite_zeros(np.float64(4.0)), 4),
+    (lambda: sweep(8.3, zeros_apos(8.3, 1).z, 3.0), 3),
+    (lambda: hermite_zeros(2.5), None),
+    (lambda: sweep(8.3, zeros_apos(8.3, 1).z, 2.5), None),
+    (lambda: sweep(8.3, zeros_apos(8.3, 1).z, _NAN), None),
+    (lambda: sweep(8.3, zeros_apos(8.3, 1).z, _INF), None),
+], ids=["hermite-2.0", "hermite-float64-4.0", "sweep-3.0", "hermite-2.5",
+        "sweep-2.5", "sweep-nan", "sweep-inf"])
+def test_counts_are_integral_values(call, length):
+    # as for the zero indices (zeros_apos(8.3, 2.0) is the second zero):
+    # an integral value is that int, anything else a DomainError
+    if length is None:
+        with pytest.raises(DomainError):
+            call()
+    else:
+        assert len(call()) == length
 
 
 def test_undefined_t_map_step_raises():
