@@ -5,13 +5,13 @@ Ai_l(z) = Ai(z exp(-2*pi*i*l/3)) for l = +1, -1, and the classical
 negative real zeros a_m of Ai.  Exponentially large results are reported
 in scaled form (mantissa + exponent of e) instead of overflowing.
 
-Region map (R0 = _R_SERIES, R1 = _R_ASYM):
+Region map of Ai, Ai' (R0 = _R_SERIES, R1 = _R_ASYM):
 
   1. |z| <= R0: Maclaurin series (DLMF 9.4.1-9.4.4).
   2. |z| >= R1, |arg z| <= 2 pi/3: the zeta-scaled expansion of
-     DLMF 9.7.5-9.7.6 (9.7.7-9.7.8 for Bi on x > 0), truncated where its
-     terms reach 1e-17; at R1 the smallest term is about e^{-2 zeta}.
-  3. |z| >= R1, |arg z| > 2 pi/3: DLMF 9.7.9-9.7.12 at w = -z, the
+     DLMF 9.7.5-9.7.6, truncated where its terms reach 1e-17; at R1 the
+     smallest term is about e^{-2 zeta}.
+  3. |z| >= R1, |arg z| > 2 pi/3: DLMF 9.7.9-9.7.10 at w = -z, the
      cos/sin form written as its two exponentials with one shared
      zeta(w), so that no second branch of zeta enters.
   4. R0 < |z| < R1: one Taylor step of w'' = z w from the nearest point
@@ -19,9 +19,17 @@ Region map (R0 = _R_SERIES, R1 = _R_ASYM):
      memoised per process on first use.  A grid point's (Ai, Ai') is
      found by Taylor steps along its ray from the end where Ai is the
      stable solution: inward from |z| = R1 where |arg z| < pi/3 (Ai
-     decays outward there), outward from |z| = R0 elsewhere.  On the
-     real axis a grid of integers holds (Ai, Ai', Bi, Bi') and steps in
-     floats; Bi, dominant outward on both half-axes, always steps out.
+     decays outward there), outward from |z| = R0 elsewhere.  A real x
+     takes the grid point round(x) + 0j: complex arithmetic with zero
+     imaginary parts rounds as that in floats does.
+
+Region map of Bi, Bi' (real x only):
+
+  1. |x| < R1: 2 Re(e^{i pi/6} Ai(x e^{2 pi i/3})) (DLMF 9.2.10, whose
+     two terms are conjugate on the real axis), by the map of Ai.
+  2. x >= R1: DLMF 9.7.7-9.7.8; x <= -R1: DLMF 9.7.11-9.7.12, with Ai
+     in region 3.  Rotating x would round its phase by about
+     eps |x|^{3/2}, 5e-14 at x = -60.
 
 zeta = (2/3) z^(3/2) is formed in double-double arithmetic: its rounding
 would otherwise enter the phase of Ai as an error of up to eps |zeta|,
@@ -39,12 +47,12 @@ from dataclasses import dataclass
 from .errors import DomainError
 
 _ROT = {1: cmath.exp(-2j * math.pi / 3), -1: cmath.exp(2j * math.pi / 3)}
+# on the real axis Bi = Re(_BI_ROT Ai(x e^{2 pi i/3})) (DLMF 9.2.10)
+_BI_ROT = 2.0 * cmath.exp(1j * math.pi / 6)
 
-# Ai(0), Ai'(0), Bi(0), Bi'(0), correctly rounded
+# Ai(0), Ai'(0), correctly rounded
 _AI0 = 0.3550280538878172
 _AIP0 = -0.2588194037928068
-_BI0 = 0.6149266274460007
-_BIP0 = 0.4482883573538264
 _SQRT_PI = math.sqrt(math.pi)
 # the Maclaurin series loses about Bi/Ai ulps to cancellation at z > 0:
 # 27 at R0; the asymptotic series' smallest term is 1e-17 at R1
@@ -115,54 +123,25 @@ def _two_sum(a, b):
 
 def _zeta(z):
     """zeta = (2/3) z^(3/2), principal branch, as hi + lo with hi the
-    rounded value; the error of the sum is far below an ulp of zeta.
-    Dekker's exact products are written out, as calls cost more than the
-    arithmetic."""
+    rounded value; the error of the sum is far below an ulp of zeta."""
     x, y = z.real, z.imag
     s = cmath.sqrt(z)
     a, b = s.real, s.imag
-    t = _SPLIT * a
-    ah = t - (t - a)
-    al = a - ah
-    t = _SPLIT * b
-    bh = t - (t - b)
-    bl = b - bh
-    t = _SPLIT * x
-    xh = t - (t - x)
-    xl = x - xh
-    t = _SPLIT * y
-    yh = t - (t - y)
-    yl = y - yh
     # z - s^2, exact but for the last additions: sqrt(z) = s + ds
-    aa = a * a
-    aae = ((ah * ah - aa) + 2.0 * ah * al) + al * al
-    bb = b * b
-    bbe = ((bh * bh - bb) + 2.0 * bh * bl) + bl * bl
-    ab = a * b
-    abe = ((ah * bh - ab) + ah * bl + al * bh) + al * bl
-    r1 = x - aa
-    v = r1 - x
-    e1 = (x - (r1 - v)) + (-aa - v)
-    r2 = r1 + bb
-    v = r2 - r1
-    e2 = (r1 - (r2 - v)) + (bb - v)
+    aa, aae = _two_prod(a, a)
+    bb, bbe = _two_prod(b, b)
+    ab, abe = _two_prod(a, b)
+    r1, e1 = _two_sum(x, -aa)
+    r2, e2 = _two_sum(r1, bb)
     ds = complex(r2 + ((e1 + e2) - aae + bbe),
                  (y - 2.0 * ab) - 2.0 * abe) / (2.0 * s)
     # z s = (xa - yb) + i (xb + ya), with the error of each product
-    p1 = x * a
-    q1 = ((xh * ah - p1) + xh * al + xl * ah) + xl * al
-    p2 = y * b
-    q2 = ((yh * bh - p2) + yh * bl + yl * bh) + yl * bl
-    p3 = x * b
-    q3 = ((xh * bh - p3) + xh * bl + xl * bh) + xl * bl
-    p4 = y * a
-    q4 = ((yh * ah - p4) + yh * al + yl * ah) + yl * al
-    re = p1 - p2
-    v = re - p1
-    f1 = (p1 - (re - v)) + (-p2 - v)
-    im = p3 + p4
-    v = im - p3
-    f2 = (p3 - (im - v)) + (p4 - v)
+    p1, q1 = _two_prod(x, a)
+    p2, q2 = _two_prod(y, b)
+    p3, q3 = _two_prod(x, b)
+    p4, q4 = _two_prod(y, a)
+    re, f1 = _two_sum(p1, -p2)
+    im, f2 = _two_sum(p3, p4)
     lo = complex(f1 + q1 - q2, f2 + q3 + q4) + z * ds
     # times 2/3: h = fl(2 w/3) leaves 2 w - 3 h = (2 w - 2 h) - h, where
     # both subtractions are exact (Sterbenz), so the rounding is r/3
@@ -292,17 +271,6 @@ def _horner(rc, d):
     return p, dp
 
 
-def _walk(t0, t1, w, wp):
-    """(w, w') at t1 from their values at t0, by Taylor steps of length
-    at most _REACH along the segment."""
-    n = max(1, math.ceil(abs(t1 - t0) / _REACH))
-    h = (t1 - t0) / n
-    rho = abs(h)
-    for j in range(n):
-        w, wp = _horner(_coeffs(t0 + j * h, w, wp, rho), h)
-    return w, wp
-
-
 def _ai_direct(z):
     """(Ai, Ai', exponent) at complex z on or outside the grid's annulus
     (the Maclaurin series on its inner side)."""
@@ -329,48 +297,13 @@ def _grid(g):
             start = (_R_ASYM if abs(cmath.phase(g)) < math.pi / 3.0
                      else _R_SERIES) * g / r
             ai, aip, _ = _ai_direct(start)
-            ai, aip = _walk(start, g, ai, aip)
+            # Taylor steps of length at most _REACH along the ray
+            n = max(1, math.ceil(abs(g - start) / _REACH))
+            h = (g - start) / n
+            for j in range(n):
+                ai, aip = _horner(_coeffs(start + j * h, ai, aip, abs(h)), h)
         rc = _GRID[g] = _coeffs(g, ai, aip, _REACH)
     return rc
-
-
-def _real_direct(x):
-    """(Ai, Ai', Bi, Bi') at real x on or outside the grid's annulus,
-    unscaled."""
-    if abs(x) < 0.5 * (_R_SERIES + _R_ASYM):
-        f, fp, g, gp = _maclaurin(x)
-        return (_AI0 * f + _AIP0 * g, _AI0 * fp + _AIP0 * gp,
-                _BI0 * f + _BIP0 * g, _BI0 * fp + _BIP0 * gp)
-    if x > 0:
-        ai, aip, _ = _asym_right(complex(x))
-        bi, bip, _ = _bi_right(x)
-        return ai.real, aip.real, bi, bip
-    ai, aip, bi, bip, _ = _asym_left(complex(-x))
-    return ai.real, aip.real, bi.real, bip.real
-
-
-_REAL_GRID = {}
-
-
-def _real_grid(k):
-    """Reversed Taylor coefficients of Ai and of Bi about the integer k."""
-    rcs = _REAL_GRID.get(k)
-    if rcs is None:
-        x = float(k)
-        if _R_SERIES < abs(x) < _R_ASYM:
-            start = math.copysign(_R_SERIES, x)
-            a0, a1, b0, b1 = _real_direct(start)
-            bi, bip = _walk(start, x, b0, b1)
-            if x > 0:
-                # Ai decays outward: step in from R1
-                start = _R_ASYM
-                a0, a1 = _real_direct(start)[:2]
-            ai, aip = _walk(start, x, a0, a1)
-        else:
-            ai, aip, bi, bip = _real_direct(x)
-        rcs = _REAL_GRID[k] = (_coeffs(x, ai, aip, 0.5),
-                               _coeffs(x, bi, bip, 0.5))
-    return rcs
 
 
 def _check(z):
@@ -389,21 +322,10 @@ def eval_ai(z):
     """
     z = complex(z)
     _check(z)
-    r = abs(z)
-    if z.imag == 0.0 and z.real < _R_ASYM:
-        x = z.real
-        if _R_SERIES < r < _R_ASYM:
-            k = round(x)
-            ai, aip = _horner(_real_grid(k)[0], x - k)
-        else:
-            ai, aip = _real_direct(x)[:2]
-        return AiryValue(complex(ai), complex(aip))
-    if _R_SERIES < r < _R_ASYM:
+    if _R_SERIES < abs(z) < _R_ASYM:
         g = complex(round(z.real), round(z.imag))
-        ai, aip = _horner(_grid(g), z - g)
-        return AiryValue(ai, aip)
-    ai, aip, expo = _ai_direct(z)
-    return AiryValue(complex(ai), complex(aip), expo)
+        return AiryValue(*_horner(_grid(g), z - g))
+    return AiryValue(*_ai_direct(z))
 
 
 def eval_ai_rotated(l, z):
@@ -416,18 +338,19 @@ def eval_ai_rotated(l, z):
 
 
 def eval_bi_real(x):
-    """Bi(x) and Bi'(x) for real x, scaled on overflow (large positive x)."""
+    """Bi(x) and Bi'(x) for real x, scaled on overflow (large positive x),
+    by the module's map of Bi; accurate to about 1e-14 of
+    |Bi| + |Bi'|/sqrt(1 + |x|)."""
     x = float(x)
     _check(complex(x))
     if x >= _R_ASYM:
         bi, bip, expo = _bi_right(x)
-        return AiryValue(complex(bi), complex(bip), expo)
-    if _R_SERIES < abs(x) < _R_ASYM:
-        k = round(x)
-        bi, bip = _horner(_real_grid(k)[1], x - k)
+    elif x <= -_R_ASYM:
+        _, _, bi, bip, expo = _asym_left(complex(-x))
     else:
-        bi, bip = _real_direct(x)[2:]
-    return AiryValue(complex(bi), complex(bip))
+        v = eval_ai_rotated(-1, x)
+        bi, bip, expo = _BI_ROT * v.value, _BI_ROT * v.derivative, v.exponent
+    return AiryValue(complex(bi.real), complex(bip.real), expo)
 
 
 # a_m for m up to here are polished by Newton steps on Ai: the first

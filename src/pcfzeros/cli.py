@@ -26,6 +26,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 from operator import itemgetter
 
@@ -301,8 +302,22 @@ def _build_parser():
     return p
 
 
+def _join_negative_values(argv):
+    """argv (sys.argv[1:] if None) with each negative number joined to the
+    flag before it, --a -1e3 as --a=-1e3: argparse takes any word that
+    starts with '-' for an option unless it reads as -N or -N.N."""
+    out = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        if re.match(r"-\.?\d", arg) and out and re.fullmatch(r"--[^=]+",
+                                                             out[-1]):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_join_negative_values(argv))
     name = os.environ.get("PCFZ_LOG")
     if name:
         import logging

@@ -87,11 +87,30 @@ def test_rotated_dominant_against_one_term_asymptotic():
 
 
 def test_wronskian_real_axis():
-    for x in (-2.0, 0.0, 1.0, 3.5):
+    # every region of Ai and of Bi on both half-axes
+    for x in (-30.0, -12.0, -9.49, -6.3, -4.0, -2.0, 0.0, 1.0, 2.5, 3.5,
+              5.0, 7.7, 9.49, 12.0, 30.0):
         ai = eval_ai(x)
         bi = eval_bi_real(x)
         w = ai.value * bi.derivative - ai.derivative * bi.value
         assert abs(w - 1.0 / math.pi) < 1e-13
+
+
+def test_zeta_is_double_double_accurate():
+    # hi + lo against 50-digit mpmath over |z| from 1e-3 to 1e12, all
+    # arguments, every tenth point on the real axis
+    rng = random.Random(5)
+    with mp.workdps(50):
+        for i in range(2000):
+            r = math.exp(rng.uniform(math.log(1e-3), math.log(1e12)))
+            if i % 10 == 0:
+                z = complex(r if i % 20 else -r, 0.0)
+            else:
+                z = cmath.rect(r, rng.uniform(-math.pi, math.pi))
+            hi, lo = airy._zeta(z)
+            zz = mp.mpc(z)
+            ref = 2 * zz * mp.sqrt(zz) / 3
+            assert abs(mp.mpc(hi) + mp.mpc(lo) - ref) <= 1e-30 * abs(ref), z
 
 
 def test_bi_sign_at_minus_two():

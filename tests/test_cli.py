@@ -117,6 +117,29 @@ def test_exit_code_non_finite_a(capsys, a):
     assert "is not finite" in cap.err
 
 
+_GRID_BOX = ["--re-max", "-5", "--im-min", "5", "--im-max", "6",
+             "--nx", "2", "--ny", "2"]
+
+
+@pytest.mark.parametrize("argv,joined", [
+    (["zeros", "--a", "-1e3", "--family", "pos"],
+     ["zeros", "--a=-1e3", "--family", "pos"]),
+    (["phase-grid", "--a", "8.3", "--re-min", "-6e0"] + _GRID_BOX,
+     ["phase-grid", "--a", "8.3", "--re-min=-6e0"] + _GRID_BOX),
+], ids=["zeros", "phase-grid"])
+def test_negative_values_in_exponent_notation(capsys, tmp_path, argv,
+                                              joined):
+    # argparse alone reads -1e3 as an unknown option (exit 2)
+    outputs = []
+    for i, words in enumerate((argv, joined)):
+        path = tmp_path / f"{i}.csv"
+        extra = ["--out", str(path)] if words[0] == "phase-grid" else []
+        rc, out = run_cli(capsys, words + extra)
+        assert rc == 0
+        outputs.append(path.read_text() if extra else out)
+    assert outputs[0] == outputs[1] != ""
+
+
 def test_exit_code_polynomial_case(capsys):
     for a in ("-6.5", repr(-6.5 - 2.5e-13)):
         rc, _ = run_cli(capsys, ["zeros", "--a", a, "--family", "complex"])

@@ -252,6 +252,26 @@ def test_real_roots_match_brentq_in_few_evaluations(monkeypatch, u):
         assert abs(x - ref) <= tol[0] + tol[1] * abs(x)
 
 
+@pytest.mark.parametrize("u", [2.0, 5.5, 9.1, 12.046, 12.138, 12.4, 12.9,
+                               13.2, 16.6])
+def test_real_roots_against_mpmath_findroot(u):
+    # an oracle independent of the package's Airy functions: the root of
+    # sin(u pi/2) Ai + cos(u pi/2) Bi found by mpmath at 40 digits from
+    # each returned zero, m = 1..12 and the sole positive one
+    import mpmath as mp
+    from pcfzeros import genairy
+    xs = [neg_zeros(u, m, refine=True).value.real for m in range(1, 13)]
+    if vartheta(u) == 1:
+        xs.append(sole_positive_zero(u).value.real)
+    with mp.workdps(40):
+        s, c = mp.sinpi(mp.mpf(u) / 2), mp.cospi(mp.mpf(u) / 2)
+        for x in xs:
+            ref = mp.findroot(lambda t: s * mp.airyai(t) + c * mp.airybi(t),
+                              mp.mpf(x))
+            tol = genairy._BRENT_XTOL + genairy._BRENT_RTOL * abs(x)
+            assert abs(x - ref) <= tol, x
+
+
 def test_seed_residual_is_computed_when_read(monkeypatch):
     from pcfzeros import genairy
     calls = []
