@@ -33,11 +33,13 @@ The taylor runs then step on from a taylor answer, or restart from any
 other, carrying its error by the entry's rule.  The entries:
 
   relative (eval_U, eval_U_path): error relative to |U|, within tol.
-     Asymptotic (if its smallest term is below max(1e-13, tol/100)),
-     series, carried, origin, mpmath; after a taylor answer, next to
-     which the series seldom answers: asymptotic, carried, series, origin,
-     mpmath.  The asymptotic method stays first: far out it answers in a
-     few terms where the steps would take many.  A start carries
+     Asymptotic (if its smallest term is below max(1e-13, tol/100);
+     where a closed-form bound on that term is above, _asym_declines
+     turns the point down before any summing), series, carried, origin,
+     mpmath; after a taylor answer, next to which the series seldom
+     answers: asymptotic, carried, series, origin, mpmath.  The
+     asymptotic method stays first: far out it answers in a few terms
+     where the steps would take many.  A start carries
      max(4, est/eps) ulps, which the estimate amplifies by the runs'
      growth.  Points along the rows of a grid cost a few steps each.
   chain (t_iterate's default, sweep, hermite_zeros, CLI zeros and
@@ -71,6 +73,8 @@ _MP_MAX_DPS = 1000
 # mpmath mantissas outside [1/_MP_FOLD, _MP_FOLD] have log|U| folded into
 # the exponent, since they would leave double range
 _MP_FOLD = 1e300
+# an mpmath round whose sum keeps fewer digits than this is not compared
+_MP_KEPT = 5
 # the chain entry's limit on the U'-scaled error
 _NEAR_ZERO_TOL = 1e-12
 # Taylor steps: |h| * sqrt(|a| + |z|^2/4) per step, the step-count cap,
@@ -252,7 +256,56 @@ def _asym_sums(a, z, cut):
     return m, ecap, err
 
 
+def _asym_declines(a, z, cut):
+    """Whether asym_pair's minterm exceeds cut at a or at a + 1, so that
+    _asym_sums declines there: decided in closed form, without summing.
+
+    The minterm is at least the smallest term s = 1.._ASYM_MAX_TERMS-1 of
+    either series.  Of the two calls' Pochhammer bases, c = 1/2 +
+    max(|a|, |a + 1|) is the largest, and its terms |t_s| = Gamma(c + 2s)
+    / (Gamma(c) s! x^s), x = 2|z|^2, are the largest.  Their ratio
+    t_{s+1}/t_s = (c + 2s)(c + 2s + 1)/((s + 1) x) is below 1 only between
+    the roots of 4s^2 + (4c + 2 - x) s + c(c + 1) - x, so the smallest is
+    t_1 or t_k, k the upper root rounded up (Olver's truncation at the
+    smallest term).  Compared in logs with a margin of 1e-6 of their sizes
+    for the rounding of lgamma and of asym_pair's products.  False where
+    any of it leaves the double range: the sums decide.
+    """
+    c = 0.5 + max(abs(a), abs(a + 1.0))
+    x = 2.0 * abs(z) ** 2
+    if not 0.0 < x < math.inf:
+        return False
+    lx = math.log(x)
+    lcut = math.log(cut)
+    b = 4.0 * c + 2.0 - x
+    q = c * (c + 1.0) - x
+    d = b * b - 16.0 * q
+    if not math.isfinite(d):
+        return False
+    k = 1
+    if d > 0.0:
+        # the upper root, without cancellation
+        r = math.sqrt(d)
+        hi = (r - b) / 8.0 if b <= 0.0 else -2.0 * q / (b + r)
+        k = _ASYM_MAX_TERMS - 1 if hi >= _ASYM_MAX_TERMS - 1 \
+            else max(1, math.ceil(hi))
+    try:
+        lc = math.lgamma(c)
+        for s in {1, k}:
+            lp = math.lgamma(c + 2.0 * s)
+            ls = math.lgamma(s + 1.0)
+            lt = lp - lc - ls - s * lx
+            if lt - 1e-6 * (1.0 + abs(lp) + abs(lc) + ls + s * abs(lx)) \
+                    <= lcut:
+                return False
+    except OverflowError:
+        return False
+    return True
+
+
 def _eval_asymptotic(a, z, cut):
+    if _asym_declines(a, z, cut):
+        return None
     r = _asym_sums(a, z, cut)
     if r is None:
         return None
@@ -261,8 +314,12 @@ def _eval_asymptotic(a, z, cut):
     if r2 is None:
         return None
     m2, ecap2, err2 = r2
-    # U'(a,z) = -z/2 U(a,z) - (a+1/2) U(a+1,z), in the common scale ecap
-    dm = -z / 2.0 * m - (a + 0.5) * m2 * cmath.exp(ecap2 - ecap)
+    # U'(a,z) = -z/2 U(a,z) - (a+1/2) U(a+1,z), in the common scale ecap;
+    # at a = -1/2 the second term is 0, and e^(ecap2 - ecap) may overflow:
+    # U(-1/2, z) = e^(-z^2/4) is recessive where U(1/2, z) is dominant
+    dm = -z / 2.0 * m
+    if a != -0.5:
+        dm -= (a + 0.5) * m2 * cmath.exp(ecap2 - ecap)
     est = max(err / max(abs(m), 1e-300), err2 / max(abs(m2), 1e-300))
     return _maybe_unscale(PcfValue(m, dm, "asymptotic", est, ecap))
 
@@ -573,8 +630,10 @@ _SCALES = {
 def _eval_series_mp(a, z, tol):
     """Arbitrary-precision fallback: same Maclaurin decomposition via
     mpmath's 1F1, at escalating precision until two runs agree to tol;
-    ConvergenceError when four rounds never do.  Where U or U' would
-    leave double range, log|U| goes into exponent."""
+    ConvergenceError when four rounds never do.  A round whose sum keeps
+    fewer than _MP_KEPT digits is compared with none, and the next one
+    doubles its digits.  Where U or U' would leave double range, log|U|
+    goes into exponent."""
     import mpmath as mp
     w_abs = abs(z) ** 2 / 2.0
     # crude cancellation estimate: largest term ~ e^{|w|}, result ~ e^{-|w|/2}
@@ -583,8 +642,7 @@ def _eval_series_mp(a, z, tol):
     # would slow the calls whose rounds agree sooner, so the rounds grow
     # with |w| to reach it
     step = max(15, int(0.3 * w_abs / math.log(10.0)))
-    prev = None
-    est = math.inf
+    prev = est = None
     for _ in range(4):
         if dps > _MP_MAX_DPS:
             raise ConvergenceError(f"U({a}, {z}) needs more than "
@@ -613,16 +671,30 @@ def _eval_series_mp(a, z, tol):
             Up0 = -mp.sqrt(mp.pi) * mp.mpf(2.0) ** (-half_a + 0.25) \
                 * mp.rgamma(b1)
             E = mp.exp(-1j * mp.im(w) / 2.0)
-            m = U0 * E * M1 + Up0 * zz * E * M2
+            p1 = U0 * E * M1
+            p2 = Up0 * zz * E * M2
+            m = p1 + p2
             dm = (U0 * E * zz * (D1 - 0.5 * M1)
                   + Up0 * E * (M2 + zz * zz * (D2 - 0.5 * M2)))
+            # fewer than _MP_KEPT digits of U (or of U'/(1 + |z|)) survive
+            # the cancellation of p1 + p2, as for large a, where U(a,0) is
+            # far above U(a,z)
+            lost = max(abs(m), abs(dm) / (1 + abs(zz))) <= \
+                mp.mpf(10) ** (_MP_KEPT - dps) * (abs(p1) + abs(p2))
             expo = -float(mp.re(w)) / 2.0
             mag = max(abs(m), abs(dm))
             if mag > _MP_FOLD or 0 < mag < 1.0 / _MP_FOLD:
-                lm = float(mp.log(mag))
-                f = mp.exp(-lm)
-                m, dm, expo = m * f, dm * f, expo + lm
+                # scaled to the exponent as rounded to a float, whose
+                # rounding would otherwise reach U: an ulp of 800 is 1e-13
+                x = expo + float(mp.log(mag))
+                f = mp.exp(-mp.re(w) / 2 - x)
+                m, dm, expo = m * f, dm * f, x
             cur = (complex(m), complex(dm), expo)
+        top = dps
+        if lost:
+            prev = None
+            dps *= 2
+            continue
         if prev is not None:
             ref = max(abs(cur[0]), abs(cur[1]) / (1.0 + abs(z)), 1e-300)
             # the rounds may have folded different amounts into exponent
@@ -632,9 +704,10 @@ def _eval_series_mp(a, z, tol):
         prev = cur
         dps += step
     else:
-        raise ConvergenceError(f"U({a}, {z}): mpmath rounds up to "
-                               f"{dps - step} digits agree only to "
-                               f"{est:.3g}")
+        why = ("leave no two to compare, the lower ones cancelling to "
+               "noise" if est is None else f"agree only to {est:.3g}")
+        raise ConvergenceError(f"U({a}, {z}): mpmath rounds up to {top} "
+                               f"digits {why}")
     return _maybe_unscale(PcfValue(cur[0], cur[1], "series", max(est, 1e-15),
                                    cur[2]))
 

@@ -616,6 +616,63 @@ def test_phase_grid_through_an_exact_zero_exits_4(capsys, tmp_path):
     assert len(err) == 1 and "U(-2.5, " in err[0]
 
 
+def test_phase_grid_far_out_at_a_minus_half(capsys, tmp_path):
+    # U(-1/2, z) = e^{-z^2/4} is recessive where U(1/2, z), which the
+    # asymptotic derivative weighs by a + 1/2 = 0, is e^{1760} larger
+    out = tmp_path / "g.csv"
+    rc = cli.main(["phase-grid", "--a=-0.5", "--re-min=-71", "--re-max=-70",
+                   "--im-min=-40", "--im-max=-39", "--nx", "2", "--ny", "2",
+                   "--out", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    for ln in out.read_text().splitlines()[2:]:
+        x, y, ph = (float(t) for t in ln.split(","))
+        z = complex(x, y)
+        want = cmath.phase(cmath.exp(-z * z / 4.0 + (z * z).real / 4.0))
+        assert abs(ph - want) <= 1e-9
+
+
+def test_phase_grid_sums_no_asymptotic_series_it_declines(monkeypatch,
+                                                          tmp_path):
+    # README box at 8 x 8: the asymptotic tries that would decline (94 of
+    # 173 sums before the closed-form test) are declined without summing
+    minterms = []
+    asym_pair = pcf_eval.asym_pair
+
+    def recording(a, z2inv):
+        r = asym_pair(a, z2inv)
+        minterms.append(r[2])
+        return r
+
+    monkeypatch.setattr(pcf_eval, "asym_pair", recording)
+    rc = cli.main(["phase-grid", "--a", "8.3",
+                   "--re-min", "-6", "--re-max", "0",
+                   "--im-min", "5", "--im-max", "10",
+                   "--nx", "8", "--ny", "8", "--out", str(tmp_path / "g.csv")])
+    assert rc == 0
+    cut = max(1e-13, 1e-6 * 1e-2)  # phase-grid's tol 1e-6
+    assert minterms and max(minterms) <= cut
+
+
+def test_main_in_one_process_is_the_separate_runs(capsys, tmp_path):
+    # main builds its parser once a process: each call parses afresh
+    runs = [["zeros", "--a", "8.3", "--count", "3", "--format", "json"],
+            ["phase-grid", "--a", "8.3", "--re-min", "-6", "--re-max", "0",
+             "--im-min", "5", "--im-max", "10", "--nx", "3", "--ny", "2",
+             "--out", "-"],
+            ["validate", "--a=-6.2", "--count", "2"]]
+    for argv in runs:
+        mine = [str(tmp_path / "in.csv") if x == "-" else x for x in argv]
+        theirs = [str(tmp_path / "out.csv") if x == "-" else x for x in argv]
+        rc, out = run_cli(capsys, mine)
+        r = subprocess.run([sys.executable, "-m", "pcfzeros.cli"] + theirs,
+                           capture_output=True, text=True, env=_child_env())
+        assert (rc, out) == (r.returncode, r.stdout), argv
+        if argv[0] == "phase-grid":
+            assert (tmp_path / "in.csv").read_text() \
+                == (tmp_path / "out.csv").read_text()
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_console_entry_point():
     # the child imports the package from where this test imported it
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))

@@ -634,6 +634,64 @@ def test_asymptotic_estimate_bounds_its_error():
     assert answered >= 90
 
 
+def test_asymptotic_declines_in_closed_form_only_where_the_sums_do():
+    # the closed-form test may decline only where asym_pair, at a or at
+    # a + 1, returns a minterm above cut: Hermite-case a, a past the range
+    # of log Gamma, and |a| <= 1e3, at |z| from 1e-3 to 1e154
+    rng = random.Random(26)
+    declined = summed = 0
+    for k in range(10000):
+        r = rng.random()
+        if r < 0.15:
+            a = -0.5 - rng.randint(0, 60)
+        elif r < 0.2:
+            a = rng.choice([6e305, -6e305])
+        else:
+            a = rng.uniform(-10.0 ** rng.uniform(-1.0, 3.0),
+                            10.0 ** rng.uniform(-1.0, 3.0))
+        top = 3.0 if k % 10 else 154.0
+        z = cmath.rect(10.0 ** rng.uniform(-3.0, top),
+                       rng.uniform(-math.pi, math.pi))
+        cut = rng.choice([1e-15, 1e-13, 1e-8])
+        z2inv = 1.0 / (2.0 * z * z)
+        if pcf_eval._asym_declines(a, z, cut):
+            declined += 1
+            assert (pcf_eval.asym_pair(a, z2inv)[2] > cut
+                    or pcf_eval.asym_pair(a + 1.0, z2inv)[2] > cut), \
+                (a, z, cut)
+        else:
+            summed += 1
+    assert declined >= 3000 and summed >= 3000
+
+
+@pytest.mark.parametrize("z", [71 + 39j, -71 + 39j, -71 - 39j, 71 - 39j,
+                               150 - 100j, -150 + 100j])
+def test_a_minus_half_far_out_is_the_gaussian(z):
+    # U(-1/2, z) = e^{-z^2/4} and U' = -z/2 U; beyond |arg z| = pi/2 the
+    # recurrence's U(1/2, z) is e^{|z^2|/2}-fold larger, weighed by 0
+    v = eval_U(-0.5, z)
+    g = cmath.exp(v.exponent + z * z / 4.0)  # e^exponent / e^{-z^2/4}
+    assert abs(v.value * g - 1.0) <= v.est_accuracy + 1e-15
+    assert abs(v.derivative * g + z / 2.0) <= \
+        (v.est_accuracy + 1e-15) * abs(z / 2.0)
+
+
+@pytest.mark.parametrize("a,z", [(300.7, 6.16 - 0.11j), (300.7, 6.16),
+                                 (300.7, 3.0), (1000.3, 2 + 1j)])
+def test_large_a_mpmath_answer_is_within_its_estimate(a, z):
+    # at z = 6.16 the terms that U(300.7, 0) and U'(300.7, 0) weigh cancel
+    # by 93 digits: rounds below that cancel to noise, once to 0, which
+    # two rounds took for agreement, and U (1e-355) leaves the double range
+    try:
+        v = eval_U(a, z)
+    except ConvergenceError:
+        return
+    u, du = oracles.mp_U_pair(a, z, dps=400, exponent=v.exponent)
+    assert v.exponent < -700.0
+    assert abs(v.value - u) <= v.est_accuracy * abs(u)
+    assert abs(v.derivative - du) <= v.est_accuracy * abs(du)
+
+
 def test_rgamma_against_mpmath():
     rng = random.Random(17)
     xs = [rng.uniform(-170.0, 171.6) for _ in range(2000)]
@@ -658,10 +716,12 @@ def test_mpmath_rounds_reach_the_cancellation_at_large_w():
 
 
 def test_mpmath_stage_raises_when_its_rounds_disagree():
-    # at a = 1000.3 the rounds' starting precision ignores the a-dependent
-    # cancellation: they never agree to tol, and no answer is returned
-    with pytest.raises(ConvergenceError):
-        eval_U(1000.3, 2 + 1j)
+    # at a = 3000.3 the terms that U(a, 0) and U'(a, 0) weigh at z = 2 + i
+    # cancel by 95 digits: the rounds of 20, 40 and 80 digits keep none,
+    # and the fourth, 160, has no round to agree with; no answer is
+    # returned (at a = 1000.3, a 55-digit cancellation, the fourth agrees)
+    with pytest.raises(ConvergenceError, match="cancelling"):
+        eval_U(3000.3, 2 + 1j)
 
 
 @pytest.mark.parametrize("value", [complex(math.nan, math.nan),
