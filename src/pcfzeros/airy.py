@@ -95,12 +95,6 @@ class AiryValue:
     # the unscaled result would overflow (or underflow) a double.
     exponent: float = 0.0
 
-    def unscaled(self):
-        if self.exponent == 0.0:
-            return self.value, self.derivative
-        f = cmath.exp(self.exponent)
-        return self.value * f, self.derivative * f
-
 
 def _two_prod(a, b):
     """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker)."""

@@ -29,17 +29,16 @@ load it.
 
 An Evaluator tries at each point the stages of one entry of the stage
 table _SCALES in order, and the first answer within its limit is taken.
-The taylor runs then step on from a taylor answer, or restart from any
-other, carrying its error by the entry's rule.  The entries:
+The taylor runs then step on from a taylor answer, or restart (_start)
+from any other answer or from U(a, 0) scaled to |U| + |U'| = 1, carrying
+its error by the entry's rule.  The entries:
 
   relative (eval_U, eval_U_path): error relative to |U|, within tol.
      Asymptotic (if its smallest term is below max(1e-13, tol/100);
      where a closed-form bound on that term is above, _asym_declines
-     turns the point down before any summing), series, carried, origin,
-     mpmath; after a taylor answer, next to which the series seldom
-     answers: asymptotic, carried, series, origin, mpmath.  The
-     asymptotic method stays first: far out it answers in a few terms
-     where the steps would take many.  A start carries
+     turns the point down before any summing), carried, series, origin,
+     mpmath.  The asymptotic method stays first: far out it answers in
+     a few terms where the steps would take many.  A start carries
      max(4, est/eps) ulps, which the estimate amplifies by the runs'
      growth.  Points along the rows of a grid cost a few steps each.
   chain (t_iterate's default, sweep, hermite_zeros, CLI zeros and
@@ -268,9 +267,12 @@ def _asym_declines(a, z, cut):
     the roots of 4s^2 + (4c + 2 - x) s + c(c + 1) - x, so the smallest is
     t_1 or t_k, k the upper root rounded up (Olver's truncation at the
     smallest term).  Compared in logs with a margin of 1e-6 of their sizes
-    for the rounding of lgamma and of asym_pair's products.  False where
+    for the rounding of lgamma and of asym_pair's products.  True where
+    z z, by which the sums divide, underflows to 0; elsewhere False where
     any of it leaves the double range: the sums decide.
     """
+    if z * z == 0.0:
+        return True
     c = 0.5 + max(abs(a), abs(a + 1.0))
     x = 2.0 * abs(z) ** 2
     if not 0.0 < x < math.inf:
@@ -455,16 +457,23 @@ def _taylor_pair(a, z0, z1, starts):
 
 
 def _start(z, v, seed):
-    """The taylor runs' start at z from the answer v there: (z, runs at
-    v's data, their error seed(v.est_accuracy), v's exponent kept apart)."""
-    return z, [(v.value, v.derivative, 0.0)] * 2, seed(v.est_accuracy), \
-        v.exponent
+    """The taylor runs' start at z from the answer v there: (z, runs,
+    error, exponent).  The runs start at v's data over m = |value| +
+    |derivative|, as _taylor_run's term test assumes, and the first with
+    U' 4 ulps off, so that their difference grows as an error of the start
+    does: from equal data it grew up to a hundredfold less where U is
+    recessive.  The error is seed() of v's est plus |log m| ulps, as the
+    rounding of log m in the exponent is common to both runs."""
+    m = abs(v.value) + abs(v.derivative)
+    w, d, lm = v.value / m, v.derivative / m, math.log(m)
+    return z, [(w, d * (1.0 + 4.0 * _EPS), 0.0), (w, d, 0.0)], \
+        seed(v.est_accuracy + abs(lm) * _EPS), v.exponent + lm
 
 
 def _relative_estimate(runs, ulps, z):
     """Relative error bound of a taylor answer from its runs' relative
     difference diff and the error ulps * _EPS of their start, which grows
-    as their rounding does, by diff/_EPS; inf where U or U' is 0."""
+    as their 4-ulp offset does, by diff/_EPS; inf where U or U' is 0."""
     (w1, d1, x1), (w2, d2, x2) = runs
     if w2 == 0.0 or d2 == 0.0:
         return math.inf
@@ -510,14 +519,11 @@ class Evaluator:
         self.a = float(a)
         self.tol = tol
         self._scale = _SCALES[scale]
-        limits = self._scale.limits
-        # each stage order as (stage method, its limit) pairs
-        self._orders = tuple(tuple((getattr(Evaluator, "_" + s), limits[s])
-                                   for s in order)
-                             for order in self._scale.orders)
+        # the stage order as (stage method, its limit) pairs
+        self._order = tuple((getattr(Evaluator, "_" + s),
+                             self._scale.limits[s]) for s in self._scale.order)
         self._start = None         # the runs' start at the last point
         self._last = None          # the answer there
-        self._stepped = False      # whether that answer is a taylor one
 
     def __call__(self, a, z):
         if float(a) != self.a:
@@ -531,20 +537,19 @@ class Evaluator:
         if self._start is not None and z == self._start[0]:
             return self._last
         # a stage gives (answer, the runs' start it leaves or None) or None;
-        # the last stage of every order answers or raises
-        for stage, limit in self._orders[self._stepped]:
+        # the last stage answers or raises
+        for stage, limit in self._order:
             r = stage(self, z, limit(self.tol, z))
             if r is not None:
                 break
         v, start = r
-        self._stepped = start is not None
         self._start = start or _start(z, v, self._scale.seed)
         self._last = v
         return v
 
     def _asymptotic(self, z, limit):
         cut, accept = limit
-        v = None if z == 0.0 else _eval_asymptotic(self.a, z, cut)
+        v = _eval_asymptotic(self.a, z, cut)
         ok = v is not None and self._scale.error(v, z) <= accept
         return (v, None) if ok else None
 
@@ -593,7 +598,7 @@ class Evaluator:
 @dataclass(frozen=True)
 class _Scale:
     """An entry of the stage table."""
-    orders: tuple     # the stage order, and the order after a taylor answer
+    order: tuple      # the stages, in the order they are tried
     limits: dict      # stage -> (tol, z) -> limit; asymptotic: (cut, limit)
     estimate: object  # (runs, error of their start, z) -> taylor estimate
     error: object     # (answer, z) -> its error on this scale
@@ -610,15 +615,14 @@ def _step_limit(tol, z):
 
 _SCALES = {
     "relative": _Scale(
-        orders=(("asymptotic", "series", "carried", "origin", "mpmath"),
-                ("asymptotic", "carried", "series", "origin", "mpmath")),
+        order=("asymptotic", "carried", "series", "origin", "mpmath"),
         limits={"asymptotic": lambda tol, z: (max(1e-13, tol * 1e-2), tol),
                 "series": _tol, "carried": _tol, "origin": _tol,
                 "mpmath": _tol},
         estimate=_relative_estimate, error=lambda v, z: v.est_accuracy,
         seed=lambda est: max(4.0, est / _EPS)),
     "chain": _Scale(
-        orders=(("carried", "origin", "asymptotic", "series", "mpmath"),) * 2,
+        order=("carried", "origin", "asymptotic", "series", "mpmath"),
         limits={"carried": _step_limit, "origin": _step_limit,
                 "asymptotic": lambda tol, z: (1e-15, math.inf),
                 "series": lambda tol, z: _NEAR_ZERO_TOL,
@@ -631,9 +635,9 @@ def _eval_series_mp(a, z, tol):
     """Arbitrary-precision fallback: same Maclaurin decomposition via
     mpmath's 1F1, at escalating precision until two runs agree to tol;
     ConvergenceError when four rounds never do.  A round whose sum keeps
-    fewer than _MP_KEPT digits is compared with none, and the next one
-    doubles its digits.  Where U or U' would leave double range, log|U|
-    goes into exponent."""
+    fewer than _MP_KEPT digits is compared with none, nor counted among
+    the four, and the next one doubles its digits.  Where U or U' would
+    leave double range, log|U| goes into exponent."""
     import mpmath as mp
     w_abs = abs(z) ** 2 / 2.0
     # crude cancellation estimate: largest term ~ e^{|w|}, result ~ e^{-|w|/2}
@@ -642,8 +646,8 @@ def _eval_series_mp(a, z, tol):
     # would slow the calls whose rounds agree sooner, so the rounds grow
     # with |w| to reach it
     step = max(15, int(0.3 * w_abs / math.log(10.0)))
-    prev = est = None
-    for _ in range(4):
+    prev, est, kept = None, None, 0
+    while kept < 4:
         if dps > _MP_MAX_DPS:
             raise ConvergenceError(f"U({a}, {z}) needs more than "
                                    f"{_MP_MAX_DPS} digits")
@@ -695,6 +699,7 @@ def _eval_series_mp(a, z, tol):
             prev = None
             dps *= 2
             continue
+        kept += 1
         if prev is not None:
             ref = max(abs(cur[0]), abs(cur[1]) / (1.0 + abs(z)), 1e-300)
             # the rounds may have folded different amounts into exponent

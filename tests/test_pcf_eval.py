@@ -220,12 +220,42 @@ def test_taylor_estimate_bounds_error():
     assert accepted >= 300
 
 
+def test_origin_ray_along_the_recessive_real_axis_bounds_its_error():
+    # both runs start from U(a, 0), whose error grows along the real axis
+    # as U decays; with equal start data their difference grew up to a
+    # hundredfold less, and 16 of these 200 answers were up to 8 times
+    # beyond their estimate
+    accepted = 0
+    for j in range(200):
+        z = complex(0.5 + 5.5 * j / 199)
+        ev = Evaluator(8.3, 1e-6)
+        r = ev._taylor(z, 1e-6, ev._at_origin)
+        if r is None:
+            continue
+        accepted += 1
+        v = r[0]
+        u, du = oracles.mp_U_pair(8.3, z, exponent=v.exponent)
+        assert abs(v.value - u) <= v.est_accuracy * abs(u), z
+        assert abs(v.derivative - du) <= v.est_accuracy * abs(du), z
+    assert accepted >= 50
+
+
+def test_recessive_real_axis_path_bounds_its_error():
+    # the carried steps from the series answer at z = 0.5 outward, where U
+    # is recessive: each answer within its estimate of pcfu
+    a, zs = 8.3, [0.5 + 5.5 * k / 79 for k in range(80)]
+    for z, v in zip(zs, eval_U_path(a, zs, 1e-6)):
+        u, _ = oracles.mp_U_pair(a, z, exponent=v.exponent)
+        assert abs(v.value - u) <= v.est_accuracy * abs(u), z
+
+
 def test_origin_path_up_the_imaginary_axis_bounds_its_error():
     # where the ray from z = 0 declines the chain limit, the origin stage
     # steps up the imaginary axis and then across; 10 arg z x 12 |z| next
-    # to the first zeros of a > 0 (at a <= 0.3 the ray answers them all)
+    # to the first zeros of a > 0 (at a <= 0.3 the ray answers them all,
+    # and up to a = 60 all but 16)
     accepted = 0
-    for a in (-20.3, 0.3, 8.3, 20.3, 60.0):
+    for a in (-20.3, 0.3, 8.3, 20.3, 60.0, 100.3, 150.3):
         for i in range(10):
             for j in range(12):
                 z = cmath.rect(2.0 + 2.0 * j, math.radians(91.0 + 4.0 * i))
@@ -456,8 +486,8 @@ def test_path_asymptotic_answers_are_the_scalar_ones(name, tol):
             assert repr(v) == repr(s), (a, z, tol)
 
 
-@pytest.mark.parametrize("name,tol", [("recessive", 1e-6), ("axis", 1e-6),
-                                      ("axis", 1e-11)])
+@pytest.mark.parametrize("name,tol", [("aneg", 1e-6), ("straddle", 1e-6),
+                                      ("axis", 1e-6), ("axis", 1e-11)])
 def test_path_check_fails_with_additive_carried_error(monkeypatch, name,
                                                       tol):
     # after a re-seed the runs start with the error of the answer they
@@ -474,6 +504,41 @@ def test_path_check_fails_with_additive_carried_error(monkeypatch, name,
     monkeypatch.setitem(pcf_eval._SCALES, "relative",
                         dataclasses.replace(relative, estimate=additive))
     assert len(_path_failures(name, tol)) >= 2
+
+
+@pytest.mark.parametrize("a,z0,z1", [(8.3, 12.0, 11.9),
+                                     (8.3, 12.0 + 1j, 11.9 + 1j),
+                                     (20.3, 15.0, 14.8), (2.5, 9.0, 8.8)])
+def test_carried_step_from_a_restart_bounds_its_error(a, z0, z1):
+    # the taylor runs restart from the answer at z0 (|U| ~ 1e-26 at a =
+    # 8.3, z = 12), whose data they start from scaled to |U| + |U'| = 1:
+    # unscaled, the first step's series ended after a few terms, 1e-3 off;
+    # at (20.3, 15) the scale's log, about -111, rounds by up to 1e-14 of
+    # U, which the estimate must count
+    ev = Evaluator(a)
+    assert ev(a, z0).method != "taylor"
+    v, _ = ev._carried(complex(z1), math.inf)
+    u, du = oracles.mp_U_pair(a, z1, exponent=v.exponent)
+    assert v.est_accuracy <= 1e-12
+    assert abs(v.value - u) <= v.est_accuracy * abs(u)
+    assert abs(v.derivative - du) <= v.est_accuracy * abs(du)
+
+
+def test_recessive_path_stays_mostly_in_double_precision(monkeypatch):
+    # restarts from asymptotic and series answers step on in doubles
+    # through the recessive box, where mpmath answered 88 of its points
+    # when the restarts were not scaled
+    calls = []
+    mpmath_stage = pcf_eval._eval_series_mp
+
+    def counting(a, z, tol):
+        calls.append(z)
+        return mpmath_stage(a, z, tol)
+
+    monkeypatch.setattr(pcf_eval, "_eval_series_mp", counting)
+    a, box = PATH_BOXES["recessive"]
+    eval_U_path(a, _snake(box), 1e-11)
+    assert len(calls) <= 40
 
 
 def _scalar_selector(a, z, tol):
@@ -677,15 +742,15 @@ def test_a_minus_half_far_out_is_the_gaussian(z):
 
 
 @pytest.mark.parametrize("a,z", [(300.7, 6.16 - 0.11j), (300.7, 6.16),
-                                 (300.7, 3.0), (1000.3, 2 + 1j)])
+                                 (300.7, 3.0), (1000.3, 2 + 1j),
+                                 (2000.3, 2 + 1j), (3000.3, 2 + 1j)])
 def test_large_a_mpmath_answer_is_within_its_estimate(a, z):
     # at z = 6.16 the terms that U(300.7, 0) and U'(300.7, 0) weigh cancel
     # by 93 digits: rounds below that cancel to noise, once to 0, which
-    # two rounds took for agreement, and U (1e-355) leaves the double range
-    try:
-        v = eval_U(a, z)
-    except ConvergenceError:
-        return
+    # two rounds took for agreement, and U (1e-355) leaves the double range;
+    # at 2000.3 and 3000.3 (z = 2 + i) three rounds cancel to noise, which
+    # leave the four compared rounds their budget
+    v = eval_U(a, z)
     u, du = oracles.mp_U_pair(a, z, dps=400, exponent=v.exponent)
     assert v.exponent < -700.0
     assert abs(v.value - u) <= v.est_accuracy * abs(u)
@@ -716,12 +781,13 @@ def test_mpmath_rounds_reach_the_cancellation_at_large_w():
 
 
 def test_mpmath_stage_raises_when_its_rounds_disagree():
-    # at a = 3000.3 the terms that U(a, 0) and U'(a, 0) weigh at z = 2 + i
-    # cancel by 95 digits: the rounds of 20, 40 and 80 digits keep none,
-    # and the fourth, 160, has no round to agree with; no answer is
-    # returned (at a = 1000.3, a 55-digit cancellation, the fourth agrees)
-    with pytest.raises(ConvergenceError, match="cancelling"):
-        eval_U(3000.3, 2 + 1j)
+    # at a = 3e5 + 0.3 the terms that U(a, 0) and U'(a, 0) weigh at z =
+    # 2 + i cancel by several hundred digits: every round up to 640 digits
+    # cancels to noise, and the next would pass _MP_MAX_DPS; no answer is
+    # returned (at a = 3000.3, a 95-digit cancellation, the round of 175
+    # digits agrees with the one of 160)
+    with pytest.raises(ConvergenceError, match="more than 1000 digits"):
+        eval_U(3e5 + 0.3, 2 + 1j)
 
 
 @pytest.mark.parametrize("value", [complex(math.nan, math.nan),
@@ -737,3 +803,13 @@ def test_series_stage_declines_a_non_finite_or_overflowing_answer(
                                                        1e-16))
     ev = Evaluator(-500.3, STEP_TOL, "chain")
     assert ev._series(-45.08 + 0.63j, 1e-3) is None
+
+
+@pytest.mark.parametrize("z", [0j, 1e-170, 1e-170j, (1 + 1j) * 1e-162])
+def test_tiny_z_is_within_its_estimate(z):
+    # below |z| ~ 1e-162 z z underflows to 0, by which the asymptotic sums
+    # would divide: their stage declines there, as at z = 0
+    v = eval_U(8.3, z)
+    u, du = oracles.mp_U_pair(8.3, z, exponent=v.exponent)
+    assert abs(v.value - u) <= v.est_accuracy * abs(u)
+    assert abs(v.derivative - du) <= v.est_accuracy * abs(du)
