@@ -9,7 +9,10 @@ zeros and validate take the families of zeros, their counts and the
 index of each family's first zero from zeros.families.  They refine
 each family through zeros._refine_family, the path hermite_zeros takes:
 one chain, nearest the origin first, with one chain Evaluator carrying
-U and U' from zero to zero, the rows in index order.  zeros --no-refine
+U and U' from zero to zero, each zero started from its seed plus the
+correction predicted from the zeros before it, the rows in index order.
+The z_approx columns are the expansion's seed, and residual is the size
+of T's last step over (1 + |z|), not the zero's error.  zeros --no-refine
 seeds each index through one zeros._seeder.  phase-grid evaluates its
 points as one eval_U_path, row by row with every other row backwards.
 Everything runs in this process; the --jobs flag of zeros is accepted

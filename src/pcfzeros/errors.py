@@ -1,5 +1,6 @@
 """Exception types shared across the package."""
 import cmath
+import math
 
 
 class PcfzerosError(Exception):
@@ -30,10 +31,26 @@ class ChainBreakError(PcfzerosError, RuntimeError):
 
 
 def require_finite(**values):
-    """Raise DomainError naming the first argument that is NaN or infinite."""
+    """Raise DomainError naming the first argument that is NaN, infinite
+    or not a number."""
     for name, x in values.items():
-        if not cmath.isfinite(x):
+        try:
+            finite = cmath.isfinite(x)
+        except TypeError:
+            raise DomainError(f"{name} = {x!r} is not a number") from None
+        if not finite:
             raise DomainError(f"{name} = {x} is not finite")
+
+
+def _tolerance(tol):
+    """tol where it is a finite number >= 0; DomainError for NaN, an
+    infinity, a negative value or a non-number."""
+    try:
+        if 0.0 <= tol < math.inf:
+            return tol
+    except (TypeError, ValueError):
+        pass
+    raise DomainError(f"tol = {tol!r} is not a finite number >= 0")
 
 
 def _positive_int(n, message):

@@ -59,7 +59,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ConvergenceError, DomainError, require_finite
+from .errors import (ConvergenceError, DomainError, _positive_int,
+                     _tolerance, require_finite)
 
 SQRT_PI = math.sqrt(math.pi)
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
@@ -517,7 +518,7 @@ class Evaluator:
         if scale not in _SCALES:
             raise DomainError(f"scale {scale!r} is not one of {list(_SCALES)}")
         self.a = float(a)
-        self.tol = tol
+        self.tol = _tolerance(tol)
         self._scale = _SCALES[scale]
         # the stage order as (stage method, its limit) pairs
         self._order = tuple((getattr(Evaluator, "_" + s),
@@ -526,11 +527,17 @@ class Evaluator:
         self._last = None          # the answer there
 
     def __call__(self, a, z):
-        if float(a) != self.a:
+        if a != self.a:
             raise DomainError(f"evaluator for a = {self.a} asked for a = {a}")
-        z = complex(z)
-        if not cmath.isfinite(z):
+        # require_finite's test inline: a call with keywords per
+        # evaluation costs about a third of a cached answer
+        try:
+            finite = cmath.isfinite(z)
+        except TypeError:
+            raise DomainError(f"z = {z!r} is not a number") from None
+        if not finite:
             raise DomainError(f"z = {z} is not finite")
+        z = complex(z)
         if abs(z) > _Z_MAX:
             raise DomainError(f"|z| = {abs(z):.3g}: |z|^2 leaves the double "
                               "range")
@@ -761,8 +768,10 @@ def _errors(z_approx, z_ref):
 
 
 def winding_number(a, center, radius, npoints=24):
-    """Winding of arg U(a, .) along a circle; +1 certifies a simple zero
-    inside (the phase increases by 2 pi)."""
+    """Winding of arg U(a, .) along a circle of npoints (an integer >= 1)
+    steps; +1 certifies a simple zero inside (the phase increases by
+    2 pi)."""
+    npoints = _positive_int(npoints, "npoints must be an integer >= 1")
     points = [center + radius * cmath.exp(2j * math.pi * k / npoints)
               for k in range(npoints + 1)]
     total = 0.0

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import (ChainBreakError, ConvergenceError, DomainError,
-                     _positive_int, require_finite)
+                     _positive_int, _tolerance, require_finite)
 # eval_U_near_zero is not called here; perfbench/spans.py patches
 # refine.eval_U_near_zero, and tests/test_bench_names.py requires every
 # such name to resolve
@@ -28,6 +28,10 @@ STEP_TOL = 1e-13
 
 @dataclass(frozen=True)
 class RefinedZero:
+    """A zero polished by t_iterate: value, the point seed the iteration
+    started from (zeros._refine_family starts past the expansion's seed
+    where it can predict the correction), the number of T steps and
+    residual, the last step's size over (1 + |value|)."""
     value: complex
     seed: complex
     iterations: int
@@ -48,9 +52,11 @@ def t_iterate(a, z0, tol=STEP_TOL, max_iter=20, evaluator=None):
     Evaluator(a, tol, "chain"), which carries (U, U') from each iterate
     to the next by Taylor steps.  A non-finite U or U', or a point where
     T is undefined, raises ConvergenceError; so does an iteration that
-    does not converge within max_iter steps.
+    does not converge within max_iter steps.  A tol that is NaN,
+    infinite or negative is a DomainError.
     """
     require_finite(a=a, z=z0)
+    tol = _tolerance(tol)
     if evaluator is None:
         evaluator = Evaluator(a, tol, "chain")
     z = complex(z0)

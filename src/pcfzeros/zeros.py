@@ -23,8 +23,10 @@ Every refined family goes through one path too, _refine_family: CLI
 zeros and validate and hermite_zeros refine a family's zeros as one
 chain, nearest the origin first, with one chain Evaluator carrying U
 and U' from each zero to the next (Glaser, Liu & Rokhlin, SIAM J. Sci.
-Comput. 29, 2007).  A real family's m = 1 is its zero farthest from the
-origin, so its chain runs backwards through the indices.
+Comput. 29, 2007), each zero started from its seed plus the correction
+predicted from the zeros before it.  A real family's m = 1 is its zero
+farthest from the origin, so its chain runs backwards through the
+indices.
 """
 import math
 from dataclasses import dataclass
@@ -224,24 +226,48 @@ def _refine_family(kind, a, terms, ms):
     runs in reverse index order.  One entry per index, in index order:
     (m, the seed tuple, the RefinedZero), or the ConvergenceError that
     zero raised, t_iterate refusing a seed on the turning point among
-    them.  A DomainError from the seed itself propagates."""
+    them.  A DomainError from the seed itself propagates.
+
+    Each zero starts from its seed plus a predicted correction.  The
+    error left by the expansion is smooth in m, so with d = refined -
+    seed and d1, d2, d3 the corrections of the last three zeros in chain
+    order, the next is predicted by the quadratic through them, 3 (d1 -
+    d2) + d3, as Glaser, Liu & Rokhlin predict each root from the ones
+    before it.  The next zero takes that start only where the same
+    prediction beat the bare seed at this zero, |d - pred| < |d|; that
+    switches it off where the corrections change fast (small a, the
+    first zeros, the short real families).  A zero that raised leaves no
+    correction, and the next starts from its bare seed.  The seed tuple
+    stays the expansion's; the RefinedZero's seed is the start.
+    """
     seed = _seeder(kind, a, terms)
     walker = Evaluator(a, refine.STEP_TOL, "chain")
     backwards = kind in ("aneg-positive", "aneg-nonpositive")
     out = []
+    d1 = d2 = d3 = None
+    shift = 0j
     for m in reversed(ms) if backwards else ms:
         try:
             s = seed(m)
-            z = s[3]
+            z = s[3] + shift if shift else s[3]
             try:
                 # looked up per zero, so that a patched refine.t_iterate
                 # sees every refinement
-                out.append((m, s, refine.t_iterate(a, z, evaluator=walker)))
+                rz = refine.t_iterate(a, z, evaluator=walker)
             except DomainError as e:
-                # a seed on the turning point, where T is undefined
+                # a start on the turning point, where T is undefined
                 raise ConvergenceError(str(e), last=z) from e
         except ConvergenceError as e:
             out.append(e)
+            d1 = d2 = d3 = None
+            shift = 0j
+            continue
+        out.append((m, s, rz))
+        d = rz.value - s[3]
+        shift = 0j
+        if d3 is not None and abs(d - 3.0 * (d1 - d2) - d3) < abs(d):
+            shift = 3.0 * (d - d1) + d2
+        d1, d2, d3 = d, d1, d2
     if backwards:
         out.reverse()
     return out

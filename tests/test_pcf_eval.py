@@ -383,6 +383,8 @@ def test_evaluator_rejects_an_unknown_scale_and_another_a():
     ev = Evaluator(8.3, STEP_TOL, "chain")
     with pytest.raises(DomainError, match="asked for a = 8.4"):
         ev(8.4, 1.0 + 6.0j)
+    with pytest.raises(DomainError, match="asked for a = x"):
+        ev("x", 1.0 + 6.0j)
 
 
 def _walker_chain(case):

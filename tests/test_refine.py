@@ -7,10 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from pcfzeros import cli, pcf_eval
-from pcfzeros.errors import ConvergenceError, DomainError
-from pcfzeros.pcf_eval import PcfValue, eval_U
-from pcfzeros.refine import sweep, t_iterate
+from pcfzeros import cli, pcf_eval, refine
+from pcfzeros.errors import ChainBreakError, ConvergenceError, DomainError
+from pcfzeros.pcf_eval import (Evaluator, PcfValue, eval_U, eval_U_path,
+                               winding_number)
+from pcfzeros.refine import STEP_TOL, sweep, t_iterate
 from pcfzeros.zeros import (families, hermite_zeros, zeros_aneg_complex,
                             zeros_aneg_nonpositive, zeros_aneg_positive,
                             zeros_apos)
@@ -210,8 +211,10 @@ def test_non_finite_input_or_value_raises_package_error(call, error):
     (lambda: sweep(8.3, zeros_apos(8.3, 1).z, 2.5), None),
     (lambda: sweep(8.3, zeros_apos(8.3, 1).z, _NAN), None),
     (lambda: sweep(8.3, zeros_apos(8.3, 1).z, _INF), None),
+    (lambda: winding_number(8.3, 1.0 + 1.0j, 0.1, 0), None),
+    (lambda: winding_number(8.3, 1.0 + 1.0j, 0.1, -3), None),
 ], ids=["hermite-2.0", "hermite-float64-4.0", "sweep-3.0", "hermite-2.5",
-        "sweep-2.5", "sweep-nan", "sweep-inf"])
+        "sweep-2.5", "sweep-nan", "sweep-inf", "winding-0", "winding-neg"])
 def test_counts_are_integral_values(call, length):
     # as for the zero indices (zeros_apos(8.3, 2.0) is the second zero):
     # an integral value is that int, anything else a DomainError
@@ -220,6 +223,64 @@ def test_counts_are_integral_values(call, length):
             call()
     else:
         assert len(call()) == length
+
+
+@pytest.mark.parametrize("z", ["x", None, [1]])
+@pytest.mark.parametrize("call", [
+    lambda z: eval_U(8.3, z),
+    lambda z: eval_U_path(8.3, [1.0 + 1.0j, z]),
+    lambda z: t_iterate(8.3, z),
+    lambda z: t_iterate(8.3, z, evaluator=Evaluator(8.3, STEP_TOL, "chain")),
+], ids=["eval_U", "eval_U_path", "t_iterate", "t_iterate-evaluator"])
+def test_z_that_is_not_a_number_is_a_domain_error(call, z):
+    with pytest.raises(DomainError, match="is not a number"):
+        call(z)
+
+
+@pytest.mark.parametrize("tol", [_INF, _NAN, -1.0])
+@pytest.mark.parametrize("call", [
+    lambda tol: eval_U(8.3, 1.0 + 1.0j, tol=tol),
+    lambda tol: Evaluator(8.3, tol, "chain"),
+    lambda tol: t_iterate(8.3, zeros_apos(8.3, 1).z, tol=tol),
+    lambda tol: t_iterate(8.3, zeros_apos(8.3, 1).z, tol=tol,
+                          evaluator=Evaluator(8.3, STEP_TOL, "chain")),
+    lambda tol: sweep(8.3, zeros_apos(8.3, 1).z, 2, tol=tol),
+], ids=["eval_U", "Evaluator", "t_iterate", "t_iterate-evaluator", "sweep"])
+def test_tol_that_is_not_finite_and_non_negative_is_a_domain_error(call,
+                                                                    tol):
+    # tol = inf took eval_U's asymptotic answer at 1 + i, 0.0203 - 0.0428i
+    # where U is -2.28e-4 - 4.97e-5i, and t_iterate's first step; NaN and
+    # -1 ran mpmath to 65 digits, or t_iterate to max_iter, and raised
+    # ConvergenceError
+    with pytest.raises(DomainError, match="tol"):
+        call(tol)
+
+
+def test_zero_tol_asks_for_all_the_digits_there_are():
+    # eval_U answers within its estimate as for any tol; a T step is
+    # never exactly 0, so t_iterate runs out of steps
+    v = eval_U(8.3, 1.0 + 1.0j, tol=0.0)
+    u, du = oracles.mp_U_pair(8.3, 1.0 + 1.0j)
+    assert abs(v.value - u) <= 1e-13 * abs(u)
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        t_iterate(8.3, zeros_apos(8.3, 1).z, tol=0.0)
+
+
+def test_sweep_raises_when_a_step_lands_on_the_zero_before(monkeypatch):
+    # every T iteration after the first starts from the first zero, so
+    # the step H+ from it comes back to it
+    t_iter = refine.t_iterate
+    first = []
+
+    def back_to_first(a, z, tol=STEP_TOL, evaluator=None):
+        r = t_iter(a, first[0] if first else z, tol=tol, evaluator=evaluator)
+        first.append(r.value)
+        return r
+
+    monkeypatch.setattr(refine, "t_iterate", back_to_first)
+    with pytest.raises(ChainBreakError, match="landed back"):
+        sweep(8.3, zeros_apos(8.3, 1).z, 3)
+    assert len(first) == 2
 
 
 def test_undefined_t_map_step_raises():

@@ -6,14 +6,17 @@ import sys
 import numpy as np
 import pytest
 
+from pcfzeros import refine
 from pcfzeros.airy import MAX_INDEX, real_airy_zero
-from pcfzeros.errors import DomainError, PcfzerosError, PolynomialCaseError
+from pcfzeros.errors import (ConvergenceError, DomainError, PcfzerosError,
+                             PolynomialCaseError)
 from pcfzeros.genairy import complex_zeros, identity_residual, neg_zeros
+from pcfzeros.pcf_eval import Evaluator
 from pcfzeros.refine import t_iterate
-from pcfzeros.zeros import (ZeroApproximation, count_positive, families,
-                            hermite_zeros, m_minus, zeros_aneg_complex,
-                            zeros_aneg_nonpositive, zeros_aneg_positive,
-                            zeros_apos)
+from pcfzeros.zeros import (ZeroApproximation, _refine_family, _seeder,
+                            count_positive, families, hermite_zeros, m_minus,
+                            zeros_aneg_complex, zeros_aneg_nonpositive,
+                            zeros_aneg_positive, zeros_apos)
 
 import oracles
 from oracles import residual_eq319
@@ -432,3 +435,69 @@ def test_hermite_zeros_against_tridiagonal_oracle():
 def test_hermite_bad_order():
     with pytest.raises(DomainError):
         hermite_zeros(0)
+
+
+def _chains(a, count):
+    """(kind, indices, _refine_family's entries) of each non-empty family
+    at a, count complex zeros."""
+    return [(f.kind, ms, _refine_family(f.kind, a, 3, ms))
+            for f in families(a, complex_count=count) if f.count
+            for ms in [range(f.start, f.start + f.count)]]
+
+
+@pytest.mark.parametrize("a", [8.3, 20.3, -6.2, 2.5, 1.3, 0.3, 50.3, -20.3,
+                               -100.3])
+def test_chain_starts_refine_to_the_zeros_of_the_bare_seeds(a):
+    # each zero starts from its seed plus the correction predicted from
+    # the zeros before it: the same zeros as t_iterate from the bare
+    # seeds, the seed tuples unchanged.  The references walk one chain
+    # Evaluator in the chain's order, nearest the origin first (a new one
+    # per zero would start each from the origin)
+    for kind, ms, found in _chains(a, 150):
+        seed = _seeder(kind, a, 3)
+        walker = Evaluator(a, refine.STEP_TOL, "chain")
+        entries = list(zip(ms, found))
+        if kind in ("aneg-positive", "aneg-nonpositive"):
+            entries.reverse()
+        for m, (got_m, s, rz) in entries:
+            assert got_m == m and s == seed(m)
+            ref = t_iterate(a, s[3], evaluator=walker).value
+            assert abs(rz.value - ref) <= 1e-14 * abs(ref), (kind, m)
+            assert rz.residual <= refine.STEP_TOL
+
+
+def test_predicted_starts_take_fewer_t_steps():
+    # from the bare seeds, 2.00 T steps per zero at a = 8.3: the seed is
+    # 3e-12 to 5e-10 off, and the second step only confirms the first
+    [(_, _, found)] = _chains(8.3, 150)
+    assert sum(rz.iterations for _, _, rz in found) <= 1.2 * len(found)
+
+
+@pytest.mark.parametrize("a, bad", [(8.3, 40), (-20.3, 5)])
+def test_a_zero_that_raises_restarts_the_prediction(monkeypatch, a, bad):
+    # the zero after one that raised starts from its bare seed, as do
+    # the three after it, until three corrections predict again; every
+    # other zero is the one the unbroken chain finds
+    kind = families(a)[-1].kind
+    ms = range(1, 81)
+    before = _refine_family(kind, a, 3, ms)
+    t_iter = refine.t_iterate
+    calls = []
+
+    def raising_once(a, z, evaluator=None):
+        calls.append(z)
+        if len(calls) == bad:
+            raise ConvergenceError("no convergence", last=z)
+        return t_iter(a, z, evaluator=evaluator)
+
+    monkeypatch.setattr(refine, "t_iterate", raising_once)
+    after = _refine_family(kind, a, 3, ms)
+    assert isinstance(after[bad - 1], ConvergenceError)
+    for k, (old, new) in enumerate(zip(before, after)):
+        if k != bad - 1:
+            assert abs(new[2].value - old[2].value) <= \
+                1e-14 * abs(old[2].value), k
+    assert [after[k][2].seed == after[k][1][3]
+            for k in range(bad, bad + 4)] == [True] * 4
+    # the unbroken chain predicted those starts
+    assert before[bad][2].seed != before[bad][1][3]
