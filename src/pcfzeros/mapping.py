@@ -7,12 +7,20 @@ Within TP_RADIUS of zhat = 1, zeta = d P(d) (d = zhat - 1) and sigma =
 the zero expansions read, are Taylor sums in doubles; outside it, closed
 forms, zeta through cancellation-safe recasts on |zhat| >= 1 and < 1.
 invert_zeta solves zeta(zhat) = target by Newton.  Its start for a real
-target below -1/2 is closed-form: with zhat = cos(phi/2) on [0, 1), the
-definition reduces to phi - sin(phi) = (8/3)(-zeta)^{3/2}, solved for
-phi by a scalar Newton iteration, so the zeta-Newton that follows only
-confirms it.  For a large target the start is the large-zhat inversion
-of the definition, summed to its 1/zhat^8 term.  Each zeta-Newton step
-takes sigma from the zeta just found.
+target at or below -1/2 is closed-form: with zhat = cos(phi/2) on
+[0, 1), the definition reduces to phi - sin(phi) = (8/3)(-zeta)^{3/2},
+solved for phi by a scalar Newton iteration, so the zeta-Newton that
+follows only confirms it.  For a large target the start is the
+large-zhat inversion of the definition, summed to its 1/zhat^8 term.
+Each zeta-Newton step takes sigma from the zeta just found.
+
+The real section: zeta maps zhat in (-1, inf) onto the real line,
+[0, 1] onto [zeta(0), 0], and the real zero families live there.  The
+map's functions compute in the type of their argument (_LIB): a float
+zhat or target stays in floats, with math's functions, and anything
+else in complex arithmetic with cmath's, through the same formulas.
+zeros' real seeders pass their targets as floats; the public zeta and
+invert_zeta map a real argument in floats too, and answer complex.
 """
 import cmath
 import math
@@ -57,43 +65,58 @@ def taylor(cs, d):
     return s
 
 
+# the module for a value's type, _LIB.get(type(x), cmath): math for a
+# float, a point of the real section (zhat > -1, where zeta and sigma are
+# real), cmath for anything else.  A dict lookup, since a function call
+# per evaluation cost the complex seeds about 2%
+_LIB = {float: math}
+
+
 def _zeta_raw(zh):
     """zeta via the two recast branches."""
+    m = _LIB.get(type(zh), cmath)
     if abs(zh) >= 1.0:
         y = 1.0 / (zh * zh)
-        s = cmath.sqrt(1.0 - y)
-        br = 0.75 * (s - y * cmath.log(1.0 + s) - y * cmath.log(zh))
-        return cmath.exp(4.0 / 3.0 * cmath.log(zh)) * br ** (2.0 / 3.0)
-    ac = -1j * cmath.log(zh + 1j * cmath.sqrt(1.0 - zh * zh))
-    br = 0.75 * (ac - zh * cmath.sqrt(1.0 - zh * zh))
+        s = m.sqrt(1.0 - y)
+        br = 0.75 * (s - y * m.log(1.0 + s) - y * m.log(zh))
+        return m.exp(4.0 / 3.0 * m.log(zh)) * br ** (2.0 / 3.0)
+    r = m.sqrt(1.0 - zh * zh)
+    # arccos zhat: for a real zhat the argument of zhat + i r, which is
+    # what the real part of the complex form rounds to
+    ac = math.atan2(r, zh) if m is math else -1j * cmath.log(zh + 1j * r)
+    br = 0.75 * (ac - zh * r)
     return -(br ** (2.0 / 3.0))
 
 
-def zeta(zh):
-    """The turning-point variable; real for real zhat in (-1, inf), 0 at 1."""
-    zh = complex(zh)
-    if zh.imag == 0.0 and zh.real <= -1.0:
-        raise DomainError(f"zhat={zh} lies on the cut (-inf,-1]")
+def _zeta(zh):
+    """zeta in the type of zh (_LIB), off the cut."""
     d = zh - 1.0
-    z = d * taylor(_P, d) if abs(d) < TP_RADIUS else _zeta_raw(zh)
-    if zh.imag == 0.0 and zh.real > -1.0:
-        z = complex(z.real, 0.0)
-    return z
+    return d * taylor(_P, d) if abs(d) < TP_RADIUS else _zeta_raw(zh)
+
+
+def zeta(zh):
+    """The turning-point variable; real for real zhat in (-1, inf), 0 at 1.
+    A real zhat is mapped in floats."""
+    zh = complex(zh)
+    if zh.imag != 0.0:
+        return _zeta(zh)
+    if zh.real <= -1.0:
+        raise DomainError(f"zhat={zh} lies on the cut (-inf,-1]")
+    return complex(_zeta(zh.real))
 
 
 def _sigma(zh, zt):
     """sigma = (zeta/(zhat^2-1))^{1/2} from zt = zeta(zh), with its limit
-    2^{-1/3} at zhat = 1; real for real zhat > -1."""
+    2^{-1/3} at zhat = 1, in the type of zh (_LIB); real for real zhat >
+    -1."""
     d = zh - 1.0
-    sg = cmath.sqrt(taylor(_P, d) / (2.0 + d) if abs(d) < TP_RADIUS
-                    else zt / (d * (zh + 1.0)))
-    if zh.imag == 0.0 and -1.0 < zh.real:
-        sg = complex(sg.real, 0.0)
-    return sg
+    return _LIB.get(type(zh), cmath).sqrt(
+        taylor(_P, d) / (2.0 + d) if abs(d) < TP_RADIUS
+        else zt / (d * (zh + 1.0)))
 
 
 def _real_section_start(zt):
-    """zhat in [0, 1) with zeta(zhat) = zt for real zt in [zeta(0), -1/2):
+    """zhat in [0, 1) with zeta(zhat) = zt for real zt in [zeta(0), -1/2]:
     zhat = cos(phi/2) where phi - sin(phi) = K = (8/3)(-zt)^{3/2}.
     Newton on phi from (6K)^{1/3}: phi - sin(phi) <= phi^3/6 puts the
     start left of the root, and the residual is convex on [0, pi], so
@@ -107,13 +130,14 @@ def _real_section_start(zt):
         phi = min(phi - step, math.pi)
         if abs(step) <= 1e-15 * phi:
             break
-    return complex(math.cos(0.5 * phi))
+    return math.cos(0.5 * phi)
 
 
 def invert_zeta(zt_target, tol=1e-14, max_iter=60):
-    """Solve zeta(zhat) = zt_target for zhat by Newton.
+    """Solve zeta(zhat) = zt_target for zhat by Newton, as a complex
+    number; a real target is solved in floats, on the real section.
 
-    Initial guess: for a real target below -1/2, the closed-form start
+    Initial guess: for a real target at or below -1/2, the closed-form start
     of _real_section_start (phi - sin(phi) = (8/3)(-zeta)^{3/2}, accurate
     to rounding, so the Newton loop below evaluates zeta once to confirm
     it); the turning-point linearization for other small targets; the
@@ -125,12 +149,21 @@ def invert_zeta(zt_target, tol=1e-14, max_iter=60):
     doubles.
     """
     zt_target = complex(zt_target)
-    if zt_target.imag == 0.0 and zt_target.real < -0.5:
-        if zt_target.real < ZETA_AT_0 - 1e-9:
+    if zt_target.imag != 0.0:
+        return _invert(zt_target, tol, max_iter)
+    return complex(_invert(zt_target.real, tol, max_iter))
+
+
+def _invert(zt_target, tol, max_iter):
+    """invert_zeta in the type of zt_target (_LIB): a float is a point of
+    the real section, whose zhat is a float > -1."""
+    m = _LIB.get(type(zt_target), cmath)
+    if m is math and zt_target <= -0.5:
+        if zt_target < ZETA_AT_0 - 1e-9:
             raise DomainError(
-                f"real target {zt_target.real} below zeta(0): outside the "
+                f"real target {zt_target} below zeta(0): outside the "
                 "principal-branch image of [0, 1]")
-        zh = _real_section_start(zt_target.real)
+        zh = _real_section_start(zt_target)
     elif abs(zt_target) < 0.5:
         e = 2.0 ** (-1.0 / 3.0) * zt_target
         zh = 1.0 + e * (1.0 - e / 10.0)
@@ -147,18 +180,15 @@ def invert_zeta(zt_target, tol=1e-14, max_iter=60):
         w = x
         for _ in range(_W_PASSES):
             y = 1.0 / w
-            lw = cmath.log(w)  # ln 2zhat = ln 2 + (1/2) ln w
+            lw = m.log(w)  # ln 2zhat = ln 2 + (1/2) ln w
             w = c + 0.5 * lw - y * (w1 + y * (w2 + y * (w3 + y * w4)))
-        zh = cmath.sqrt(w)
+        zh = m.sqrt(w)
         tol = max(tol, _ZETA_ROUNDING * abs(lw + 2.0 * _LN2))
     f = None
     for _ in range(max_iter):
-        zt = zeta(zh)
+        zt = _zeta(zh)
         f = zt - zt_target
         if abs(f) <= tol * (1.0 + abs(zt_target)):
-            if zt_target.imag == 0.0 and zh.imag != 0.0 and \
-                    abs(zh.imag) < 1e-13 * (1.0 + abs(zh)):
-                zh = complex(zh.real, 0.0)
             return zh
         zh = zh - _sigma(zh, zt) * f
     raise ConvergenceError("invert_zeta did not converge", last=zh,

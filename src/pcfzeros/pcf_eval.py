@@ -77,12 +77,13 @@ _MP_FOLD = 1e300
 _MP_KEPT = 5
 # the chain entry's limit on the U'-scaled error
 _NEAR_ZERO_TOL = 1e-12
-# Taylor steps: |h| * sqrt(|a| + |z|^2/4) per step, the step-count cap,
-# and the term size (relative to |w| + |h w'| = 1) that ends a series.
-# The reach is measured: on the CLI tables and hermite_zeros, 4 takes a
-# quarter fewer steps than 2.5 and sums a fifth fewer terms; at 2.5 the
-# estimate of one point of the origin stage's test grid (a = 8.3, z =
-# 2.17+2.35i) fell below its error, at 3 to 6 none did
+# Taylor steps: |h| * sqrt(Q) per step, Q a bound on |z^2/4 + a| along
+# the path (_coefficient_bound), the step-count cap, and the term size
+# (relative to |w| + |h w'| = 1) that ends a series.  The reach was
+# measured with Q = |a| + |z|^2/4: on the CLI tables and hermite_zeros, 4
+# took a quarter fewer steps than 2.5 and summed a fifth fewer terms; at
+# 2.5 the estimate of one point of the origin stage's test grid (a = 8.3,
+# z = 2.17+2.35i) fell below its error, at 3 to 6 none did
 _TAYLOR_REACH = 4.0
 _TAYLOR_MAX_STEPS = 1000
 _TAYLOR_MAX_TERMS = 200
@@ -105,6 +106,8 @@ _KUMMER_MAX_TERMS = 4000
 _ASYM_MAX_TERMS = 64
 # asym_pair's s and 2s
 _ASYM_TERMS = tuple((float(s), 2.0 * s) for s in range(1, _ASYM_MAX_TERMS))
+# winding_number doubles its points at most this many times
+_WINDING_DOUBLINGS = 3
 
 
 @dataclass(frozen=True)
@@ -426,16 +429,35 @@ def _taylor_run(a, z0, z1, n, w, v):
     return w, v, expo
 
 
+def _coefficient_bound(a, z0, z1):
+    """A bound Q on the size of the equation's coefficient q(t) = t^2/4 +
+    a along the path from z0 to z1: the smaller of |a| + max(|z0|,
+    |z1|)^2/4, which bounds it on the segment, and |q(z0)| + |z0| L + L^2,
+    L = |z1 - z0|, which bounds it on the disc |t - z0| <= 2L that holds
+    every step's disc, since q(z0 + e) = q(z0) + z0 e/2 + e^2/4.  The
+    second is the smaller where the path is short next to where q is
+    small, as between the real zeros inside the turning points, where
+    |q(x)| = |a| - x^2/4."""
+    r0 = abs(z0)
+    r1 = abs(z1)
+    L = abs(z1 - z0)
+    # conditionals, not min and max: this runs once per Taylor pair; Q is
+    # never above the first term, so no path takes more steps than by it
+    r = r0 if r0 > r1 else r1
+    q = abs(a) + r ** 2 / 4.0
+    q0 = abs(0.25 * z0 * z0 + a) + (r0 + L) * L
+    return q0 if q0 < q else q
+
+
 def _taylor_pair(a, z0, z1, starts):
     """The two Taylor runs from z0 to z1, with n and n + n//3 + 1 steps
-    where |h| max(1, sqrt(|a| + |z|^2/4)) ~ _TAYLOR_REACH for the larger
-    |z| of the ends.  starts holds each run's (w, d, x) at z0, meaning
-    U = w e^x and U' = d e^x; returns the same at z1, or None when the
-    step count would pass _TAYLOR_MAX_STEPS or the arithmetic overflowed.
+    where |h| max(1, sqrt(Q)) ~ _TAYLOR_REACH, Q = _coefficient_bound.
+    starts holds each run's (w, d, x) at z0, meaning U = w e^x and U' =
+    d e^x; returns the same at z1, or None when the step count would pass
+    _TAYLOR_MAX_STEPS or the arithmetic overflowed.
     """
     dz = z1 - z0
-    reach = abs(dz) * max(1.0, math.sqrt(abs(a) + max(abs(z0), abs(z1))
-                                         ** 2 / 4.0))
+    reach = abs(dz) * max(1.0, math.sqrt(_coefficient_bound(a, z0, z1)))
     n = math.ceil(reach / _TAYLOR_REACH) if math.isfinite(reach) else 0
     if not 0 < n <= _TAYLOR_MAX_STEPS:
         return None
@@ -519,6 +541,10 @@ class Evaluator:
             raise DomainError(f"scale {scale!r} is not one of {list(_SCALES)}")
         self.a = float(a)
         self.tol = _tolerance(tol)
+        if scale == "relative" and not self.tol < 1.0:
+            # an error as large as |U| leaves no digit of U, nor its phase
+            raise DomainError(f"tol = {tol!r}: a relative tol >= 1 asks "
+                              "for no digit")
         self._scale = _SCALES[scale]
         # the stage order as (stage method, its limit) pairs
         self._order = tuple((getattr(Evaluator, "_" + s),
@@ -770,20 +796,37 @@ def _errors(z_approx, z_ref):
 def winding_number(a, center, radius, npoints=24):
     """Winding of arg U(a, .) along a circle of npoints (an integer >= 1)
     steps; +1 certifies a simple zero inside (the phase increases by
-    2 pi)."""
+    2 pi).  Each step of the phase, taken in (-pi, pi], must stay within
+    pi/2, or it could alias a turn: where one does not, the points are
+    doubled, at most three times, and then ConvergenceError.  A radius
+    that is not a finite number > 0 is a DomainError."""
     npoints = _positive_int(npoints, "npoints must be an integer >= 1")
-    points = [center + radius * cmath.exp(2j * math.pi * k / npoints)
-              for k in range(npoints + 1)]
-    total = 0.0
-    prev = None
-    for v in eval_U_path(a, points, tol=1e-8):
-        ph = cmath.phase(v.value)
-        if prev is not None:
-            d = ph - prev
-            while d > math.pi:
-                d -= 2.0 * math.pi
-            while d < -math.pi:
-                d += 2.0 * math.pi
-            total += d
-        prev = ph
-    return round(total / (2.0 * math.pi))
+    try:
+        valid = 0.0 < radius < math.inf
+    except TypeError:
+        valid = False
+    if not valid:
+        raise DomainError(f"radius = {radius!r} is not a finite number > 0")
+    for _ in range(_WINDING_DOUBLINGS + 1):
+        points = [center + radius * cmath.exp(2j * math.pi * k / npoints)
+                  for k in range(npoints + 1)]
+        total = 0.0
+        prev = None
+        for v in eval_U_path(a, points, tol=1e-8):
+            ph = cmath.phase(v.value)
+            if prev is not None:
+                d = ph - prev
+                while d > math.pi:
+                    d -= 2.0 * math.pi
+                while d < -math.pi:
+                    d += 2.0 * math.pi
+                if abs(d) > 0.5 * math.pi:
+                    break
+                total += d
+            prev = ph
+        else:
+            return round(total / (2.0 * math.pi))
+        npoints *= 2
+    raise ConvergenceError(
+        f"winding_number: arg U({a}, .) steps by more than pi/2 between "
+        f"{npoints // 2} points on the circle |z - {center}| = {radius}")

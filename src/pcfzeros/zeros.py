@@ -127,12 +127,15 @@ def _scale(u, k):
 
 def _expand(zeta0, terms, u2, u4):
     """(z0, kept correction coefficients, zhat) for the leading term at
-    zeta0: invert zeta, then add the corrections c1 / u^2 and c2 / u^4
+    zeta0, in floats for a float zeta0 (the real section) and complex
+    otherwise: invert zeta, then add the corrections c1 / u^2 and c2 / u^4
     (u2, u4 from _scale).  A correction is kept while it is defined and
     smaller in modulus than the term before it, next to the turning point
     too, where it is a Taylor sum (coeffs); one whose arithmetic leaves
     the double range is undefined."""
     z0 = invert_zeta(zeta0)
+    if isinstance(zeta0, float):
+        z0 = z0.real  # invert_zeta answers complex, from floats
     if terms == 1:
         return z0, (), z0
     sigma0 = _sigma(z0, zeta0)
@@ -163,7 +166,9 @@ def _seeder(kind, a, terms):
     and the family's constants (u, u^{-2/3}, u^2, u^4, the back-transform
     factor, genairy's tau offset) formed once; per m it checks the index
     and runs the Airy or generalised-Airy zero, invert_zeta, sigma, the
-    corrections and the back-transform."""
+    corrections and the back-transform.  A real family's seed is formed in
+    floats, on mapping's real section, so its z0, terms and zhat are
+    floats; z is complex for every family."""
     if kind == "apos-complex":
         require_finite(a=a)
         if a <= 0:
@@ -212,9 +217,9 @@ def _seeder(kind, a, terms):
                 x = genairy.neg_zeros(u, m).value.real
             # raised to zeta(0) (the origin): the zero next to the
             # origin can map just below it near u = 4k + 3
-            zeta0 = complex(max(x * upow, ZETA_AT_0))
+            zeta0 = max(x * upow, ZETA_AT_0)
             z0, coeffs, zh = _expand(zeta0, terms, u2, u4)
-            return z0, coeffs, zh, complex(back * zh.real), 1 + len(coeffs)
+            return z0, coeffs, zh, complex(back * zh), 1 + len(coeffs)
     return seed
 
 
@@ -274,8 +279,12 @@ def _refine_family(kind, a, terms, ms):
 
 
 def _approximation(kind, a, m, terms):
-    """The m-th zero of family kind at a, through the family's seeder."""
-    return ZeroApproximation(m, kind, *_seeder(kind, a, terms)(m))
+    """The m-th zero of family kind at a, through the family's seeder,
+    with a real family's floats as complex numbers."""
+    z0, coeffs, zh, z, used = _seeder(kind, a, terms)(m)
+    return ZeroApproximation(m, kind, complex(z0),
+                             tuple(complex(c) for c in coeffs), complex(zh),
+                             z, used)
 
 
 def zeros_apos(a, m, terms=3):

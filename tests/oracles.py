@@ -149,6 +149,35 @@ def mp_zeta(zh):
     return (mp_two_xi(zh) * 3 / 4) ** (mp.mpf(2) / 3)
 
 
+def mp_zeta_real(zh):
+    """zeta(zhat) for real zhat >= 0 at the working precision, from the
+    closed forms of (2/3)|zeta|^{3/2} = |integral_1^zhat |t^2 - 1|^{1/2}
+    dt|: (arccos zhat - zhat (1 - zhat^2)^{1/2})/2 on [0, 1), where zeta
+    < 0, and (zhat (zhat^2 - 1)^{1/2} - arccosh zhat)/2 beyond."""
+    x = mp.mpf(zh)
+    if x < 1:
+        return -(3 * (mp.acos(x) - x * mp.sqrt(1 - x * x)) / 4) \
+            ** (mp.mpf(2) / 3)
+    return (3 * (x * mp.sqrt(x * x - 1) - mp.acosh(x)) / 4) ** (mp.mpf(2) / 3)
+
+
+def mp_invert_zeta_real(zt):
+    """zhat >= 0 with zeta(zhat) = zt for real zt >= zeta(0), at DPS
+    digits, by bisection on mp_zeta_real, which increases with zhat."""
+    with mp.workdps(DPS):
+        t = mp.mpf(zt)
+        lo, hi = mp.mpf(0), mp.mpf(2)
+        while mp_zeta_real(hi) < t:
+            hi *= 2
+        while hi - lo > mp.mpf(10) ** (-DPS) * hi:
+            mid = (lo + hi) / 2
+            if mp_zeta_real(mid) < t:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+
 def mp_U(a, z, dps=40):
     """U(a,z) by mpmath's independent implementation."""
     with mp.workdps(dps):

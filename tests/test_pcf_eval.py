@@ -8,6 +8,8 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcfzeros import pcf_eval
 from pcfzeros.errors import ConvergenceError, DomainError, PcfzerosError
@@ -192,6 +194,28 @@ def test_winding_number_certifies_zero():
     assert winding_number(8.3, z, 0.2) == 1
     # no zero inside a small displaced circle
     assert winding_number(8.3, z + 1.0 + 1.0j, 0.2) == 0
+
+
+def test_winding_number_counts_the_zeros_in_its_disc_or_raises():
+    # radius 5 around the second zero at a = 8.3 holds nine zeros; at 24
+    # points arg U stepped by more than pi between neighbours there, and
+    # the unwrapped phase gave -1.  The points double while a step
+    # exceeds pi/2; past three doublings the count is refused
+    zs = [t_iterate(8.3, zeros_apos(8.3, m).z).value for m in range(1, 13)]
+    c = zs[1]
+    for radius, count in ((0.2, 1), (1.0, 2), (2.0, 4), (3.0, 5)):
+        assert sum(abs(z - c) < radius for z in zs) == count
+        assert winding_number(8.3, c, radius) == count, radius
+    with pytest.raises(ConvergenceError, match="pi/2"):
+        winding_number(8.3, c, 5.0)
+
+
+@pytest.mark.parametrize("radius", [0, 0.0, -0.2, math.inf, math.nan, 1j,
+                                    "1", None])
+def test_winding_radius_not_finite_and_positive_is_a_domain_error(radius):
+    # radius 0 returned 0 at any center
+    with pytest.raises(DomainError, match="radius"):
+        winding_number(8.3, -2.37 + 7.25j, radius)
 
 
 def _from_origin(a, z):
@@ -583,6 +607,44 @@ def test_real_taylor_run_in_floats_is_the_complex_run(a, z0, z1, n, w, v):
                              complex(v))
     assert type(f[0]) is float and type(f[1]) is float
     assert repr((complex(f[0]), complex(f[1]), f[2])) == repr(c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.floats(-1000.0, 1000.0), z0=st.complex_numbers(max_magnitude=200),
+       z1=st.complex_numbers(max_magnitude=200), j=st.floats(0.0, 1.0),
+       rho=st.floats(0.0, 1.0), theta=st.floats(0.0, 2.0 * math.pi))
+def test_coefficient_bound_holds_on_every_step_disc(a, z0, z1, j, rho, theta):
+    # |q(t)| = |t^2/4 + a| at a point of the path and at a point of the
+    # disc of radius L = |z1 - z0| about it, which holds every step's disc
+    # whatever the step count; the bound is never above |a| +
+    # max(|z0|, |z1|)^2/4, so no step count grows
+    q = pcf_eval._coefficient_bound(a, z0, z1)
+    L = abs(z1 - z0)
+    on_path = z0 + j * (z1 - z0)
+    near = on_path + rho * L * cmath.exp(1j * theta)
+    slack = 1e-12 * (abs(a) + (abs(z0) + 2.0 * L) ** 2)
+    assert abs(on_path ** 2 / 4.0 + a) <= q + slack
+    second = abs(z0 * z0 / 4.0 + a) + (abs(z0) + L) * L
+    assert abs(near ** 2 / 4.0 + a) <= second + slack
+    assert q <= abs(a) + max(abs(z0), abs(z1)) ** 2 / 4.0
+
+
+def test_hermite_chain_takes_few_taylor_steps(monkeypatch):
+    # the steps are sized by the coefficient next to the path: between
+    # the real zeros inside the turning points |q| = |a| - x^2/4 is far
+    # below |a| + x^2/4, and a pair of runs took (2, 3) or (3, 5) steps
+    # where (1, 2) do; 514 steps for the 128 zeros of H_256 before
+    steps = []
+    run = pcf_eval._taylor_run
+
+    def counting(a, z0, z1, n, w, v):
+        steps.append(n)
+        return run(a, z0, z1, n, w, v)
+
+    monkeypatch.setattr(pcf_eval, "_taylor_run", counting)
+    x = hermite_zeros(256)
+    assert np.max(np.abs(x - oracles.hermite_nodes(256))) < 1e-10
+    assert sum(steps) <= 3.2 * 128
 
 
 def _taylor_run_inputs(rng, real):

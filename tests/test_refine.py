@@ -256,6 +256,22 @@ def test_tol_that_is_not_finite_and_non_negative_is_a_domain_error(call,
         call(tol)
 
 
+@pytest.mark.parametrize("tol", [1.0, 1e300])
+@pytest.mark.parametrize("call", [
+    lambda tol: eval_U(8.3, 1.0 + 1.0j, tol=tol),
+    lambda tol: eval_U_path(8.3, [1.0 + 1.0j], tol=tol),
+    lambda tol: Evaluator(8.3, tol, "relative"),
+], ids=["eval_U", "eval_U_path", "Evaluator"])
+def test_relative_tol_of_one_or_more_is_a_domain_error(call, tol):
+    # tol = 1e300 took the asymptotic answer 0.0203 - 0.0428i at 1 + i,
+    # where U is -2.28e-4 - 4.97e-5i: an error as large as |U| is no
+    # digit.  The chain scale bounds the error of U over max(|U|, |U'|/(1
+    # + |z|)) and takes such a tol
+    with pytest.raises(DomainError, match="tol"):
+        call(tol)
+    Evaluator(8.3, tol, "chain")
+
+
 def test_zero_tol_asks_for_all_the_digits_there_are():
     # eval_U answers within its estimate as for any tol; a T step is
     # never exactly 0, so t_iterate runs out of steps

@@ -432,6 +432,42 @@ def test_hermite_zeros_against_tridiagonal_oracle():
         assert np.max(np.abs(got - ref)) < 1e-10
 
 
+# z_approx of CLI zeros --family pos and nonpos, as the seeds were when
+# every real seed was formed in complex arithmetic
+_REAL_SEEDS = {
+    (-6.2, "aneg-positive"): {1: 3.1889032629139664, 2: 1.7358238870849663,
+                              3: 0.44145699120854837},
+    (-6.2, "aneg-nonpositive"): {1: -3.7060366127522597,
+                                 2: -2.1457012685339207,
+                                 3: -0.8224903975925207},
+    (-75.5, "aneg-positive"): {1: 16.233277100611403, 2: 15.36611357884364,
+                               19: 7.0696291535638895, 36: 0.7233143222771639,
+                               37: 0.3615788097830231},
+    (-75.5, "aneg-nonpositive"): {1: -16.23327710061141,
+                                  2: -15.366113578843645,
+                                  20: -6.675976126081163,
+                                  37: -0.3615788097830269,
+                                  38: -1.0641046169948246e-15},
+}
+
+
+@pytest.mark.parametrize("a, kind", list(_REAL_SEEDS))
+def test_real_seeds_in_floats_are_the_complex_ones(a, kind):
+    # the real families are seeded in floats, the Airy zero's zeta
+    # through the inversion, sigma and the corrections: within 2 ulps of
+    # the complex arithmetic, and a ZeroApproximation's fields complex
+    seed = _seeder(kind, a, 3)
+    for m, ref in _REAL_SEEDS[a, kind].items():
+        z0, coeffs, zh, z, used = seed(m)
+        assert all(type(x) is float for x in (z0, zh, *coeffs))
+        assert type(z) is complex and z.imag == 0.0
+        assert abs(z.real - ref) <= 2.0 * math.ulp(ref), m
+        r = zeros_aneg_positive(a, m) if kind == "aneg-positive" \
+            else zeros_aneg_nonpositive(a, m)
+        assert (r.z0, r.terms, r.zhat, r.z) == (z0, coeffs, zh, z)
+        assert all(type(x) is complex for x in (r.z0, r.zhat, *r.terms))
+
+
 def test_hermite_bad_order():
     with pytest.raises(DomainError):
         hermite_zeros(0)
