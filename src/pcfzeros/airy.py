@@ -42,7 +42,7 @@ them).
 import bisect
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -87,8 +87,7 @@ _PI4_LO = 3.061616997868383e-17             # pi/4 - _PI4
 _SPLIT = 134217729.0                        # 2^27 + 1, Dekker's splitter
 
 
-@dataclass(frozen=True)
-class AiryValue:
+class AiryValue(NamedTuple):
     value: complex
     derivative: complex
     # value * e**exponent is the true function value; exponent is 0 unless

@@ -24,14 +24,12 @@ hermite_order decides the Hermite case u = 2n + 1 for the whole package;
 outside it complex_zeros answers however close u is to an odd integer.
 
 The identity residual of a zero (GenAiryZero.residual) costs two
-rotated Airy evaluations, and is computed when first read.
+rotated Airy evaluations, and is computed on each read.
 """
 import cmath
 import math
 import sys
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .airy import (MAX_INDEX, _t_correction, eval_ai_rotated, eval_ai,
                    eval_bi_real)
@@ -55,17 +53,16 @@ _EXP_IPI3 = cmath.exp(1j * math.pi / 3.0)
 _ROOT_MAX_ITER = 100
 
 
-@dataclass(frozen=True)
-class GenAiryZero:
+class GenAiryZero(NamedTuple):
     index: int
     kind: str  # negative-real | sole-positive | complex-first-quadrant
     value: complex
     refined: bool
     u: float
 
-    @cached_property
+    @property
     def residual(self):
-        """identity_residual(u, value), computed when first read."""
+        """identity_residual(u, value), computed on each read."""
         return identity_residual(self.u, self.value)
 
 

@@ -56,8 +56,7 @@ value * e^exponent is the true function value.
 import cmath
 import functools
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (ConvergenceError, DomainError, _positive_int,
                      _tolerance, require_finite)
@@ -110,8 +109,7 @@ _ASYM_TERMS = tuple((float(s), 2.0 * s) for s in range(1, _ASYM_MAX_TERMS))
 _WINDING_DOUBLINGS = 3
 
 
-@dataclass(frozen=True)
-class PcfValue:
+class PcfValue(NamedTuple):
     value: complex
     derivative: complex
     method: str  # asymptotic | series | taylor (mpmath answers: series)
@@ -120,14 +118,23 @@ class PcfValue:
     exponent: float = 0.0
 
     def unscaled(self):
+        """(U, U'): value and derivative times e**exponent, by two factors
+        e**(exponent/2), so that e**exponent may leave the double range
+        where the products do not; DomainError where one of them does."""
         if self.exponent == 0.0:
             return self.value, self.derivative
-        f = math.exp(self.exponent)
-        return self.value * f, self.derivative * f
+        try:
+            f = math.exp(0.5 * self.exponent)
+        except OverflowError:
+            f = math.inf
+        u, du = self.value * f * f, self.derivative * f * f
+        if not (cmath.isfinite(u) and cmath.isfinite(du)):
+            raise DomainError(f"exponent {self.exponent!r}: U or U' leaves "
+                              "the double range")
+        return u, du
 
 
-@dataclass(frozen=True)
-class ValidationRecord:
+class ValidationRecord(NamedTuple):
     m: int
     z_approx: complex
     z_ref: complex
@@ -151,12 +158,12 @@ def _rgamma(x):
         return float(mp.rgamma(x))
 
 
-def _maybe_unscale(v):
-    if v.exponent != 0.0 and abs(v.exponent) < _UNSCALE_BOUND:
-        f = math.exp(v.exponent)
-        return PcfValue(v.value * f, v.derivative * f, v.method,
-                        v.est_accuracy, 0.0)
-    return v
+def _answer(value, derivative, method, est, exponent):
+    """The answer's PcfValue, its exponent folded in below _UNSCALE_BOUND."""
+    if exponent != 0.0 and abs(exponent) < _UNSCALE_BOUND:
+        f = math.exp(exponent)
+        return PcfValue(value * f, derivative * f, method, est, 0.0)
+    return PcfValue(value, derivative, method, est, exponent)
 
 
 def kummer_pair(b1, b2, w):
@@ -327,7 +334,7 @@ def _eval_asymptotic(a, z, cut):
     if a != -0.5:
         dm -= (a + 0.5) * m2 * cmath.exp(ecap2 - ecap)
     est = max(err / max(abs(m), 1e-300), err2 / max(abs(m2), 1e-300))
-    return _maybe_unscale(PcfValue(m, dm, "asymptotic", est, ecap))
+    return _answer(m, dm, "asymptotic", est, ecap)
 
 
 def _eval_series_double(a, z):
@@ -361,7 +368,7 @@ def _eval_series_double(a, z):
     scale = abs(U0) * A1 + abs(Up0 * z) * A2
     d = _EPS * (4.0 * scale / max(abs(m), 1e-300) + 16.0)
     est = d / (1.0 - d) if d < 1.0 else math.inf
-    return _maybe_unscale(PcfValue(m, dm, "series", est, -w.real / 2.0))
+    return _answer(m, dm, "series", est, -w.real / 2.0)
 
 
 def _origin_value(a):
@@ -624,12 +631,11 @@ class Evaluator:
         if not est <= limit:
             return None
         w, d, x = runs[1]
-        v = _maybe_unscale(PcfValue(w, d, "taylor", est, e0 + x))
+        v = _answer(w, d, "taylor", est, e0 + x)
         return v, (z, runs, err, e0)
 
 
-@dataclass(frozen=True)
-class _Scale:
+class _Scale(NamedTuple):
     """An entry of the stage table."""
     order: tuple      # the stages, in the order they are tried
     limits: dict      # stage -> (tol, z) -> limit; asymptotic: (cut, limit)
@@ -746,8 +752,7 @@ def _eval_series_mp(a, z, tol):
                "noise" if est is None else f"agree only to {est:.3g}")
         raise ConvergenceError(f"U({a}, {z}): mpmath rounds up to {top} "
                                f"digits {why}")
-    return _maybe_unscale(PcfValue(cur[0], cur[1], "series", max(est, 1e-15),
-                                   cur[2]))
+    return _answer(cur[0], cur[1], "series", max(est, 1e-15), cur[2])
 
 
 def eval_U(a, z, tol=1e-11):

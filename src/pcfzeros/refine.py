@@ -11,7 +11,7 @@ call unless given one, sweep with one for the whole chain.
 """
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (ChainBreakError, ConvergenceError, DomainError,
                      _positive_int, _tolerance, require_finite)
@@ -26,8 +26,7 @@ TURNING_GUARD = 1e-8
 STEP_TOL = 1e-13
 
 
-@dataclass(frozen=True)
-class RefinedZero:
+class RefinedZero(NamedTuple):
     """A zero polished by t_iterate: value, the point seed the iteration
     started from (zeros._refine_family starts past the expansion's seed
     where it can predict the correction), the number of T steps and
@@ -50,10 +49,12 @@ def t_iterate(a, z0, tol=STEP_TOL, max_iter=20, evaluator=None):
 
     evaluator(a, z) gives U and U' as a PcfValue; None means a new
     Evaluator(a, tol, "chain"), which carries (U, U') from each iterate
-    to the next by Taylor steps.  A non-finite U or U', or a point where
-    T is undefined, raises ConvergenceError; so does an iteration that
-    does not converge within max_iter steps.  A tol that is NaN,
-    infinite or negative is a DomainError.
+    to the next by Taylor steps, but walks to the first from the origin:
+    0.04 s at zeros_apos(8.3, 150).z.  To refine many zeros, pass one
+    chain Evaluator to every call, or use sweep.  A non-finite U or U',
+    or a point where T is undefined, raises ConvergenceError; so does an
+    iteration that does not converge within max_iter steps.  A tol that
+    is NaN, infinite or negative is a DomainError.
     """
     require_finite(a=a, z=z0)
     tol = _tolerance(tol)

@@ -29,8 +29,7 @@ farthest from the origin, so its chain runs backwards through the
 indices.
 """
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import genairy, refine
 from .airy import real_airy_zero
@@ -42,8 +41,7 @@ from .mapping import ZETA_AT_0, _sigma, invert_zeta
 from .pcf_eval import Evaluator
 
 
-@dataclass(frozen=True)
-class ZeroFamily:
+class ZeroFamily(NamedTuple):
     kind: str  # apos-complex | aneg-positive | aneg-nonpositive | aneg-complex
     a: float
     u: float
@@ -51,8 +49,7 @@ class ZeroFamily:
     start: int = 1  # first index: 1 - vartheta(u) for aneg-nonpositive
 
 
-@dataclass(frozen=True)
-class ZeroApproximation:
+class ZeroApproximation(NamedTuple):
     m: int
     kind: str
     z0: complex            # leading term in the mapped plane

@@ -696,8 +696,11 @@ def _child_env():
 
 
 def test_import_loads_neither_scipy_nor_numpy():
-    code = ("import sys, pcfzeros, pcfzeros.cli; "
-            "print(sorted(m for m in ('scipy', 'numpy') if m in sys.modules))")
+    # nor dataclasses and the inspect it imports, which took three
+    # quarters of the import while the records were dataclasses
+    code = ("import sys, pcfzeros, pcfzeros.cli; print(sorted(m for m in "
+            "('scipy', 'numpy', 'dataclasses', 'inspect') "
+            "if m in sys.modules))")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                        text=True, env=_child_env())
     assert r.returncode == 0, r.stderr

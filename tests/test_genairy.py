@@ -284,5 +284,9 @@ def test_seed_residual_is_computed_when_read(monkeypatch):
     monkeypatch.setattr(genairy, "eval_ai_rotated", counted)
     z = complex_zeros(12.4, 40)
     assert not z.refined and not calls
-    assert z.residual == identity_residual(12.4, z.value)
-    assert z.residual < 1e-12
+    r = z.residual
+    assert len(calls) == 2
+    # a property, not cached: a second read evaluates again
+    assert z.residual == r == identity_residual(12.4, z.value)
+    assert len(calls) == 6
+    assert r < 1e-12

@@ -1,7 +1,7 @@
 import cmath
-import dataclasses
 import math
 import random
+import re
 import time
 import warnings
 
@@ -52,6 +52,42 @@ def test_quadrature_against_series():
     su, sup = s.unscaled()
     assert abs(q.value - su) <= 1e-10 * abs(su)
     assert abs(q.derivative - sup) <= 1e-8 * abs(sup)
+
+
+def test_unscaled_where_e_to_the_exponent_leaves_the_double_range():
+    # e^710 alone overflows a double; the products are about 2.2e298
+    ref = mp.mpf(1e-10) * mp.exp(710)
+    u, du = pcf_eval.PcfValue(1e-10, 1e-10, "taylor", 0.0, 710.0).unscaled()
+    assert u == du and abs(u / ref - 1) <= 1e-15
+    # e^-800 underflows to 0; 1e300 e^-800 is about 4e-48
+    u, _ = pcf_eval.PcfValue(1e300, 1.0, "taylor", 0.0, -800.0).unscaled()
+    assert abs(u / (mp.mpf(1e300) * mp.exp(-800)) - 1) <= 1e-15
+    # an answer of the evaluator past e^709.8, against mpmath
+    z = -52.15 + 1j
+    v = eval_U(8.3, z)
+    assert v.exponent > 709.8
+    u, _ = v.unscaled()
+    with mp.workdps(40):
+        ref = complex(mp.pcfu(8.3, z))
+    assert abs(u - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("a,z", [(8.3, -60 + 1j), (-500.3, 0.5)])
+def test_unscaled_out_of_the_double_range_is_a_domain_error(a, z):
+    # U ~ e^931.7 and e^1306.4: the exponent is named
+    v = eval_U(a, z)
+    with pytest.raises(DomainError, match=re.escape(repr(v.exponent))):
+        v.unscaled()
+    assert cmath.isfinite(v.value) and v.exponent > 900.0
+
+
+def test_unscaled_in_range_keeps_the_record():
+    v = eval_U(8.3, 1.0 + 2.0j)
+    assert v.exponent == 0.0 and v.unscaled() == (v.value, v.derivative)
+    w = pcf_eval.PcfValue(3.0 + 4.0j, -1.0, "series", 1e-15, 700.0)
+    u, du = w.unscaled()
+    assert abs(u / (w.value * math.exp(700.0)) - 1) <= 4.0 * pcf_eval._EPS
+    assert abs(du / -math.exp(700.0) - 1) <= 4.0 * pcf_eval._EPS
 
 
 def test_quadrature_domain_limit():
@@ -528,7 +564,7 @@ def test_path_check_fails_with_additive_carried_error(monkeypatch, name,
 
     relative = pcf_eval._SCALES["relative"]
     monkeypatch.setitem(pcf_eval._SCALES, "relative",
-                        dataclasses.replace(relative, estimate=additive))
+                        relative._replace(estimate=additive))
     assert len(_path_failures(name, tol)) >= 2
 
 
