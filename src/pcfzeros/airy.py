@@ -386,12 +386,22 @@ def _zero_estimate(m):
     return -(y + y * (corr + _t_correction(t * t)))
 
 
+def _check_index(m):
+    """DomainError unless m is an integral value in 1..MAX_INDEX (2.0 is
+    2): for 2.5, NaN, inf or a non-number too."""
+    try:
+        if 1 <= m <= MAX_INDEX and m == int(m):
+            return
+    except TypeError:
+        pass
+    raise DomainError(f"zero index {m!r} is not an integer in "
+                      f"1..{MAX_INDEX}")
+
+
 def real_airy_zero(m):
     """The m-th negative real zero a_m of Ai (1 <= m <= MAX_INDEX),
     a_1 > a_2 > ..."""
-    if not 1 <= m <= MAX_INDEX or m != int(m):
-        raise DomainError(f"zero index must be an integer in "
-                          f"1..{MAX_INDEX}")
+    _check_index(m)
     if m <= _NEWTON_ZEROS:
         return _POLISHED_ZEROS[int(m) - 1]
     return _zero_estimate(m)

@@ -13,8 +13,13 @@ U and U' from zero to zero, each zero started from its seed plus the
 correction predicted from the zeros before it, the rows in index order.
 The z_approx columns are the expansion's seed, and residual is the size
 of T's last step over (1 + |z|), not the zero's error.  zeros --no-refine
-seeds each index through one zeros._seeder.  phase-grid evaluates its
-points as one eval_U_path, row by row with every other row backwards.
+seeds each index through one zeros._seeder.  Both commands build their
+rows from the entries of one _records call: zeros sorted by (family, m),
+validate --reference refined in refinement order, with the moduli g1 in
+place of terms_used and residual.  _compare is the one comparison of a
+zero with its reference (g1, eps1, eps2).  phase-grid evaluates its
+points as one eval_U_path, row by row with every other row backwards,
+and opens --out only once every point is evaluated.
 Everything runs in this process; the --jobs flag of zeros is accepted
 and has no effect.  JSON output is laid out as json.dumps(rows,
 indent=1) lays it out.
@@ -42,7 +47,7 @@ from .genairy import hermite_order
 # t_iterate up through refine); perfbench/spans.py patches cli.eval_U and
 # cli.t_iterate, and tests/test_bench_names.py requires every such name
 # to resolve
-from .pcf_eval import _errors, eval_U, eval_U_path  # noqa: F401
+from .pcf_eval import eval_U, eval_U_path  # noqa: F401
 from .refine import STEP_TOL, t_iterate  # noqa: F401
 
 _ZEROS_FIELDS = ["family", "a", "m", "terms_used",
@@ -86,24 +91,24 @@ def _tasks_for(args):
 
 
 def _records(args, refine):
-    """One row per zero that _tasks_for names, in its order, and the exit
-    code: 4 when some zero did not converge or t_iterate refused its seed
-    (DomainError), each such zero reported on stderr with the other rows
-    kept.  A row is a dict keyed by _ZEROS_FIELDS, in their order; the
-    refined fields are None without refine.
+    """One entry per zero that _tasks_for names, in its order, and the
+    exit code: 4 when some zero did not converge or t_iterate refused its
+    seed (DomainError), each such zero reported on stderr with the other
+    entries kept.  An entry is (kind, m, z_approx, terms_used, z_refined,
+    residual), the last two None without refine; a real family's
+    z_refined keeps an imaginary part of 0.
 
     With refine each family comes from zeros._refine_family, which
     refines it as one chain, nearest the origin first; without, each
     index is seeded in turn.
     """
-    a = args.a
-    rows = []
+    entries = []
     code = 0
     for kind, ms in _tasks_for(args):
         if refine:
-            found = zmod._refine_family(kind, a, args.terms, ms)
+            found = zmod._refine_family(kind, args.a, args.terms, ms)
         else:
-            found = _seeds(zmod._seeder(kind, a, args.terms), ms)
+            found = _seeds(zmod._seeder(kind, args.a, args.terms), ms)
         for m, got in zip(ms, found):
             if isinstance(got, ConvergenceError):
                 code = 4
@@ -111,21 +116,15 @@ def _records(args, refine):
                       file=sys.stderr)
                 continue
             _, (_, _, _, z_approx, terms_used), rz = got
-            zr_re = zr_im = eps1 = eps2 = residual = None
-            if rz is not None:
-                z_refined = rz.value
-                if z_approx.imag == 0.0:
-                    z_refined = complex(z_refined.real, 0.0)
-                zr_re, zr_im = z_refined.real, z_refined.imag
-                residual = rz.residual
-                _, _, eps1, eps2 = _compare(z_approx, z_refined)
-            rows.append({
-                "family": kind, "a": a, "m": m,
-                "terms_used": terms_used,
-                "z_approx_re": z_approx.real, "z_approx_im": z_approx.imag,
-                "z_refined_re": zr_re, "z_refined_im": zr_im,
-                "eps1": eps1, "eps2": eps2, "residual": residual})
-    return rows, code
+            if rz is None:
+                entries.append((kind, m, z_approx, terms_used, None, None))
+                continue
+            z_refined = rz.value
+            if z_approx.imag == 0.0:
+                z_refined = complex(z_refined.real, 0.0)
+            entries.append((kind, m, z_approx, terms_used, z_refined,
+                            rz.residual))
+    return entries, code
 
 
 def _seeds(seed, ms):
@@ -141,18 +140,28 @@ def _seeds(seed, ms):
 
 
 def _compare(z_approx, z_ref):
-    """(g1_approx, g1_ref, eps1, eps2) of metrics; no eps for a zero at
-    the origin (a = -n - 1/2, n odd), refined to a rounding error of 0."""
-    if abs(z_ref) <= STEP_TOL:
-        return abs(z_approx), abs(z_ref), None, None
-    g1a, g1r, _, _, eps1, eps2 = _errors(z_approx, z_ref)
-    return g1a, g1r, eps1, eps2
+    """(g1_approx, g1_ref, eps1, eps2): the paper's comparison of an
+    approximate zero with its reference, by the moduli g1 = |z| and the
+    ratios g2 = Re z / Im z, eps = |1 - g_approx / g_ref|.  eps2 is None
+    where Re z_ref Im z_ref = 0 or z_approx is real; both eps are None
+    for a reference within STEP_TOL of the origin (a = -n - 1/2, n odd),
+    a zero refined to a rounding error of 0."""
+    g1a, g1r = abs(z_approx), abs(z_ref)
+    if g1r <= STEP_TOL:
+        return g1a, g1r, None, None
+    eps1 = abs(1.0 - g1a / g1r)
+    if z_ref.real * z_ref.imag == 0.0 or z_approx.imag == 0.0:
+        return g1a, g1r, eps1, None
+    g2a = z_approx.real / z_approx.imag
+    g2r = z_ref.real / z_ref.imag
+    return g1a, g1r, eps1, abs(1.0 - g2a / g2r)
 
 
 def _write_rows(rows, fields, header, fmt):
-    """Write rows (dicts keyed by fields) to stdout as a JSON list, or as
-    CSV after the '# pcfzeros <header>' line, floats in repr and None
-    as an empty cell (csv.writer's own conversions)."""
+    """Write rows (tuples of the values of fields) to stdout as a JSON
+    list of objects keyed by fields, or as CSV after the '# pcfzeros
+    <header>' line, floats in repr and None as an empty cell (csv.writer's
+    own conversions)."""
     out = sys.stdout
     if fmt == "json":
         # the layout of json.dumps(rows, indent=1), in one write; any
@@ -161,19 +170,26 @@ def _write_rows(rows, fields, header, fmt):
         if not rows:
             out.write("[]\n")
             return
-        items = [json.dumps(r, separators=(",\n  ", ": "))[1:-1]
-                 for r in rows]
+        items = [json.dumps(dict(zip(fields, r)),
+                            separators=(",\n  ", ": "))[1:-1] for r in rows]
         out.write("[\n {\n  " + "\n },\n {\n  ".join(items) + "\n }\n]\n")
         return
     out.write("# pcfzeros " + header + "\n")
     w = csv.writer(out, lineterminator="\n")
     w.writerow(fields)
-    w.writerows(map(itemgetter(*fields), rows))
+    w.writerows(rows)
 
 
 def cmd_zeros(args):
-    rows, code = _records(args, args.refine)
-    rows.sort(key=itemgetter("family", "m"))
+    found, code = _records(args, args.refine)
+    found.sort(key=itemgetter(0, 1))
+    rows = []
+    for kind, m, za, used, zr, residual in found:
+        ref = eps = (None, None)
+        if zr is not None:
+            ref, eps = (zr.real, zr.imag), _compare(za, zr)[2:]
+        rows.append((kind, args.a, m, used, za.real, za.imag, *ref, *eps,
+                     residual))
     header = (f"zeros v1 a={args.a!r} family={args.family} "
               f"terms={args.terms} refine={int(args.refine)}")
     _write_rows(rows, _ZEROS_FIELDS, header, args.format)
@@ -199,24 +215,13 @@ def cmd_validate(args):
         refs = _oracle_reference(a)
         fam = "aneg-positive"
         seed = zmod._seeder(fam, a, args.terms)
-        pairs = [(fam, m, seed(m)[3], complex(ref))
+        found = [(fam, m, seed(m)[3], None, complex(ref), None)
                  for m, ref in enumerate(refs, 1)]
     else:
         found, code = _records(args, refine=True)
-        pairs = [(r["family"], r["m"],
-                  complex(r["z_approx_re"], r["z_approx_im"]),
-                  complex(r["z_refined_re"], r["z_refined_im"]))
-                 for r in found]
-    rows = []
-    for fam, m, za, zr in pairs:
-        g1a, g1r, eps1, eps2 = _compare(za, zr)
-        rows.append({
-            "family": fam, "a": a, "m": m,
-            "z_approx_re": za.real, "z_approx_im": za.imag,
-            "z_ref_re": zr.real, "z_ref_im": zr.imag,
-            "g1_approx": g1a, "g1_ref": g1r,
-            "eps1": eps1, "eps2": eps2,
-        })
+    # _compare answers g1_approx, g1_ref, eps1, eps2, the last fields
+    rows = [(fam, a, m, za.real, za.imag, zr.real, zr.imag, *_compare(za, zr))
+            for fam, m, za, _, zr, _ in found]
     header = (f"validate v1 a={a!r} reference={args.reference} "
               f"terms={args.terms}")
     _write_rows(rows, _VALIDATE_FIELDS, header, args.format)
@@ -241,16 +246,21 @@ def cmd_phase_grid(args):
     path = [(i, j) for i in range(args.ny)
             for j in (range(args.nx) if i % 2 == 0
                       else range(args.nx - 1, -1, -1))]
-    with open(args.out, "w") as fh:
-        fh.write(f"# pcfzeros phase-grid v1 a={args.a!r} "
-                 f"nx={args.nx} ny={args.ny}\n")
-        fh.write("x,y,arg_u\n")
-        values = eval_U_path(args.a, [complex(xs[j], ys[i])
-                                      for i, j in path], tol=1e-6)
-        phase = dict(zip(path, (cmath.phase(v.value) for v in values)))
-        for i, y in enumerate(ys):
-            for j, x in enumerate(xs):
-                fh.write(f"{x!r},{y!r},{phase[i, j]!r}\n")
+    values = eval_U_path(args.a, [complex(xs[j], ys[i]) for i, j in path],
+                         tol=1e-6)
+    phase = dict(zip(path, (cmath.phase(v.value) for v in values)))
+    # opened only now: a run that stops at a point leaves --out as it was
+    try:
+        with open(args.out, "w") as fh:
+            fh.write(f"# pcfzeros phase-grid v1 a={args.a!r} "
+                     f"nx={args.nx} ny={args.ny}\n")
+            fh.write("x,y,arg_u\n")
+            for i, y in enumerate(ys):
+                for j, x in enumerate(xs):
+                    fh.write(f"{x!r},{y!r},{phase[i, j]!r}\n")
+    except OSError as e:
+        raise DomainError(f"cannot write {args.out}: {e.strerror or e}") \
+            from None
     return 0
 
 

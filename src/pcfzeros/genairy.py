@@ -31,7 +31,7 @@ import math
 import sys
 from typing import NamedTuple, Optional
 
-from .airy import (MAX_INDEX, _t_correction, eval_ai_rotated, eval_ai,
+from .airy import (_check_index, _t_correction, eval_ai_rotated, eval_ai,
                    eval_bi_real)
 from .errors import ConvergenceError, DomainError, PolynomialCaseError
 
@@ -66,10 +66,21 @@ class GenAiryZero(NamedTuple):
         return identity_residual(self.u, self.value)
 
 
+def _check_u(u, what):
+    """DomainError naming what unless u is a finite number > 0: for NaN,
+    an infinity or a non-number too."""
+    try:
+        if 0.0 < u < math.inf:
+            return
+    except TypeError:
+        pass
+    raise DomainError(f"{what} requires a finite u > 0, got u = {u!r}")
+
+
 def mu(u):
-    """Periodic phase shift of period 2: 2u on [0,4/3) mod 2, else 2u-4."""
-    if u < 0:
-        raise DomainError("mu requires u >= 0")
+    """Periodic phase shift of period 2: 2u on [0,4/3) mod 2, else 2u-4
+    (u > 0)."""
+    _check_u(u, "mu")
     r = math.fmod(u, 2.0)
     return 2.0 * r if r < 4.0 / 3.0 else 2.0 * r - 4.0
 
@@ -253,8 +264,7 @@ def neg_zeros(u, m, refine=False):
     For tau < 1 (m = 1 with u mod 2 in [4/3, 2)) the series is not used:
     the zero is the one between the second zero and the origin.
     """
-    if u <= 0:
-        raise DomainError("neg_zeros requires u > 0")
+    _check_u(u, "neg_zeros")
     _check_index(m)
     tau = 4.0 * m - 3.0 + mu(u)
     if tau < 1.0:
@@ -278,8 +288,7 @@ def sole_positive_zero(u) -> Optional[GenAiryZero]:
 
     At u = 4/3 (mod 2) the zero sits exactly at the origin.
     """
-    if u <= 0:
-        raise DomainError("sole_positive_zero requires u > 0")
+    _check_u(u, "sole_positive_zero")
     r = math.fmod(u, 2.0)
     if abs(r - 4.0 / 3.0) < 1e-12:
         return GenAiryZero(index=0, kind="sole-positive", value=0.0 + 0.0j,
@@ -290,14 +299,6 @@ def sole_positive_zero(u) -> Optional[GenAiryZero]:
                    "sole positive zero")
     return GenAiryZero(index=0, kind="sole-positive", value=complex(x),
                        refined=True, u=u)
-
-
-def _check_index(m):
-    """DomainError unless m is an integer in 1..MAX_INDEX, where tau is
-    exact."""
-    if not 1 <= m <= MAX_INDEX or m != int(m):
-        raise DomainError(f"zero index {m} is not an integer in "
-                          f"1..{MAX_INDEX}")
 
 
 def _tau_offset(u):
@@ -331,8 +332,7 @@ def complex_seeder(u):
     estimate fails the same test as in neg_zeros: every m <= 13 at
     u = 12.4.  PolynomialCaseError in the Hermite case (hermite_order).
     """
-    if u <= 0:
-        raise DomainError("complex_zeros requires u > 0")
+    _check_u(u, "complex_zeros")
     n = hermite_order(u)
     if n is not None:
         raise PolynomialCaseError(f"u = {u} is the Hermite case 2n + 1, "

@@ -56,7 +56,7 @@ value * e^exponent is the true function value.
 import cmath
 import functools
 import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .errors import (ConvergenceError, DomainError, _positive_int,
                      _tolerance, require_finite)
@@ -132,18 +132,6 @@ class PcfValue(NamedTuple):
             raise DomainError(f"exponent {self.exponent!r}: U or U' leaves "
                               "the double range")
         return u, du
-
-
-class ValidationRecord(NamedTuple):
-    m: int
-    z_approx: complex
-    z_ref: complex
-    g1_approx: float
-    g1_ref: float
-    g2_approx: Optional[float]
-    g2_ref: Optional[float]
-    eps1: float
-    eps2: Optional[float]
 
 
 @functools.lru_cache(maxsize=256)
@@ -775,37 +763,16 @@ def eval_U_near_zero(a, z):
     return Evaluator(a, _NEAR_ZERO_TOL, "chain")(a, z)
 
 
-def metrics(z_approx, z_ref, m=0):
-    """g1/g2 relative-error comparison of an approximate zero against a
-    reference; eps2 is None when Re*Im of the reference vanishes."""
-    z_approx = complex(z_approx)
-    z_ref = complex(z_ref)
-    if z_ref == 0.0:
-        raise DomainError("metrics requires a nonzero reference")
-    return ValidationRecord(m, z_approx, z_ref, *_errors(z_approx, z_ref))
-
-
-def _errors(z_approx, z_ref):
-    """metrics' (g1_approx, g1_ref, g2_approx, g2_ref, eps1, eps2) of
-    complex z_approx and nonzero z_ref, without the record."""
-    g1a = abs(z_approx)
-    g1r = abs(z_ref)
-    eps1 = abs(1.0 - g1a / g1r)
-    if z_ref.real * z_ref.imag != 0.0 and z_approx.imag != 0.0:
-        g2a = z_approx.real / z_approx.imag
-        g2r = z_ref.real / z_ref.imag
-        return g1a, g1r, g2a, g2r, eps1, abs(1.0 - g2a / g2r)
-    return g1a, g1r, None, None, eps1, None
-
-
 def winding_number(a, center, radius, npoints=24):
     """Winding of arg U(a, .) along a circle of npoints (an integer >= 1)
     steps; +1 certifies a simple zero inside (the phase increases by
     2 pi).  Each step of the phase, taken in (-pi, pi], must stay within
     pi/2, or it could alias a turn: where one does not, the points are
-    doubled, at most three times, and then ConvergenceError.  A radius
-    that is not a finite number > 0 is a DomainError."""
+    doubled, at most three times, and then ConvergenceError.  A center
+    that is not a finite number, or a radius that is not a finite number
+    > 0, is a DomainError."""
     npoints = _positive_int(npoints, "npoints must be an integer >= 1")
+    require_finite(center=center)
     try:
         valid = 0.0 < radius < math.inf
     except TypeError:

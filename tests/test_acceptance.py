@@ -14,7 +14,8 @@ import pytest
 from pcfzeros.genairy import (complex_zeros, identity_residual, neg_zeros,
                               vartheta)
 from pcfzeros.mapping import invert_zeta, zeta
-from pcfzeros.pcf_eval import eval_U, metrics, winding_number
+from pcfzeros.cli import _compare
+from pcfzeros.pcf_eval import eval_U, winding_number
 from pcfzeros.refine import t_iterate
 from pcfzeros.zeros import (count_positive, hermite_zeros, m_minus,
                             zeros_aneg_complex, zeros_apos)
@@ -132,9 +133,9 @@ def test_criterion_5_error_trends():
         for m in MS:
             approx = fn(a, m, terms=3).z
             refined = t_iterate(a, approx).value
-            rec = metrics(approx, refined, m=m)
-            e1s.append(rec.eps1)
-            e2s.append(rec.eps2)
+            _, _, eps1, eps2 = _compare(approx, refined)
+            e1s.append(eps1)
+            e2s.append(eps2)
         for seq in (e1s, e2s):
             assert all(b <= 2.0 * a_ for a_, b in zip(seq, seq[1:])), \
                 (a, seq)

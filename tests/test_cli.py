@@ -423,7 +423,8 @@ def test_seed_non_convergence_keeps_the_other_rows(capsys, monkeypatch):
           "w": 1e300}, {"family": "y", "a": 8.3, "m": 2, "eps1": -0.0,
                         "z": None, "w": -1e300}]], ids=["empty", "rows"])
 def test_json_writer_is_json_dumps_with_indent_1(capsys, rows):
-    cli._write_rows(rows, [], "", "json")
+    fields = list(rows[0]) if rows else []
+    cli._write_rows([tuple(r.values()) for r in rows], fields, "", "json")
     assert capsys.readouterr().out == json.dumps(rows, indent=1) + "\n"
 
 
@@ -470,6 +471,45 @@ def test_parallel_matches_serial(capsys):
     _, serial = run_cli(capsys, args + ["--jobs", "1"])
     _, parallel = run_cli(capsys, args + ["--jobs", "2"])
     assert serial == parallel
+
+
+def test_compare_trivials():
+    # equal zeros differ by nothing; a real zero has no ratio g2 = Re/Im;
+    # a reference at the origin has no relative error
+    assert cli._compare(1.0 + 2.0j, 1.0 + 2.0j) == (abs(1.0 + 2.0j),
+                                                    abs(1.0 + 2.0j), 0.0, 0.0)
+    g1a, g1r, eps1, eps2 = cli._compare(3.0 + 0.0j, 3.0000003 + 0.0j)
+    assert (g1a, g1r, eps2) == (3.0, 3.0000003, None)
+    assert eps1 == pytest.approx(1e-7, rel=1e-4)
+    assert cli._compare(1.0 + 0.0j, 0j) == (1.0, 0.0, None, None)
+
+
+@pytest.mark.parametrize("a", [8.3, -6.2, -5.5])
+def test_validate_rows_are_the_zeros_rows(capsys, a):
+    # both commands build their rows from one cli._records call: validate
+    # in refinement order (the families as zeros.families lists them, each
+    # in index order), zeros sorted by (family, m)
+    rc, out = run_cli(capsys, ["zeros", f"--a={a!r}", "--format", "json"])
+    assert rc == 0
+    zrows = json.loads(out)
+    rc, out = run_cli(capsys, ["validate", f"--a={a!r}", "--format", "json"])
+    assert rc == 0
+    vrows = json.loads(out)
+    keys = [(r["family"], r["m"]) for r in zrows]
+    assert keys == sorted(keys)
+    order = [f.kind for f in zmod.families(a)]
+    vkeys = [(r["family"], r["m"]) for r in vrows]
+    assert vkeys == sorted(keys, key=lambda k: (order.index(k[0]), k[1]))
+    by_key = dict(zip(keys, zrows))
+    for v in vrows:
+        z = by_key[v["family"], v["m"]]
+        assert [v[f] for f in ("a", "z_approx_re", "z_approx_im", "z_ref_re",
+                               "z_ref_im", "eps1", "eps2")] == \
+            [z[f] for f in ("a", "z_approx_re", "z_approx_im", "z_refined_re",
+                            "z_refined_im", "eps1", "eps2")]
+        assert v["g1_approx"] == abs(complex(v["z_approx_re"],
+                                             v["z_approx_im"]))
+        assert v["g1_ref"] == abs(complex(v["z_ref_re"], v["z_ref_im"]))
 
 
 def test_validate_oracle_reference(capsys):
@@ -534,6 +574,38 @@ def test_phase_grid_non_convergence_exits_4(capsys, tmp_path):
     assert rc == 4
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "U(-2.5, " in err[0]
+
+
+@pytest.mark.parametrize("out", ["missing/g.csv", "."])
+def test_phase_grid_unwritable_out_exits_2(capsys, tmp_path, out):
+    # a directory that does not exist, or a directory itself: one package
+    # error line, no traceback, and no file made
+    out = tmp_path / out
+    rc = cli.main(["phase-grid", "--a", "8.3", "--re-min", "-2",
+                   "--re-max", "0", "--im-min", "6", "--im-max", "7",
+                   "--nx", "2", "--ny", "2", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"pcfzeros: cannot write "
+                                               f"{out}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("box, code", [
+    # U(-2.5, 1) = 0 exactly: no relative accuracy can be reached there
+    (["--a", "-2.5", "--re-min", "1", "--re-max", "1",
+      "--im-min", "0", "--im-max", "0", "--nx", "1", "--ny", "1"], 4),
+    (["--a", "8.3", "--re-min", "nan", "--re-max", "0",
+      "--im-min", "6", "--im-max", "7", "--nx", "2", "--ny", "2"], 2),
+])
+def test_phase_grid_that_stops_leaves_out_untouched(capsys, tmp_path, box,
+                                                     code):
+    # the file is opened only once every point is evaluated
+    out = tmp_path / "g.csv"
+    out.write_text("kept\n")
+    assert cli.main(["phase-grid", *box, "--out", str(out)]) == code
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert out.read_text() == "kept\n"
 
 
 def test_phase_grid_steps_from_neighbouring_points(monkeypatch, tmp_path):

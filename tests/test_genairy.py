@@ -3,12 +3,14 @@ import math
 
 import pytest
 
-from pcfzeros.errors import PolynomialCaseError
+from pcfzeros.airy import real_airy_zero
+from pcfzeros.errors import DomainError, PolynomialCaseError
 from pcfzeros.genairy import (_complex_seed, _t_series_tail, _tau_offset,
                               complex_zeros, hermite_order, identity_residual,
                               mu, neg_zeros, refine_zero, sole_positive_zero,
                               t_series, vartheta)
-from pcfzeros.zeros import count_positive, m_minus
+from pcfzeros.pcf_eval import winding_number
+from pcfzeros.zeros import count_positive, m_minus, zeros_apos
 
 import oracles
 
@@ -20,6 +22,30 @@ def test_mu_branches_and_periodicity():
     for u in (0.1, 0.9, 1.4, 1.9):
         assert mu(u) == pytest.approx(mu(u + 2.0), abs=1e-12)
         assert mu(u) == pytest.approx(mu(u + 6.0), abs=1e-12)
+
+
+# a zero index outside 1..MAX_INDEX or not integral, a u that is not a
+# finite number > 0, and a winding centre that is not a finite number,
+# each through one check
+_BAD_ARGUMENTS = [
+    (real_airy_zero, ("1",)), (real_airy_zero, (math.nan,)),
+    (real_airy_zero, (2.5,)), (zeros_apos, (8.3, "3")),
+    (neg_zeros, (12.4, "2")), (complex_zeros, (12.4, 1j)),
+    (neg_zeros, (math.inf, 1)), (neg_zeros, (-1.0, 1)),
+    (complex_zeros, (math.nan, 1)), (complex_zeros, ("12.4", 1)),
+    (sole_positive_zero, (math.nan,)), (sole_positive_zero, (math.inf,)),
+    (sole_positive_zero, (0.0,)), (mu, (math.nan,)), (mu, (0.0,)),
+    (mu, (None,)), (winding_number, (8.3, "x", 0.1)),
+    (winding_number, (8.3, complex(math.nan, 1.0), 0.1)),
+]
+
+
+@pytest.mark.parametrize("fn, args", _BAD_ARGUMENTS,
+                         ids=[f"{fn.__name__}{args!r}"
+                              for fn, args in _BAD_ARGUMENTS])
+def test_bad_u_index_or_centre_is_a_domain_error(fn, args):
+    with pytest.raises(DomainError):
+        fn(*args)
 
 
 def test_mu_range():

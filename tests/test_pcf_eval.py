@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from pcfzeros import pcf_eval
 from pcfzeros.errors import ConvergenceError, DomainError, PcfzerosError
 from pcfzeros.pcf_eval import (Evaluator, eval_U, eval_U_near_zero,
-                               eval_U_path, metrics, winding_number)
+                               eval_U_path, winding_number)
 from pcfzeros.refine import STEP_TOL, t_iterate
 from pcfzeros.zeros import hermite_zeros, zeros_aneg_complex, zeros_apos
 
@@ -211,18 +211,6 @@ def test_residual_eq319_at_refined_zero():
 def test_residual_eq319_domain():
     with pytest.raises(DomainError):
         residual_eq319(1.0, 0.5 + 0.5j)
-
-
-def test_metrics_trivials():
-    rec = metrics(1.0 + 2.0j, 1.0 + 2.0j, m=7)
-    assert rec.eps1 == 0.0
-    assert rec.eps2 == 0.0
-    assert rec.m == 7
-    rec = metrics(3.0, 3.0000003)
-    assert rec.eps2 is None
-    assert rec.eps1 == pytest.approx(1e-7, rel=1e-4)
-    with pytest.raises(DomainError):
-        metrics(1.0, 0.0)
 
 
 def test_winding_number_certifies_zero():

@@ -4,7 +4,7 @@ every field."""
 import pytest
 
 from pcfzeros import (AiryValue, GenAiryZero, PcfValue, RefinedZero,
-                      ValidationRecord, ZeroApproximation, ZeroFamily)
+                      ZeroApproximation, ZeroFamily)
 
 # each public record with the keywords of one instance, and the fields
 # that keep a default when left out
@@ -14,9 +14,6 @@ _RECORDS = [
                        value=1.5 + 2.5j, refined=False, u=12.4), {}),
     (PcfValue, dict(value=0.25 + 0.5j, derivative=-1.0 + 0.0j,
                     method="taylor", est_accuracy=1e-13), {"exponent": 0.0}),
-    (ValidationRecord, dict(m=2, z_approx=-1.0 + 6.0j, z_ref=-1.0 + 6.1j,
-                            g1_approx=6.08, g1_ref=6.18, g2_approx=None,
-                            g2_ref=None, eps1=0.016, eps2=None), {}),
     (RefinedZero, dict(value=-1.38 + 6.6j, seed=-1.4 + 6.6j, iterations=2,
                        residual=1e-15), {}),
     (ZeroFamily, dict(kind="aneg-nonpositive", a=-6.2, u=12.4, count=3),
