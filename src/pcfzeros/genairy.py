@@ -15,10 +15,13 @@ zeros by a safeguarded Newton iteration in a bracket around the seed,
 complex ones by Newton on the identity of refine_zero).  For u mod 2 in
 [4/3, 2) the first negative zero has tau < 1, where the series is
 useless near t = 0: it is found in the bracket between the second zero
-and the origin instead.  complex_seeder(u) forms the part of tau that
-does not depend on m once for a whole family; complex_zeros is one call
-of it.  Indices stop at airy.MAX_INDEX, up to which tau is exact in
-doubles.
+and the origin instead.  Within 1e-12 of u = 4/3 (mod 2) Ai_u vanishes
+at the origin: for u mod 2 below 4/3 (vartheta(u) = 1) that is the sole
+positive zero, index 0, and from 4/3 on (vartheta(u) = 0) the first
+negative zero, index 1, so that the indices run on without a gap.
+complex_seeder(u) forms the part of tau that does not depend on m once
+for a whole family; complex_zeros is one call of it.  Indices stop at
+airy.MAX_INDEX, up to which tau is exact in doubles.
 
 hermite_order decides the Hermite case u = 2n + 1 for the whole package;
 outside it complex_zeros answers however close u is to an odd integer.
@@ -262,11 +265,17 @@ def neg_zeros(u, m, refine=False):
     term) exceeds the refinement's own accuracy, _BRENT_XTOL +
     _BRENT_RTOL |x|: every m <= 12.
     For tau < 1 (m = 1 with u mod 2 in [4/3, 2)) the series is not used:
-    the zero is the one between the second zero and the origin.
+    the zero is the one between the second zero and the origin, or,
+    within 1e-12 of u = 4/3 (mod 2), the origin, where Ai_u then vanishes
+    (vartheta(u) = 0 on this side, so sole_positive_zero does not return
+    it).
     """
     _check_u(u, "neg_zeros")
     _check_index(m)
     tau = 4.0 * m - 3.0 + mu(u)
+    if tau < 1.0 and abs(math.fmod(u, 2.0) - 4.0 / 3.0) < 1e-12:
+        return GenAiryZero(index=m, kind="negative-real", value=0.0 + 0.0j,
+                           refined=True, u=u)
     if tau < 1.0:
         x2 = neg_zeros(u, 2).value.real
         x = _real_root(u, [(x2 + 1e-3 * abs(x2), -1e-12)],

@@ -4,7 +4,8 @@ Methods, each with an a-posteriori error estimate:
 
   asymptotic — large |z|: the recessive series plus, beyond |arg z| =
      pi/2, the dominant one times i sqrt(2 pi) e^{-i pi a}/Gamma(a+1/2)
-     (conjugated in the lower half-plane), both summed by asym_pair.
+     (conjugated in the lower half-plane), both summed by asym_pair with
+     their termwise derivatives, which give U': one expansion a point.
   series — small |z|: the Maclaurin expansion in doubles, summed by
      kummer_pair with the term magnitudes that track its cancellation.
   taylor — moderate |z|: two runs of Taylor steps of Weber's equation
@@ -82,9 +83,12 @@ _NEAR_ZERO_TOL = 1e-12
 # measured with Q = |a| + |z|^2/4: on the CLI tables and hermite_zeros, 4
 # took a quarter fewer steps than 2.5 and summed a fifth fewer terms; at
 # 2.5 the estimate of one point of the origin stage's test grid (a = 8.3,
-# z = 2.17+2.35i) fell below its error, at 3 to 6 none did
+# z = 2.17+2.35i) fell below its error, at 3 to 6 none did.  The cap
+# bounds a pair's time, 0.4 s at 9 us a complex step (Python 3.11, 2-vCPU
+# Xeon), and the path from the origin to the first complex zeros takes
+# about 0.7 |a| steps: the cap reaches them up to |a| = 1e4
 _TAYLOR_REACH = 4.0
-_TAYLOR_MAX_STEPS = 1000
+_TAYLOR_MAX_STEPS = 20000
 _TAYLOR_MAX_TERMS = 200
 _TAYLOR_TINY = 1e-17
 # _taylor_run's passes, two terms each: k, k + 1, 1/(k (k-1)), 1/((k+1) k)
@@ -193,10 +197,12 @@ def asym_pair(a, z2inv):
         S2 = sum_s (1/2-a)_{2s} / (s! (2 z^2)^s)
 
     with z2inv = 1/(2 z^2).  Truncates each series at its smallest term.
-    Returns (S1, S2, minterm) where minterm bounds the truncation error
-    relative to the leading terms.
+    Returns (S1, S2, minterm, T1, T2, n2): minterm bounds the truncation
+    error relative to the leading terms, T is S with each term times 2s
+    (-z d/dz), and n2 is the 2s of the last term summed (0 if none).
     """
     t1 = t2 = S1 = S2 = 1.0 + 0.0j
+    T1 = T2 = 0.0j
     mn = 1.0
     b1, b2, b3, b4 = a - 1.5, a - 0.5, -a - 1.5, -a - 0.5
     for s, s2 in _ASYM_TERMS:
@@ -210,56 +216,25 @@ def asym_pair(a, z2inv):
         if m > mn:
             # divergent tail reached; first omitted term bounds the error
             mn = m
+            s2 -= 2.0
             break
         S1 += t1
         S2 += t2
+        T1 += s2 * t1
+        T2 += s2 * t2
         mn = m
         if mn < 1e-18:
             break
-    return S1, S2, mn
-
-
-def _asym_sums(a, z, cut):
-    """(mantissa, exponent, error bound of the mantissa) of U(a,z) from
-    the compound expansion; None when the smallest term exceeds cut.  The
-    error weighs each series' truncation and rounding, and the rounding
-    of the exponents and of K's phase, about eps (|z|^2/4 + |a| |log z|).
-    Near a Stokes line the remainder exceeds the smallest term by up to
-    about sqrt(pi N/2), N ~ |z|^2/2 terms (Olver's chi(N)): 1 + |z|."""
-    S1, S2, mn = asym_pair(a, 1.0 / (2.0 * z * z))
-    if mn > cut:
-        return None
-    lg = cmath.log(z)
-    e1 = -z * z / 4.0 - (a + 0.5) * lg
-    rnd = _EPS * (abs(z) ** 2 / 4.0 + (abs(a) + 1.0) * (abs(lg) + math.pi))
-    mn *= 1.0 + abs(z)
-    arg = cmath.phase(z)
-    K = 0.0
-    if arg > math.pi / 2.0:
-        K = 1j * math.sqrt(2.0 * math.pi) * cmath.exp(-1j * math.pi * a) \
-            * _rgamma(0.5 + a)
-    elif arg < -math.pi / 2.0:
-        K = -1j * math.sqrt(2.0 * math.pi) * cmath.exp(1j * math.pi * a) \
-            * _rgamma(0.5 + a)
-    if K == 0.0:
-        ecap = e1.real
-        m1 = S1 * cmath.exp(1j * e1.imag)
-        return m1, ecap, mn + abs(S1) * (rnd + 4.4e-16)
-    e2 = z * z / 4.0 + (a - 0.5) * lg
-    ecap = max(e1.real, e2.real)
-    m = S1 * cmath.exp(e1 - ecap) + K * S2 * cmath.exp(e2 - ecap)
-    w1 = math.exp(e1.real - ecap)
-    w2 = abs(K) * math.exp(e2.real - ecap)
-    err = (w1 + w2) * mn + (w1 * abs(S1) + w2 * abs(S2)) * (rnd + 4.4e-16)
-    return m, ecap, err
+    return S1, S2, mn, T1, T2, s2
 
 
 def _asym_declines(a, z, cut):
-    """Whether asym_pair's minterm exceeds cut at a or at a + 1, so that
-    _asym_sums declines there: decided in closed form, without summing.
+    """Whether the terms of U's expansion or of U''s stay above cut for
+    s = 1.._ASYM_MAX_TERMS-1, so that _eval_asymptotic turns the point
+    down: decided in closed form, without summing.
 
-    The minterm is at least the smallest term s = 1.._ASYM_MAX_TERMS-1 of
-    either series.  Of the two calls' Pochhammer bases, c = 1/2 +
+    U''s terms are those at a + 1 times a + 1/2 (U' = -z/2 U - (a + 1/2)
+    U(a + 1, z)).  Of the Pochhammer bases at a and a + 1, c = 1/2 +
     max(|a|, |a + 1|) is the largest, and its terms |t_s| = Gamma(c + 2s)
     / (Gamma(c) s! x^s), x = 2|z|^2, are the largest.  Their ratio
     t_{s+1}/t_s = (c + 2s)(c + 2s + 1)/((s + 1) x) is below 1 only between
@@ -305,23 +280,43 @@ def _asym_declines(a, z, cut):
 
 
 def _eval_asymptotic(a, z, cut):
+    """U(a,z) = sum k e^e S over the recessive part and, beyond |arg z| =
+    pi/2, K's, and U' = sum k e^e (e' S - T/z), T from asym_pair; None
+    where the smallest term exceeds cut.  U's error weighs each series'
+    truncation and rounding, the rounding of the exponents and of K's
+    phase, about eps (|z|^2/4 + |a| |log z|), and, near a Stokes line, a
+    remainder up to sqrt(pi N/2) ~ 1 + |z| times the smallest term
+    (Olver's chi(N), N ~ |z|^2/2 terms).  U''s: that times |e'|, plus the
+    first term left out times 2N/|z| (2N its 2s), its derivative's size."""
     if _asym_declines(a, z, cut):
         return None
-    r = _asym_sums(a, z, cut)
-    if r is None:
+    S1, S2, mn, T1, T2, n2 = asym_pair(a, 1.0 / (2.0 * z * z))
+    if mn > cut:
         return None
-    m, ecap, err = r
-    r2 = _asym_sums(a + 1.0, z, cut)
-    if r2 is None:
-        return None
-    m2, ecap2, err2 = r2
-    # U'(a,z) = -z/2 U(a,z) - (a+1/2) U(a+1,z), in the common scale ecap;
-    # at a = -1/2 the second term is 0, and e^(ecap2 - ecap) may overflow:
-    # U(-1/2, z) = e^(-z^2/4) is recessive where U(1/2, z) is dominant
-    dm = -z / 2.0 * m
-    if a != -0.5:
-        dm -= (a + 0.5) * m2 * cmath.exp(ecap2 - ecap)
-    est = max(err / max(abs(m), 1e-300), err2 / max(abs(m2), 1e-300))
+    lg = cmath.log(z)
+    az = abs(z)
+    rnd = _EPS * (2.0 + az * az / 4.0 + (abs(a) + 1.0) * (abs(lg) + math.pi))
+    dn = mn * (n2 + 2.0) / az  # the first term left out, differentiated
+    mn *= 1.0 + az
+    # (k, e, S, T, e', a -+ 1/2); K signed by arg z (-x +- 0j keep sides)
+    parts = [(1.0, -z * z / 4.0 - (a + 0.5) * lg, S1, T1,
+              -z / 2.0 - (a + 0.5) / z, a + 0.5)]
+    rg = _rgamma(0.5 + a) if abs(cmath.phase(z)) > math.pi / 2.0 else 0.0
+    if rg != 0.0:
+        sg = math.copysign(1.0, z.imag)
+        parts.append((sg * 1j * math.sqrt(2.0 * math.pi) * rg,
+                      z * z / 4.0 + (a - 0.5) * lg - sg * 1j * math.pi * a,
+                      S2, T2, z / 2.0 + (a - 0.5) / z, a - 0.5))
+    ecap = max(p[1].real for p in parts)
+    m = dm = err = derr = 0.0
+    for k, e, S, T, de, c in parts:
+        f = k * cmath.exp(e - ecap)
+        g = az / 2.0 + abs(c) / az  # >= |e'|
+        m += S * f
+        dm += (de * S - T / z) * f
+        err += abs(f) * (mn + abs(S) * rnd)
+        derr += abs(f) * (mn * g + dn + (g * abs(S) + abs(T) / az) * rnd)
+    est = max(err / max(abs(m), 1e-300), derr / max(abs(dm), 1e-300))
     return _answer(m, dm, "asymptotic", est, ecap)
 
 

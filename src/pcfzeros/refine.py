@@ -49,9 +49,14 @@ def t_iterate(a, z0, tol=STEP_TOL, max_iter=20, evaluator=None):
 
     evaluator(a, z) gives U and U' as a PcfValue; None means a new
     Evaluator(a, tol, "chain"), which carries (U, U') from each iterate
-    to the next by Taylor steps, but walks to the first from the origin:
-    0.04 s at zeros_apos(8.3, 150).z.  To refine many zeros, pass one
-    chain Evaluator to every call, or use sweep.  A non-finite U or U',
+    to the next by Taylor steps.  The first has nothing to carry: the
+    walk from the origin answers it where its estimate is within the
+    chain's limit, else the asymptotic stage or mpmath.  Next to the
+    first zeros the walk falls short (7.7e-12 against 1e-12 at
+    zeros_apos(8.3, 3).z) and mpmath answers, in 5-60 ms: m = 3-7 at
+    a = 8.3 and -6.2, m = 3-11 at 20.3; from m = 8 (12 at 20.3) the
+    asymptotic stage does.  To refine many zeros, pass one chain
+    Evaluator to every call, or use sweep.  A non-finite U or U',
     or a point where T is undefined, raises ConvergenceError; so does an
     iteration that does not converge within max_iter steps.  A tol that
     is NaN, infinite or negative is a DomainError.

@@ -306,7 +306,10 @@ def zeros_aneg_positive(a, m, terms=3):
 def zeros_aneg_nonpositive(a, m, terms=3):
     """Non-positive real zeros of U(a, .), a < 0, indexed per the
     1-vartheta convention: m = 0 (only when vartheta = 1) maps the sole
-    positive zero of Ai_u; m >= 1 map its negative zeros, M- in all."""
+    positive zero of Ai_u; m >= 1 map its negative zeros, M- in all.
+    Within 1e-12 of u = 4/3 (mod 2) Ai_u vanishes at the origin, which
+    maps to the zero next to the turning point: it is m = 0 where u mod 2
+    is below 4/3 (vartheta = 1) and m = 1 from 4/3 on (vartheta = 0)."""
     return _approximation("aneg-nonpositive", a, m, terms)
 
 

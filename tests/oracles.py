@@ -330,11 +330,14 @@ def taylor_run_loop(a, z0, z1, n, w, v):
 
 def asym_pair_loop(a, z2inv):
     """pcf_eval.asym_pair in its loop form: the factors formed from a and
-    s at every term, and max of the two term sizes."""
+    s at every term, max of the two term sizes, and the 2s of the last
+    term summed kept in its own variable."""
     t1 = 1.0 + 0.0j
     S1 = t1
     t2 = 1.0 + 0.0j
     S2 = t2
+    T1 = T2 = 0.0j
+    last = 0.0
     mn = 1.0
     for s in range(1, _ASYM_MAX_TERMS):
         t1 = -t1 * (a - 1.5 + 2 * s) * (a - 0.5 + 2 * s) * z2inv / s
@@ -346,7 +349,10 @@ def asym_pair_loop(a, z2inv):
             break
         S1 += t1
         S2 += t2
+        T1 += 2 * s * t1
+        T2 += 2 * s * t2
+        last = 2.0 * s
         mn = m
         if mn < 1e-18:
             break
-    return S1, S2, mn
+    return S1, S2, mn, T1, T2, last

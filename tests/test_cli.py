@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -235,6 +236,27 @@ def test_zero_at_the_origin_has_no_relative_errors(capsys, a, command):
     assert all(r["eps1"] < 1e-6 for r in others)
 
 
+@pytest.mark.parametrize("k", range(21))
+def test_nonpositive_zeros_where_ai_u_vanishes_at_the_origin(capsys, k):
+    # a = -k - 2/3, u = 2k + 4/3: Ai_u(0) = 0.  Where u rounds to 4/3
+    # (mod 2) or above, the origin is Ai_u's first negative zero, m = 1;
+    # below, its sole positive zero, m = 0.  Either way the M- rows run
+    # on without a gap and continue those 3e-8 away
+    a = -k - 2.0 / 3.0
+    [fam] = [f for f in zmod.families(a) if f.kind == "aneg-nonpositive"]
+    runs = []
+    for x in (a, a - 3e-8):
+        rc, out = run_cli(capsys, ["zeros", "--a", repr(x), "--family",
+                                   "nonpos", "--format", "json"])
+        assert rc == 0, x
+        runs.append([(r["m"], r["z_refined_re"]) for r in json.loads(out)])
+    assert [m for m, _ in runs[0]] == list(range(fam.start,
+                                                 fam.start + fam.count))
+    assert len(runs[1]) == len(runs[0])
+    assert all(abs(z - w) <= 1e-6
+               for (_, z), (_, w) in zip(runs[0], runs[1]))
+
+
 def test_zeros_next_to_the_origin_are_certified(capsys):
     # u = 10.99: the third non-positive zero lies just left of the origin
     rc, out = run_cli(capsys, ["zeros", "--a", "-5.495", "--format", "json"])
@@ -280,6 +302,40 @@ def test_complex_zeros_at_large_negative_a(capsys):
     z = complex(rows[0]["z_refined_re"], rows[0]["z_refined_im"])
     spacing = math.pi / abs(cmath.sqrt(-0.25 * z * z - a))
     assert oracles.mp_zero_ratio(a, z) <= 1e-10 * spacing
+
+
+def test_complex_zeros_at_a_minus_3000(capsys):
+    # the Taylor path from the origin to the first zero takes about
+    # 0.7 |a| = 2100 steps a run, within the steps' cap; mpmath would
+    # need more than its 1000 digits
+    a = -3000.3
+    rc, out = run_cli(capsys, ["zeros", f"--a={a!r}", "--family", "complex",
+                               "--count", "5", "--format", "json"])
+    assert rc == 0
+    rows = json.loads(out)
+    assert [r["m"] for r in rows] == [1, 2, 3, 4, 5]
+    zs = [complex(r["z_refined_re"], r["z_refined_im"]) for r in rows]
+    spacing = [math.pi / abs(cmath.sqrt(-0.25 * z * z - a)) for z in zs]
+    assert oracles.mp_zero_ratio(a, zs[0], dps=40) <= 1e-10 * spacing[0]
+    # consecutive zeros, 0.83-0.96 local spacings apart
+    assert all(0.6 <= abs(zs[i + 1] - zs[i]) / spacing[i] <= 1.4
+               for i in range(4))
+
+
+@pytest.mark.parametrize("a", [1e5, 1e6, -100000.3])
+def test_complex_zeros_past_the_taylor_cap_exit_4_at_once(capsys, a):
+    # from |a| ~ 3e4 the Taylor pair from the origin declines before its
+    # first step, and mpmath refuses the digits at once
+    t0 = time.perf_counter()
+    rc = cli.main(["zeros", f"--a={a!r}", "--count", "2", "--family",
+                   "apos" if a > 0 else "complex"])
+    cap = capsys.readouterr()
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 4
+    assert "more than 1000 digits" in cap.err
+    with pytest.raises(ConvergenceError):
+        refine.t_iterate(a, (zmod.zeros_apos(a, 1) if a > 0
+                             else zmod.zeros_aneg_complex(a, 1)).z)
 
 
 def _real_zeros(capsys, a, family):
@@ -706,16 +762,25 @@ def test_phase_grid_far_out_at_a_minus_half(capsys, tmp_path):
 def test_phase_grid_sums_no_asymptotic_series_it_declines(monkeypatch,
                                                           tmp_path):
     # README box at 8 x 8: the asymptotic tries that would decline (94 of
-    # 173 sums before the closed-form test) are declined without summing
+    # 173 sums before the closed-form test) are declined without summing,
+    # and U' comes from the terms of U's own series, so each try let
+    # through sums one expansion, at a (34 sums)
     minterms = []
-    asym_pair = pcf_eval.asym_pair
+    tries = []
+    asym_pair, declines = pcf_eval.asym_pair, pcf_eval._asym_declines
 
     def recording(a, z2inv):
+        assert a == 8.3
         r = asym_pair(a, z2inv)
         minterms.append(r[2])
         return r
 
+    def recording_decline(a, z, cut):
+        tries.append(declines(a, z, cut))
+        return tries[-1]
+
     monkeypatch.setattr(pcf_eval, "asym_pair", recording)
+    monkeypatch.setattr(pcf_eval, "_asym_declines", recording_decline)
     rc = cli.main(["phase-grid", "--a", "8.3",
                    "--re-min", "-6", "--re-max", "0",
                    "--im-min", "5", "--im-max", "10",
@@ -723,6 +788,7 @@ def test_phase_grid_sums_no_asymptotic_series_it_declines(monkeypatch,
     assert rc == 0
     cut = max(1e-13, 1e-6 * 1e-2)  # phase-grid's tol 1e-6
     assert minterms and max(minterms) <= cut
+    assert len(minterms) == tries.count(False)
 
 
 def test_main_in_one_process_is_the_separate_runs(capsys, tmp_path):

@@ -767,7 +767,8 @@ def test_asymptotic_estimate_bounds_its_error():
     # at a ~ -13, and the exponent rounds by about eps |z|^2/4: at the
     # first point an estimate without them was 2.1e-16 for an error of
     # 3.9e-9.  Then 200 seeded points, a quarter of them within 0.1 of
-    # |arg z| = pi, cut as eval_U cuts at tol 1e-6
+    # |arg z| = pi, cut as eval_U cuts at tol 1e-6.  U' is the termwise
+    # derivative of the same expansion: its estimate bounds its error too
     rng = random.Random(11)
     points = [(-12.948, complex(-10.637846410049079, -1.1441818552648004))]
     for k in range(200):
@@ -782,8 +783,9 @@ def test_asymptotic_estimate_bounds_its_error():
         if v is None:
             continue
         answered += 1
-        u, _ = oracles.mp_U_pair(a, z, exponent=v.exponent)
+        u, du = oracles.mp_U_pair(a, z, exponent=v.exponent)
         assert abs(v.value - u) <= v.est_accuracy * abs(u), (a, z)
+        assert abs(v.derivative - du) <= v.est_accuracy * abs(du), (a, z)
     assert answered >= 90
 
 
