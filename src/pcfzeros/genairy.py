@@ -36,7 +36,8 @@ from typing import NamedTuple, Optional
 
 from .airy import (_check_index, _t_correction, eval_ai_rotated, eval_ai,
                    eval_bi_real)
-from .errors import ConvergenceError, DomainError, PolynomialCaseError
+from .errors import (ConvergenceError, DomainError, PolynomialCaseError,
+                     _positive_int)
 
 # rounding level of the identity residual per (1+|z|)^{3/2}: the phase
 # of Ai_{+-1} at z is off by about eps |z|^{3/2}; measured residuals at
@@ -175,8 +176,10 @@ def refine_zero(u, approx, tol=1e-14, max_iter=30):
     converges when |step| <= tol*(1+|z|), or at Newton's noise floor:
     when the step stops shrinking while the identity residual at z is
     within the rounding of Ai there (_RESIDUAL_NOISE (1+|z|)^{3/2}),
-    z is returned as it is.
+    z is returned as it is.  A max_iter that is not an integer >= 1 is a
+    DomainError.
     """
+    max_iter = _positive_int(max_iter, "max_iter must be an integer >= 1")
     z = complex(approx)
     prev = math.inf
     for _ in range(max_iter):

@@ -25,7 +25,7 @@ invert_zeta map a real argument in floats too, and answer complex.
 import cmath
 import math
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _positive_int, _tolerance
 
 # within this distance of zhat = 1 the closed forms of zeta, sigma and the
 # corrections (coeffs) cancel; each Taylor table (see tests/test_coeffs.py)
@@ -146,8 +146,11 @@ def invert_zeta(zt_target, tol=1e-14, max_iter=60):
     that exceeds tol, as it does once |zeta| is past about 1e40.  Each
     Newton step uses dzhat/dzeta = sigma, taken by _sigma from the zeta
     just evaluated; within TP_RADIUS of zhat = 1 both are Taylor sums in
-    doubles.
+    doubles.  A tol that is not a finite number >= 0, or a max_iter that
+    is not an integer >= 1, is a DomainError.
     """
+    tol = _tolerance(tol)
+    max_iter = _positive_int(max_iter, "max_iter must be an integer >= 1")
     zt_target = complex(zt_target)
     if zt_target.imag != 0.0:
         return _invert(zt_target, tol, max_iter)

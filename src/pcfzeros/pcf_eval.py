@@ -8,17 +8,18 @@ Methods, each with an a-posteriori error estimate:
      their termwise derivatives, which give U': one expansion a point.
   series — small |z|: the Maclaurin expansion in doubles, summed by
      kummer_pair with the term magnitudes that track its cancellation.
-  taylor — moderate |z|: two runs of Taylor steps of Weber's equation
-     w'' = (z^2/4 + a) w, whose difference gives the estimate, stepped on
-     from the last point answered (carried) or from z = 0 (origin).  The
-     origin stage steps along the ray, stable where U is dominant,
-     outside |arg z| < pi/4; where the ray declines and 0 < |Re z| <
-     |Im z|, it steps up the imaginary axis, along which U is dominant,
-     to i Im z and then across to z; where 0 < |Im z| < |Re z|, as next
-     to the first zeros at large -a, along the real axis to Re z and
-     then across.  Both are judged by the ray's estimate and limit.  The
-     ray stays first: next to the lines |Re z| = |Im z| it is the more
-     accurate.
+  taylor — moderate |z|: Taylor steps of Weber's equation w'' = (z^2/4
+     + a) w, stepped on from the last point answered (carried) or from z
+     = 0 (origin), in two runs whose difference gives the estimate, or,
+     for the chain entry's complex hops, in one run that carries a bound
+     on its rounding error (below).  The origin stage steps along the
+     ray, stable where U is dominant, outside |arg z| < pi/4; where the
+     ray declines and 0 < |Re z| < |Im z|, it steps up the imaginary
+     axis, along which U is dominant, to i Im z and then across to z;
+     where 0 < |Im z| < |Re z|, as next to the first zeros at large -a,
+     along the real axis to Re z and then across.  Both are judged by the
+     ray's estimate and limit.  The ray stays first: next to the lines
+     |Re z| = |Im z| it is the more accurate.
   mpmath — last resort: the Maclaurin expansion at escalating precision,
      capped at _MP_MAX_DPS digits (ConvergenceError past it).
 
@@ -49,7 +50,23 @@ its error by the entry's rule.  The entries:
      estimate is _WALK_SAFETY times the runs' difference plus the est of
      their start, within max(1e-12, tol/10 (1 + |z|)^2) for t_iterate's
      step tolerance tol: near a zero, where |U'| ~ (1 + |z|) ref, that
-     moves it by at most tol/10 (1 + |z|).
+     moves it by at most tol/10 (1 + |z|).  A carried hop off the real
+     axis takes one run, of the pair's shorter step count, which carries
+     A, a bound on the Wronskian U dU' - U' dU of its error dU with U: w''
+     = q w keeps it constant, so each step's rounding bound (_taylor_run,
+     from a bound on its term magnitudes by the step's reach, _term_bound)
+     is added once, and where |U| <= 1e-3 |U'|/(1 + |z|), next to a zero,
+     (1 + |z|) A / |U'|^2 plus the start's est bounds the error
+     (_one_run_estimate).  From a pair, A starts at _WALK_SAFETY times the
+     runs' own Wronskian difference.  The pair stays for the origin stage,
+     for real hops with real data (hermite_zeros and the real families:
+     their answers keep their bits, and the bound, grown by about the same
+     amount a zero, came within 0.5% of the limit on hermite_zeros' dense
+     zeros).  A hop whose end is not next to a zero, as sweep's first
+     iterate of each zero often is, or whose estimate is over the limit,
+     pairs its run with one of the pair's longer step count from the
+     start's other run (from a one-run start, its U' 4 ulps off, as
+     _start does), and their difference gives the estimate.
 
 Exponentially large/small results carry a real exponent so that
 value * e^exponent is the true function value.
@@ -91,6 +108,19 @@ _TAYLOR_REACH = 4.0
 _TAYLOR_MAX_STEPS = 20000
 _TAYLOR_MAX_TERMS = 200
 _TAYLOR_TINY = 1e-17
+# _taylor_run's bound on the rounding of a step's sums, per unit of their
+# term magnitudes: each term carries the rounding of its complex products
+# and sums, a few ulps of the products' sizes, and adding it one more.  On
+# the chains of CLI zeros at a = 8.3, 20.3, -6.2, +-100.3 and 300.7 the
+# one-run answers' errors stay below a fifth of their estimates, and
+# along 60 zeros at 8.3 from an mpmath start below a thirtieth; without
+# this bound they reached 14 times the estimate there
+_TAYLOR_ROUNDING = 6.0 * _EPS
+# a chain's complex hop is one Taylor run where it ends next to a zero,
+# |U| (1 + |z|) <= _ONE_RUN_R |U'| (_one_run_estimate); the iterates of
+# the chains of CLI zeros at the a above stay below 2e-7, while sweep's
+# first iterates of the zeros at 8.3 reach 0.9
+_ONE_RUN_R = 1e-3
 # _taylor_run's passes, two terms each: k, k + 1, 1/(k (k-1)), 1/((k+1) k)
 _TAYLOR_PASSES = tuple((float(k), float(k + 1), 1.0 / (k * (k - 1)),
                         1.0 / ((k + 1) * k))
@@ -378,21 +408,34 @@ def _origin_value(a):
                     "series", ulps * _EPS, e0)
 
 
-def _taylor_run(a, z0, z1, n, w, v):
+def _taylor_run(a, z0, z1, n, w, v, terms=None):
     """Integrate w'' = (t^2/4 + a) w over n equal steps from t = z0 to z1.
 
     (w, v) is the data at z0 with v = h w', h = (z1 - z0)/n.  Returns
-    (w(z1), h w'(z1), log of the scale factored out), or None when the
-    arithmetic overflowed.  Each step sums the Taylor series
+    (w(z1), h w'(z1), log of the scale factored out, rounding bound), or
+    None when the arithmetic overflowed.  Each step sums the Taylor series
     w(t0 + h) = sum_k d_k with d_k = c_k h^k, whose coefficients follow
     from the equation expanded about t0:
         k (k-1) d_k = h^2 (q0 d_{k-2} + q1 h d_{k-3} + h^2/4 d_{k-4}),
     q0 = t0^2/4 + a, q1 = t0/2.
+
+    The rounding bound is 0.0 unless terms = (C, S) is given, such that
+    sum_k |d_k| <= C |w| + S |v| with (w, v) a step's start (_term_bound);
+    then it is the sum over the steps of a bound on |w dv - v dw|, (dw,
+    dv) the error a step adds to its end data: the sums of w and of v =
+    sum_k k d_k are off by at most b and k' b, b = _TAYLOR_ROUNDING (C |w|
+    + S |v|) plus the last pass's terms for the tail, k' the last k.  For
+    w'' = q w that Wronskian of a first-order error with the
+    solution is constant along the path; each step's share is carried to
+    z1 in the frame of the returned data, by the scale factored out (its
+    square).  The term loop is the same either way.
     """
     h = (z1 - z0) / n
     h2 = h * h
     c2 = h2 * h2 / 4.0
-    expo = 0.0
+    expo = acc = 0.0
+    if terms:
+        cw, cv = terms
     for j in range(n):
         t0 = z0 + j * h
         c0 = h2 * (t0 * t0 / 4.0 + a)
@@ -414,9 +457,13 @@ def _taylor_run(a, z0, z1, n, w, v):
         m = abs(s) + abs(d)
         if not 0.0 < m < math.inf:
             return None
+        if terms:
+            b = _TAYLOR_ROUNDING * (cw * abs(w) + cv * abs(v)) \
+                + abs(t) + abs(u)
+            acc = (acc + b * (k1 * abs(s) + abs(d))) / m / m
         w, v = s / m, d / m
         expo += math.log(m)
-    return w, v, expo
+    return w, v, expo, acc
 
 
 def _coefficient_bound(a, z0, z1):
@@ -439,18 +486,51 @@ def _coefficient_bound(a, z0, z1):
     return q0 if q0 < q else q
 
 
-def _taylor_pair(a, z0, z1, starts):
-    """The two Taylor runs from z0 to z1, with n and n + n//3 + 1 steps
-    where |h| max(1, sqrt(Q)) ~ _TAYLOR_REACH, Q = _coefficient_bound.
-    starts holds each run's (w, d, x) at z0, meaning U = w e^x and U' =
-    d e^x; returns the same at z1, or None when the step count would pass
-    _TAYLOR_MAX_STEPS or the arithmetic overflowed.
-    """
-    dz = z1 - z0
-    reach = abs(dz) * max(1.0, math.sqrt(_coefficient_bound(a, z0, z1)))
+def _step_count(a, z0, z1):
+    """The step count n of a run from z0 to z1, where |h| max(1, sqrt(Q))
+    ~ _TAYLOR_REACH, Q = _coefficient_bound; 0 where it would pass
+    _TAYLOR_MAX_STEPS or the path is empty."""
+    reach = abs(z1 - z0) * max(1.0, math.sqrt(_coefficient_bound(a, z0, z1)))
     n = math.ceil(reach / _TAYLOR_REACH) if math.isfinite(reach) else 0
-    if not 0 < n <= _TAYLOR_MAX_STEPS:
+    return n if 0 < n <= _TAYLOR_MAX_STEPS else 0
+
+
+def _term_bound(a, z0, z1, n):
+    """(cosh R, sinh(R)/R): sum_k |d_k| <= |w| cosh R + |v| sinh(R)/R in
+    each step of an n-step run from z0 to z1 (_taylor_run), (w, v) the
+    step's start.
+
+    The moduli of the terms' recurrence are majorised by the terms D_k of
+    W'' = (|c0| + |c1| x + |c2| x^2) W with W(0) = |w|, W'(0) = |v|, in
+    x = (t - t0)/h, and on [0, 1] that W is at most the solution of W'' =
+    R^2 W, R^2 = |c0| + |c1| + |c2| = |h|^2 (|q0| + |q1| |h| + |h|^2/4),
+    so sum_k |d_k| <= W(1) <= |w| cosh R + |v| sinh(R)/R.  Every t0 of the
+    path has |t0| <= max(|z0|, |z1|) = r, so R^2/|h|^2 <= |a| + (r +
+    |h|)^2/4, and t0 = z0 + e with |e| <= L = |z1 - z0|, so R^2/|h|^2 <=
+    |q(z0)| + |z0| L + L^2, as in _coefficient_bound."""
+    r0 = abs(z0)
+    r1 = abs(z1)
+    L = abs(z1 - z0)
+    hh = L / n
+    r = r0 if r0 > r1 else r1
+    q = abs(a) + (r + hh) ** 2 / 4.0
+    q0 = abs(0.25 * z0 * z0 + a) + (r0 + L) * L
+    R = hh * math.sqrt(q0 if q0 < q else q)
+    return math.cosh(R), (math.sinh(R) / R if R > 0.0 else 1.0)
+
+
+def _taylor_pair(a, z0, z1, starts):
+    """The two Taylor runs from z0 to z1, with n (_step_count) and n +
+    n//3 + 1 steps.  starts holds each run's (w, d, x) at z0, meaning U =
+    w e^x and U' = d e^x; returns the same at z1, or None when the step
+    count would pass _TAYLOR_MAX_STEPS or the arithmetic overflowed.  The
+    runs' difference gives the estimate (_relative_estimate,
+    _scaled_estimate), so they form no rounding bound.
+    """
+    n = _step_count(a, z0, z1)
+    if not n:
         return None
+    dz = z1 - z0
     n2 = n + n // 3 + 1
     (w1, d1, x1), (w2, d2, x2) = starts
     # on the real axis with real data both runs step in floats, which
@@ -467,6 +547,31 @@ def _taylor_pair(a, z0, z1, starts):
         return None
     return ((complex(r1[0]), complex(r1[1] * n / dz), x1 + r1[2]),
             (complex(r2[0]), complex(r2[1] * n2 / dz), x2 + r2[2]))
+
+
+def _taylor_one(a, z0, z1, run, n):
+    """One Taylor run of n steps from z0 to z1, a chain's complex hop (n =
+    _step_count, or the pair's longer count where it adds a second run).
+    run is (w, d, x, A) at z0: U = w e^x, U' = d e^x, and A bounds the
+    Wronskian of U's error with U, in the frame e^(2x).  Returns the same
+    at z1, A carried into the new frame and grown by the run's rounding
+    bound (with the term bound of its steps, _term_bound) and by the
+    rounding of d to and from h w' at either end; None where the
+    arithmetic overflowed."""
+    w, d, x, A = run
+    dz = z1 - z0
+    r = _taylor_run(a, z0, z1, n, w, d * dz / n, _term_bound(a, z0, z1, n))
+    if r is None:
+        return None
+    w1, v1, dx, acc = r
+    try:
+        f = math.exp(-2.0 * dx)
+    except OverflowError:
+        return None
+    d1 = v1 * n / dz
+    A = (A + 2.0 * _EPS * abs(w * d)) * f + acc * n / abs(dz) \
+        + 2.0 * _EPS * abs(w1 * d1)
+    return w1, d1, x + dx, A
 
 
 def _start(z, v, seed):
@@ -516,13 +621,42 @@ def _scaled_error(v, z):
     return v.est_accuracy * abs(v.value) / ref
 
 
+def _one_run_estimate(run, err, z):
+    """Error bound of a one-run answer's U over max(|U|, |U'|/(1 + |z|)),
+    run = (w, d, x, A) as _taylor_one gives it; None unless r = |U| (1 +
+    |z|)/|U'| <= _ONE_RUN_R, next to a zero: the pair answers elsewhere.
+
+    An error (dU, dU') of the data that the steps carry is a solution of
+    w'' = q w to first order, so W = U dU' - U' dU is constant along the
+    path, and W is the sum of the shares of the steps and of the start,
+    bounded by A.  Solving for dU,
+        dU = (U dU' - W) / U' = -W/U' + (U/U') dU',
+    that is, dU = W V + alpha U with alpha = dU'/U' and V = -1/U', at a
+    zero of U the second solution with W(U, V) = 1.  Where r <= 1, ref =
+    |U'|/(1 + |z|), so
+        |dU| / ref <= (1 + |z|) A / |U'|^2 + r |dU'/U'|:
+    the constant of the first part is 1.  In the second, r <= 1e-3 weighs
+    a relative error of U' that the walker tests hold within 1e-12, so it
+    stays below 1e-15, and err, the start's error, which is added, covers
+    it.  U/U', on which T(z) and the zero's position depend, is off by at
+    most A / |U'|^2, whatever r.
+    """
+    w, d, _, A = run
+    zz = 1.0 + abs(z)
+    ad = abs(d)
+    if not abs(w) * zz <= _ONE_RUN_R * ad or ad == 0.0:
+        return None
+    return zz * A / (ad * ad) + err
+
+
 class Evaluator:
     """U(a,z) and U'(a,z) at a sequence of points, for one fixed a.
 
     Called as ev(a, z), as t_iterate calls its evaluator.  scale names
     the entry of _SCALES whose stages it tries (module docstring).  It
-    holds both taylor runs at the last point answered, so that a point
-    near it costs a few Taylor steps; the same point gets the same answer.
+    holds the taylor runs at the last point answered, a pair or the one
+    run of a chain's complex hop next to a zero, so that a point near it
+    costs a few Taylor steps; the same point gets the same answer.
     """
 
     def __init__(self, a, tol=1e-11, scale="relative"):
@@ -581,7 +715,48 @@ class Evaluator:
         return (v, None) if self._scale.error(v, z) <= limit else None
 
     def _carried(self, z, limit):
-        return self._taylor(z, limit, self._start)
+        start = self._start
+        if start is None:
+            return None
+        z0, runs, err, e0 = start
+        w, d, x = runs[-1][:3]
+        # a real hop with real data keeps the pair (module docstring)
+        if self._scale.one_run is None or not (
+                z.imag or z0.imag or w.imag or d.imag):
+            return self._taylor(z, limit, start)
+        n = _step_count(self.a, z0, z)
+        if not n:
+            return None
+        if len(runs) == 2:
+            # from a pair: its runs' Wronskian difference, in the frame of
+            # the second, from which the answers come
+            other = runs[0]
+            w1, d1, x1 = other
+            A = _WALK_SAFETY * abs((w1 * d - d1 * w) * math.exp(x1 - x))
+        else:
+            # a pair from here starts as _start's does, from the last
+            # answer, whose est holds the carried bound
+            other = (w, d * (1.0 + 4.0 * _EPS), x)
+            A = runs[0][3]
+        one = _taylor_one(self.a, z0, z, (w, d, x, A), n)
+        if one is None:
+            return None
+        w, d, x, _ = one
+        est = self._scale.one_run(one, err, z)
+        if est is not None and est <= limit:
+            return _answer(w, d, "taylor", est, e0 + x), (z, (one,), err, e0)
+        # off a zero, or over the limit: the pair of this run and a run of
+        # the pair's longer step count from the other start
+        longer = _taylor_one(self.a, z0, z, other + (0.0,), n + n // 3 + 1)
+        if longer is None:
+            return None
+        if len(runs) == 1:
+            err = self._scale.seed(self._last.est_accuracy)
+        runs = (longer[:3], (w, d, x))
+        est = self._scale.estimate(runs, err, z)
+        if not est <= limit:
+            return None
+        return _answer(w, d, "taylor", est, e0 + x), (z, runs, err, e0)
 
     def _origin(self, z, limit):
         r = self._taylor(z, limit, self._at_origin)
@@ -625,6 +800,9 @@ class _Scale(NamedTuple):
     estimate: object  # (runs, error of their start, z) -> taylor estimate
     error: object     # (answer, z) -> its error on this scale
     seed: object      # est of an answer -> the error of a start from it
+    # (run, error of its start, z) -> the estimate of a complex carried hop
+    # by one run, None where the pair answers; None: every hop by the pair
+    one_run: object = None
 
 
 def _tol(tol, z):
@@ -649,7 +827,8 @@ _SCALES = {
                 "asymptotic": lambda tol, z: (1e-15, math.inf),
                 "series": lambda tol, z: _NEAR_ZERO_TOL,
                 "mpmath": lambda tol, z: _NEAR_ZERO_TOL},
-        estimate=_scaled_estimate, error=_scaled_error, seed=lambda est: est),
+        estimate=_scaled_estimate, error=_scaled_error, seed=lambda est: est,
+        one_run=_one_run_estimate),
 }
 
 

@@ -59,10 +59,12 @@ def t_iterate(a, z0, tol=STEP_TOL, max_iter=20, evaluator=None):
     Evaluator to every call, or use sweep.  A non-finite U or U',
     or a point where T is undefined, raises ConvergenceError; so does an
     iteration that does not converge within max_iter steps.  A tol that
-    is NaN, infinite or negative is a DomainError.
+    is NaN, infinite or negative, or a max_iter that is not an integer >=
+    1, is a DomainError.
     """
     require_finite(a=a, z=z0)
     tol = _tolerance(tol)
+    max_iter = _positive_int(max_iter, "max_iter must be an integer >= 1")
     if evaluator is None:
         evaluator = Evaluator(a, tol, "chain")
     z = complex(z0)

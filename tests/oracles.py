@@ -17,7 +17,8 @@ import numpy as np
 
 from pcfzeros.errors import DomainError
 from pcfzeros.pcf_eval import (_ASYM_MAX_TERMS, _TAYLOR_MAX_TERMS,
-                               _TAYLOR_TINY, PcfValue, eval_U)
+                               _TAYLOR_ROUNDING, _TAYLOR_TINY, PcfValue,
+                               eval_U)
 
 DPS = 30
 
@@ -296,13 +297,15 @@ _INV_KK = [0.0, 0.0] + [1.0 / (k * (k - 1))
                         for k in range(2, _TAYLOR_MAX_TERMS)]
 
 
-def taylor_run_loop(a, z0, z1, n, w, v):
+def taylor_run_loop(a, z0, z1, n, w, v, terms=None):
     """pcf_eval._taylor_run in its loop form: the pass index k is an int
-    and 1/(k (k-1)) a list item."""
+    and 1/(k (k-1)) a list item; the rounding bound takes each step's
+    share as its own variable before carrying it by the scale."""
     h = (z1 - z0) / n
     h2 = h * h
     c2 = h2 * h2 / 4.0
     expo = 0.0
+    acc = 0.0
     for j in range(n):
         t0 = z0 + j * h
         c0 = h2 * (t0 * t0 / 4.0 + a)
@@ -310,6 +313,7 @@ def taylor_run_loop(a, z0, z1, n, w, v):
         p4 = p3 = 0.0
         p2, p1 = w, v
         s, d = w + v, v
+        start = (abs(w), abs(v))
         # two terms per pass: d_k = t and d_{k+1} = u
         for k in range(2, _TAYLOR_MAX_TERMS, 2):
             t = (c0 * p2 + c1 * p3 + c2 * p4) * _INV_KK[k]
@@ -323,9 +327,14 @@ def taylor_run_loop(a, z0, z1, n, w, v):
         m = abs(s) + abs(d)
         if not 0.0 < m < math.inf:
             return None
+        if terms:
+            sums = terms[0] * start[0] + terms[1] * start[1]
+            bound = _TAYLOR_ROUNDING * sums + abs(t) + abs(u)
+            share = bound * ((k + 1) * abs(s) + abs(d))
+            acc = (acc + share) / m / m
         w, v = s / m, d / m
         expo += math.log(m)
-    return w, v, expo
+    return w, v, expo, acc
 
 
 def asym_pair_loop(a, z2inv):

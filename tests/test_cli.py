@@ -664,6 +664,30 @@ def test_phase_grid_that_stops_leaves_out_untouched(capsys, tmp_path, box,
     assert out.read_text() == "kept\n"
 
 
+def test_complex_chain_steps_each_hop_by_one_taylor_run(monkeypatch, capsys):
+    # the origin stage answers the first zero by a pair of runs; every
+    # later point of the chain is a complex hop from the one before,
+    # stepped by one run (a repeated point takes none)
+    runs = []
+    run = pcf_eval._taylor_run
+    call = pcf_eval.Evaluator.__call__
+
+    def counted(self, a, z):
+        runs.append(0)
+        return call(self, a, z)
+
+    def counting(*args):
+        runs[-1] += 1
+        return run(*args)
+
+    monkeypatch.setattr(pcf_eval.Evaluator, "__call__", counted)
+    monkeypatch.setattr(pcf_eval, "_taylor_run", counting)
+    assert cli.main(["zeros", "--a", "8.3", "--count", "150"]) == 0
+    assert len(parse_csv(capsys.readouterr().out)) == 150
+    assert runs[0] >= 2
+    assert max(runs[1:]) == 1 and runs.count(1) >= 150
+
+
 def test_phase_grid_steps_from_neighbouring_points(monkeypatch, tmp_path):
     # README box at 8 x 8: 47 of the 64 points are answered by taylor, and
     # nearly all of them by steps from the point before, not from z = 0
@@ -851,7 +875,7 @@ import contextlib, io, sys
 import pcfzeros
 from pcfzeros import cli, hermite_zeros, sweep, zeros_apos
 runs = [["zeros", "--a", a, "--count", "150", "--format", "json"]
-        for a in ("8.3", "20.3", "-6.2")]
+        for a in ("8.3", "20.3", "-6.2", "100.3", "300.3")]
 runs += [["zeros", "--a", "8.3", "--count", "3000", "--no-refine"],
          ["validate", "--a", "8.3", "--count", "5"]]
 for argv in runs:

@@ -436,31 +436,104 @@ def test_evaluator_rejects_an_unknown_scale_and_another_a():
 
 
 def _walker_chain(case):
-    """(a, points): positive Hermite nodes of order n in the z of U, or
-    the refined zeros m = 1..15 of the complex string of U(a, .)."""
-    kind, p = case
+    """(a, points, compared): positive Hermite nodes of order n in the z
+    of U, or the refined zeros m = 1..15 of the complex string of U(a,
+    .), each found from the origin, every point compared; or, for
+    ("walk", a, count, compared), its zeros m = 1..count found by one
+    chain, the points of the indices in compared compared."""
+    kind, p = case[:2]
     if kind == "hermite":
         nodes = oracles.hermite_nodes(p)
-        return -p - 0.5, [math.sqrt(2.0) * x for x in nodes if x > 0.0]
-    family = zeros_apos if p > 0 else zeros_aneg_complex
-    return p, [t_iterate(p, family(p, m).z).value for m in range(1, 16)]
+        p, points = -p - 0.5, [math.sqrt(2.0) * x for x in nodes if x > 0.0]
+    elif kind == "walk":
+        chain = Evaluator(p, STEP_TOL, "chain")
+        return p, [t_iterate(p, zeros_apos(p, m).z, evaluator=chain).value
+                   for m in range(1, case[2] + 1)], case[3]
+    else:
+        family = zeros_apos if p > 0 else zeros_aneg_complex
+        points = [t_iterate(p, family(p, m).z).value for m in range(1, 16)]
+    return p, points, range(len(points))
 
 
 @pytest.mark.parametrize("case", [("hermite", 100), ("hermite", 225),
                                   ("hermite", 400), ("chain", 8.3),
-                                  ("chain", 20.3), ("chain", -6.2)])
+                                  ("chain", 20.3), ("chain", -6.2),
+                                  ("chain", -100.3),
+                                  ("walk", 300.7, 15, range(3)),
+                                  ("walk", 8.3, 150, range(139, 150))])
 def test_walker_estimate_bounds_error(case):
     # U'-scaled error of U within the estimate, U' to 1e-12 relative, and
-    # every point answered by the walk, not by its fallback
-    a, points = _walker_chain(case)
+    # every point answered by the walk, not by its fallback.  A complex
+    # chain steps each hop by one Taylor run, from the pair of the origin
+    # stage's answer at the first zero, and its bound on the rounding
+    # grows from zero to zero: at 300.7 the first hops are compared (from
+    # the origin, t_iterate takes 4 s a zero there, and pcfu 1.7 s a
+    # point), at 8.3 the zeros m = 140..150 of a walk from m = 1
+    a, points, compared = _walker_chain(case)
     walk = Evaluator(a, STEP_TOL, "chain")
-    for z in points:
+    for i, z in enumerate(points):
         v = walk(a, z)
         assert v.method == "taylor", z
+        if i not in compared:
+            continue
         ref, dref = oracles.mp_U_pair(a, z, exponent=v.exponent)
         scale = max(abs(ref), abs(dref) / (1.0 + abs(z)))
         assert abs(v.value - ref) <= v.est_accuracy * scale, z
         assert abs(v.derivative - dref) <= 1e-12 * abs(dref), z
+
+
+def test_one_run_estimate_bounds_error_from_an_accurate_start():
+    # from an mpmath answer at the first zero (est 1e-15), the start adds
+    # next to nothing, and the estimate is the runs' rounding bound: with
+    # that bound left out, the error grew to 14 times the estimate by m =
+    # 60
+    a = 8.3
+    chain = Evaluator(a, STEP_TOL, "chain")
+    points = [t_iterate(a, zeros_apos(a, m).z, evaluator=chain).value
+              for m in range(1, 61)]
+    walk = Evaluator(a, STEP_TOL, "chain")
+    v = pcf_eval._eval_series_mp(a, points[0], 1e-15)
+    walk._start = pcf_eval._start(points[0], v, walk._scale.seed)
+    walk._last = v
+    for m, z in enumerate(points[1:], 2):
+        v = walk(a, z)
+        assert v.method == "taylor", z
+        if m % 6:
+            continue
+        ref, dref = oracles.mp_U_pair(a, z, exponent=v.exponent)
+        scale = max(abs(ref), abs(dref) / (1.0 + abs(z)))
+        assert abs(v.value - ref) <= v.est_accuracy * scale, z
+
+
+def test_one_run_hands_a_hop_off_the_zeros_to_the_pair(monkeypatch):
+    # a hop that does not end next to a zero, |U| > |U'|/(1 + |z|): its
+    # one run is paired with a second, of more steps, whose difference
+    # gives the estimate; the next zero is one run again, from that pair
+    a = 8.3
+    chain = Evaluator(a, STEP_TOL, "chain")
+    z1, z2, z3 = (t_iterate(a, zeros_apos(a, m).z, evaluator=chain).value
+                  for m in (1, 2, 3))
+    steps = []
+    run = pcf_eval._taylor_run
+
+    def recording(*args):
+        steps.append(args[3])
+        return run(*args)
+
+    monkeypatch.setattr(pcf_eval, "_taylor_run", recording)
+    walk = Evaluator(a, STEP_TOL, "chain")
+    walk(a, z1)
+    for z, runs in ((z2, 1), ((z2 + z3) / 2, 2), (z3, 1)):
+        del steps[:]
+        v = walk(a, z)
+        assert len(steps) == runs and v.method == "taylor", z
+        if runs == 2:
+            assert steps[1] == steps[0] + steps[0] // 3 + 1, z
+        ref, dref = oracles.mp_U_pair(a, z, exponent=v.exponent)
+        scale = max(abs(ref), abs(dref) / (1.0 + abs(z)))
+        assert abs(v.value - ref) <= v.est_accuracy * scale, z
+        assert abs(v.derivative - dref) <= 1e-12 * abs(dref), z
+        assert (abs(ref) > scale / 2) == (runs == 2), z
 
 
 def _snake(box, n=12):
@@ -630,7 +703,7 @@ def test_real_taylor_run_in_floats_is_the_complex_run(a, z0, z1, n, w, v):
     c = pcf_eval._taylor_run(a, complex(z0), complex(z1), n, complex(w),
                              complex(v))
     assert type(f[0]) is float and type(f[1]) is float
-    assert repr((complex(f[0]), complex(f[1]), f[2])) == repr(c)
+    assert repr((complex(f[0]), complex(f[1])) + f[2:]) == repr(c)
 
 
 @settings(max_examples=300, deadline=None)
@@ -704,6 +777,11 @@ def test_taylor_run_is_its_loop_form_bit_for_bit(real):
         r = pcf_eval._taylor_run(*args)
         assert repr(r) == repr(oracles.taylor_run_loop(*args)), args
         overflowed += r is None
+        # with the rounding bound of a one-run hop (a step of reach 4,
+        # _term_bound)
+        terms = (math.cosh(4.0), math.sinh(4.0) / 4.0)
+        r = pcf_eval._taylor_run(*args, terms)
+        assert repr(r) == repr(oracles.taylor_run_loop(*args, terms)), args
     assert 10 <= overflowed < 100
 
 

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import pcfzeros
 from pcfzeros import cli, pcf_eval, refine
 from pcfzeros.errors import ChainBreakError, ConvergenceError, DomainError
 from pcfzeros.pcf_eval import (Evaluator, PcfValue, eval_U, eval_U_path,
@@ -57,6 +58,24 @@ def test_turning_point_guard():
 def test_nonconvergence_raises():
     with pytest.raises(ConvergenceError):
         t_iterate(8.3, 30.0 + 30.0j, max_iter=2, tol=1e-16)
+
+
+@pytest.mark.parametrize("call", [
+    *[("t_iterate", {"max_iter": m}) for m in (2.5, "3", None, math.nan)],
+    *[("invert_zeta", {"max_iter": m}) for m in (2.5, "3", None, math.nan, 0)],
+    ("invert_zeta", {"tol": math.nan}),
+    *[("refine_zero", {"max_iter": m}) for m in (2.5, "3", None, math.nan)]],
+    ids=repr)
+def test_iteration_limits_are_checked(call):
+    # each raised a bare TypeError, or, for invert_zeta, TypeError from
+    # abs(None) at max_iter 0 and ConvergenceError after 60 Newton steps
+    # at tol NaN
+    name, kwargs = call
+    args = {"t_iterate": (8.3, zeros_apos(8.3, 1).z),
+            "invert_zeta": (2.0 + 1.0j,),
+            "refine_zero": (3.3, 1.0 + 1.0j)}[name]
+    with pytest.raises(DomainError):
+        getattr(pcfzeros, name)(*args, **kwargs)
 
 
 def test_lands_on_an_exact_zero():
