@@ -11,7 +11,7 @@ Methods, each with an a-posteriori error estimate:
   taylor — moderate |z|: Taylor steps of Weber's equation w'' = (z^2/4
      + a) w, stepped on from the last point answered (carried) or from z
      = 0 (origin), in two runs whose difference gives the estimate, or,
-     for the chain entry's complex hops, in one run that carries a bound
+     for the chain entry's carried hops, in one run that carries a bound
      on its rounding error (below).  The origin stage steps along the
      ray, stable where U is dominant, outside |arg z| < pi/4; where the
      ray declines and 0 < |Re z| < |Im z|, it steps up the imaginary
@@ -50,23 +50,24 @@ its error by the entry's rule.  The entries:
      estimate is _WALK_SAFETY times the runs' difference plus the est of
      their start, within max(1e-12, tol/10 (1 + |z|)^2) for t_iterate's
      step tolerance tol: near a zero, where |U'| ~ (1 + |z|) ref, that
-     moves it by at most tol/10 (1 + |z|).  A carried hop off the real
-     axis takes one run, of the pair's shorter step count, which carries
-     A, a bound on the Wronskian U dU' - U' dU of its error dU with U: w''
-     = q w keeps it constant, so each step's rounding bound (_taylor_run,
-     from a bound on its term magnitudes by the step's reach, _term_bound)
-     is added once, and where |U| <= 1e-3 |U'|/(1 + |z|), next to a zero,
-     (1 + |z|) A / |U'|^2 plus the start's est bounds the error
-     (_one_run_estimate).  From a pair, A starts at _WALK_SAFETY times the
-     runs' own Wronskian difference.  The pair stays for the origin stage,
-     for real hops with real data (hermite_zeros and the real families:
-     their answers keep their bits, and the bound, grown by about the same
-     amount a zero, came within 0.5% of the limit on hermite_zeros' dense
-     zeros).  A hop whose end is not next to a zero, as sweep's first
-     iterate of each zero often is, or whose estimate is over the limit,
+     moves it by at most tol/10 (1 + |z|).  A carried hop takes one run,
+     of the pair's shorter step count, which carries A, a bound on the
+     Wronskian U dU' - U' dU of its error dU with U: w'' = q w keeps it
+     constant, so each step's rounding bound (_taylor_run, from bounds on
+     its terms' magnitudes and on their multiples k |d_k| by the step's
+     reach, _term_bound) is added once, and where |U| <= 1e-3 |U'|/(1 +
+     |z|), next to a zero, (1 + |z|) A / |U'|^2 plus the start's est
+     bounds the error (_one_run_estimate).  From a pair, A starts at
+     _WALK_SAFETY times the runs' own Wronskian difference.  A real hop
+     with real data (hermite_zeros and the real families) steps in floats,
+     as the pair's runs do there.  The pair stays for the origin stage.  A
+     hop whose end is not next to a zero, as sweep's first iterate of each
+     zero often is, or whose estimate is over the limit (on hermite_zeros'
+     dense zeros, where the bound grows by about the same amount a zero,
+     10 of the 927 hops of hermite_zeros(n) over the perfbench orders)
      pairs its run with one of the pair's longer step count from the
-     start's other run (from a one-run start, its U' 4 ulps off, as
-     _start does), and their difference gives the estimate.
+     start's other run (from a one-run start, its U' 4 ulps off, as _start
+     does), and their difference gives the estimate.
 
 Exponentially large/small results carry a real exponent so that
 value * e^exponent is the true function value.
@@ -109,14 +110,16 @@ _TAYLOR_MAX_STEPS = 20000
 _TAYLOR_MAX_TERMS = 200
 _TAYLOR_TINY = 1e-17
 # _taylor_run's bound on the rounding of a step's sums, per unit of their
-# term magnitudes: each term carries the rounding of its complex products
-# and sums, a few ulps of the products' sizes, and adding it one more.  On
-# the chains of CLI zeros at a = 8.3, 20.3, -6.2, +-100.3 and 300.7 the
-# one-run answers' errors stay below a fifth of their estimates, and
+# term magnitudes (|d_k| for w, k |d_k| for v): each term carries the
+# rounding of its complex products and sums, a few ulps of the products'
+# sizes, and adding it one more.  On the chains of CLI zeros at a = 8.3,
+# 20.3, -6.2 and 100.3 the one-run answers' errors stay below a fifth of
+# their estimates (0.28 at -100.3), on the real chains of hermite_zeros
+# and of the real families at -100.3 and -500.3 below a twentieth, and
 # along 60 zeros at 8.3 from an mpmath start below a thirtieth; without
 # this bound they reached 14 times the estimate there
 _TAYLOR_ROUNDING = 6.0 * _EPS
-# a chain's complex hop is one Taylor run where it ends next to a zero,
+# a chain's carried hop is one Taylor run where it ends next to a zero,
 # |U| (1 + |z|) <= _ONE_RUN_R |U'| (_one_run_estimate); the iterates of
 # the chains of CLI zeros at the a above stay below 2e-7, while sweep's
 # first iterates of the zeros at 8.3 reach 0.9
@@ -419,13 +422,14 @@ def _taylor_run(a, z0, z1, n, w, v, terms=None):
         k (k-1) d_k = h^2 (q0 d_{k-2} + q1 h d_{k-3} + h^2/4 d_{k-4}),
     q0 = t0^2/4 + a, q1 = t0/2.
 
-    The rounding bound is 0.0 unless terms = (C, S) is given, such that
-    sum_k |d_k| <= C |w| + S |v| with (w, v) a step's start (_term_bound);
-    then it is the sum over the steps of a bound on |w dv - v dw|, (dw,
-    dv) the error a step adds to its end data: the sums of w and of v =
-    sum_k k d_k are off by at most b and k' b, b = _TAYLOR_ROUNDING (C |w|
-    + S |v|) plus the last pass's terms for the tail, k' the last k.  For
-    w'' = q w that Wronskian of a first-order error with the
+    The rounding bound is 0.0 unless terms = (C, S, C', S') is given, such
+    that sum_k |d_k| <= C |w| + S |v| and sum_k k |d_k| <= C' |w| + S' |v|
+    with (w, v) a step's start (_term_bound); then it is the sum over the
+    steps of a bound on |w dv - v dw|, (dw, dv) the error a step adds to
+    its end data: the sums of w and of v = sum_k k d_k are off by at most
+    _TAYLOR_ROUNDING (C |w| + S |v|) and _TAYLOR_ROUNDING (C' |w| + S'
+    |v|), plus the last pass's terms for the tail, times k' for v, k' the
+    last k.  For w'' = q w that Wronskian of a first-order error with the
     solution is constant along the path; each step's share is carried to
     z1 in the frame of the returned data, by the scale factored out (its
     square).  The term loop is the same either way.
@@ -435,7 +439,7 @@ def _taylor_run(a, z0, z1, n, w, v, terms=None):
     c2 = h2 * h2 / 4.0
     expo = acc = 0.0
     if terms:
-        cw, cv = terms
+        cw, cv, kw, kv = terms
     for j in range(n):
         t0 = z0 + j * h
         c0 = h2 * (t0 * t0 / 4.0 + a)
@@ -458,9 +462,11 @@ def _taylor_run(a, z0, z1, n, w, v, terms=None):
         if not 0.0 < m < math.inf:
             return None
         if terms:
-            b = _TAYLOR_ROUNDING * (cw * abs(w) + cv * abs(v)) \
-                + abs(t) + abs(u)
-            acc = (acc + b * (k1 * abs(s) + abs(d))) / m / m
+            aw, av = abs(w), abs(v)
+            tail = abs(t) + abs(u)
+            bw = _TAYLOR_ROUNDING * (cw * aw + cv * av) + tail
+            bv = _TAYLOR_ROUNDING * (kw * aw + kv * av) + k1 * tail
+            acc = (acc + (bv * abs(s) + bw * abs(d))) / m / m
         w, v = s / m, d / m
         expo += math.log(m)
     return w, v, expo, acc
@@ -496,18 +502,20 @@ def _step_count(a, z0, z1):
 
 
 def _term_bound(a, z0, z1, n):
-    """(cosh R, sinh(R)/R): sum_k |d_k| <= |w| cosh R + |v| sinh(R)/R in
-    each step of an n-step run from z0 to z1 (_taylor_run), (w, v) the
-    step's start.
+    """(cosh R, sinh(R)/R, R sinh R, cosh R): sum_k |d_k| <= |w| cosh R +
+    |v| sinh(R)/R and sum_k k |d_k| <= |w| R sinh R + |v| cosh R in each
+    step of an n-step run from z0 to z1 (_taylor_run), (w, v) the step's
+    start.
 
     The moduli of the terms' recurrence are majorised by the terms D_k of
     W'' = (|c0| + |c1| x + |c2| x^2) W with W(0) = |w|, W'(0) = |v|, in
     x = (t - t0)/h, and on [0, 1] that W is at most the solution of W'' =
     R^2 W, R^2 = |c0| + |c1| + |c2| = |h|^2 (|q0| + |q1| |h| + |h|^2/4),
-    so sum_k |d_k| <= W(1) <= |w| cosh R + |v| sinh(R)/R.  Every t0 of the
-    path has |t0| <= max(|z0|, |z1|) = r, so R^2/|h|^2 <= |a| + (r +
-    |h|)^2/4, and t0 = z0 + e with |e| <= L = |z1 - z0|, so R^2/|h|^2 <=
-    |q(z0)| + |z0| L + L^2, as in _coefficient_bound."""
+    so sum_k |d_k| <= W(1) <= |w| cosh R + |v| sinh(R)/R, and sum_k k |d_k|
+    = W'(1), at most that solution's derivative, |w| R sinh R + |v| cosh
+    R.  Every t0 of the path has |t0| <= max(|z0|, |z1|) = r, so R^2/|h|^2
+    <= |a| + (r + |h|)^2/4, and t0 = z0 + e with |e| <= L = |z1 - z0|, so
+    R^2/|h|^2 <= |q(z0)| + |z0| L + L^2, as in _coefficient_bound."""
     r0 = abs(z0)
     r1 = abs(z1)
     L = abs(z1 - z0)
@@ -516,7 +524,27 @@ def _term_bound(a, z0, z1, n):
     q = abs(a) + (r + hh) ** 2 / 4.0
     q0 = abs(0.25 * z0 * z0 + a) + (r0 + L) * L
     R = hh * math.sqrt(q0 if q0 < q else q)
-    return math.cosh(R), (math.sinh(R) / R if R > 0.0 else 1.0)
+    c = math.cosh(R)
+    sh = math.sinh(R)
+    return c, (sh / R if R > 0.0 else 1.0), R * sh, c
+
+
+def _run(a, z0, z1, n, w, d, terms=None):
+    """_taylor_run of n steps from the data (w, d) at z0, d the
+    derivative of w, and its end data in the same form, as complex
+    numbers: (w, d, log of the scale factored out, rounding bound), or
+    None.  On the real axis with real data the run steps in floats, which
+    round as the complex operations with zero imaginary parts do, at a
+    fraction of their cost."""
+    dz = z1 - z0
+    if z0.imag == 0.0 and z1.imag == 0.0 and w.imag == 0.0 \
+            and d.imag == 0.0:
+        z0, z1, dz, w, d = z0.real, z1.real, dz.real, w.real, d.real
+    r = _taylor_run(a, z0, z1, n, w, d * dz / n, terms)
+    if r is None:
+        return None
+    w1, v1, dx, acc = r
+    return complex(w1), complex(v1 * n / dz), dx, acc
 
 
 def _taylor_pair(a, z0, z1, starts):
@@ -530,46 +558,36 @@ def _taylor_pair(a, z0, z1, starts):
     n = _step_count(a, z0, z1)
     if not n:
         return None
-    dz = z1 - z0
     n2 = n + n // 3 + 1
     (w1, d1, x1), (w2, d2, x2) = starts
-    # on the real axis with real data both runs step in floats, which
-    # round as the complex operations with zero imaginary parts do
-    if (z0.imag == 0.0 and z1.imag == 0.0 and w1.imag == 0.0
-            and d1.imag == 0.0 and w2.imag == 0.0 and d2.imag == 0.0):
-        z0, z1, dz = z0.real, z1.real, dz.real
-        w1, d1, w2, d2 = w1.real, d1.real, w2.real, d2.real
-    r1 = _taylor_run(a, z0, z1, n, w1, d1 * dz / n)
+    r1 = _run(a, z0, z1, n, w1, d1)
     if r1 is None:
         return None
-    r2 = _taylor_run(a, z0, z1, n2, w2, d2 * dz / n2)
+    r2 = _run(a, z0, z1, n2, w2, d2)
     if r2 is None:
         return None
-    return ((complex(r1[0]), complex(r1[1] * n / dz), x1 + r1[2]),
-            (complex(r2[0]), complex(r2[1] * n2 / dz), x2 + r2[2]))
+    return (r1[0], r1[1], x1 + r1[2]), (r2[0], r2[1], x2 + r2[2])
 
 
 def _taylor_one(a, z0, z1, run, n):
-    """One Taylor run of n steps from z0 to z1, a chain's complex hop (n =
+    """One Taylor run of n steps from z0 to z1, a chain's carried hop (n =
     _step_count, or the pair's longer count where it adds a second run).
     run is (w, d, x, A) at z0: U = w e^x, U' = d e^x, and A bounds the
     Wronskian of U's error with U, in the frame e^(2x).  Returns the same
     at z1, A carried into the new frame and grown by the run's rounding
-    bound (with the term bound of its steps, _term_bound) and by the
+    bound (with the term bounds of its steps, _term_bound) and by the
     rounding of d to and from h w' at either end; None where the
     arithmetic overflowed."""
     w, d, x, A = run
-    dz = z1 - z0
-    r = _taylor_run(a, z0, z1, n, w, d * dz / n, _term_bound(a, z0, z1, n))
+    r = _run(a, z0, z1, n, w, d, _term_bound(a, z0, z1, n))
     if r is None:
         return None
-    w1, v1, dx, acc = r
+    w1, d1, dx, acc = r
     try:
         f = math.exp(-2.0 * dx)
     except OverflowError:
         return None
-    d1 = v1 * n / dz
-    A = (A + 2.0 * _EPS * abs(w * d)) * f + acc * n / abs(dz) \
+    A = (A + 2.0 * _EPS * abs(w * d)) * f + acc * n / abs(z1 - z0) \
         + 2.0 * _EPS * abs(w1 * d1)
     return w1, d1, x + dx, A
 
@@ -655,7 +673,7 @@ class Evaluator:
     Called as ev(a, z), as t_iterate calls its evaluator.  scale names
     the entry of _SCALES whose stages it tries (module docstring).  It
     holds the taylor runs at the last point answered, a pair or the one
-    run of a chain's complex hop next to a zero, so that a point near it
+    run of a chain's carried hop next to a zero, so that a point near it
     costs a few Taylor steps; the same point gets the same answer.
     """
 
@@ -718,12 +736,12 @@ class Evaluator:
         start = self._start
         if start is None:
             return None
+        # the relative scale steps every hop by the pair; a chain's hop,
+        # real or complex, by one run (module docstring)
+        if self._scale.one_run is None:
+            return self._taylor(z, limit, start)
         z0, runs, err, e0 = start
         w, d, x = runs[-1][:3]
-        # a real hop with real data keeps the pair (module docstring)
-        if self._scale.one_run is None or not (
-                z.imag or z0.imag or w.imag or d.imag):
-            return self._taylor(z, limit, start)
         n = _step_count(self.a, z0, z)
         if not n:
             return None
@@ -800,8 +818,8 @@ class _Scale(NamedTuple):
     estimate: object  # (runs, error of their start, z) -> taylor estimate
     error: object     # (answer, z) -> its error on this scale
     seed: object      # est of an answer -> the error of a start from it
-    # (run, error of its start, z) -> the estimate of a complex carried hop
-    # by one run, None where the pair answers; None: every hop by the pair
+    # (run, error of its start, z) -> the estimate of a carried hop by one
+    # run, None where the pair answers; None: every hop by the pair
     one_run: object = None
 
 

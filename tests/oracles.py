@@ -300,7 +300,8 @@ _INV_KK = [0.0, 0.0] + [1.0 / (k * (k - 1))
 def taylor_run_loop(a, z0, z1, n, w, v, terms=None):
     """pcf_eval._taylor_run in its loop form: the pass index k is an int
     and 1/(k (k-1)) a list item; the rounding bound takes each step's
-    share as its own variable before carrying it by the scale."""
+    share, from the bounds on its w- and v-sums, as its own variable
+    before carrying it by the scale."""
     h = (z1 - z0) / n
     h2 = h * h
     c2 = h2 * h2 / 4.0
@@ -328,9 +329,12 @@ def taylor_run_loop(a, z0, z1, n, w, v, terms=None):
         if not 0.0 < m < math.inf:
             return None
         if terms:
+            tail = abs(t) + abs(u)
             sums = terms[0] * start[0] + terms[1] * start[1]
-            bound = _TAYLOR_ROUNDING * sums + abs(t) + abs(u)
-            share = bound * ((k + 1) * abs(s) + abs(d))
+            bound = _TAYLOR_ROUNDING * sums + tail
+            ksums = terms[2] * start[0] + terms[3] * start[1]
+            kbound = _TAYLOR_ROUNDING * ksums + (k + 1) * tail
+            share = kbound * abs(s) + bound * abs(d)
             acc = (acc + share) / m / m
         w, v = s / m, d / m
         expo += math.log(m)

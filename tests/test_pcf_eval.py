@@ -16,7 +16,8 @@ from pcfzeros.errors import ConvergenceError, DomainError, PcfzerosError
 from pcfzeros.pcf_eval import (Evaluator, eval_U, eval_U_near_zero,
                                eval_U_path, winding_number)
 from pcfzeros.refine import STEP_TOL, t_iterate
-from pcfzeros.zeros import hermite_zeros, zeros_aneg_complex, zeros_apos
+from pcfzeros.zeros import (_refine_family, count_positive, hermite_zeros,
+                            zeros_aneg_complex, zeros_apos)
 
 import oracles
 from oracles import eval_U_prime, eval_U_quadrature, residual_eq319
@@ -536,6 +537,56 @@ def test_one_run_hands_a_hop_off_the_zeros_to_the_pair(monkeypatch):
         assert (abs(ref) > scale / 2) == (runs == 2), z
 
 
+def _real_chain(case):
+    """(a, zeros) of a real chain: hermite_zeros(n), or the positive
+    family at a by _refine_family."""
+    kind, p = case
+    if kind == "hermite":
+        return -p - 0.5, len(hermite_zeros(p)) // 2
+    ms = range(1, count_positive(-2.0 * p) + 1)
+    found = _refine_family("aneg-positive", p, 3, ms)
+    assert all(not isinstance(got, Exception) for got in found)
+    return p, len(found)
+
+
+@pytest.mark.parametrize("case", [("hermite", 20), ("hermite", 100),
+                                  ("hermite", 256), ("pos", -100.3)])
+def test_real_one_run_estimate_bounds_error(monkeypatch, case):
+    # a real hop with real data is one Taylor run in floats, as a complex
+    # hop is; next to a zero its estimate, from the carried Wronskian
+    # bound, is at least five times the error (pcfu at 40 digits, U' from
+    # U(a + 1)), at about 25 one-run answers a chain.  A pair of runs
+    # answers the first zero and any hop over the limit: at most 1.1 runs
+    # a zero of H_256, against 2 while every real hop took a pair
+    answers = []
+    runs = []
+    call = pcf_eval.Evaluator.__call__
+    run = pcf_eval._taylor_run
+
+    def recording(self, a, z):
+        before = self._start
+        v = call(self, a, z)
+        if self._start is not before and len(self._start[1]) == 1:
+            answers.append((a, complex(z), v))
+        return v
+
+    def counting(*args):
+        runs.append(args[3])
+        return run(*args)
+
+    monkeypatch.setattr(pcf_eval.Evaluator, "__call__", recording)
+    monkeypatch.setattr(pcf_eval, "_taylor_run", counting)
+    a, count = _real_chain(case)
+    assert len(answers) >= 0.9 * count
+    if case == ("hermite", 256):
+        assert len(runs) <= 1.1 * count
+    for a, z, v in answers[::max(1, len(answers) // 25)]:
+        assert v.method == "taylor" and z.imag == 0.0, z
+        ref, dref = oracles.mp_U_pair(a, z, exponent=v.exponent)
+        scale = max(abs(ref), abs(dref) / (1.0 + abs(z)))
+        assert abs(v.value - ref) <= v.est_accuracy * scale / 5.0, z
+
+
 def _snake(box, n=12):
     """The n x n grid over box = (re_min, re_max, im_min, im_max), row by
     row with every other row backwards, as CLI phase-grid walks it."""
@@ -698,12 +749,14 @@ def test_one_point_path_is_the_scalar_selector_bit_for_bit():
     (-400.3, 0.5, 1.0, 2, -0.4, 0.6), (0.3, 3.0, 3.01, 1, 0.5, -0.5),
     (20.3, -6.0, 6.0, 40, 1.0, 0.0)])
 def test_real_taylor_run_in_floats_is_the_complex_run(a, z0, z1, n, w, v):
-    # float operations round as complex ones with zero imaginary parts
-    f = pcf_eval._taylor_run(a, z0, z1, n, w, v)
-    c = pcf_eval._taylor_run(a, complex(z0), complex(z1), n, complex(w),
-                             complex(v))
-    assert type(f[0]) is float and type(f[1]) is float
-    assert repr((complex(f[0]), complex(f[1])) + f[2:]) == repr(c)
+    # float operations round as complex ones with zero imaginary parts,
+    # the rounding bound of a one-run hop's terms included
+    for terms in (None, pcf_eval._term_bound(a, z0, z1, n)):
+        f = pcf_eval._taylor_run(a, z0, z1, n, w, v, terms)
+        c = pcf_eval._taylor_run(a, complex(z0), complex(z1), n,
+                                 complex(w), complex(v), terms)
+        assert type(f[0]) is float and type(f[1]) is float
+        assert repr((complex(f[0]), complex(f[1])) + f[2:]) == repr(c)
 
 
 @settings(max_examples=300, deadline=None)
@@ -730,18 +783,20 @@ def test_hermite_chain_takes_few_taylor_steps(monkeypatch):
     # the steps are sized by the coefficient next to the path: between
     # the real zeros inside the turning points |q| = |a| - x^2/4 is far
     # below |a| + x^2/4, and a pair of runs took (2, 3) or (3, 5) steps
-    # where (1, 2) do; 514 steps for the 128 zeros of H_256 before
+    # where (1, 2) do; 514 steps for the 128 zeros of H_256 before, and
+    # 388 while each real hop took a pair of runs, where one run of the
+    # pair's shorter count, mostly one step, now takes 134
     steps = []
     run = pcf_eval._taylor_run
 
-    def counting(a, z0, z1, n, w, v):
+    def counting(a, z0, z1, n, w, v, terms=None):
         steps.append(n)
-        return run(a, z0, z1, n, w, v)
+        return run(a, z0, z1, n, w, v, terms)
 
     monkeypatch.setattr(pcf_eval, "_taylor_run", counting)
     x = hermite_zeros(256)
     assert np.max(np.abs(x - oracles.hermite_nodes(256))) < 1e-10
-    assert sum(steps) <= 3.2 * 128
+    assert sum(steps) <= 1.1 * 128
 
 
 def _taylor_run_inputs(rng, real):
@@ -779,7 +834,8 @@ def test_taylor_run_is_its_loop_form_bit_for_bit(real):
         overflowed += r is None
         # with the rounding bound of a one-run hop (a step of reach 4,
         # _term_bound)
-        terms = (math.cosh(4.0), math.sinh(4.0) / 4.0)
+        terms = (math.cosh(4.0), math.sinh(4.0) / 4.0,
+                 4.0 * math.sinh(4.0), math.cosh(4.0))
         r = pcf_eval._taylor_run(*args, terms)
         assert repr(r) == repr(oracles.taylor_run_loop(*args, terms)), args
     assert 10 <= overflowed < 100
@@ -808,9 +864,9 @@ def test_hermite_chain_steps_in_floats(monkeypatch):
     calls = []
     run = pcf_eval._taylor_run
 
-    def recording(a, z0, z1, n, w, v):
+    def recording(a, z0, z1, n, w, v, terms=None):
         calls.append((a, z0, z1, w, v))
-        return run(a, z0, z1, n, w, v)
+        return run(a, z0, z1, n, w, v, terms)
 
     monkeypatch.setattr(pcf_eval, "_taylor_run", recording)
     hermite_zeros(50)
