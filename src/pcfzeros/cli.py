@@ -18,8 +18,9 @@ rows from the entries of one _records call: zeros sorted by (family, m),
 validate --reference refined in refinement order, with the moduli g1 in
 place of terms_used and residual.  _compare is the one comparison of a
 zero with its reference (g1, eps1, eps2).  phase-grid evaluates its
-points as one eval_U_path, row by row with every other row backwards,
-and opens --out only once every point is evaluated.
+points by pcf_eval._eval_grid, the two end columns bottom to top and
+then each row from the end where |U| is smaller toward the other, and
+opens --out only once every point is evaluated.
 Everything runs in this process; the --jobs flag of zeros is accepted
 and has no effect.  JSON output is laid out as json.dumps(rows,
 indent=1) lays it out.
@@ -47,7 +48,7 @@ from .genairy import hermite_order
 # t_iterate up through refine); perfbench/spans.py patches cli.eval_U and
 # cli.t_iterate, and tests/test_bench_names.py requires every such name
 # to resolve
-from .pcf_eval import eval_U, eval_U_path  # noqa: F401
+from .pcf_eval import _eval_grid, eval_U  # noqa: F401
 from .refine import STEP_TOL, t_iterate  # noqa: F401
 
 _ZEROS_FIELDS = ["family", "a", "m", "terms_used",
@@ -241,23 +242,16 @@ def cmd_phase_grid(args):
 
     xs = coords(args.re_min, args.re_max, args.nx)
     ys = coords(args.im_min, args.im_max, args.ny)
-    # row by row, every other row backwards, so that each point is next
-    # to the one before it and eval_U_path steps on from there
-    path = [(i, j) for i in range(args.ny)
-            for j in (range(args.nx) if i % 2 == 0
-                      else range(args.nx - 1, -1, -1))]
-    values = eval_U_path(args.a, [complex(xs[j], ys[i]) for i, j in path],
-                         tol=1e-6)
-    phase = dict(zip(path, (cmath.phase(v.value) for v in values)))
+    rows = _eval_grid(args.a, xs, ys, tol=1e-6)
     # opened only now: a run that stops at a point leaves --out as it was
     try:
         with open(args.out, "w") as fh:
             fh.write(f"# pcfzeros phase-grid v1 a={args.a!r} "
                      f"nx={args.nx} ny={args.ny}\n")
             fh.write("x,y,arg_u\n")
-            for i, y in enumerate(ys):
-                for j, x in enumerate(xs):
-                    fh.write(f"{x!r},{y!r},{phase[i, j]!r}\n")
+            for y, row in zip(ys, rows):
+                for x, v in zip(xs, row):
+                    fh.write(f"{x!r},{y!r},{cmath.phase(v.value)!r}\n")
     except OSError as e:
         raise DomainError(f"cannot write {args.out}: {e.strerror or e}") \
             from None

@@ -35,14 +35,15 @@ The taylor runs then step on from a taylor answer, or restart (_start)
 from any other answer or from U(a, 0) scaled to |U| + |U'| = 1, carrying
 its error by the entry's rule.  The entries:
 
-  relative (eval_U, eval_U_path): error relative to |U|, within tol.
-     Asymptotic (if its smallest term is below max(1e-13, tol/100);
-     where a closed-form bound on that term is above, _asym_declines
-     turns the point down before any summing), carried, series, origin,
-     mpmath.  The asymptotic method stays first: far out it answers in
-     a few terms where the steps would take many.  A start carries
-     max(4, est/eps) ulps, which the estimate amplifies by the runs'
-     growth.  Points along the rows of a grid cost a few steps each.
+  relative (eval_U, eval_U_path, phase-grid's _eval_grid): error
+     relative to |U|, within tol.  Asymptotic (if its smallest term is
+     below max(1e-13, tol/100); where a closed-form bound on that term
+     is above, _asym_declines turns the point down before any summing),
+     carried, series, origin, mpmath.  The asymptotic method stays
+     first: far out it answers in a few terms where the steps would take
+     many.  A start carries max(4, est/eps) ulps, which the estimate
+     amplifies by the runs' growth.  Points along the rows of a grid
+     cost a few steps each, stepped toward where |U| grows (_eval_grid).
   chain (t_iterate's default, sweep, hermite_zeros, CLI zeros and
      validate, eval_U_near_zero): error of U over max(|U|, |U'|/(1 + |z|)),
      since |U| -> 0 at a zero.  Carried, origin, asymptotic (wherever its
@@ -946,6 +947,49 @@ def eval_U_path(a, zs, tol=1e-11):
     falls when each point is close to the one before it."""
     ev = Evaluator(a, tol)
     return [ev(a, z) for z in zs]
+
+
+def _log_abs(v):
+    """log|U| of answer v."""
+    return math.log(abs(v.value)) + v.exponent if v.value else -math.inf
+
+
+def _eval_grid(a, xs, ys, tol):
+    """eval_U at every point x + iy of the grid, as rows, one a y of ys,
+    each in the order of xs: the walk of phase-grid.  The two end columns,
+    at xs[0] and xs[-1], are walked up ys by an Evaluator each; each row's
+    interior is then walked from the end where |U| is smaller toward the
+    other.  Stepped that way the runs' relative error holds, where the
+    other way it grows as U decays (about a hundredfold a hop across the
+    README box), so few points restart from z = 0 or reach mpmath.  The
+    row's Evaluator resumes at its end with the column's answer and the
+    runs that gave it: a restart from the answer (_start) would carry its
+    estimate, and at a = -30.5 over [-10, 10]^2, 21 x 21, the series
+    would answer 38 points instead of 26."""
+    last = len(xs) - 1
+    cols = []
+    # one column where the two ends are one x
+    for x in dict.fromkeys((xs[0], xs[last])):
+        ev = Evaluator(a, tol)
+        col = []
+        for y in ys:
+            v = ev(a, complex(x, y))
+            col.append((ev._start, v))
+        cols.append(col)
+    ev = Evaluator(a, tol)
+    rows = []
+    for i, y in enumerate(ys):
+        left, right = cols[0][i], cols[-1][i]
+        row = [left[1]] * len(xs)
+        row[last] = right[1]
+        start, inner = left, range(1, last)
+        if _log_abs(right[1]) < _log_abs(left[1]):
+            start, inner = right, inner[::-1]
+        ev._start, ev._last = start
+        for j in inner:
+            row[j] = ev(a, complex(xs[j], y))
+        rows.append(row)
+    return rows
 
 
 def eval_U_near_zero(a, z):

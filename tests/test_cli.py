@@ -690,7 +690,8 @@ def test_complex_chain_steps_each_hop_by_one_taylor_run(monkeypatch, capsys):
 
 def test_phase_grid_steps_from_neighbouring_points(monkeypatch, tmp_path):
     # README box at 8 x 8: 47 of the 64 points are answered by taylor, and
-    # nearly all of them by steps from the point before, not from z = 0
+    # all but the first of each end column by steps from a neighbour, not
+    # from z = 0: each row resumes at the end where |U| is smaller
     from_origin = []
     taylor_pair = pcf_eval._taylor_pair
 
@@ -700,22 +701,22 @@ def test_phase_grid_steps_from_neighbouring_points(monkeypatch, tmp_path):
         return taylor_pair(a, z0, z1, starts)
 
     methods = []
-    path = pcf_eval.eval_U_path
+    grid = pcf_eval._eval_grid
 
     def recording(*args, **kwargs):
-        values = path(*args, **kwargs)
-        methods.extend(v.method for v in values)
-        return values
+        rows = grid(*args, **kwargs)
+        methods.extend(v.method for row in rows for v in row)
+        return rows
 
     monkeypatch.setattr(pcf_eval, "_taylor_pair", counting)
-    monkeypatch.setattr(cli, "eval_U_path", recording)
+    monkeypatch.setattr(cli, "_eval_grid", recording)
     rc = cli.main(["phase-grid", "--a", "8.3",
                    "--re-min", "-6", "--re-max", "0",
                    "--im-min", "5", "--im-max", "10",
                    "--nx", "8", "--ny", "8", "--out", str(tmp_path / "g.csv")])
     assert rc == 0
     assert methods.count("taylor") == 47
-    assert len(from_origin) <= 8
+    assert len(from_origin) <= 2
 
 
 def test_phase_grid_tries_steps_before_the_series(monkeypatch, tmp_path):
@@ -738,34 +739,88 @@ def test_phase_grid_tries_steps_before_the_series(monkeypatch, tmp_path):
 
 
 def test_phase_grid_rows_keep_their_order(tmp_path):
-    # the points are evaluated along a snake; rows are still written
-    # y-major with x ascending, each phase that of its own point
+    # the end columns are walked first and each row from either end; rows
+    # are still written y-major with x ascending, each phase that of its
+    # own point, also where a row has no interior or the grid one column
     out = tmp_path / "grid.csv"
-    rc = cli.main(["phase-grid", "--a", "8.3",
-                   "--re-min", "-6", "--re-max", "0",
-                   "--im-min", "5", "--im-max", "10",
-                   "--nx", "4", "--ny", "3", "--out", str(out)])
-    assert rc == 0
-    rows = [tuple(float(t) for t in ln.split(","))
-            for ln in out.read_text().splitlines()[2:]]
-    xs = [-6.0 + 2.0 * j for j in range(4)]
-    assert [r[:2] for r in rows] == [(x, y) for y in (5.0, 7.5, 10.0)
-                                     for x in xs]
-    for x, y, ph in rows:
-        v = pcf_eval.eval_U(8.3, complex(x, y), tol=1e-6)
-        assert abs(ph - cmath.phase(v.value)) <= 2e-6
+
+    def coords(lo, hi, n):
+        return [lo] if n == 1 else [lo + (hi - lo) * i / (n - 1)
+                                    for i in range(n)]
+
+    for nx, ny in [(nx, ny) for nx in (1, 2, 3) for ny in (1, 2, 3)] \
+            + [(4, 3)]:
+        rc = cli.main(["phase-grid", "--a", "8.3",
+                       "--re-min", "-6", "--re-max", "0",
+                       "--im-min", "5", "--im-max", "10",
+                       "--nx", str(nx), "--ny", str(ny), "--out", str(out)])
+        assert rc == 0
+        rows = [tuple(float(t) for t in ln.split(","))
+                for ln in out.read_text().splitlines()[2:]]
+        assert [r[:2] for r in rows] == [(x, y) for y in coords(5.0, 10.0, ny)
+                                         for x in coords(-6.0, 0.0, nx)]
+        for x, y, ph in rows:
+            v = pcf_eval.eval_U(8.3, complex(x, y), tol=1e-6)
+            assert abs(ph - cmath.phase(v.value)) <= 2e-6, (nx, ny, x, y)
 
 
 def test_phase_grid_through_an_exact_zero_exits_4(capsys, tmp_path):
-    # z = 1 is the middle of three points; U(-2.5, 1) = 0
+    # z = 1 is the middle of three points, the row's interior, walked
+    # after both ends; U(-2.5, 1) = 0.  --out is left as it was
+    out = tmp_path / "g.csv"
+    out.write_text("kept\n")
     rc = cli.main(["phase-grid", "--a", "-2.5",
                    "--re-min", "0", "--re-max", "2",
                    "--im-min", "0", "--im-max", "0",
-                   "--nx", "3", "--ny", "1",
-                   "--out", str(tmp_path / "g.csv")])
+                   "--nx", "3", "--ny", "1", "--out", str(out)])
     assert rc == 4
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "U(-2.5, " in err[0]
+    assert out.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("a, box, n", [
+    (8.3, ("0.5", "6", "0", "3"), 20),
+    (2.5, ("0", "7", "0", "2"), 30),
+], ids=["recessive", "axis"])
+def test_phase_grid_walks_recessive_boxes_in_doubles(monkeypatch, tmp_path,
+                                                     a, box, n):
+    # U decays toward +x here, so each row is walked from x = re_max
+    # toward -x, where it grows, and the runs keep their relative error:
+    # mpmath answers at most once.  Sampled answers are within half their
+    # estimates of pcfu, and their phases within 1e-6
+    calls = []
+    mpmath_stage = pcf_eval._eval_series_mp
+
+    def counting(a, z, tol):
+        calls.append(z)
+        return mpmath_stage(a, z, tol)
+
+    answers = []
+    grid = pcf_eval._eval_grid
+
+    def recording(*args, **kwargs):
+        rows = grid(*args, **kwargs)
+        answers.extend(v for row in rows for v in row)
+        return rows
+
+    monkeypatch.setattr(pcf_eval, "_eval_series_mp", counting)
+    monkeypatch.setattr(cli, "_eval_grid", recording)
+    out = tmp_path / "g.csv"
+    flags = ("--re-min", "--re-max", "--im-min", "--im-max")
+    rc = cli.main(["phase-grid", "--a", repr(a),
+                   *(w for pair in zip(flags, box) for w in pair),
+                   "--nx", str(n), "--ny", str(n), "--out", str(out)])
+    assert rc == 0
+    assert len(calls) <= 1
+    lines = out.read_text().splitlines()[2:]
+    assert len(lines) == len(answers) == n * n
+    for k in range(0, n * n, n * n // 20):
+        x, y, ph = (float(t) for t in lines[k].split(","))
+        v = answers[k]
+        ref, _ = oracles.mp_U_pair(a, complex(x, y), exponent=v.exponent)
+        assert abs(math.remainder(ph - cmath.phase(ref), 2 * math.pi)) <= 1e-6
+        assert abs(v.value - ref) <= 0.5 * v.est_accuracy * abs(ref), (x, y)
 
 
 def test_phase_grid_far_out_at_a_minus_half(capsys, tmp_path):

@@ -589,7 +589,8 @@ def test_real_one_run_estimate_bounds_error(monkeypatch, case):
 
 def _snake(box, n=12):
     """The n x n grid over box = (re_min, re_max, im_min, im_max), row by
-    row with every other row backwards, as CLI phase-grid walks it."""
+    row with every other row backwards: each point next to the one
+    before it."""
     lo_x, hi_x, lo_y, hi_y = box
     xs = [lo_x + (hi_x - lo_x) * j / (n - 1) for j in range(n)]
     ys = [lo_y + (hi_y - lo_y) * i / (n - 1) for i in range(n)]
@@ -658,6 +659,24 @@ def test_path_asymptotic_answers_are_the_scalar_ones(name, tol):
         s = eval_U(a, z, tol)
         if "asymptotic" in (v.method, s.method):
             assert repr(v) == repr(s), (a, z, tol)
+
+
+@pytest.mark.parametrize("name", PATH_BOXES)
+def test_grid_walk_answers_within_their_estimates(name):
+    # phase-grid's walk over the same boxes at its tol: the end columns
+    # upward, then each row from the end where |U| is smaller; every 7th
+    # answer is within its estimate of pcfu, and the estimate within tol
+    a, (lo_x, hi_x, lo_y, hi_y) = PATH_BOXES[name]
+    xs = [lo_x + (hi_x - lo_x) * j / 11 for j in range(12)]
+    ys = [lo_y + (hi_y - lo_y) * i / 11 for i in range(12)]
+    rows = pcf_eval._eval_grid(a, xs, ys, 1e-6)
+    answers = [(complex(x, y), v) for y, row in zip(ys, rows)
+               for x, v in zip(xs, row)]
+    assert len(answers) == 144
+    for z, v in answers[::7]:
+        ref, _ = oracles.mp_U_pair(a, z, exponent=v.exponent)
+        assert v.est_accuracy <= 1e-6
+        assert abs(v.value - ref) <= v.est_accuracy * abs(ref), (a, z)
 
 
 @pytest.mark.parametrize("name,tol", [("aneg", 1e-6), ("straddle", 1e-6),
