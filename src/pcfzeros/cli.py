@@ -7,13 +7,18 @@ Subcommands:
 
 zeros and validate take the families of zeros, their counts and the
 index of each family's first zero from zeros.families.  They refine
-each family through zeros._refine_family, the path hermite_zeros takes:
-one chain, nearest the origin first, with one chain Evaluator carrying
+each family through zeros._refine_family, the path hermite_zeros takes,
+in two passes: it seeds every index first, then walks one chain through
+those seeds, nearest the origin first, with one chain Evaluator carrying
 U and U' from zero to zero, each zero started from its seed plus the
-correction predicted from the zeros before it, the rows in index order.
-The z_approx columns are the expansion's seed, and residual is the size
-of T's last step over (1 + |z|), not the zero's error.  zeros --no-refine
-seeds each index through one zeros._seeder.  Both commands build their
+correction predicted from the zeros before it; the rows are in index
+order.  Keeping the seeding out of the chain's loop changes no bit and
+no amount of work, and makes the chain faster.  The z_approx columns are
+the expansion's seed, and residual is the size of T's last step over
+(1 + |z|), not the zero's error.  zeros --no-refine and validate
+--reference oracle take the seeds from zeros._seed_family, the first
+pass alone, in index order; a seed that does not converge is reported
+by its index, and the other rows are kept.  Both commands build their
 rows from the entries of one _records call: zeros sorted by (family, m),
 validate --reference refined in refinement order, with the moduli g1 in
 place of terms_used and residual.  _compare is the one comparison of a
@@ -59,7 +64,7 @@ _VALIDATE_FIELDS = ["family", "a", "m", "z_approx_re", "z_approx_im",
                     "eps1", "eps2"]
 
 
-# the per-index seed functions; _records seeds through zeros._seeder,
+# the per-index seed functions; _records seeds through zeros._seed_family,
 # but perfbench/spans.py patches this table, and
 # tests/test_bench_names.py requires every such name to resolve
 _FAMILY_FN = {
@@ -99,27 +104,28 @@ def _records(args, refine):
     residual), the last two None without refine; a real family's
     z_refined keeps an imaginary part of 0.
 
-    With refine each family comes from zeros._refine_family, which
-    refines it as one chain, nearest the origin first; without, each
-    index is seeded in turn.
+    With refine each family comes from zeros._refine_family, which seeds
+    every index and then refines the family as one chain, nearest the
+    origin first; without, from zeros._seed_family, the same seeding
+    pass in index order.
     """
     entries = []
     code = 0
     for kind, ms in _tasks_for(args):
         if refine:
-            found = zmod._refine_family(kind, args.a, args.terms, ms)
+            found = zip(ms, zmod._refine_family(kind, args.a, args.terms, ms))
         else:
-            found = _seeds(zmod._seeder(kind, args.a, args.terms), ms)
-        for m, got in zip(ms, found):
+            found = zmod._seed_family(kind, args.a, args.terms, ms)
+        for m, got in found:
             if isinstance(got, ConvergenceError):
                 code = 4
-                print(f"pcfzeros: non-convergence at {kind} m={m}: {got}",
-                      file=sys.stderr)
+                _non_convergence(kind, m, got)
+                continue
+            if not refine:
+                # got is the seed tuple (z0, terms, zhat, z, terms_used)
+                entries.append((kind, m, got[3], got[4], None, None))
                 continue
             _, (_, _, _, z_approx, terms_used), rz = got
-            if rz is None:
-                entries.append((kind, m, z_approx, terms_used, None, None))
-                continue
             z_refined = rz.value
             if z_approx.imag == 0.0:
                 z_refined = complex(z_refined.real, 0.0)
@@ -128,16 +134,11 @@ def _records(args, refine):
     return entries, code
 
 
-def _seeds(seed, ms):
-    """zeros._refine_family's entries without the refinement, one index
-    at a time: (m, seed(m), None), or the ConvergenceError it raised."""
-    for m in ms:
-        try:
-            s = seed(m)
-        except ConvergenceError as e:
-            yield e
-        else:
-            yield m, s, None
+def _non_convergence(kind, m, error):
+    """Report on stderr, on one line, that the m-th zero of family kind
+    raised error."""
+    print(f"pcfzeros: non-convergence at {kind} m={m}: {error}",
+          file=sys.stderr)
 
 
 def _compare(z_approx, z_ref):
@@ -215,9 +216,14 @@ def cmd_validate(args):
     if args.reference == "oracle":
         refs = _oracle_reference(a)
         fam = "aneg-positive"
-        seed = zmod._seeder(fam, a, args.terms)
-        found = [(fam, m, seed(m)[3], None, complex(ref), None)
-                 for m, ref in enumerate(refs, 1)]
+        seeds = zmod._seed_family(fam, a, args.terms, range(1, len(refs) + 1))
+        found = []
+        for (m, s), ref in zip(seeds, refs):
+            if isinstance(s, ConvergenceError):
+                code = 4
+                _non_convergence(fam, m, s)
+            else:
+                found.append((fam, m, s[3], None, complex(ref), None))
     else:
         found, code = _records(args, refine=True)
     # _compare answers g1_approx, g1_ref, eps1, eps2, the last fields

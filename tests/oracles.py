@@ -5,9 +5,11 @@ series in mpmath, bisection, eigenvalue quadrature nodes, adaptive
 quadrature) so that the package code under test shares no evaluation
 path with the oracles.  The exceptions are eval_U_prime and
 residual_eq319: identities that combine eval_U at other a or z, and so
-check it against itself; and the loop forms of the evaluator's two
+check it against itself; the loop forms of the evaluator's two
 kernels, _taylor_run and asym_pair, which the package's kernels must
-match bit for bit.
+match bit for bit; and refine_family_interleaved, the family chain with
+each zero seeded just before its refinement, which the package's
+two-pass zeros._refine_family must match bit for bit.
 """
 import cmath
 import math
@@ -15,10 +17,12 @@ import math
 import mpmath as mp
 import numpy as np
 
-from pcfzeros.errors import DomainError
+from pcfzeros import refine
+from pcfzeros.errors import ConvergenceError, DomainError
 from pcfzeros.pcf_eval import (_ASYM_MAX_TERMS, _TAYLOR_MAX_TERMS,
-                               _TAYLOR_ROUNDING, _TAYLOR_TINY, PcfValue,
-                               eval_U)
+                               _TAYLOR_ROUNDING, _TAYLOR_TINY, Evaluator,
+                               PcfValue, eval_U)
+from pcfzeros.zeros import _seeder
 
 DPS = 30
 
@@ -369,3 +373,39 @@ def asym_pair_loop(a, z2inv):
         if mn < 1e-18:
             break
     return S1, S2, mn, T1, T2, last
+
+
+def refine_family_interleaved(kind, a, terms, ms):
+    """zeros._refine_family in its one-pass form: each zero seeded just
+    before its refinement, in the chain's order."""
+    seed = _seeder(kind, a, terms)
+    walker = Evaluator(a, refine.STEP_TOL, "chain")
+    backwards = kind in ("aneg-positive", "aneg-nonpositive")
+    out = []
+    d1 = d2 = d3 = None
+    shift = 0j
+    for m in reversed(ms) if backwards else ms:
+        try:
+            s = seed(m)
+            z = s[3] + shift if shift else s[3]
+            try:
+                # looked up per zero, so that a patched refine.t_iterate
+                # sees every refinement
+                rz = refine.t_iterate(a, z, evaluator=walker)
+            except DomainError as e:
+                # a start on the turning point, where T is undefined
+                raise ConvergenceError(str(e), last=z) from e
+        except ConvergenceError as e:
+            out.append(e)
+            d1 = d2 = d3 = None
+            shift = 0j
+            continue
+        out.append((m, s, rz))
+        d = rz.value - s[3]
+        shift = 0j
+        if d3 is not None and abs(d - 3.0 * (d1 - d2) - d3) < abs(d):
+            shift = 3.0 * (d - d1) + d2
+        d1, d2, d3 = d, d1, d2
+    if backwards:
+        out.reverse()
+    return out

@@ -452,19 +452,25 @@ def test_cli_seeds_are_the_per_index_seeds(capsys, a):
                                      s.terms_used), r
 
 
-def test_seed_non_convergence_keeps_the_other_rows(capsys, monkeypatch):
-    # a seed whose zeta inversion fails at m = 2: reported, exit 4, and
-    # the rows of m = 1 and 3 kept
+def _seed_failing_at(monkeypatch, k):
+    """Make the k-th seed from now on fail: zeros.invert_zeta, which
+    every seed calls once, raises ConvergenceError at its k-th call."""
     invert_zeta = zmod.invert_zeta
     calls = []
 
-    def failing_second(target):
+    def failing(target):
         calls.append(target)
-        if len(calls) == 2:
+        if len(calls) == k:
             raise ConvergenceError("invert_zeta did not converge", last=0j)
         return invert_zeta(target)
 
-    monkeypatch.setattr(zmod, "invert_zeta", failing_second)
+    monkeypatch.setattr(zmod, "invert_zeta", failing)
+
+
+def test_seed_non_convergence_keeps_the_other_rows(capsys, monkeypatch):
+    # a seed whose zeta inversion fails at m = 2: reported, exit 4, and
+    # the rows of m = 1 and 3 kept
+    _seed_failing_at(monkeypatch, 2)
     rc = cli.main(["zeros", "--a", "8.3", "--count", "3", "--no-refine"])
     cap = capsys.readouterr()
     assert rc == 4
@@ -472,6 +478,72 @@ def test_seed_non_convergence_keeps_the_other_rows(capsys, monkeypatch):
     assert cap.err.splitlines() == [
         "pcfzeros: non-convergence at apos-complex m=2: invert_zeta did "
         "not converge"]
+
+
+@pytest.mark.parametrize("argv, k, kept, line", [
+    # the complex chain seeds m = 1, 2, 3 in turn
+    (["zeros", "--a", "8.3", "--count", "3"], 2, [1, 3],
+     "apos-complex m=2"),
+    (["validate", "--a", "8.3", "--count", "3"], 2, [1, 3],
+     "apos-complex m=2"),
+    # a real chain seeds from the zero nearest the origin: m = 3 first
+    (["zeros", "--a=-6.2", "--family", "pos"], 1, [1, 2],
+     "aneg-positive m=3"),
+    (["validate", "--a=-6.2", "--family", "pos"], 1, [1, 2],
+     "aneg-positive m=3"),
+    # the oracle's rows are seeded in index order, m = 1 to 15
+    (["validate", "--a=-30.5", "--reference", "oracle"], 3,
+     [1, 2] + list(range(4, 16)), "aneg-positive m=3")],
+    ids=["zeros", "validate", "zeros-pos", "validate-pos", "oracle"])
+def test_refined_seed_non_convergence_keeps_the_other_rows(
+        capsys, monkeypatch, argv, k, kept, line):
+    # a seed that fails is reported by its index on one stderr line, exit
+    # 4, and the other rows are kept in index order, as without refine
+    _seed_failing_at(monkeypatch, k)
+    rc = cli.main(argv)
+    cap = capsys.readouterr()
+    assert rc == 4
+    assert [int(row["m"]) for row in parse_csv(cap.out)] == kept
+    assert cap.err.splitlines() == [
+        f"pcfzeros: non-convergence at {line}: invert_zeta did not converge"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeros", "--a=-6.2", "--count", "20"],
+    ["zeros", "--a=-6.2", "--count", "20", "--no-refine"],
+    ["zeros", "--a", "8.3", "--count", "20"],
+    ["validate", "--a=-30.5", "--count", "20"],
+    ["validate", "--a=-30.5", "--reference", "oracle"]],
+    ids=["zeros", "no-refine", "apos", "validate", "oracle"])
+def test_each_index_is_seeded_once(capsys, monkeypatch, argv):
+    seeded = _counting_seeds(monkeypatch)
+    assert cli.main(argv + ["--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert sorted(seeded) == sorted((r["family"], r["m"]) for r in rows)
+
+
+def test_hermite_zeros_seeds_each_index_once(monkeypatch):
+    seeded = _counting_seeds(monkeypatch)
+    hermite_zeros(30)
+    assert sorted(seeded) == [("aneg-positive", m) for m in range(1, 16)]
+
+
+def _counting_seeds(monkeypatch):
+    """A list to which every seed made from now on appends its (kind, m):
+    zeros._seeder wrapped so that its seed functions record each call."""
+    seeder = zmod._seeder
+    seeded = []
+
+    def counting(kind, a, terms):
+        seed = seeder(kind, a, terms)
+
+        def counted(m):
+            seeded.append((kind, m))
+            return seed(m)
+        return counted
+
+    monkeypatch.setattr(zmod, "_seeder", counting)
+    return seeded
 
 
 @pytest.mark.parametrize("rows", [

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pcfzeros import refine
+from pcfzeros import zeros as zmod
 from pcfzeros.airy import MAX_INDEX, real_airy_zero
 from pcfzeros.errors import (ConvergenceError, DomainError, PcfzerosError,
                              PolynomialCaseError)
@@ -537,3 +538,92 @@ def test_a_zero_that_raises_restarts_the_prediction(monkeypatch, a, bad):
             for k in range(bad, bad + 4)] == [True] * 4
     # the unbroken chain predicted those starts
     assert before[bad][2].seed != before[bad][1][3]
+
+
+def _bits(entries):
+    """The entries of a family chain as text that tells apart any two
+    different floats: the repr of each (m, seed tuple, RefinedZero), or
+    the type, message and last point of each error."""
+    return [f"{type(e).__name__}: {e} last={e.last!r}"
+            if isinstance(e, ConvergenceError) else repr(e) for e in entries]
+
+
+def _both_chains(kind, a, count, patch=None):
+    """_bits of _refine_family and of its one-pass form in
+    oracles.refine_family_interleaved over the zeros of family kind at
+    a, count complex ones, each run after patch() (which resets any
+    state its patches keep)."""
+    [fam] = [f for f in families(a, complex_count=count) if f.kind == kind]
+    ms = range(fam.start, fam.start + fam.count)
+    out = []
+    for fn in (_refine_family, oracles.refine_family_interleaved):
+        if patch:
+            patch()
+        out.append(_bits(fn(kind, a, 3, ms)))
+    return out
+
+
+@pytest.mark.parametrize("kind, a", [
+    ("apos-complex", 8.3), ("apos-complex", 20.3), ("aneg-complex", -6.2),
+    ("aneg-positive", -6.2), ("aneg-nonpositive", -6.2),
+    ("aneg-positive", -75.5), ("aneg-nonpositive", -75.5),
+    # the prediction switches off here: its corrections change fast
+    ("apos-complex", 0.0015)])
+def test_two_pass_chain_is_the_interleaved_chain_bit_for_bit(kind, a):
+    # _refine_family seeds every index before it walks the chain; each
+    # zero is seeded once and refined from the same start, in the same
+    # order, as when each is seeded just before its refinement
+    new, old = _both_chains(kind, a, 150)
+    assert new == old
+
+
+@pytest.mark.parametrize("n", [20, 225, 256])
+def test_hermite_zeros_through_the_two_passes_bit_for_bit(monkeypatch, n):
+    got = hermite_zeros(n).tolist()
+    monkeypatch.setattr(zmod, "_refine_family",
+                        oracles.refine_family_interleaved)
+    assert repr(got) == repr(hermite_zeros(n).tolist())
+
+
+@pytest.mark.parametrize("kind, a, bad", [("apos-complex", 8.3, 40),
+                                          ("aneg-positive", -20.3, 5)])
+def test_two_pass_chain_with_a_refinement_failure_bit_for_bit(
+        monkeypatch, kind, a, bad):
+    # t_iterate raises at the bad-th zero of the chain: both forms keep
+    # the error in its slot and restart the prediction after it
+    t_iter = refine.t_iterate
+    calls = []
+
+    def raising_once(a, z, evaluator=None):
+        calls.append(z)
+        if len(calls) == bad:
+            raise ConvergenceError("no convergence", last=z)
+        return t_iter(a, z, evaluator=evaluator)
+
+    monkeypatch.setattr(refine, "t_iterate", raising_once)
+    new, old = _both_chains(kind, a, 80, patch=calls.clear)
+    assert sum(e.startswith("ConvergenceError") for e in new) == 1
+    assert new == old
+
+
+@pytest.mark.parametrize("kind, a, bad", [("apos-complex", 8.3, 40),
+                                          ("aneg-complex", -6.2, 7),
+                                          ("aneg-positive", -20.3, 5)])
+def test_two_pass_chain_with_a_seed_failure_bit_for_bit(
+        monkeypatch, kind, a, bad):
+    # the seed of the bad-th zero in chain order fails: every index is
+    # seeded once, in chain order, by both forms, so it is the same zero
+    # in both
+    invert_zeta = zmod.invert_zeta
+    calls = []
+
+    def failing(target):
+        calls.append(target)
+        if len(calls) == bad:
+            raise ConvergenceError("invert_zeta did not converge", last=0j)
+        return invert_zeta(target)
+
+    monkeypatch.setattr(zmod, "invert_zeta", failing)
+    new, old = _both_chains(kind, a, 80, patch=calls.clear)
+    assert sum(e.startswith("ConvergenceError") for e in new) == 1
+    assert new == old
