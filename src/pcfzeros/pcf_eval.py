@@ -63,12 +63,13 @@ its error by the entry's rule.  The entries:
      with real data (hermite_zeros and the real families) steps in floats,
      as the pair's runs do there.  The pair stays for the origin stage.  A
      hop whose end is not next to a zero, as sweep's first iterate of each
-     zero often is, or whose estimate is over the limit (on hermite_zeros'
-     dense zeros, where the bound grows by about the same amount a zero,
-     10 of the 927 hops of hermite_zeros(n) over the perfbench orders)
-     pairs its run with one of the pair's longer step count from the
-     start's other run (from a one-run start, its U' 4 ulps off, as _start
-     does), and their difference gives the estimate.
+     of its first dozen zeros is, before its predicted starts take hold,
+     or whose estimate is over the limit (on hermite_zeros' dense zeros,
+     where the bound grows by about the same amount a zero, 10 of the 927
+     hops of hermite_zeros(n) over the perfbench orders) pairs its run
+     with one of the pair's longer step count from the start's other run
+     (from a one-run start, its U' 4 ulps off, as _start does), and their
+     difference gives the estimate.
 
 Exponentially large/small results carry a real exponent so that
 value * e^exponent is the true function value.
@@ -123,7 +124,8 @@ _TAYLOR_ROUNDING = 6.0 * _EPS
 # a chain's carried hop is one Taylor run where it ends next to a zero,
 # |U| (1 + |z|) <= _ONE_RUN_R |U'| (_one_run_estimate); the iterates of
 # the chains of CLI zeros at the a above stay below 2e-7, while sweep's
-# first iterates of the zeros at 8.3 reach 0.9
+# first iterates at 8.3 and 20.3 reach 2.6 over its first 13 zeros and
+# stay below 1e-3 from the 14th on, from its predicted starts
 _ONE_RUN_R = 1e-3
 # _taylor_run's passes, two terms each: k, k + 1, 1/(k (k-1)), 1/((k+1) k)
 _TAYLOR_PASSES = tuple((float(k), float(k + 1), 1.0 / (k * (k - 1)),
@@ -473,7 +475,20 @@ def _taylor_run(a, z0, z1, n, w, v, terms=None):
     return w, v, expo, acc
 
 
-def _coefficient_bound(a, z0, z1):
+def _path(a, z0, z1):
+    """(r, L, q0) for a run from z0 to z1, what the bounds on the
+    equation's coefficient q(t) = t^2/4 + a along it share: r = max(|z0|,
+    |z1|), L = |z1 - z0| and q0 = |q(z0)| + |z0| L + L^2.  A chain's hop
+    forms it once for its step count and the term bounds of its runs."""
+    r0 = abs(z0)
+    r1 = abs(z1)
+    L = abs(z1 - z0)
+    # conditionals, not min and max: this runs once per Taylor hop
+    r = r0 if r0 > r1 else r1
+    return r, L, abs(0.25 * z0 * z0 + a) + (r0 + L) * L
+
+
+def _coefficient_bound(a, z0, z1, path=None):
     """A bound Q on the size of the equation's coefficient q(t) = t^2/4 +
     a along the path from z0 to z1: the smaller of |a| + max(|z0|,
     |z1|)^2/4, which bounds it on the segment, and |q(z0)| + |z0| L + L^2,
@@ -481,32 +496,30 @@ def _coefficient_bound(a, z0, z1):
     every step's disc, since q(z0 + e) = q(z0) + z0 e/2 + e^2/4.  The
     second is the smaller where the path is short next to where q is
     small, as between the real zeros inside the turning points, where
-    |q(x)| = |a| - x^2/4."""
-    r0 = abs(z0)
-    r1 = abs(z1)
-    L = abs(z1 - z0)
-    # conditionals, not min and max: this runs once per Taylor pair; Q is
-    # never above the first term, so no path takes more steps than by it
-    r = r0 if r0 > r1 else r1
+    |q(x)| = |a| - x^2/4.  path is _path(a, z0, z1), formed here if None."""
+    r, _, q0 = path or _path(a, z0, z1)
+    # Q is never above the first term, so no path takes more steps than
+    # by it
     q = abs(a) + r ** 2 / 4.0
-    q0 = abs(0.25 * z0 * z0 + a) + (r0 + L) * L
     return q0 if q0 < q else q
 
 
-def _step_count(a, z0, z1):
+def _step_count(a, z0, z1, path=None):
     """The step count n of a run from z0 to z1, where |h| max(1, sqrt(Q))
     ~ _TAYLOR_REACH, Q = _coefficient_bound; 0 where it would pass
-    _TAYLOR_MAX_STEPS or the path is empty."""
-    reach = abs(z1 - z0) * max(1.0, math.sqrt(_coefficient_bound(a, z0, z1)))
+    _TAYLOR_MAX_STEPS or the path is empty.  path as there."""
+    path = path or _path(a, z0, z1)
+    q = _coefficient_bound(a, z0, z1, path)
+    reach = path[1] * max(1.0, math.sqrt(q))
     n = math.ceil(reach / _TAYLOR_REACH) if math.isfinite(reach) else 0
     return n if 0 < n <= _TAYLOR_MAX_STEPS else 0
 
 
-def _term_bound(a, z0, z1, n):
+def _term_bound(a, z0, z1, n, path=None):
     """(cosh R, sinh(R)/R, R sinh R, cosh R): sum_k |d_k| <= |w| cosh R +
     |v| sinh(R)/R and sum_k k |d_k| <= |w| R sinh R + |v| cosh R in each
     step of an n-step run from z0 to z1 (_taylor_run), (w, v) the step's
-    start.
+    start; path as in _coefficient_bound.
 
     The moduli of the terms' recurrence are majorised by the terms D_k of
     W'' = (|c0| + |c1| x + |c2| x^2) W with W(0) = |w|, W'(0) = |v|, in
@@ -517,13 +530,9 @@ def _term_bound(a, z0, z1, n):
     R.  Every t0 of the path has |t0| <= max(|z0|, |z1|) = r, so R^2/|h|^2
     <= |a| + (r + |h|)^2/4, and t0 = z0 + e with |e| <= L = |z1 - z0|, so
     R^2/|h|^2 <= |q(z0)| + |z0| L + L^2, as in _coefficient_bound."""
-    r0 = abs(z0)
-    r1 = abs(z1)
-    L = abs(z1 - z0)
+    r, L, q0 = path or _path(a, z0, z1)
     hh = L / n
-    r = r0 if r0 > r1 else r1
     q = abs(a) + (r + hh) ** 2 / 4.0
-    q0 = abs(0.25 * z0 * z0 + a) + (r0 + L) * L
     R = hh * math.sqrt(q0 if q0 < q else q)
     c = math.cosh(R)
     sh = math.sinh(R)
@@ -570,17 +579,17 @@ def _taylor_pair(a, z0, z1, starts):
     return (r1[0], r1[1], x1 + r1[2]), (r2[0], r2[1], x2 + r2[2])
 
 
-def _taylor_one(a, z0, z1, run, n):
+def _taylor_one(a, z0, z1, run, n, path):
     """One Taylor run of n steps from z0 to z1, a chain's carried hop (n =
-    _step_count, or the pair's longer count where it adds a second run).
-    run is (w, d, x, A) at z0: U = w e^x, U' = d e^x, and A bounds the
-    Wronskian of U's error with U, in the frame e^(2x).  Returns the same
-    at z1, A carried into the new frame and grown by the run's rounding
-    bound (with the term bounds of its steps, _term_bound) and by the
-    rounding of d to and from h w' at either end; None where the
-    arithmetic overflowed."""
+    _step_count, or the pair's longer count where it adds a second run),
+    path = _path(a, z0, z1).  run is (w, d, x, A) at z0: U = w e^x, U' =
+    d e^x, and A bounds the Wronskian of U's error with U, in the frame
+    e^(2x).  Returns the same at z1, A carried into the new frame and
+    grown by the run's rounding bound (with the term bounds of its steps,
+    _term_bound) and by the rounding of d to and from h w' at either end;
+    None where the arithmetic overflowed."""
     w, d, x, A = run
-    r = _run(a, z0, z1, n, w, d, _term_bound(a, z0, z1, n))
+    r = _run(a, z0, z1, n, w, d, _term_bound(a, z0, z1, n, path))
     if r is None:
         return None
     w1, d1, dx, acc = r
@@ -588,7 +597,7 @@ def _taylor_one(a, z0, z1, run, n):
         f = math.exp(-2.0 * dx)
     except OverflowError:
         return None
-    A = (A + 2.0 * _EPS * abs(w * d)) * f + acc * n / abs(z1 - z0) \
+    A = (A + 2.0 * _EPS * abs(w * d)) * f + acc * n / path[1] \
         + 2.0 * _EPS * abs(w1 * d1)
     return w1, d1, x + dx, A
 
@@ -743,7 +752,8 @@ class Evaluator:
             return self._taylor(z, limit, start)
         z0, runs, err, e0 = start
         w, d, x = runs[-1][:3]
-        n = _step_count(self.a, z0, z)
+        path = _path(self.a, z0, z)
+        n = _step_count(self.a, z0, z, path)
         if not n:
             return None
         if len(runs) == 2:
@@ -757,7 +767,7 @@ class Evaluator:
             # answer, whose est holds the carried bound
             other = (w, d * (1.0 + 4.0 * _EPS), x)
             A = runs[0][3]
-        one = _taylor_one(self.a, z0, z, (w, d, x, A), n)
+        one = _taylor_one(self.a, z0, z, (w, d, x, A), n, path)
         if one is None:
             return None
         w, d, x, _ = one
@@ -766,7 +776,8 @@ class Evaluator:
             return _answer(w, d, "taylor", est, e0 + x), (z, (one,), err, e0)
         # off a zero, or over the limit: the pair of this run and a run of
         # the pair's longer step count from the other start
-        longer = _taylor_one(self.a, z0, z, other + (0.0,), n + n // 3 + 1)
+        longer = _taylor_one(self.a, z0, z, other + (0.0,), n + n // 3 + 1,
+                             path)
         if longer is None:
             return None
         if len(runs) == 1:

@@ -257,17 +257,12 @@ def _refine_family(kind, a, terms, ms):
     pass keeps to one stage's code and data: with a seed between each
     two hops, the hops take 27-30% longer.
 
-    Each zero starts from its seed plus a predicted correction.  The
-    error left by the expansion is smooth in m, so with d = refined -
-    seed and d1, d2, d3 the corrections of the last three zeros in chain
-    order, the next is predicted by the quadratic through them, 3 (d1 -
-    d2) + d3, as Glaser, Liu & Rokhlin predict each root from the ones
-    before it.  The next zero takes that start only where the same
-    prediction beat the bare seed at this zero, |d - pred| < |d|; that
-    switches it off where the corrections change fast (small a, the
-    first zeros, the short real families).  A zero that raised leaves no
-    correction, and the next starts from its bare seed.  The seed tuple
-    stays the expansion's; the RefinedZero's seed is the start.
+    Each zero starts from its seed plus the correction refine._next_shift
+    predicts from those of the zeros before it in chain order, d =
+    refined - seed: the error left by the expansion is smooth in m.
+    sweep starts its zeros by the same rule.  A zero that raised leaves
+    no correction, and the next starts from its bare seed.  The seed
+    tuple stays the expansion's; the RefinedZero's seed is the start.
     """
     backwards = kind in ("aneg-positive", "aneg-nonpositive")
     seeds = list(_seed_family(kind, a, terms,
@@ -295,9 +290,7 @@ def _refine_family(kind, a, terms, ms):
             continue
         out.append((m, s, rz))
         d = rz.value - s[3]
-        shift = 0j
-        if d3 is not None and abs(d - 3.0 * (d1 - d2) - d3) < abs(d):
-            shift = 3.0 * (d - d1) + d2
+        shift = refine._next_shift(d, d1, d2, d3)
         d1, d2, d3 = d, d1, d2
     if backwards:
         out.reverse()

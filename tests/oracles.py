@@ -7,9 +7,12 @@ path with the oracles.  The exceptions are eval_U_prime and
 residual_eq319: identities that combine eval_U at other a or z, and so
 check it against itself; the loop forms of the evaluator's two
 kernels, _taylor_run and asym_pair, which the package's kernels must
-match bit for bit; and refine_family_interleaved, the family chain with
+match bit for bit; refine_family_interleaved, the family chain with
 each zero seeded just before its refinement, which the package's
-two-pass zeros._refine_family must match bit for bit.
+two-pass zeros._refine_family must match bit for bit; and
+sweep_unpredicted, refine.sweep with each zero started from the bare
+H+ of the one before, whose zeros the package's predicted starts must
+match to rounding.
 """
 import cmath
 import math
@@ -18,7 +21,8 @@ import mpmath as mp
 import numpy as np
 
 from pcfzeros import refine
-from pcfzeros.errors import ConvergenceError, DomainError
+from pcfzeros.errors import (ChainBreakError, ConvergenceError, DomainError,
+                             _positive_int, require_finite)
 from pcfzeros.pcf_eval import (_ASYM_MAX_TERMS, _TAYLOR_MAX_TERMS,
                                _TAYLOR_ROUNDING, _TAYLOR_TINY, Evaluator,
                                PcfValue, eval_U)
@@ -408,4 +412,37 @@ def refine_family_interleaved(kind, a, terms, ms):
         d1, d2, d3 = d, d1, d2
     if backwards:
         out.reverse()
+    return out
+
+
+def sweep_unpredicted(a, z_start, count, tol=refine.STEP_TOL):
+    """refine.sweep with each zero after the first started from H+ of the
+    zero before, without the predicted correction."""
+    require_finite(a=a, z_start=z_start)
+    count = _positive_int(count, "count must be an integer >= 1")
+    walker = Evaluator(a, tol, "chain")
+    first = refine.t_iterate(a, z_start, tol=tol, evaluator=walker)
+    out = [first]
+    z = first.value
+    sq_prev = None
+    direction = 1.0
+    for _ in range(count - 1):
+        sq = refine._p_sqrt(a, z)
+        if sq_prev is not None and (sq * sq_prev.conjugate()).real < 0.0:
+            # branch flip of the principal square root; undo it to keep
+            # the displacement direction continuous
+            sq = -sq
+        if sq_prev is None:
+            # outward = growing |z|
+            if abs(z + math.pi / sq) < abs(z):
+                direction = -1.0
+        sq_prev = sq
+        spacing = math.pi / abs(sq)
+        zn = refine.t_iterate(a, z + direction * math.pi / sq, tol=tol,
+                              evaluator=walker)
+        if abs(zn.value - z) < 0.25 * spacing:
+            raise ChainBreakError(
+                f"sweep landed back on a found zero near z={zn.value}")
+        out.append(zn)
+        z = zn.value
     return out

@@ -1,4 +1,5 @@
 import cmath
+import contextlib
 import csv
 import io
 import json
@@ -11,6 +12,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcfzeros import cli, pcf_eval, refine
 from pcfzeros import zeros as zmod
@@ -554,6 +557,33 @@ def test_json_writer_is_json_dumps_with_indent_1(capsys, rows):
     fields = list(rows[0]) if rows else []
     cli._write_rows([tuple(r.values()) for r in rows], fields, "", "json")
     assert capsys.readouterr().out == json.dumps(rows, indent=1) + "\n"
+
+
+# the values zeros and validate write: family names, ints, floats down to
+# the subnormal and up to the largest double, NaN, the infinities, None
+_ROW_VALUES = st.one_of(
+    st.sampled_from(list(cli._FAMILY_FN)), st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, math.nan,
+                     math.inf, -math.inf, None]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=st.sampled_from([cli._ZEROS_FIELDS, cli._VALIDATE_FIELDS])
+       .flatmap(lambda fields: st.tuples(st.just(fields), st.lists(
+           st.tuples(*[_ROW_VALUES] * len(fields)), max_size=5))))
+def test_json_rows_are_json_dumps_with_indent_1(table):
+    fields, rows = table
+
+    def written(rows):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._write_rows(rows, fields, "", "json")
+        return out.getvalue()
+
+    assert written(rows) == json.dumps([dict(zip(fields, r)) for r in rows],
+                                       indent=1) + "\n"
+    assert written([]) == "[]\n"
 
 
 def test_csv_json_cross_format_equality(capsys):

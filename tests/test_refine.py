@@ -178,6 +178,30 @@ def test_sweep_chain_is_certified():
             assert abs(u / du) <= 1e-10 * spacing, (a, z)
 
 
+@pytest.mark.parametrize("a, z_start", [
+    (8.3, zeros_apos(8.3, 1).z), (20.3, zeros_apos(20.3, 1).z),
+    (-6.2, zeros_aneg_complex(-6.2, 1).z)], ids=["8.3", "20.3", "-6.2"])
+def test_sweep_predicted_starts_land_on_the_bare_starts_zeros(
+        monkeypatch, a, z_start):
+    # each zero started from H+ plus the predicted correction is the one
+    # the bare H+ start lands on, to rounding, in fewer evaluations of U
+    bare = oracles.sweep_unpredicted(a, z_start, 50)
+    calls = []
+    call = Evaluator.__call__
+
+    def counted(self, a, z):
+        calls.append(z)
+        return call(self, a, z)
+
+    monkeypatch.setattr(Evaluator, "__call__", counted)
+    swept = sweep(a, z_start, 50)
+    assert len(swept) == len(bare) == 50
+    for got, want in zip(swept, bare):
+        assert abs(got.value - want.value) <= 1e-15 * abs(want.value)
+    # 2.9-3.0 a zero from bare starts, 2.1-2.2 predicted
+    assert len(calls) <= 2.3 * 50
+
+
 _NAN, _INF = math.nan, math.inf
 
 
