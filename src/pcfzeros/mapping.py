@@ -78,8 +78,9 @@ def _zeta_raw(zh):
     if abs(zh) >= 1.0:
         y = 1.0 / (zh * zh)
         s = m.sqrt(1.0 - y)
-        br = 0.75 * (s - y * m.log(1.0 + s) - y * m.log(zh))
-        return m.exp(4.0 / 3.0 * m.log(zh)) * br ** (2.0 / 3.0)
+        lz = m.log(zh)
+        br = 0.75 * (s - y * m.log(1.0 + s) - y * lz)
+        return m.exp(4.0 / 3.0 * lz) * br ** (2.0 / 3.0)
     r = m.sqrt(1.0 - zh * zh)
     # arccos zhat: for a real zhat the argument of zhat + i r, which is
     # what the real part of the complex form rounds to

@@ -12,7 +12,8 @@ each zero seeded just before its refinement, which the package's
 two-pass zeros._refine_family must match bit for bit; and
 sweep_unpredicted, refine.sweep with each zero started from the bare
 H+ of the one before, whose zeros the package's predicted starts must
-match to rounding.
+match to rounding; and phase_grid_per_point, phase-grid's file written
+one point at a time, whose bytes the CLI's one write must match.
 """
 import cmath
 import math
@@ -446,3 +447,15 @@ def sweep_unpredicted(a, z_start, count, tol=refine.STEP_TOL):
         out.append(zn)
         z = zn.value
     return out
+
+
+def phase_grid_per_point(a, nx, ny, xs, ys, rows):
+    """The text of phase-grid's --out for the points xs x ys of a and
+    their values rows (pcf_eval._eval_grid's), written a point at a time
+    with each point's x, y and phase formatted for it."""
+    lines = [f"# pcfzeros phase-grid v1 a={a!r} nx={nx} ny={ny}\n",
+             "x,y,arg_u\n"]
+    for y, row in zip(ys, rows):
+        for x, v in zip(xs, row):
+            lines.append(f"{x!r},{y!r},{cmath.phase(v.value)!r}\n")
+    return "".join(lines)

@@ -586,6 +586,49 @@ def test_json_rows_are_json_dumps_with_indent_1(table):
     assert written([]) == "[]\n"
 
 
+# a column of a table: its cells drawn one by one; one value in every row,
+# as a table's a or an all-None column is; or values that compare equal
+# but are written differently (0.0, -0.0, 0; 1.0, 1), or NaNs that are
+# one object or several
+@st.composite
+def _tables(draw):
+    fields = draw(st.sampled_from([cli._ZEROS_FIELDS, cli._VALIDATE_FIELDS]))
+    n = draw(st.integers(0, 5))
+
+    def column():
+        return draw(st.one_of(
+            st.lists(_ROW_VALUES, min_size=n, max_size=n),
+            _ROW_VALUES.map(lambda v: [v] * n),
+            st.lists(st.sampled_from([0.0, -0.0, 0, 1.0, 1]), min_size=n,
+                     max_size=n),
+            st.lists(st.sampled_from([math.nan, None]) | st.builds(
+                float, st.just("nan")), min_size=n, max_size=n)))
+    return fields, list(zip(*[column() for _ in fields]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_tables())
+def test_csv_rows_are_csv_writer_rows(table):
+    fields, rows = table
+
+    def written(rows):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._write_rows(rows, fields, "zeros v1 a=8.3", "csv")
+        return out.getvalue()
+
+    def csv_writer(rows):
+        out = io.StringIO()
+        out.write("# pcfzeros zeros v1 a=8.3\n")
+        w = csv.writer(out, lineterminator="\n")
+        w.writerow(fields)
+        w.writerows(rows)
+        return out.getvalue()
+
+    assert written(rows) == csv_writer(rows)
+    assert written([]) == csv_writer([])
+
+
 def test_csv_json_cross_format_equality(capsys):
     args = ["zeros", "--a", "8.3", "--family", "apos", "--count", "2",
             "--jobs", "1"]
@@ -840,16 +883,17 @@ def test_phase_grid_tries_steps_before_the_series(monkeypatch, tmp_path):
     assert len(calls) <= 8
 
 
+def _grid_coords(lo, hi, n):
+    """phase-grid's n coordinates from lo to hi."""
+    return [lo] if n == 1 else [lo + (hi - lo) * i / (n - 1)
+                                for i in range(n)]
+
+
 def test_phase_grid_rows_keep_their_order(tmp_path):
     # the end columns are walked first and each row from either end; rows
     # are still written y-major with x ascending, each phase that of its
     # own point, also where a row has no interior or the grid one column
     out = tmp_path / "grid.csv"
-
-    def coords(lo, hi, n):
-        return [lo] if n == 1 else [lo + (hi - lo) * i / (n - 1)
-                                    for i in range(n)]
-
     for nx, ny in [(nx, ny) for nx in (1, 2, 3) for ny in (1, 2, 3)] \
             + [(4, 3)]:
         rc = cli.main(["phase-grid", "--a", "8.3",
@@ -859,11 +903,33 @@ def test_phase_grid_rows_keep_their_order(tmp_path):
         assert rc == 0
         rows = [tuple(float(t) for t in ln.split(","))
                 for ln in out.read_text().splitlines()[2:]]
-        assert [r[:2] for r in rows] == [(x, y) for y in coords(5.0, 10.0, ny)
-                                         for x in coords(-6.0, 0.0, nx)]
+        assert [r[:2] for r in rows] == [
+            (x, y) for y in _grid_coords(5.0, 10.0, ny)
+            for x in _grid_coords(-6.0, 0.0, nx)]
         for x, y, ph in rows:
             v = pcf_eval.eval_U(8.3, complex(x, y), tol=1e-6)
             assert abs(ph - cmath.phase(v.value)) <= 2e-6, (nx, ny, x, y)
+
+
+@pytest.mark.parametrize("box", [("-6", "0", "5", "10"),
+                                 ("-2", "-0.0", "-0.0", "1")],
+                         ids=["readme", "signed-zero"])
+def test_phase_grid_file_is_the_per_point_writers(tmp_path, box):
+    # the file is laid out in one write, each x and y formatted once; the
+    # bytes are those of the writer that formatted every point's cells
+    out = tmp_path / "grid.csv"
+    lo_re, hi_re, lo_im, hi_im = (float(t) for t in box)
+    for nx, ny in [(1, 1), (1, 3), (3, 1), (4, 3)]:
+        rc = cli.main(["phase-grid", "--a", "8.3", f"--re-min={box[0]}",
+                       f"--re-max={box[1]}", f"--im-min={box[2]}",
+                       f"--im-max={box[3]}", "--nx", str(nx), "--ny",
+                       str(ny), "--out", str(out)])
+        assert rc == 0
+        xs = _grid_coords(lo_re, hi_re, nx)
+        ys = _grid_coords(lo_im, hi_im, ny)
+        rows = pcf_eval._eval_grid(8.3, xs, ys, tol=1e-6)
+        assert out.read_text() == oracles.phase_grid_per_point(
+            8.3, nx, ny, xs, ys, rows), (box, nx, ny)
 
 
 def test_phase_grid_through_an_exact_zero_exits_4(capsys, tmp_path):
