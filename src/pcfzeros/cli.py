@@ -224,13 +224,17 @@ def _csv_body(rows):
 def cmd_zeros(args):
     found, code = _records(args, args.refine)
     found.sort(key=itemgetter(0, 1))
-    rows = []
-    for kind, m, za, used, zr, residual in found:
-        ref = eps = (None, None)
-        if zr is not None:
-            ref, eps = (zr.real, zr.imag), _compare(za, zr)[2:]
-        rows.append((kind, args.a, m, used, za.real, za.imag, *ref, *eps,
-                     residual))
+    a = args.a
+    if not args.refine:
+        # the refined columns are None: no comparison, no unpacking
+        rows = [(kind, a, m, used, za.real, za.imag, None, None, None, None,
+                 None) for kind, m, za, used, _, _ in found]
+    else:
+        rows = []
+        for kind, m, za, used, zr, residual in found:
+            _, _, eps1, eps2 = _compare(za, zr)
+            rows.append((kind, a, m, used, za.real, za.imag, zr.real,
+                         zr.imag, eps1, eps2, residual))
     header = (f"zeros v1 a={args.a!r} family={args.family} "
               f"terms={args.terms} refine={int(args.refine)}")
     _write_rows(rows, _ZEROS_FIELDS, header, args.format)

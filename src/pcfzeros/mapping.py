@@ -25,7 +25,8 @@ invert_zeta map a real argument in floats too, and answer complex.
 import cmath
 import math
 
-from .errors import ConvergenceError, DomainError, _positive_int, _tolerance
+from .errors import (ConvergenceError, DomainError, _positive_int,
+                     _tolerance, require_finite)
 
 # within this distance of zhat = 1 the closed forms of zeta, sigma and the
 # corrections (coeffs) cancel; each Taylor table (see tests/test_coeffs.py)
@@ -97,7 +98,9 @@ def _zeta(zh):
 
 def zeta(zh):
     """The turning-point variable; real for real zhat in (-1, inf), 0 at 1.
-    A real zhat is mapped in floats."""
+    A real zhat is mapped in floats.  A zh that is not a finite number,
+    or one on the cut, is a DomainError."""
+    require_finite(zh=zh)
     zh = complex(zh)
     if zh.imag != 0.0:
         return _zeta(zh)
@@ -123,12 +126,19 @@ def _real_section_start(zt):
     start left of the root, and the residual is convex on [0, pi], so
     after the first step the iterates decrease to it.  K and phi are
     kept <= pi, so zhat >= 0 (a target just below zeta(0) starts at
-    zhat = cos(pi/2))."""
-    k = min((8.0 / 3.0) * (-zt) ** 1.5, math.pi)
-    phi = min((6.0 * k) ** (1.0 / 3.0), math.pi)
+    zhat = cos(pi/2)).  Each cap is a test, not a call of min, whose
+    answer it keeps: a NaN stays NaN, as min(nan, pi) keeps it."""
+    k = (8.0 / 3.0) * (-zt) ** 1.5
+    if math.pi < k:
+        k = math.pi
+    phi = (6.0 * k) ** (1.0 / 3.0)
+    if math.pi < phi:
+        phi = math.pi
     for _ in range(_PHI_MAX_ITER):
         step = (phi - math.sin(phi) - k) / (1.0 - math.cos(phi))
-        phi = min(phi - step, math.pi)
+        phi = phi - step
+        if math.pi < phi:
+            phi = math.pi
         if abs(step) <= 1e-15 * phi:
             break
     return math.cos(0.5 * phi)
@@ -147,11 +157,27 @@ def invert_zeta(zt_target, tol=1e-14, max_iter=60):
     that exceeds tol, as it does once |zeta| is past about 1e40.  Each
     Newton step uses dzhat/dzeta = sigma, taken by _sigma from the zeta
     just evaluated; within TP_RADIUS of zhat = 1 both are Taylor sums in
-    doubles.  A tol that is not a finite number >= 0, or a max_iter that
-    is not an integer >= 1, is a DomainError.
+    doubles.  A tol that is not a finite number >= 0, a max_iter that is
+    not an integer >= 1 (2.0 is 2), or a zt_target that is not a finite
+    number, is a DomainError, checked in that order; so is a target whose
+    3/2 power leaves the double range.  A float target is solved as it
+    is, with no round trip through complex.
     """
     tol = _tolerance(tol)
-    max_iter = _positive_int(max_iter, "max_iter must be an integer >= 1")
+    if type(max_iter) is not int or max_iter < 1:
+        max_iter = _positive_int(max_iter,
+                                 "max_iter must be an integer >= 1")
+    # require_finite's test inline, as Evaluator.__call__ has it, so that
+    # a float target pays for no call with keywords
+    try:
+        finite = cmath.isfinite(zt_target)
+    except TypeError:
+        raise DomainError(f"zt_target = {zt_target!r} is not a number") \
+            from None
+    if not finite:
+        raise DomainError(f"zt_target = {zt_target} is not finite")
+    if type(zt_target) is float:
+        return complex(_invert(zt_target, tol, max_iter))
     zt_target = complex(zt_target)
     if zt_target.imag != 0.0:
         return _invert(zt_target, tol, max_iter)

@@ -56,7 +56,7 @@ its error by the entry's rule.  The entries:
      Wronskian U dU' - U' dU of its error dU with U: w'' = q w keeps it
      constant, so each step's rounding bound (_taylor_run, from bounds on
      its terms' magnitudes and on their multiples k |d_k| by the step's
-     reach, _term_bound) is added once, and where |U| <= 1e-3 |U'|/(1 +
+     reach, _plan) is added once, and where |U| <= 1e-3 |U'|/(1 +
      |z|), next to a zero, (1 + |z|) A / |U'|^2 plus the start's est
      bounds the error (_one_run_estimate).  From a pair, A starts at
      _WALK_SAFETY times the runs' own Wronskian difference.  A real hop
@@ -69,7 +69,10 @@ its error by the entry's rule.  The entries:
      hops of hermite_zeros(n) over the perfbench orders) pairs its run
      with one of the pair's longer step count from the start's other run
      (from a one-run start, its U' 4 ulps off, as _start does), and their
-     difference gives the estimate.
+     difference gives the estimate.  A hop takes its step count, its
+     path's length and its term bounds from one _plan call, as the pair's
+     runs take their step counts, and it forms the other run's start only
+     where it pairs.
 
 Exponentially large/small results carry a real exponent so that
 value * e^exponent is the true function value.
@@ -98,7 +101,7 @@ _MP_KEPT = 5
 # the chain entry's limit on the U'-scaled error
 _NEAR_ZERO_TOL = 1e-12
 # Taylor steps: |h| * sqrt(Q) per step, Q a bound on |z^2/4 + a| along
-# the path (_coefficient_bound), the step-count cap, and the term size
+# the path (_plan), the step-count cap, and the term size
 # (relative to |w| + |h w'| = 1) that ends a series.  The reach was
 # measured with Q = |a| + |z|^2/4: on the CLI tables and hermite_zeros, 4
 # took a quarter fewer steps than 2.5 and summed a fifth fewer terms; at
@@ -427,7 +430,7 @@ def _taylor_run(a, z0, z1, n, w, v, terms=None):
 
     The rounding bound is 0.0 unless terms = (C, S, C', S') is given, such
     that sum_k |d_k| <= C |w| + S |v| and sum_k k |d_k| <= C' |w| + S' |v|
-    with (w, v) a step's start (_term_bound); then it is the sum over the
+    with (w, v) a step's start (_plan); then it is the sum over the
     steps of a bound on |w dv - v dw|, (dw, dv) the error a step adds to
     its end data: the sums of w and of v = sum_k k d_k are off by at most
     _TAYLOR_ROUNDING (C |w| + S |v|) and _TAYLOR_ROUNDING (C' |w| + S'
@@ -475,68 +478,54 @@ def _taylor_run(a, z0, z1, n, w, v, terms=None):
     return w, v, expo, acc
 
 
-def _path(a, z0, z1):
-    """(r, L, q0) for a run from z0 to z1, what the bounds on the
-    equation's coefficient q(t) = t^2/4 + a along it share: r = max(|z0|,
-    |z1|), L = |z1 - z0| and q0 = |q(z0)| + |z0| L + L^2.  A chain's hop
-    forms it once for its step count and the term bounds of its runs."""
+def _plan(a, z0, z1):
+    """The plan of a Taylor run from z0 to z1, all that a chain's hop and
+    _taylor_pair take of its path, from one call: (n, L, terms, Q), or
+    None where n would pass _TAYLOR_MAX_STEPS or the path is empty.
+
+    Q bounds the size of the equation's coefficient q(t) = t^2/4 + a
+    along the path: the smaller of |a| + r^2/4, r = max(|z0|, |z1|),
+    which bounds it on the segment, and q0 = |q(z0)| + |z0| L + L^2, L =
+    |z1 - z0|, which bounds it on the disc |t - z0| <= 2L that holds
+    every step's disc, since q(z0 + e) = q(z0) + z0 e/2 + e^2/4.  The
+    second is the smaller where the path is short next to where q is
+    small, as between the real zeros inside the turning points, where
+    |q(x)| = |a| - x^2/4.  Q is never above the first, so no path takes
+    more steps than by it.  n, the step count, has |h| max(1, sqrt(Q)) ~
+    _TAYLOR_REACH, h = (z1 - z0)/n.
+
+    terms = (cosh R, sinh(R)/R, R sinh R, cosh R) gives sum_k |d_k| <=
+    |w| cosh R + |v| sinh(R)/R and sum_k k |d_k| <= |w| R sinh R + |v|
+    cosh R in each step of the n-step run (_taylor_run), (w, v) the
+    step's start.  The moduli of the terms' recurrence are majorised by
+    the terms D_k of W'' = (|c0| + |c1| x + |c2| x^2) W with W(0) = |w|,
+    W'(0) = |v|, in x = (t - t0)/h, and on [0, 1] that W is at most the
+    solution of W'' = R^2 W, R^2 = |c0| + |c1| + |c2| = |h|^2 (|q0| +
+    |q1| |h| + |h|^2/4), so sum_k |d_k| <= W(1) <= |w| cosh R + |v|
+    sinh(R)/R, and sum_k k |d_k| = W'(1), at most that solution's
+    derivative, |w| R sinh R + |v| cosh R.  Every t0 of the path has
+    |t0| <= r, so R^2/|h|^2 <= |a| + (r + |h|)^2/4, and t0 = z0 + e with
+    |e| <= L, so R^2/|h|^2 <= q0, as for Q.  Only a one-run hop uses
+    terms; the pair forms no rounding bound."""
     r0 = abs(z0)
     r1 = abs(z1)
     L = abs(z1 - z0)
     # conditionals, not min and max: this runs once per Taylor hop
     r = r0 if r0 > r1 else r1
-    return r, L, abs(0.25 * z0 * z0 + a) + (r0 + L) * L
-
-
-def _coefficient_bound(a, z0, z1, path=None):
-    """A bound Q on the size of the equation's coefficient q(t) = t^2/4 +
-    a along the path from z0 to z1: the smaller of |a| + max(|z0|,
-    |z1|)^2/4, which bounds it on the segment, and |q(z0)| + |z0| L + L^2,
-    L = |z1 - z0|, which bounds it on the disc |t - z0| <= 2L that holds
-    every step's disc, since q(z0 + e) = q(z0) + z0 e/2 + e^2/4.  The
-    second is the smaller where the path is short next to where q is
-    small, as between the real zeros inside the turning points, where
-    |q(x)| = |a| - x^2/4.  path is _path(a, z0, z1), formed here if None."""
-    r, _, q0 = path or _path(a, z0, z1)
-    # Q is never above the first term, so no path takes more steps than
-    # by it
+    q0 = abs(0.25 * z0 * z0 + a) + (r0 + L) * L
     q = abs(a) + r ** 2 / 4.0
-    return q0 if q0 < q else q
-
-
-def _step_count(a, z0, z1, path=None):
-    """The step count n of a run from z0 to z1, where |h| max(1, sqrt(Q))
-    ~ _TAYLOR_REACH, Q = _coefficient_bound; 0 where it would pass
-    _TAYLOR_MAX_STEPS or the path is empty.  path as there."""
-    path = path or _path(a, z0, z1)
-    q = _coefficient_bound(a, z0, z1, path)
-    reach = path[1] * max(1.0, math.sqrt(q))
+    if q0 < q:
+        q = q0
+    reach = L * max(1.0, math.sqrt(q))
     n = math.ceil(reach / _TAYLOR_REACH) if math.isfinite(reach) else 0
-    return n if 0 < n <= _TAYLOR_MAX_STEPS else 0
-
-
-def _term_bound(a, z0, z1, n, path=None):
-    """(cosh R, sinh(R)/R, R sinh R, cosh R): sum_k |d_k| <= |w| cosh R +
-    |v| sinh(R)/R and sum_k k |d_k| <= |w| R sinh R + |v| cosh R in each
-    step of an n-step run from z0 to z1 (_taylor_run), (w, v) the step's
-    start; path as in _coefficient_bound.
-
-    The moduli of the terms' recurrence are majorised by the terms D_k of
-    W'' = (|c0| + |c1| x + |c2| x^2) W with W(0) = |w|, W'(0) = |v|, in
-    x = (t - t0)/h, and on [0, 1] that W is at most the solution of W'' =
-    R^2 W, R^2 = |c0| + |c1| + |c2| = |h|^2 (|q0| + |q1| |h| + |h|^2/4),
-    so sum_k |d_k| <= W(1) <= |w| cosh R + |v| sinh(R)/R, and sum_k k |d_k|
-    = W'(1), at most that solution's derivative, |w| R sinh R + |v| cosh
-    R.  Every t0 of the path has |t0| <= max(|z0|, |z1|) = r, so R^2/|h|^2
-    <= |a| + (r + |h|)^2/4, and t0 = z0 + e with |e| <= L = |z1 - z0|, so
-    R^2/|h|^2 <= |q(z0)| + |z0| L + L^2, as in _coefficient_bound."""
-    r, L, q0 = path or _path(a, z0, z1)
+    if not 0 < n <= _TAYLOR_MAX_STEPS:
+        return None
     hh = L / n
-    q = abs(a) + (r + hh) ** 2 / 4.0
-    R = hh * math.sqrt(q0 if q0 < q else q)
+    qh = abs(a) + (r + hh) ** 2 / 4.0
+    R = hh * math.sqrt(q0 if q0 < qh else qh)
     c = math.cosh(R)
     sh = math.sinh(R)
-    return c, (sh / R if R > 0.0 else 1.0), R * sh, c
+    return n, L, (c, (sh / R if R > 0.0 else 1.0), R * sh, c), q
 
 
 def _run(a, z0, z1, n, w, d, terms=None):
@@ -558,16 +547,17 @@ def _run(a, z0, z1, n, w, d, terms=None):
 
 
 def _taylor_pair(a, z0, z1, starts):
-    """The two Taylor runs from z0 to z1, with n (_step_count) and n +
-    n//3 + 1 steps.  starts holds each run's (w, d, x) at z0, meaning U =
+    """The two Taylor runs from z0 to z1, with n (_plan) and n + n//3 + 1
+    steps.  starts holds each run's (w, d, x) at z0, meaning U =
     w e^x and U' = d e^x; returns the same at z1, or None when the step
     count would pass _TAYLOR_MAX_STEPS or the arithmetic overflowed.  The
     runs' difference gives the estimate (_relative_estimate,
     _scaled_estimate), so they form no rounding bound.
     """
-    n = _step_count(a, z0, z1)
-    if not n:
+    plan = _plan(a, z0, z1)
+    if plan is None:
         return None
+    n = plan[0]
     n2 = n + n // 3 + 1
     (w1, d1, x1), (w2, d2, x2) = starts
     r1 = _run(a, z0, z1, n, w1, d1)
@@ -579,17 +569,17 @@ def _taylor_pair(a, z0, z1, starts):
     return (r1[0], r1[1], x1 + r1[2]), (r2[0], r2[1], x2 + r2[2])
 
 
-def _taylor_one(a, z0, z1, run, n, path):
-    """One Taylor run of n steps from z0 to z1, a chain's carried hop (n =
-    _step_count, or the pair's longer count where it adds a second run),
-    path = _path(a, z0, z1).  run is (w, d, x, A) at z0: U = w e^x, U' =
-    d e^x, and A bounds the Wronskian of U's error with U, in the frame
-    e^(2x).  Returns the same at z1, A carried into the new frame and
-    grown by the run's rounding bound (with the term bounds of its steps,
-    _term_bound) and by the rounding of d to and from h w' at either end;
-    None where the arithmetic overflowed."""
+def _taylor_one(a, z0, z1, run, plan):
+    """One Taylor run from z0 to z1, a chain's carried hop, by plan =
+    _plan(a, z0, z1): its n steps, with the term bounds of its steps.
+    run is (w, d, x, A) at z0: U = w e^x, U' = d e^x, and A bounds the
+    Wronskian of U's error with U, in the frame e^(2x).  Returns the same
+    at z1, A carried into the new frame and grown by the run's rounding
+    bound and by the rounding of d to and from h w' at either end; None
+    where the arithmetic overflowed."""
     w, d, x, A = run
-    r = _run(a, z0, z1, n, w, d, _term_bound(a, z0, z1, n, path))
+    n, L, terms, _ = plan
+    r = _run(a, z0, z1, n, w, d, terms)
     if r is None:
         return None
     w1, d1, dx, acc = r
@@ -597,7 +587,7 @@ def _taylor_one(a, z0, z1, run, n, path):
         f = math.exp(-2.0 * dx)
     except OverflowError:
         return None
-    A = (A + 2.0 * _EPS * abs(w * d)) * f + acc * n / path[1] \
+    A = (A + 2.0 * _EPS * abs(w * d)) * f + acc * n / L \
         + 2.0 * _EPS * abs(w1 * d1)
     return w1, d1, x + dx, A
 
@@ -751,38 +741,40 @@ class Evaluator:
         if self._scale.one_run is None:
             return self._taylor(z, limit, start)
         z0, runs, err, e0 = start
-        w, d, x = runs[-1][:3]
-        path = _path(self.a, z0, z)
-        n = _step_count(self.a, z0, z, path)
-        if not n:
+        plan = _plan(self.a, z0, z)
+        if plan is None:
             return None
-        if len(runs) == 2:
+        if len(runs) == 1:
+            run = runs[0]
+        else:
             # from a pair: its runs' Wronskian difference, in the frame of
             # the second, from which the answers come
-            other = runs[0]
-            w1, d1, x1 = other
-            A = _WALK_SAFETY * abs((w1 * d - d1 * w) * math.exp(x1 - x))
-        else:
-            # a pair from here starts as _start's does, from the last
-            # answer, whose est holds the carried bound
-            other = (w, d * (1.0 + 4.0 * _EPS), x)
-            A = runs[0][3]
-        one = _taylor_one(self.a, z0, z, (w, d, x, A), n, path)
+            (w1, d1, x1), (w, d, x) = runs
+            run = w, d, x, _WALK_SAFETY * abs((w1 * d - d1 * w)
+                                              * math.exp(x1 - x))
+        one = _taylor_one(self.a, z0, z, run, plan)
         if one is None:
             return None
-        w, d, x, _ = one
         est = self._scale.one_run(one, err, z)
+        w, d, x, _ = one
         if est is not None and est <= limit:
             return _answer(w, d, "taylor", est, e0 + x), (z, (one,), err, e0)
         # off a zero, or over the limit: the pair of this run and a run of
-        # the pair's longer step count from the other start
-        longer = _taylor_one(self.a, z0, z, other + (0.0,), n + n // 3 + 1,
-                             path)
+        # the pair's longer step count from the start's other run, which
+        # carries no bound, as the pair's runs do not
+        if len(runs) == 1:
+            # as _start's pair starts, from the last answer, whose est
+            # holds the carried bound
+            w0, d0, x0, _ = run
+            d0 *= 1.0 + 4.0 * _EPS
+            err = self._scale.seed(self._last.est_accuracy)
+        else:
+            w0, d0, x0 = runs[0]
+        n = plan[0]
+        longer = _run(self.a, z0, z, n + n // 3 + 1, w0, d0)
         if longer is None:
             return None
-        if len(runs) == 1:
-            err = self._scale.seed(self._last.est_accuracy)
-        runs = (longer[:3], (w, d, x))
+        runs = ((longer[0], longer[1], x0 + longer[2]), (w, d, x))
         est = self._scale.estimate(runs, err, z)
         if not est <= limit:
             return None

@@ -62,16 +62,29 @@ def t_iterate(a, z0, tol=STEP_TOL, max_iter=20, evaluator=None):
     asymptotic stage does.  To refine many zeros, pass one chain
     Evaluator to every call, or use sweep.  A non-finite U or U',
     or a point where T is undefined, raises ConvergenceError; so does an
-    iteration that does not converge within max_iter steps.  A tol that
-    is NaN, infinite or negative, or a max_iter that is not an integer >=
-    1, is a DomainError.
+    iteration that does not converge within max_iter steps.  An a or z0
+    that is not a finite number, a tol that is not a finite number >= 0,
+    or a max_iter that is not an integer >= 1 (2.0 is 2), is a
+    DomainError.  Finite numbers, a valid tol and an int max_iter, as
+    the package's chains pass them, are accepted by one test; anything
+    else (True or 2.0 for max_iter too) goes through require_finite,
+    _tolerance and _positive_int, in that order, which answer or raise as
+    they do for every function that takes these arguments.
     """
-    require_finite(a=a, z=z0)
-    tol = _tolerance(tol)
-    max_iter = _positive_int(max_iter, "max_iter must be an integer >= 1")
+    try:
+        valid = (cmath.isfinite(a) and cmath.isfinite(z0)
+                 and 0.0 <= tol < math.inf and type(max_iter) is int
+                 and max_iter >= 1)
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        require_finite(a=a, z=z0)
+        tol = _tolerance(tol)
+        max_iter = _positive_int(max_iter,
+                                 "max_iter must be an integer >= 1")
     if evaluator is None:
         evaluator = Evaluator(a, tol, "chain")
-    z = complex(z0)
+    start = z = complex(z0)
     residual = math.inf
     for its in range(1, max_iter + 1):
         v = evaluator(a, z)
@@ -89,13 +102,15 @@ def t_iterate(a, z0, tol=STEP_TOL, max_iter=20, evaluator=None):
                 last=z) from None
         # keep each displacement below half the local zero spacing
         cap = 0.5 * math.pi / abs(sq)
-        if abs(step) > cap:
-            step *= cap / abs(step)
+        size = abs(step)
+        if size > cap:
+            step *= cap / size
+            size = abs(step)
         z = z - step
-        residual = abs(step) / (1.0 + abs(z))
+        residual = size / (1.0 + abs(z))
         if residual <= tol:
             # positional: keywords cost half as much again
-            return RefinedZero(z, complex(z0), its, residual)
+            return RefinedZero(z, start, its, residual)
     raise ConvergenceError("t_iterate did not converge", last=z,
                            residual=residual)
 

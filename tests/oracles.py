@@ -12,8 +12,11 @@ each zero seeded just before its refinement, which the package's
 two-pass zeros._refine_family must match bit for bit; and
 sweep_unpredicted, refine.sweep with each zero started from the bare
 H+ of the one before, whose zeros the package's predicted starts must
-match to rounding; and phase_grid_per_point, phase-grid's file written
-one point at a time, whose bytes the CLI's one write must match.
+match to rounding; phase_grid_per_point, phase-grid's file written
+one point at a time, whose bytes the CLI's one write must match; and
+carried_hop, a chain Evaluator's carried hop with its path, step count
+and term bounds formed by four calls, whose answer and carried start
+the package's one-plan hop must match bit for bit.
 """
 import cmath
 import math
@@ -24,9 +27,11 @@ import numpy as np
 from pcfzeros import refine
 from pcfzeros.errors import (ChainBreakError, ConvergenceError, DomainError,
                              _positive_int, require_finite)
-from pcfzeros.pcf_eval import (_ASYM_MAX_TERMS, _TAYLOR_MAX_TERMS,
-                               _TAYLOR_ROUNDING, _TAYLOR_TINY, Evaluator,
-                               PcfValue, eval_U)
+from pcfzeros.pcf_eval import (_ASYM_MAX_TERMS, _EPS, _TAYLOR_MAX_STEPS,
+                               _TAYLOR_MAX_TERMS, _TAYLOR_REACH,
+                               _TAYLOR_ROUNDING, _TAYLOR_TINY, _WALK_SAFETY,
+                               Evaluator, PcfValue, _answer,
+                               _one_run_estimate, _run, eval_U)
 from pcfzeros.zeros import _seeder
 
 DPS = 30
@@ -459,3 +464,96 @@ def phase_grid_per_point(a, nx, ny, xs, ys, rows):
         for x, v in zip(xs, row):
             lines.append(f"{x!r},{y!r},{cmath.phase(v.value)!r}\n")
     return "".join(lines)
+
+
+def _hop_path(a, z0, z1):
+    """(r, L, q0) of a run from z0 to z1: r = max(|z0|, |z1|), L = |z1 -
+    z0| and q0 = |q(z0)| + |z0| L + L^2."""
+    r0 = abs(z0)
+    r1 = abs(z1)
+    L = abs(z1 - z0)
+    r = r0 if r0 > r1 else r1
+    return r, L, abs(0.25 * z0 * z0 + a) + (r0 + L) * L
+
+
+def _hop_step_count(a, path):
+    """The step count of a run along path, where |h| max(1, sqrt(Q)) ~
+    _TAYLOR_REACH, Q the smaller of |a| + r^2/4 and q0; 0 past
+    _TAYLOR_MAX_STEPS or for an empty path."""
+    r, L, q0 = path
+    q = abs(a) + r ** 2 / 4.0
+    q = q0 if q0 < q else q
+    reach = L * max(1.0, math.sqrt(q))
+    n = math.ceil(reach / _TAYLOR_REACH) if math.isfinite(reach) else 0
+    return n if 0 < n <= _TAYLOR_MAX_STEPS else 0
+
+
+def _hop_term_bound(a, n, path):
+    """(cosh R, sinh(R)/R, R sinh R, cosh R) of each step of an n-step run
+    along path."""
+    r, L, q0 = path
+    hh = L / n
+    q = abs(a) + (r + hh) ** 2 / 4.0
+    R = hh * math.sqrt(q0 if q0 < q else q)
+    c = math.cosh(R)
+    sh = math.sinh(R)
+    return c, (sh / R if R > 0.0 else 1.0), R * sh, c
+
+
+def _hop_one(a, z0, z1, run, n, path):
+    """One n-step run from run = (w, d, x, A) at z0, A carried and grown
+    by the run's rounding bound; None where the arithmetic overflowed."""
+    w, d, x, A = run
+    r = _run(a, z0, z1, n, w, d, _hop_term_bound(a, n, path))
+    if r is None:
+        return None
+    w1, d1, dx, acc = r
+    try:
+        f = math.exp(-2.0 * dx)
+    except OverflowError:
+        return None
+    A = (A + 2.0 * _EPS * abs(w * d)) * f + acc * n / path[1] \
+        + 2.0 * _EPS * abs(w1 * d1)
+    return w1, d1, x + dx, A
+
+
+def carried_hop(ev, z, limit):
+    """A chain Evaluator ev's carried hop to z within limit, as
+    Evaluator._carried answers it from ev's state: (answer, the start it
+    leaves) or None.  Its path, step count and term bounds come from
+    four calls, both runs of a pair from _hop_one, and the other run's
+    start is formed before the first run."""
+    start = ev._start
+    if start is None:
+        return None
+    a = ev.a
+    z0, runs, err, e0 = start
+    w, d, x = runs[-1][:3]
+    path = _hop_path(a, z0, z)
+    n = _hop_step_count(a, path)
+    if not n:
+        return None
+    if len(runs) == 2:
+        other = runs[0]
+        w1, d1, x1 = other
+        A = _WALK_SAFETY * abs((w1 * d - d1 * w) * math.exp(x1 - x))
+    else:
+        other = (w, d * (1.0 + 4.0 * _EPS), x)
+        A = runs[0][3]
+    one = _hop_one(a, z0, z, (w, d, x, A), n, path)
+    if one is None:
+        return None
+    w, d, x, _ = one
+    est = _one_run_estimate(one, err, z)
+    if est is not None and est <= limit:
+        return _answer(w, d, "taylor", est, e0 + x), (z, (one,), err, e0)
+    longer = _hop_one(a, z0, z, other + (0.0,), n + n // 3 + 1, path)
+    if longer is None:
+        return None
+    if len(runs) == 1:
+        err = ev._scale.seed(ev._last.est_accuracy)
+    runs = (longer[:3], (w, d, x))
+    est = ev._scale.estimate(runs, err, z)
+    if not est <= limit:
+        return None
+    return _answer(w, d, "taylor", est, e0 + x), (z, runs, err, e0)

@@ -179,6 +179,41 @@ def test_invert_zeta_below_image_rejected():
         invert_zeta(ZETA_AT_0 - 0.2)
 
 
+@pytest.mark.parametrize("value,shown", [
+    (math.nan, "nan is not finite"), (math.inf, "inf is not finite"),
+    (-math.inf, "-inf is not finite"),
+    (complex(1.0, math.nan), "(1+nanj) is not finite"),
+    (complex(-math.inf, 0.0), "(-inf+0j) is not finite"),
+    ("1", "'1' is not a number"), ("x", "'x' is not a number"),
+    (None, "None is not a number"), ([1.0], "[1.0] is not a number")])
+@pytest.mark.parametrize("fn,name", [(zeta, "zh"), (invert_zeta, "zt_target")],
+                         ids=["zeta", "invert_zeta"])
+def test_argument_that_is_not_a_finite_number_is_a_domain_error(fn, name,
+                                                                value, shown):
+    # as require_finite words it: invert_zeta took "1" as 1, raised a bare
+    # ValueError for "x" and TypeError for None, and ran 60 Newton steps
+    # from NaN into a ConvergenceError; zeta returned nan+0j for NaN and inf
+    with pytest.raises(DomainError) as info:
+        fn(value)
+    assert str(info.value) == f"{name} = {shown}"
+
+
+def test_real_targets_of_other_types_are_the_float_targets():
+    # a float is solved without going through complex; an int, a numpy
+    # float and a complex with a zero imaginary part take the complex
+    # path to the same bits, and a finite target too large for its 3/2
+    # power keeps its own DomainError
+    for zt in (-1.0, -0.3, 2.0, 7.5):
+        expect = invert_zeta(zt)
+        for other in (np.float64(zt), complex(zt, 0.0)):
+            assert repr(invert_zeta(other)) == repr(expect)
+    assert repr(invert_zeta(2)) == repr(invert_zeta(2.0))
+    with pytest.raises(DomainError, match="3/2 power"):
+        invert_zeta(1e300)
+    # the closed-form start's caps at pi keep a NaN, as min(nan, pi) does
+    assert math.isnan(mapping._real_section_start(math.nan))
+
+
 def test_invert_zeta_first_quadrant_preserved():
     zt = 5.0 * cmath.exp(1j * math.pi / 3.0)
     zh = invert_zeta(zt)

@@ -8,14 +8,14 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pcfzeros import pcf_eval
 from pcfzeros.errors import ConvergenceError, DomainError, PcfzerosError
 from pcfzeros.pcf_eval import (Evaluator, eval_U, eval_U_near_zero,
                                eval_U_path, winding_number)
-from pcfzeros.refine import STEP_TOL, t_iterate
+from pcfzeros.refine import STEP_TOL, sweep, t_iterate
 from pcfzeros.zeros import (_refine_family, count_positive, hermite_zeros,
                             zeros_aneg_complex, zeros_apos)
 
@@ -537,6 +537,84 @@ def test_one_run_hands_a_hop_off_the_zeros_to_the_pair(monkeypatch):
         assert (abs(ref) > scale / 2) == (runs == 2), z
 
 
+def _hop_points(kind, seed):
+    """(a, points) for a chain Evaluator: a family's refined zeros in
+    chain order, each followed, by a seeded draw, either by the next or by
+    a point between the two, at a random fraction of their distance and
+    off the line through them, where U is not small."""
+    rng = random.Random(seed)
+    if kind == "real":
+        a = -40.5
+        zeros = [math.sqrt(2.0) * x for x in oracles.hermite_nodes(40)
+                 if x > 0.0]
+    else:
+        a = 8.3
+        chain = Evaluator(a, STEP_TOL, "chain")
+        zeros = [t_iterate(a, zeros_apos(a, m).z, evaluator=chain).value
+                 for m in range(1, 21)]
+    points = [zeros[0]]
+    for z, z1 in zip(zeros, zeros[1:]):
+        if rng.random() < 0.5:
+            off = rng.uniform(0.2, 0.8) * (z1 - z)
+            if kind == "complex":
+                off *= cmath.exp(1j * rng.uniform(-0.5, 0.5))
+            points.append(z + off)
+        points.append(z1)
+    return a, points
+
+
+@pytest.mark.parametrize("case", [("real", 39), ("complex", 39),
+                                  ("hermite", 256), ("sweep", 8.3)],
+                         ids=["real", "complex", "hermite-256", "sweep-8.3"])
+def test_carried_hop_is_the_four_call_hop_bit_for_bit(monkeypatch, case):
+    # a chain's carried hop takes its step count, length and term bounds
+    # from one _plan call and forms the other run's start only where it
+    # pairs: its answer and the start it leaves are those of the hop that
+    # formed them by four calls (oracles.carried_hop), from a one-run
+    # start and from a pair's, at a zero, off one, and over the limit
+    seen = set()
+    carried = pcf_eval.Evaluator._carried
+
+    def comparing(self, z, limit):
+        ref = oracles.carried_hop(self, z, limit)
+        got = carried(self, z, limit)
+        assert repr(got) == repr(ref), (self.a, z)
+        if self._start is None:
+            return got
+        if got is None:
+            outcome = "declined"
+        elif len(got[1][1]) == 1:
+            outcome = "one run"
+        else:
+            w, d, x = got[1][1][1]
+            near = pcf_eval._one_run_estimate((w, d, x, 0.0), 0.0, z)
+            outcome = "off a zero" if near is None else "over the limit"
+        seen.add((len(self._start[1]), outcome))
+        return got
+
+    monkeypatch.setattr(pcf_eval.Evaluator, "_carried", comparing)
+    kind, p = case
+    if kind == "hermite":
+        hermite_zeros(p)
+    elif kind == "sweep":
+        sweep(p, zeros_apos(p, 1).z, 20)
+    else:
+        a, points = _hop_points(kind, p)
+        walk = Evaluator(a, STEP_TOL, "chain")
+        for z in points:
+            walk(a, z)
+    expected = {
+        "real": {(1, "one run"), (1, "off a zero"), (2, "one run"),
+                 (2, "off a zero")},
+        "complex": {(1, "one run"), (1, "off a zero"), (2, "one run"),
+                    (2, "off a zero")},
+        "hermite": {(1, "one run"), (1, "over the limit"), (2, "one run")},
+        "sweep": {(1, "one run"), (1, "off a zero"), (2, "one run"),
+                  (2, "off a zero")},
+    }[kind]
+    assert expected <= seen, seen
+
+
 def _real_chain(case):
     """(a, zeros) of a real chain: hermite_zeros(n), or the positive
     family at a by _refine_family."""
@@ -770,7 +848,7 @@ def test_one_point_path_is_the_scalar_selector_bit_for_bit():
 def test_real_taylor_run_in_floats_is_the_complex_run(a, z0, z1, n, w, v):
     # float operations round as complex ones with zero imaginary parts,
     # the rounding bound of a one-run hop's terms included
-    for terms in (None, pcf_eval._term_bound(a, z0, z1, n)):
+    for terms in (None, pcf_eval._plan(a, z0, z1)[2]):
         f = pcf_eval._taylor_run(a, z0, z1, n, w, v, terms)
         c = pcf_eval._taylor_run(a, complex(z0), complex(z1), n,
                                  complex(w), complex(v), terms)
@@ -787,7 +865,9 @@ def test_coefficient_bound_holds_on_every_step_disc(a, z0, z1, j, rho, theta):
     # disc of radius L = |z1 - z0| about it, which holds every step's disc
     # whatever the step count; the bound is never above |a| +
     # max(|z0|, |z1|)^2/4, so no step count grows
-    q = pcf_eval._coefficient_bound(a, z0, z1)
+    plan = pcf_eval._plan(a, z0, z1)
+    assume(plan is not None)  # an empty path
+    q = plan[3]
     L = abs(z1 - z0)
     on_path = z0 + j * (z1 - z0)
     near = on_path + rho * L * cmath.exp(1j * theta)

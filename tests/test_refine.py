@@ -10,6 +10,7 @@ import pytest
 import pcfzeros
 from pcfzeros import cli, pcf_eval, refine
 from pcfzeros.errors import ChainBreakError, ConvergenceError, DomainError
+from pcfzeros.mapping import invert_zeta
 from pcfzeros.pcf_eval import (Evaluator, PcfValue, eval_U, eval_U_path,
                                winding_number)
 from pcfzeros.refine import STEP_TOL, sweep, t_iterate
@@ -297,6 +298,77 @@ def test_tol_that_is_not_finite_and_non_negative_is_a_domain_error(call,
     # ConvergenceError
     with pytest.raises(DomainError, match="tol"):
         call(tol)
+
+
+_NOT_FINITE_TOL = "is not a finite number >= 0"
+_MAX_ITER = "max_iter must be an integer >= 1"
+# (argument, value, the DomainError's message) for t_iterate, whose a
+# and z0 are named a and z; invert_zeta's zt_target is named so
+_BAD_T_ITERATE = [
+    ("a", _NAN, "a = nan is not finite"),
+    ("a", _INF, "a = inf is not finite"),
+    ("a", -_INF, "a = -inf is not finite"),
+    ("a", None, "a = None is not a number"),
+    ("a", "x", "a = 'x' is not a number"),
+    ("z0", _NAN, "z = nan is not finite"),
+    ("z0", _INF, "z = inf is not finite"),
+    ("z0", -_INF, "z = -inf is not finite"),
+    ("z0", None, "z = None is not a number"),
+    ("z0", "x", "z = 'x' is not a number")]
+_BAD_INVERT_ZETA = [
+    ("zt_target", _NAN, "zt_target = nan is not finite"),
+    ("zt_target", _INF, "zt_target = inf is not finite"),
+    ("zt_target", -_INF, "zt_target = -inf is not finite"),
+    ("zt_target", None, "zt_target = None is not a number"),
+    ("zt_target", "x", "zt_target = 'x' is not a number")]
+_BAD_SETTINGS = [
+    ("tol", _NAN, "tol = nan " + _NOT_FINITE_TOL),
+    ("tol", -1.0, "tol = -1.0 " + _NOT_FINITE_TOL),
+    ("tol", _INF, "tol = inf " + _NOT_FINITE_TOL),
+    ("tol", -_INF, "tol = -inf " + _NOT_FINITE_TOL),
+    ("tol", None, "tol = None " + _NOT_FINITE_TOL),
+    ("tol", "x", "tol = 'x' " + _NOT_FINITE_TOL),
+    ("max_iter", 0, _MAX_ITER), ("max_iter", 2.5, _MAX_ITER),
+    ("max_iter", _NAN, _MAX_ITER), ("max_iter", _INF, _MAX_ITER),
+    ("max_iter", -_INF, _MAX_ITER), ("max_iter", None, _MAX_ITER),
+    ("max_iter", "x", _MAX_ITER)]
+
+
+@pytest.mark.parametrize("fn,base,arg,value,message", [
+    pytest.param(fn, base, arg, value, message,
+                 id=f"{fn.__name__}-{arg}={value!r}")
+    for fn, base, bad in (
+        (t_iterate, {"a": 8.3, "z0": -1.5 + 4.6j}, _BAD_T_ITERATE),
+        (invert_zeta, {"zt_target": -1.0}, _BAD_INVERT_ZETA))
+    for arg, value, message in bad + _BAD_SETTINGS])
+def test_bad_arguments_are_domain_errors_with_their_messages(fn, base, arg,
+                                                             value, message):
+    # the checks of require_finite, _tolerance and _positive_int, whether
+    # made by them or by a function's own test of the common types first
+    with pytest.raises(DomainError) as info:
+        fn(**dict(base, **{arg: value}))
+    assert type(info.value) is DomainError and str(info.value) == message
+
+
+def test_bad_arguments_are_checked_in_order():
+    # t_iterate checks a, z0, tol, max_iter; invert_zeta tol, max_iter,
+    # then its target
+    with pytest.raises(DomainError, match="^a = nan is not finite$"):
+        t_iterate(_NAN, None, tol=-1.0, max_iter=0)
+    with pytest.raises(DomainError, match="^tol = -1.0 "):
+        t_iterate(8.3, 1j, tol=-1.0, max_iter=0)
+    with pytest.raises(DomainError, match="^tol = -1.0 "):
+        invert_zeta(_NAN, tol=-1.0, max_iter=0)
+    with pytest.raises(DomainError, match="^max_iter must be"):
+        invert_zeta("x", max_iter=2.5)
+
+
+@pytest.mark.parametrize("max_iter", [2.0, True, 2, 20])
+def test_integral_max_iter_values_are_accepted(max_iter):
+    # 2.0 is 2 and True is 1, as the zero indices take them
+    z = t_iterate(8.3, zeros_apos(8.3, 1).z).value
+    assert t_iterate(8.3, z, max_iter=max_iter).iterations == 1
+    assert invert_zeta(-1.0, max_iter=max_iter) == invert_zeta(-1.0)
 
 
 @pytest.mark.parametrize("tol", [1.0, 1e300])
