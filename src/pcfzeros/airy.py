@@ -361,9 +361,12 @@ _POLISHED_ZEROS = (
 # the largest index m for which 4m - 1 and 4m - 3, the tau of a_m and
 # of the genairy seeds, are exact in doubles
 MAX_INDEX = 2 ** 51
-# 3 pi/8 as a double-double
+# 3 pi/8 as a double-double, and _3PI8 split into halves of 26 bits
+# as _two_prod splits it, once
 _3PI8 = 3.0 * math.pi / 8.0
 _3PI8_LO = 4.592425496802574e-17
+_3PI8_H = _SPLIT * _3PI8 - (_SPLIT * _3PI8 - _3PI8)
+_3PI8_L = _3PI8 - _3PI8_H
 
 
 def _t_correction(t2):
@@ -376,9 +379,14 @@ def _t_correction(t2):
 def _zero_estimate(m):
     """-T(3 pi (4m - 1)/8) of DLMF 9.9.6, 9.9.18, with t^(2/3) in
     double-double: the rounding of t, of the exponent 2/3 and of the
-    power then stays below an ulp of a_m."""
+    power then stays below an ulp of a_m.  The product n (3 pi/8) is
+    _two_prod's, with the split of 3 pi/8 formed once (_3PI8_H)."""
     n = 4.0 * m - 1.0
-    t, e = _two_prod(n, _3PI8)
+    t = n * _3PI8
+    nh = _SPLIT * n
+    nh -= nh - n
+    nl = n - nh
+    e = ((nh * _3PI8_H - t) + nh * _3PI8_L + nl * _3PI8_H) + nl * _3PI8_L
     e += n * _3PI8_LO
     y = t ** _TWO3
     # t^(2/3) = y (1 + (2/3) e/t + log(t)/(3 2^53)), to first order

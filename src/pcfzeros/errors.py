@@ -32,12 +32,17 @@ class ChainBreakError(PcfzerosError, RuntimeError):
 
 def require_finite(**values):
     """Raise DomainError naming the first argument that is NaN, infinite
-    or not a number."""
+    or not a number.  A number too large for a double (an int past
+    1.8e308) is not finite."""
     for name, x in values.items():
         try:
             finite = cmath.isfinite(x)
         except TypeError:
             raise DomainError(f"{name} = {x!r} is not a number") from None
+        except OverflowError:
+            # not formatted: past 4300 digits str() of an int raises
+            raise DomainError(f"{name} is not finite: it leaves the double "
+                              "range") from None
         if not finite:
             raise DomainError(f"{name} = {x} is not finite")
 

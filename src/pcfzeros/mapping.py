@@ -39,6 +39,7 @@ _P = (1.2599210498948732, 0.12599210498948732, -0.014399097713084265,
       -7.363016532116176e-05, 2.5336048019211565e-05, -9.136143762223522e-06)
 
 ZETA_AT_0 = -0.25 * (3.0 * math.pi) ** (2.0 / 3.0)
+_INF = math.inf
 
 # cap on the phi-Newton of _real_section_start, which needs at most 5
 _PHI_MAX_ITER = 20
@@ -127,21 +128,23 @@ def _real_section_start(zt):
     after the first step the iterates decrease to it.  K and phi are
     kept <= pi, so zhat >= 0 (a target just below zeta(0) starts at
     zhat = cos(pi/2)).  Each cap is a test, not a call of min, whose
-    answer it keeps: a NaN stays NaN, as min(nan, pi) keeps it."""
+    answer it keeps: a NaN stays NaN, as min(nan, pi) keeps it.  sin,
+    cos and pi are bound once a call, not looked up at each step."""
+    sin, cos, pi = math.sin, math.cos, math.pi
     k = (8.0 / 3.0) * (-zt) ** 1.5
-    if math.pi < k:
-        k = math.pi
+    if pi < k:
+        k = pi
     phi = (6.0 * k) ** (1.0 / 3.0)
-    if math.pi < phi:
-        phi = math.pi
+    if pi < phi:
+        phi = pi
     for _ in range(_PHI_MAX_ITER):
-        step = (phi - math.sin(phi) - k) / (1.0 - math.cos(phi))
+        step = (phi - sin(phi) - k) / (1.0 - cos(phi))
         phi = phi - step
-        if math.pi < phi:
-            phi = math.pi
+        if pi < phi:
+            phi = pi
         if abs(step) <= 1e-15 * phi:
             break
-    return math.cos(0.5 * phi)
+    return cos(0.5 * phi)
 
 
 def invert_zeta(zt_target, tol=1e-14, max_iter=60):
@@ -159,23 +162,29 @@ def invert_zeta(zt_target, tol=1e-14, max_iter=60):
     just evaluated; within TP_RADIUS of zhat = 1 both are Taylor sums in
     doubles.  A tol that is not a finite number >= 0, a max_iter that is
     not an integer >= 1 (2.0 is 2), or a zt_target that is not a finite
-    number, is a DomainError, checked in that order; so is a target whose
-    3/2 power leaves the double range.  A float target is solved as it
-    is, with no round trip through complex.
+    number (one too large for a double too), is a DomainError, checked
+    in that order; so is a target whose 3/2 power leaves the double
+    range.  A finite float target with a float tol and an int max_iter,
+    as the real seeders pass them, is accepted by one test and solved as
+    it is, with no round trip through complex; any other arguments go
+    through the checks.
     """
+    if type(zt_target) is float and type(tol) is float \
+            and type(max_iter) is int and -_INF < zt_target < _INF \
+            and 0.0 <= tol < _INF and max_iter >= 1:
+        return complex(_invert(zt_target, tol, max_iter))
     tol = _tolerance(tol)
     if type(max_iter) is not int or max_iter < 1:
         max_iter = _positive_int(max_iter,
                                  "max_iter must be an integer >= 1")
-    # require_finite's test inline, as Evaluator.__call__ has it, so that
-    # a float target pays for no call with keywords
+    # require_finite's test inline, as Evaluator.__call__ has it, which
+    # raises where it fails
     try:
         finite = cmath.isfinite(zt_target)
-    except TypeError:
-        raise DomainError(f"zt_target = {zt_target!r} is not a number") \
-            from None
+    except (TypeError, OverflowError):
+        finite = False
     if not finite:
-        raise DomainError(f"zt_target = {zt_target} is not finite")
+        require_finite(zt_target=zt_target)
     if type(zt_target) is float:
         return complex(_invert(zt_target, tol, max_iter))
     zt_target = complex(zt_target)

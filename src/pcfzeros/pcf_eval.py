@@ -61,8 +61,10 @@ its error by the entry's rule.  The entries:
      bounds the error (_one_run_estimate).  From a pair, A starts at
      _WALK_SAFETY times the runs' own Wronskian difference.  A real hop
      with real data (hermite_zeros and the real families) steps in floats,
-     as the pair's runs do there.  The pair stays for the origin stage.  A
-     hop whose end is not next to a zero, as sweep's first iterate of each
+     as the pair's runs do there, and its end data stay floats: the carry,
+     the estimates and the next hop take them as they are, and _answer
+     alone makes the answer complex.  The pair stays for the origin stage.
+     A hop whose end is not next to a zero, as sweep's first iterate of each
      of its first dozen zeros is, before its predicted starts take hold,
      or whose estimate is over the limit (on hermite_zeros' dense zeros,
      where the bound grows by about the same amount a zero, 10 of the 927
@@ -71,8 +73,8 @@ its error by the entry's rule.  The entries:
      (from a one-run start, its U' 4 ulps off, as _start does), and their
      difference gives the estimate.  A hop takes its step count, its
      path's length and its term bounds from one _plan call, as the pair's
-     runs take their step counts, and it forms the other run's start only
-     where it pairs.
+     runs take their step counts, without the bounds, and it forms the
+     other run's start only where it pairs.
 
 Exponentially large/small results carry a real exponent so that
 value * e^exponent is the true function value.
@@ -189,12 +191,24 @@ def _rgamma(x):
         return float(mp.rgamma(x))
 
 
+# PcfValue's fields as a tuple: NamedTuple's __new__ is a Python function
+_tuple_new = tuple.__new__
+
+
 def _answer(value, derivative, method, est, exponent):
-    """The answer's PcfValue, its exponent folded in below _UNSCALE_BOUND."""
+    """The answer's PcfValue, its exponent folded in below _UNSCALE_BOUND;
+    the one place where a taylor answer becomes complex.  value and
+    derivative are complex numbers or, from a real run (_run), the floats
+    it stepped in: folding the exponent into a float and then forming the
+    complex number gives the bits of folding it into that complex number,
+    since f = e^exponent is a finite float > 0."""
     if exponent != 0.0 and abs(exponent) < _UNSCALE_BOUND:
         f = math.exp(exponent)
-        return PcfValue(value * f, derivative * f, method, est, 0.0)
-    return PcfValue(value, derivative, method, est, exponent)
+        value *= f
+        derivative *= f
+        exponent = 0.0
+    return _tuple_new(PcfValue, (complex(value), complex(derivative), method,
+                                 est, exponent))
 
 
 def kummer_pair(b1, b2, w):
@@ -478,10 +492,12 @@ def _taylor_run(a, z0, z1, n, w, v, terms=None):
     return w, v, expo, acc
 
 
-def _plan(a, z0, z1):
+def _plan(a, z0, z1, bounds=True):
     """The plan of a Taylor run from z0 to z1, all that a chain's hop and
     _taylor_pair take of its path, from one call: (n, L, terms, Q), or
     None where n would pass _TAYLOR_MAX_STEPS or the path is empty.
+    terms is None where bounds is false, as for _taylor_pair, whose runs
+    form no rounding bound.
 
     Q bounds the size of the equation's coefficient q(t) = t^2/4 + a
     along the path: the smaller of |a| + r^2/4, r = max(|z0|, |z1|),
@@ -506,7 +522,7 @@ def _plan(a, z0, z1):
     derivative, |w| R sinh R + |v| cosh R.  Every t0 of the path has
     |t0| <= r, so R^2/|h|^2 <= |a| + (r + |h|)^2/4, and t0 = z0 + e with
     |e| <= L, so R^2/|h|^2 <= q0, as for Q.  Only a one-run hop uses
-    terms; the pair forms no rounding bound."""
+    terms."""
     r0 = abs(z0)
     r1 = abs(z1)
     L = abs(z1 - z0)
@@ -520,6 +536,8 @@ def _plan(a, z0, z1):
     n = math.ceil(reach / _TAYLOR_REACH) if math.isfinite(reach) else 0
     if not 0 < n <= _TAYLOR_MAX_STEPS:
         return None
+    if not bounds:
+        return n, L, None, q
     hh = L / n
     qh = abs(a) + (r + hh) ** 2 / 4.0
     R = hh * math.sqrt(q0 if q0 < qh else qh)
@@ -530,11 +548,14 @@ def _plan(a, z0, z1):
 
 def _run(a, z0, z1, n, w, d, terms=None):
     """_taylor_run of n steps from the data (w, d) at z0, d the
-    derivative of w, and its end data in the same form, as complex
-    numbers: (w, d, log of the scale factored out, rounding bound), or
-    None.  On the real axis with real data the run steps in floats, which
-    round as the complex operations with zero imaginary parts do, at a
-    fraction of their cost."""
+    derivative of w, and its end data in the same form: (w, d, log of
+    the scale factored out, rounding bound), or None.  On the real axis
+    with real data (floats, or complex numbers with zero imaginary parts)
+    the run steps in floats, which round as the complex operations with
+    zero imaginary parts do, at a fraction of their cost, and its end
+    data stay floats: the carry, the estimates and the next real run take
+    them as they are, and _answer makes the answer complex.  Elsewhere
+    they are complex."""
     dz = z1 - z0
     if z0.imag == 0.0 and z1.imag == 0.0 and w.imag == 0.0 \
             and d.imag == 0.0:
@@ -543,7 +564,7 @@ def _run(a, z0, z1, n, w, d, terms=None):
     if r is None:
         return None
     w1, v1, dx, acc = r
-    return complex(w1), complex(v1 * n / dz), dx, acc
+    return w1, v1 * n / dz, dx, acc
 
 
 def _taylor_pair(a, z0, z1, starts):
@@ -554,7 +575,7 @@ def _taylor_pair(a, z0, z1, starts):
     runs' difference gives the estimate (_relative_estimate,
     _scaled_estimate), so they form no rounding bound.
     """
-    plan = _plan(a, z0, z1)
+    plan = _plan(a, z0, z1, False)
     if plan is None:
         return None
     n = plan[0]
@@ -567,29 +588,6 @@ def _taylor_pair(a, z0, z1, starts):
     if r2 is None:
         return None
     return (r1[0], r1[1], x1 + r1[2]), (r2[0], r2[1], x2 + r2[2])
-
-
-def _taylor_one(a, z0, z1, run, plan):
-    """One Taylor run from z0 to z1, a chain's carried hop, by plan =
-    _plan(a, z0, z1): its n steps, with the term bounds of its steps.
-    run is (w, d, x, A) at z0: U = w e^x, U' = d e^x, and A bounds the
-    Wronskian of U's error with U, in the frame e^(2x).  Returns the same
-    at z1, A carried into the new frame and grown by the run's rounding
-    bound and by the rounding of d to and from h w' at either end; None
-    where the arithmetic overflowed."""
-    w, d, x, A = run
-    n, L, terms, _ = plan
-    r = _run(a, z0, z1, n, w, d, terms)
-    if r is None:
-        return None
-    w1, d1, dx, acc = r
-    try:
-        f = math.exp(-2.0 * dx)
-    except OverflowError:
-        return None
-    A = (A + 2.0 * _EPS * abs(w * d)) * f + acc * n / L \
-        + 2.0 * _EPS * abs(w1 * d1)
-    return w1, d1, x + dx, A
 
 
 def _start(z, v, seed):
@@ -641,8 +639,9 @@ def _scaled_error(v, z):
 
 def _one_run_estimate(run, err, z):
     """Error bound of a one-run answer's U over max(|U|, |U'|/(1 + |z|)),
-    run = (w, d, x, A) as _taylor_one gives it; None unless r = |U| (1 +
-    |z|)/|U'| <= _ONE_RUN_R, next to a zero: the pair answers elsewhere.
+    run = (w, d, x, A) as Evaluator._carried forms it; None unless r =
+    |U| (1 + |z|)/|U'| <= _ONE_RUN_R, next to a zero: the pair answers
+    elsewhere.
 
     An error (dU, dU') of the data that the steps carry is a solution of
     w'' = q w to first order, so W = U dU' - U' dU is constant along the
@@ -697,14 +696,15 @@ class Evaluator:
     def __call__(self, a, z):
         if a != self.a:
             raise DomainError(f"evaluator for a = {self.a} asked for a = {a}")
-        # require_finite's test inline: a call with keywords per
-        # evaluation costs about a third of a cached answer
+        # require_finite's test inline, which raises where it fails: a
+        # call with keywords per evaluation costs about a third of a
+        # cached answer
         try:
             finite = cmath.isfinite(z)
-        except TypeError:
-            raise DomainError(f"z = {z!r} is not a number") from None
+        except (TypeError, OverflowError):
+            finite = False
         if not finite:
-            raise DomainError(f"z = {z} is not finite")
+            require_finite(z=z)
         z = complex(z)
         if abs(z) > _Z_MAX:
             raise DomainError(f"|z| = {abs(z):.3g}: |z|^2 leaves the double "
@@ -745,18 +745,30 @@ class Evaluator:
         if plan is None:
             return None
         if len(runs) == 1:
-            run = runs[0]
+            w0, d0, x0, A = runs[0]
         else:
             # from a pair: its runs' Wronskian difference, in the frame of
             # the second, from which the answers come
-            (w1, d1, x1), (w, d, x) = runs
-            run = w, d, x, _WALK_SAFETY * abs((w1 * d - d1 * w)
-                                              * math.exp(x1 - x))
-        one = _taylor_one(self.a, z0, z, run, plan)
-        if one is None:
+            (w1, d1, x1), (w0, d0, x0) = runs
+            A = _WALK_SAFETY * abs((w1 * d0 - d1 * w0) * math.exp(x1 - x0))
+        # one run of the plan's n steps with the term bounds of its steps:
+        # A, the bound on the Wronskian of U's error with U in the frame
+        # e^(2x), is carried into the new frame and grown by the run's
+        # rounding bound and by the rounding of d to and from h w' at
+        # either end
+        n, L, terms, _ = plan
+        r = _run(self.a, z0, z, n, w0, d0, terms)
+        if r is None:
             return None
+        w, d, dx, acc = r
+        try:
+            f = math.exp(-2.0 * dx)
+        except OverflowError:
+            return None
+        x = x0 + dx
+        one = (w, d, x, (A + 2.0 * _EPS * abs(w0 * d0)) * f + acc * n / L
+               + 2.0 * _EPS * abs(w * d))
         est = self._scale.one_run(one, err, z)
-        w, d, x, _ = one
         if est is not None and est <= limit:
             return _answer(w, d, "taylor", est, e0 + x), (z, (one,), err, e0)
         # off a zero, or over the limit: the pair of this run and a run of
@@ -765,12 +777,10 @@ class Evaluator:
         if len(runs) == 1:
             # as _start's pair starts, from the last answer, whose est
             # holds the carried bound
-            w0, d0, x0, _ = run
             d0 *= 1.0 + 4.0 * _EPS
             err = self._scale.seed(self._last.est_accuracy)
         else:
             w0, d0, x0 = runs[0]
-        n = plan[0]
         longer = _run(self.a, z0, z, n + n // 3 + 1, w0, d0)
         if longer is None:
             return None
@@ -832,7 +842,11 @@ def _tol(tol, z):
 
 
 def _step_limit(tol, z):
-    return max(_NEAR_ZERO_TOL, 0.1 * tol * (1.0 + abs(z)) ** 2)
+    # max(_NEAR_ZERO_TOL, 0.1 tol (1 + |z|)^2) by a product and a test:
+    # this runs once per chain point
+    s = 1.0 + abs(z)
+    limit = 0.1 * tol * (s * s)
+    return limit if limit > _NEAR_ZERO_TOL else _NEAR_ZERO_TOL
 
 
 _SCALES = {

@@ -27,6 +27,11 @@ from .pcf_eval import Evaluator, eval_U_near_zero  # noqa: F401
 TURNING_GUARD = 1e-8
 # t_iterate's default step tolerance
 STEP_TOL = 1e-13
+# t_iterate's cap on a step: pi/2 over |p^{1/2}|
+_HALF_PI = 0.5 * math.pi
+# RefinedZero's fields as a tuple: NamedTuple's __new__ is a Python
+# function
+_tuple_new = tuple.__new__
 
 
 class RefinedZero(NamedTuple):
@@ -75,7 +80,7 @@ def t_iterate(a, z0, tol=STEP_TOL, max_iter=20, evaluator=None):
         valid = (cmath.isfinite(a) and cmath.isfinite(z0)
                  and 0.0 <= tol < math.inf and type(max_iter) is int
                  and max_iter >= 1)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         valid = False
     if not valid:
         require_finite(a=a, z=z0)
@@ -88,20 +93,22 @@ def t_iterate(a, z0, tol=STEP_TOL, max_iter=20, evaluator=None):
     residual = math.inf
     for its in range(1, max_iter + 1):
         v = evaluator(a, z)
-        if not (cmath.isfinite(v.value) and cmath.isfinite(v.derivative)):
+        u = v.value
+        du = v.derivative
+        if not (cmath.isfinite(u) and cmath.isfinite(du)):
             raise ConvergenceError(f"U({a}, {z}) is not finite", last=z)
-        if v.derivative == 0:
+        if du == 0:
             raise ConvergenceError("U' vanished during t_iterate", last=z)
         sq = _p_sqrt(a, z)
         try:
-            step = cmath.atan(sq * v.value / v.derivative) / sq
+            step = cmath.atan(sq * u / du) / sq
         except ValueError:
             # p^{1/2} U/U' = +-i: a branch point of arctan
             raise ConvergenceError(
                 f"T(z) undefined at z={z}: p^(1/2) U/U' is +-i",
                 last=z) from None
         # keep each displacement below half the local zero spacing
-        cap = 0.5 * math.pi / abs(sq)
+        cap = _HALF_PI / abs(sq)
         size = abs(step)
         if size > cap:
             step *= cap / size
@@ -109,8 +116,7 @@ def t_iterate(a, z0, tol=STEP_TOL, max_iter=20, evaluator=None):
         z = z - step
         residual = size / (1.0 + abs(z))
         if residual <= tol:
-            # positional: keywords cost half as much again
-            return RefinedZero(z, start, its, residual)
+            return _tuple_new(RefinedZero, (z, start, its, residual))
     raise ConvergenceError("t_iterate did not converge", last=z,
                            residual=residual)
 

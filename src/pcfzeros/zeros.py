@@ -218,8 +218,11 @@ def _seeder(kind, a, terms):
             else:
                 x = genairy.neg_zeros(u, m).value.real
             # raised to zeta(0) (the origin): the zero next to the
-            # origin can map just below it near u = 4k + 3
-            zeta0 = max(x * upow, ZETA_AT_0)
+            # origin can map just below it near u = 4k + 3; a test, not
+            # max, with max's answer (a NaN stays)
+            zeta0 = x * upow
+            if ZETA_AT_0 > zeta0:
+                zeta0 = ZETA_AT_0
             z0, coeffs, zh = _expand(zeta0, terms, u2, u4)
             return z0, coeffs, zh, complex(back * zh), 1 + len(coeffs)
     return seed
@@ -268,6 +271,7 @@ def _refine_family(kind, a, terms, ms):
     seeds = list(_seed_family(kind, a, terms,
                               reversed(ms) if backwards else ms))
     walker = Evaluator(a, refine.STEP_TOL, "chain")
+    next_shift = refine._next_shift
     out = []
     d1 = d2 = d3 = None
     shift = 0j
@@ -290,7 +294,7 @@ def _refine_family(kind, a, terms, ms):
             continue
         out.append((m, s, rz))
         d = rz.value - s[3]
-        shift = refine._next_shift(d, d1, d2, d3)
+        shift = next_shift(d, d1, d2, d3)
         d1, d2, d3 = d, d1, d2
     if backwards:
         out.reverse()
@@ -355,7 +359,8 @@ def hermite_zeros(n, terms=3):
         if isinstance(got, ConvergenceError):
             raise got
     # m = 1 is the largest zero
-    pos = [rz.value.real / math.sqrt(2.0) for _, _, rz in reversed(found)]
+    sqrt2 = math.sqrt(2.0)
+    pos = [rz.value.real / sqrt2 for _, _, rz in reversed(found)]
     out = [-x for x in reversed(pos)] + [0.0] * (n % 2) + pos
     # imported here, so that importing the package does not load numpy
     import numpy as np

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pcfzeros import pcf_eval
+from pcfzeros import pcf_eval, refine
 from pcfzeros.errors import ConvergenceError, DomainError, PcfzerosError
 from pcfzeros.pcf_eval import (Evaluator, eval_U, eval_U_near_zero,
                                eval_U_path, winding_number)
@@ -856,6 +856,53 @@ def test_real_taylor_run_in_floats_is_the_complex_run(a, z0, z1, n, w, v):
         assert repr((complex(f[0]), complex(f[1])) + f[2:]) == repr(c)
 
 
+def test_answers_are_complex_where_real_runs_hand_back_floats(monkeypatch):
+    # a real run hands its end data back as floats, which the carry and
+    # the estimates take as they are; _answer alone makes the answer
+    # complex.  Along hermite_zeros(40)'s chain (one-run hops) and
+    # eval_U_path's walk over the axis box (pairs along the real axis),
+    # every answer's value and derivative is complex, and so is every
+    # zero t_iterate returns
+    answers = []
+    zeros = []
+    ends = set()
+    call = pcf_eval.Evaluator.__call__
+    run = pcf_eval._run
+    t_iter = refine.t_iterate
+
+    def recording(self, a, z):
+        v = call(self, a, z)
+        answers.append(v)
+        return v
+
+    def typed_run(*args):
+        r = run(*args)
+        if r is not None:
+            ends.add((type(r[0]), type(r[1])))
+        return r
+
+    def refining(*args, **kwargs):
+        rz = t_iter(*args, **kwargs)
+        zeros.append(rz)
+        return rz
+
+    monkeypatch.setattr(pcf_eval.Evaluator, "__call__", recording)
+    monkeypatch.setattr(pcf_eval, "_run", typed_run)
+    monkeypatch.setattr(refine, "t_iterate", refining)
+    assert len(hermite_zeros(40)) == 40
+    assert len(zeros) == 20
+    a, box = PATH_BOXES["axis"]
+    zs = _snake(box)
+    assert sum(z.imag == 0.0 for z in zs) >= 10
+    assert len(eval_U_path(a, zs)) == len(zs)
+    assert ends == {(float, float), (complex, complex)}
+    assert len(answers) > len(zs) + len(zeros)
+    for v in answers:
+        assert type(v.value) is complex and type(v.derivative) is complex
+    for rz in zeros:
+        assert type(rz.value) is complex
+
+
 @settings(max_examples=300, deadline=None)
 @given(a=st.floats(-1000.0, 1000.0), z0=st.complex_numbers(max_magnitude=200),
        z1=st.complex_numbers(max_magnitude=200), j=st.floats(0.0, 1.0),
@@ -869,6 +916,8 @@ def test_coefficient_bound_holds_on_every_step_disc(a, z0, z1, j, rho, theta):
     assume(plan is not None)  # an empty path
     q = plan[3]
     L = abs(z1 - z0)
+    # the pair's plan: the same step count, length and bound, no terms
+    assert pcf_eval._plan(a, z0, z1, False) == plan[:2] + (None, q)
     on_path = z0 + j * (z1 - z0)
     near = on_path + rho * L * cmath.exp(1j * theta)
     slack = 1e-12 * (abs(a) + (abs(z0) + 2.0 * L) ** 2)

@@ -247,6 +247,33 @@ def test_non_finite_input_or_value_raises_package_error(call, error):
         assert calls == [1.0 + 6.0j] and info.value.last == 1.0 + 6.0j
 
 
+_HUGE = 10 ** 400
+
+
+@pytest.mark.parametrize("call", [
+    lambda: eval_U(8.3, _HUGE),
+    lambda: eval_U(_HUGE, 1j),
+    lambda: t_iterate(_HUGE, 1j),
+    lambda: t_iterate(8.3, _HUGE),
+    lambda: invert_zeta(_HUGE),
+    lambda: pcfzeros.zeta(_HUGE),
+    lambda: zeros_apos(_HUGE, 1),
+    lambda: Evaluator(_HUGE),
+    lambda: sweep(_HUGE, 1j, 2),
+    lambda: hermite_zeros(_HUGE),
+], ids=["eval_U-z", "eval_U-a", "t_iterate-a", "t_iterate-z", "invert_zeta",
+        "zeta", "zeros_apos", "Evaluator", "sweep", "hermite_zeros"])
+def test_int_past_the_double_range_is_a_domain_error(call):
+    # cmath.isfinite raises OverflowError for such an int ("int too large
+    # to convert to float"); the package takes it as not finite, on one
+    # line that does not print its 401 digits
+    with pytest.raises(DomainError) as info:
+        call()
+    message = str(info.value)
+    assert "is not finite" in message and "\n" not in message
+    assert len(message) < 80
+
+
 @pytest.mark.parametrize("call, length", [
     (lambda: hermite_zeros(2.0), 2),
     (lambda: hermite_zeros(np.float64(4.0)), 4),
