@@ -44,7 +44,7 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, _shown
 
 _ROT = {1: cmath.exp(-2j * math.pi / 3), -1: cmath.exp(2j * math.pi / 3)}
 # on the real axis Bi = Re(_BI_ROT Ai(x e^{2 pi i/3})) (DLMF 9.2.10)
@@ -402,7 +402,7 @@ def _check_index(m):
             return
     except TypeError:
         pass
-    raise DomainError(f"zero index {m!r} is not an integer in "
+    raise DomainError(f"zero index {_shown(m)} is not an integer in "
                       f"1..{MAX_INDEX}")
 
 

@@ -1,6 +1,6 @@
 """Exception types shared across the package."""
 import cmath
-import math
+import sys
 
 
 class PcfzerosError(Exception):
@@ -47,15 +47,30 @@ def require_finite(**values):
             raise DomainError(f"{name} = {x} is not finite")
 
 
-def _tolerance(tol):
-    """tol where it is a finite number >= 0; DomainError for NaN, an
-    infinity, a negative value or a non-number."""
+# the largest double: a number compared with it exactly (an int too) is
+# finite as a double where it is at most this
+_DBL_MAX = sys.float_info.max
+
+
+def _shown(x):
+    """repr(x) for an error message, or a stand-in where an int is too
+    long for it (past 4300 digits repr raises ValueError)."""
     try:
-        if 0.0 <= tol < math.inf:
+        return repr(x)
+    except ValueError:
+        return "an int of more than 4300 digits"
+
+
+def _tolerance(tol):
+    """tol where it is a number in [0, _DBL_MAX]; DomainError for NaN, an
+    infinity, an int past the double range, a negative value or a
+    non-number."""
+    try:
+        if 0.0 <= tol <= _DBL_MAX:
             return tol
     except (TypeError, ValueError):
         pass
-    raise DomainError(f"tol = {tol!r} is not a finite number >= 0")
+    raise DomainError(f"tol = {_shown(tol)} is not a finite number >= 0")
 
 
 def _positive_int(n, message):

@@ -84,8 +84,8 @@ import functools
 import math
 from typing import NamedTuple
 
-from .errors import (ConvergenceError, DomainError, _positive_int,
-                     _tolerance, require_finite)
+from .errors import (_DBL_MAX, ConvergenceError, DomainError,
+                     _positive_int, _shown, _tolerance, require_finite)
 
 SQRT_PI = math.sqrt(math.pi)
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
@@ -1027,11 +1027,12 @@ def winding_number(a, center, radius, npoints=24):
     npoints = _positive_int(npoints, "npoints must be an integer >= 1")
     require_finite(center=center)
     try:
-        valid = 0.0 < radius < math.inf
+        valid = 0.0 < radius <= _DBL_MAX
     except TypeError:
         valid = False
     if not valid:
-        raise DomainError(f"radius = {radius!r} is not a finite number > 0")
+        raise DomainError(f"radius = {_shown(radius)} is not a finite "
+                          "number > 0")
     for _ in range(_WINDING_DOUBLINGS + 1):
         points = [center + radius * cmath.exp(2j * math.pi * k / npoints)
                   for k in range(npoints + 1)]

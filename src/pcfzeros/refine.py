@@ -16,8 +16,8 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .errors import (ChainBreakError, ConvergenceError, DomainError,
-                     _positive_int, _tolerance, require_finite)
+from .errors import (_DBL_MAX, ChainBreakError, ConvergenceError,
+                     DomainError, _positive_int, _tolerance, require_finite)
 # eval_U_near_zero is not called here; perfbench/spans.py patches
 # refine.eval_U_near_zero, and tests/test_bench_names.py requires every
 # such name to resolve
@@ -78,7 +78,7 @@ def t_iterate(a, z0, tol=STEP_TOL, max_iter=20, evaluator=None):
     """
     try:
         valid = (cmath.isfinite(a) and cmath.isfinite(z0)
-                 and 0.0 <= tol < math.inf and type(max_iter) is int
+                 and 0.0 <= tol <= _DBL_MAX and type(max_iter) is int
                  and max_iter >= 1)
     except (TypeError, ValueError, OverflowError):
         valid = False

@@ -19,7 +19,13 @@ returns the seed as a function of the index m, a plain tuple of
 ZeroApproximation's fields.  zeros_apos and the zeros_aneg_* functions
 wrap it for one index; _seed_family runs it over a family's indices,
 keeping each index's ConvergenceError in its place, for CLI zeros
---no-refine, validate --reference oracle and _refine_family.
+--no-refine, validate --reference oracle and _refine_family.  A complex
+family's seed function walks along m: once it has seeded three
+consecutive indices, the next one's zeta inversion starts from zhat
+extrapolated from them, in place of the per-index start (the same
+root-to-root continuation as the refined chain's), which takes about
+one zeta evaluation a seed.  Either start gives zhat at rounding level,
+so a walked seed and the per-index one agree to a few ulps.
 
 Every refined family goes through one path too, _refine_family: CLI
 zeros and validate and hermite_zeros refine a family's zeros as one
@@ -40,7 +46,7 @@ from . import genairy, refine
 from .airy import real_airy_zero
 from .coeffs import correction1, correction2
 from .errors import (ConvergenceError, DomainError, _positive_int,
-                     require_finite)
+                     _shown, require_finite)
 from .genairy import _EXP_IPI3, hermite_order, vartheta
 from .mapping import ZETA_AT_0, _sigma, invert_zeta
 from .pcf_eval import Evaluator
@@ -127,15 +133,16 @@ def _scale(u, k):
         return 0.0
 
 
-def _expand(zeta0, terms, u2, u4):
+def _expand(zeta0, terms, u2, u4, start=None):
     """(z0, kept correction coefficients, zhat) for the leading term at
     zeta0, in floats for a float zeta0 (the real section) and complex
     otherwise: invert zeta, then add the corrections c1 / u^2 and c2 / u^4
     (u2, u4 from _scale).  A correction is kept while it is defined and
     smaller in modulus than the term before it, next to the turning point
     too, where it is a Taylor sum (coeffs); one whose arithmetic leaves
-    the double range is undefined."""
-    z0 = invert_zeta(zeta0)
+    the double range is undefined.  start is the walked start of a
+    complex seed (_seeder), None for the per-index start."""
+    z0 = invert_zeta(zeta0, _start=start)
     if isinstance(zeta0, float):
         z0 = z0.real  # invert_zeta answers complex, from floats
     if terms == 1:
@@ -170,7 +177,16 @@ def _seeder(kind, a, terms):
     and runs the Airy or generalised-Airy zero, invert_zeta, sigma, the
     corrections and the back-transform.  A real family's seed is formed in
     floats, on mapping's real section, so its z0, terms and zhat are
-    floats; z is complex for every family."""
+    floats; z is complex for every family.
+
+    A complex family's seed function keeps the z0 of the indices it
+    seeded last.  When m follows three consecutive indices m - 3, m - 2,
+    m - 1, its invert_zeta call is started from 3 (z0_{m-1} - z0_{m-2}) +
+    z0_{m-3} (the _start keyword), in place of the per-index start of
+    mapping._invert; after an index that does not follow the one before
+    it, or after a seed that raised (which leaves the walk as it was, so
+    the next index does not follow), the next three start per index.  A
+    function made for one index, as zeros_apos makes, starts per index."""
     if kind == "apos-complex":
         require_finite(a=a)
         if a <= 0:
@@ -183,21 +199,35 @@ def _seeder(kind, a, terms):
     upow = u ** (-2.0 / 3.0)
     u2, u4 = _scale(u, 2), _scale(u, 4)
 
-    if kind == "apos-complex":
-        back = 2j * math.sqrt(a)
+    if kind in ("apos-complex", "aneg-complex"):
+        if kind == "apos-complex":
+            back = 2j * math.sqrt(a)
+
+            def target(m):
+                return _EXP_IPI3 * abs(real_airy_zero(m)) * upow
+        else:
+            zero = genairy.complex_seeder(u)
+            back = -2.0 * math.sqrt(0.5 * u)
+
+            def target(m):
+                return zero(m)[0] * upow
+        conjugate = kind == "aneg-complex"
+        # the walk: z0 of the last three indices seeded, the latest first,
+        # and the index of the latest.  A seed that raises changes
+        # neither, so the index after it restarts the walk too
+        h1 = h2 = h3 = prev = None
 
         def seed(m):
-            zeta0 = _EXP_IPI3 * abs(real_airy_zero(m)) * upow
-            z0, coeffs, zh = _expand(zeta0, terms, u2, u4)
-            return z0, coeffs, zh, back * zh, 1 + len(coeffs)
-    elif kind == "aneg-complex":
-        zero = genairy.complex_seeder(u)
-        back = -2.0 * math.sqrt(0.5 * u)
-
-        def seed(m):
-            zeta0 = zero(m)[0] * upow
-            z0, coeffs, zh = _expand(zeta0, terms, u2, u4)
-            return z0, coeffs, zh, back * zh.conjugate(), 1 + len(coeffs)
+            nonlocal h1, h2, h3, prev
+            if prev is None or m != prev + 1:
+                h1 = h2 = h3 = None
+            z0, coeffs, zh = _expand(
+                target(m), terms, u2, u4,
+                None if h3 is None else 3.0 * (h1 - h2) + h3)
+            h1, h2, h3 = z0, h1, h2
+            prev = m
+            return (z0, coeffs, zh, back * (zh.conjugate() if conjugate
+                                            else zh), 1 + len(coeffs))
     else:
         positive = kind == "aneg-positive"
         if positive:
@@ -210,7 +240,8 @@ def _seeder(kind, a, terms):
 
         def seed(m):
             if not first <= m <= last:
-                raise DomainError(f"index {m} outside {first}..{last}")
+                raise DomainError(f"index {_shown(m)} outside "
+                                  f"{first}..{last}")
             if positive:
                 x = real_airy_zero(m)
             elif m == 0:
@@ -232,7 +263,10 @@ def _seed_family(kind, a, terms, ms):
     """Seed each index of ms, in the order ms gives, through one _seeder:
     yields (m, the seed tuple) or (m, the ConvergenceError seed(m)
     raised).  A DomainError, from the seeder's checks of a and terms or
-    from an index outside a real family, propagates."""
+    from an index outside a real family, propagates.  A complex family's
+    consecutive indices are seeded by the seeder's walk along m: each
+    zhat0 within 4 ulps of a 30-digit inversion, as the per-index seed's
+    is, so the two differ by a few ulps (tests/test_zeros.py)."""
     seed = _seeder(kind, a, terms)
     for m in ms:
         try:

@@ -193,6 +193,30 @@ def mp_invert_zeta_real(zt):
         return (lo + hi) / 2
 
 
+def mp_invert_zeta(zt, start):
+    """zhat with zeta(zhat) = zt for a complex target, at DPS digits, by
+    the secant iteration on mp_zeta (d P(d), d = zhat - 1, within 1/2 of
+    the turning point, where mp_zeta's closed form cancels), from start
+    and a point 1e-8 relatively beside it, until a step is below 1e-25
+    of zhat.  start only picks the root: any point within its basin
+    gives the same zhat."""
+    def residual(zh):
+        d = zh - 1
+        return (d * mp_zeta_over_d(d) if abs(d) < 0.5 else mp_zeta(zh)) - t
+
+    with mp.workdps(DPS):
+        t = mp.mpc(zt)
+        x0 = mp.mpc(start)
+        x1 = x0 * (1 + mp.mpf(10) ** -8)
+        f0, f1 = residual(x0), residual(x1)
+        for _ in range(50):
+            x0, x1 = x1, x1 - f1 * (x1 - x0) / (f1 - f0)
+            if abs(x1 - x0) <= mp.mpf(10) ** -25 * abs(x1):
+                return x1
+            f0, f1 = f1, residual(x1)
+        raise AssertionError(f"no secant convergence at {zt}")
+
+
 def mp_U(a, z, dps=40):
     """U(a,z) by mpmath's independent implementation."""
     with mp.workdps(dps):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from pcfzeros import genairy, mapping
+from pcfzeros import genairy, mapping, zeros
 from pcfzeros.airy import real_airy_zero
 from pcfzeros.errors import DomainError
 from pcfzeros.mapping import ZETA_AT_0, invert_zeta, zeta
@@ -154,24 +154,52 @@ def test_invert_zeta_real_section_costs_at_most_two_zeta_calls(monkeypatch):
 
 
 def test_real_targets_are_inverted_in_floats_against_mpmath():
-    # a real target is inverted in floats, on the real section.  At or
-    # below -1/2 the closed-form start is accurate to rounding; elsewhere
-    # the Newton loop accepts once |zeta(zhat) - target| <= 1e-14 (1 +
-    # |target|), here judged by the oracle's zeta, which adds its rounding
+    # a real target is inverted in floats, on the real section, to within
+    # 4 ulps of max(zhat, 1/2) of the 30-digit inversion: at or below
+    # -1/2 the closed-form start, elsewhere the Newton step formed at
+    # acceptance.  Below zhat = 1/2 the rounding level is absolute: zeta
+    # there is about zeta(0) = -1.12, whose rounding, times sigma(0) =
+    # 1.28, is about ulp(1/2).  Returning the accepted iterate, as before,
+    # left up to 112 ulps at t ~ -0.44
     rng = np.random.default_rng(29)
-    targets = np.concatenate(([ZETA_AT_0, -0.5, -1e-3, 1e-3, 10.0],
-                              rng.uniform(ZETA_AT_0, 0.0, 60),
-                              rng.uniform(0.0, 10.0, 40)))
+    targets = np.concatenate(([ZETA_AT_0, -0.5, -0.4999, -1e-3, 1e-3, 0.4999,
+                               0.5, 10.0, 49.9],
+                              rng.uniform(ZETA_AT_0, 0.0, 200),
+                              rng.uniform(0.0, 50.0, 100)))
     for zt in targets.tolist():
         zh = mapping._invert(zt, 1e-14, 60)
         assert type(zh) is float and invert_zeta(zt) == complex(zh)
-        ref = oracles.mp_invert_zeta_real(zt)
-        if zt <= -0.5:
-            assert abs(zh - ref) <= 4e-16, zt
-        else:
-            with mp.workdps(oracles.DPS):
-                back = oracles.mp_zeta_real(zh)
-            assert abs(back - zt) <= 1.04e-14 * (1.0 + abs(zt)), zt
+        ref = float(oracles.mp_invert_zeta_real(zt))
+        assert abs(zh - ref) <= 4.0 * math.ulp(max(ref, 0.5)), zt
+
+
+def test_newton_acceptance_bound():
+    # mapping._NEWTON_ACCEPT rests on K = max(1, |zhat|) |zeta''/zeta'|
+    # <= 4/(3 pi) over the sector 0 <= arg zhat <= 3 pi/8, its value at
+    # zhat = 0.  Every seed's zhat lies in it: the complex ones reach
+    # arg pi/4 as m grows, the real ones lie on [0, inf).
+    # At 30 digits, zeta''/zeta' = (zhat/(zhat^2 - 1) - zeta'/(2 zeta)),
+    # from zeta zeta'^2 = zhat^2 - 1, with zeta' on the package's branch
+    # (the sign nearest 1/sigma); zeta is d P(d) within 1.5 of zhat = 1
+    k_max = 4.0 / (3.0 * math.pi)
+    worst = (0.0, None)
+    with mp.workdps(oracles.DPS):
+        for r in (0.0, 0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.97, 1.03, 1.1, 1.3,
+                  1.7, 2.5, 4.0, 7.0, 15.0, 40.0, 1e2, 1e3, 1e4):
+            for j in range(19 if r else 1):
+                zh = mp.mpc(r) * mp.expjpi(mp.mpf(j) / 48)
+                d = zh - 1
+                zt = d * oracles.mp_zeta_over_d(d) if abs(d) < 1.5 \
+                    else oracles.mp_zeta(zh)
+                dz = mp.sqrt((zh * zh - 1) / zt)
+                s = mapping._sigma(complex(zh), complex(zt))
+                if abs(dz - 1 / s) > abs(dz + 1 / s):
+                    dz = -dz
+                k = max(1, abs(zh)) * abs(zh / (zh * zh - 1) - dz / (2 * zt))
+                worst = max(worst, (float(k), complex(zh)))
+    assert worst[0] <= k_max * (1.0 + 1e-12) and worst[1] == 0.0, worst
+    assert mapping._NEWTON_ACCEPT == pytest.approx(
+        math.sqrt(2.0 ** -52 / (8.0 * k_max)), rel=1e-15)
 
 
 def test_invert_zeta_below_image_rejected():
@@ -282,6 +310,26 @@ def test_invert_zeta_seed_targets_cost_few_zeta_calls(monkeypatch):
         counts.append(len(calls))
     assert sum(counts) / len(counts) <= 1.9
     assert 1 <= min(counts) and max(counts) <= 4
+
+
+def test_walked_seed_targets_cost_about_one_zeta_call(monkeypatch):
+    # zeros._seed_family starts each complex seed's Newton from the zhat
+    # extrapolated along the family, and accepts it one step sooner: at
+    # the seed benchmark's a, 1.12 zeta evaluations a seed (1.10-1.31
+    # from the per-index start)
+    calls = []
+    zeta_fn = mapping._zeta
+
+    def counted(zh):
+        calls.append(zh)
+        return zeta_fn(zh)
+
+    monkeypatch.setattr(mapping, "_zeta", counted)
+    for a, kind in ((8.3, "apos-complex"), (20.3, "apos-complex"),
+                    (-6.2, "aneg-complex")):
+        calls.clear()
+        list(zeros._seed_family(kind, a, 3, range(1, 3001)))
+        assert len(calls) <= 1.15 * 3000, (a, len(calls))
 
 
 def test_cauchy_riemann_probe():

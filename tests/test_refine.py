@@ -274,6 +274,29 @@ def test_int_past_the_double_range_is_a_domain_error(call):
     assert len(message) < 80
 
 
+@pytest.mark.parametrize("call", [
+    lambda: t_iterate(8.3, zeros_apos(8.3, 1).z, tol=_HUGE),
+    lambda: sweep(8.3, zeros_apos(8.3, 1).z, 3, tol=_HUGE),
+    lambda: winding_number(8.3, 1j, _HUGE),
+    lambda: zeros_apos(8.3, 10 ** 5000),
+    lambda: zeros_aneg_complex(-6.2, 10 ** 5000),
+    lambda: zeros_aneg_positive(-6.2, 10 ** 5000),
+    lambda: sweep(8.3, zeros_apos(8.3, 1).z, 3, tol=10 ** 5000),
+    lambda: winding_number(8.3, 1j, 10 ** 5000),
+], ids=["t_iterate-tol", "sweep-tol", "winding-radius", "zeros_apos-m",
+        "zeros_aneg_complex-m", "zeros_aneg_positive-m", "sweep-long-tol",
+        "winding-long-radius"])
+def test_huge_int_tolerance_radius_or_index_is_a_domain_error(call):
+    # each raised a bare exception: OverflowError from the step limit of
+    # the chain Evaluator (tol) or from radius * e^{i theta}, which
+    # compared as finite with an int past the double range, and
+    # ValueError from formatting an int past 4300 digits into the
+    # message; now a DomainError on one line
+    with pytest.raises(DomainError) as info:
+        call()
+    assert "\n" not in str(info.value)
+
+
 @pytest.mark.parametrize("call, length", [
     (lambda: hermite_zeros(2.0), 2),
     (lambda: hermite_zeros(np.float64(4.0)), 4),

@@ -433,36 +433,42 @@ def test_hermite_zeros_against_tridiagonal_oracle():
         assert np.max(np.abs(got - ref)) < 1e-10
 
 
-# z_approx of CLI zeros --family pos and nonpos, as the seeds were when
-# every real seed was formed in complex arithmetic
+# z_approx of CLI zeros --family pos and nonpos formed in complex
+# arithmetic from the oracle's zhat0 (oracles.mp_invert_zeta_real of the
+# leading term's zeta, rounded to a double), through the corrections and
+# the back-transform of zeros._expand
 _REAL_SEEDS = {
-    (-6.2, "aneg-positive"): {1: 3.1889032629139664, 2: 1.7358238870849663,
-                              3: 0.44145699120854837},
-    (-6.2, "aneg-nonpositive"): {1: -3.7060366127522597,
-                                 2: -2.1457012685339207,
-                                 3: -0.8224903975925207},
+    (-6.2, "aneg-positive"): {1: 3.1889032629139145, 2: 1.7358238870849656,
+                              3: 0.4414569912085477},
+    (-6.2, "aneg-nonpositive"): {1: -3.706036612752259,
+                                 2: -2.1457012685339203,
+                                 3: -0.8224903975925199},
     (-75.5, "aneg-positive"): {1: 16.233277100611403, 2: 15.36611357884364,
-                               19: 7.0696291535638895, 36: 0.7233143222771639,
-                               37: 0.3615788097830231},
+                               19: 7.069629153563889, 36: 0.7233143222771613,
+                               37: 0.36157880978302354},
     (-75.5, "aneg-nonpositive"): {1: -16.23327710061141,
-                                  2: -15.366113578843645,
-                                  20: -6.675976126081163,
-                                  37: -0.3615788097830269,
-                                  38: -1.0641046169948246e-15},
+                                  2: -15.366113578843644,
+                                  20: -6.675976126081162,
+                                  37: -0.3615788097830276,
+                                  38: -1.553216093923634e-15},
 }
 
 
 @pytest.mark.parametrize("a, kind", list(_REAL_SEEDS))
 def test_real_seeds_in_floats_are_the_complex_ones(a, kind):
     # the real families are seeded in floats, the Airy zero's zeta
-    # through the inversion, sigma and the corrections: within 2 ulps of
-    # the complex arithmetic, and a ZeroApproximation's fields complex
+    # through the inversion, sigma and the corrections: within 4 ulps of
+    # max(|z|, sqrt|a|) of the oracle's seed, and a ZeroApproximation's
+    # fields complex.  z = 2 sqrt|a| zhat, and below zhat = 1/2 (|z| =
+    # sqrt|a|) zhat's rounding level is absolute: zeta's, about eps
+    # next to zeta(0), times sigma(0) = 1.28 (test_mapping.py)
     seed = _seeder(kind, a, 3)
     for m, ref in _REAL_SEEDS[a, kind].items():
         z0, coeffs, zh, z, used = seed(m)
         assert all(type(x) is float for x in (z0, zh, *coeffs))
         assert type(z) is complex and z.imag == 0.0
-        assert abs(z.real - ref) <= 2.0 * math.ulp(ref), m
+        assert abs(z.real - ref) <= 4.0 * math.ulp(
+            max(abs(ref), math.sqrt(-a))), m
         r = zeros_aneg_positive(a, m) if kind == "aneg-positive" \
             else zeros_aneg_nonpositive(a, m)
         assert (r.z0, r.terms, r.zhat, r.z) == (z0, coeffs, zh, z)
@@ -617,13 +623,120 @@ def test_two_pass_chain_with_a_seed_failure_bit_for_bit(
     invert_zeta = zmod.invert_zeta
     calls = []
 
-    def failing(target):
+    def failing(target, **start):
         calls.append(target)
         if len(calls) == bad:
             raise ConvergenceError("invert_zeta did not converge", last=0j)
-        return invert_zeta(target)
+        return invert_zeta(target, **start)
 
     monkeypatch.setattr(zmod, "invert_zeta", failing)
     new, old = _both_chains(kind, a, 80, patch=calls.clear)
     assert sum(e.startswith("ConvergenceError") for e in new) == 1
     assert new == old
+
+
+def _recording_inversions(monkeypatch):
+    """A list to which every call of zeros.invert_zeta from now on
+    appends (target, the walked start or None, zhat)."""
+    invert_zeta = zmod.invert_zeta
+    calls = []
+
+    def recording(target, **start):
+        zh = invert_zeta(target, **start)
+        calls.append((target, start.get("_start"), zh))
+        return zh
+
+    monkeypatch.setattr(zmod, "invert_zeta", recording)
+    return calls
+
+
+def _ulps(zh, ref):
+    """|zh - ref| in ulps of |ref|."""
+    return abs(zh - ref) / math.ulp(abs(ref))
+
+
+# the scanned indices: every one to 30, then every 41st, and the last
+_SCAN_MS = [*range(1, 31), *range(31, 3000, 41), 3000]
+
+
+@pytest.mark.parametrize("a", [8.3, 20.3, -6.2, 0.3, 50.3, 1e-200])
+def test_complex_seeds_zhat_within_4_ulps_of_the_oracle(monkeypatch, a):
+    # every zhat0 of a complex family, walked along it by _seed_family or
+    # seeded per index, within 4 ulps of the 30-digit inversion of the
+    # same target.  Before the stepped answer and the walk (an iterate
+    # accepted at |zeta - target| <= 1e-14 (1 + |target|)) up to 51
+    # ulps here.  At 1e-200 (|zeta| ~ 1e133, past mapping._WALK_MAX) the
+    # inversion takes the large-zhat start in place of the walked one,
+    # and returns it at zeta's own rounding
+    kind = "apos-complex" if a > 0 else "aneg-complex"
+    calls = _recording_inversions(monkeypatch)
+    walked = list(zmod._seed_family(kind, a, 3, range(1, 3001)))
+    assert len(calls) == 3000 and all(
+        isinstance(s, tuple) for _, s in walked)
+    for m in _SCAN_MS:
+        target, _, zh = calls[m - 1]
+        ref = complex(oracles.mp_invert_zeta(target, zh))
+        assert _ulps(zh, ref) <= 4.0, (m, _ulps(zh, ref))
+        del calls[3000:]
+        zeros_apos(a, m) if a > 0 else zeros_aneg_complex(a, m)
+        assert calls[3000][:2] == (target, None)
+        assert _ulps(calls[3000][2], ref) <= 4.0, (m, "per index")
+    assert sum(start is not None for _, start, _ in calls) == 2997
+
+
+def _walk_starts(calls):
+    """Which recorded inversions were started from the walk."""
+    return [start is not None for _, start, _ in calls]
+
+
+@pytest.mark.parametrize("kind, a", [("apos-complex", 8.3),
+                                     ("aneg-complex", -6.2)])
+def test_walk_starts_from_the_extrapolated_zhat(monkeypatch, kind, a):
+    # once three consecutive indices are seeded, each next one starts
+    # its Newton from 3 (zhat_{m-1} - zhat_{m-2}) + zhat_{m-3}
+    calls = _recording_inversions(monkeypatch)
+    seeds = dict(zmod._seed_family(kind, a, 3, range(1, 7)))
+    assert _walk_starts(calls) == [False] * 3 + [True] * 3
+    z = [s[0] for s in seeds.values()]
+    for k in (3, 4, 5):
+        assert calls[k][1] == 3.0 * (z[k - 1] - z[k - 2]) + z[k - 3]
+
+
+@pytest.mark.parametrize("kind, a", [("apos-complex", 8.3),
+                                     ("aneg-complex", -6.2)])
+def test_walk_restarts_after_a_gap_in_the_indices(monkeypatch, kind, a):
+    # an index that does not follow the one before restarts from the
+    # per-index start, and so do the two after it: the same bits as the
+    # per-index seeds, until three consecutive seeds walk again
+    calls = _recording_inversions(monkeypatch)
+    ms = [1, 2, 3, 4, 5, 9, 10, 11, 12]
+    seeds = dict(zmod._seed_family(kind, a, 3, ms))
+    assert _walk_starts(calls) == [False] * 3 + [True] * 2 \
+        + [False] * 3 + [True]
+    for m in (9, 10, 11):
+        assert seeds[m] == _seeder(kind, a, 3)(m), m
+
+
+@pytest.mark.parametrize("kind, a, bad", [("apos-complex", 8.3, 6),
+                                          ("aneg-complex", -6.2, 4)])
+def test_walk_restarts_after_a_failed_seed(monkeypatch, kind, a, bad):
+    # the seed whose inversion raises keeps its ConvergenceError in its
+    # place; the three after it start per index (the same bits as the
+    # per-index seeds), and the walk then resumes
+    invert_zeta = zmod.invert_zeta
+    calls = []
+
+    def failing(target, **start):
+        calls.append(start.get("_start"))
+        if len(calls) == bad:
+            raise ConvergenceError("invert_zeta did not converge", last=0j)
+        return invert_zeta(target, **start)
+
+    monkeypatch.setattr(zmod, "invert_zeta", failing)
+    seeds = dict(zmod._seed_family(kind, a, 3, range(1, 13)))
+    assert isinstance(seeds[bad], ConvergenceError)
+    walked = [start is not None for start in calls]
+    assert walked[bad:] == [False] * 3 + [True] * (9 - bad)
+    monkeypatch.setattr(zmod, "invert_zeta", invert_zeta)
+    for m in range(bad + 1, bad + 4):
+        assert seeds[m] == _seeder(kind, a, 3)(m), m
