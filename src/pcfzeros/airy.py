@@ -44,7 +44,7 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .errors import DomainError, _shown
+from .errors import DomainError, require_finite, require_index, require_real
 
 _ROT = {1: cmath.exp(-2j * math.pi / 3), -1: cmath.exp(2j * math.pi / 3)}
 # on the real axis Bi = Re(_BI_ROT Ai(x e^{2 pi i/3})) (DLMF 9.2.10)
@@ -299,22 +299,18 @@ def _grid(g):
     return rc
 
 
-def _check(z):
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError("Airy functions require finite arguments")
-    if abs(z) > _MAX_ABS:
-        raise DomainError(f"Airy functions need |z| <= {_MAX_ABS:g}")
-
-
 def eval_ai(z):
-    """Ai(z) and Ai'(z) for complex z.
+    """Ai(z) and Ai'(z) for a finite number z with |z| <= _MAX_ABS, a
+    DomainError otherwise.
 
     Accurate to about 1e-14 of |Ai| + |Ai'|/sqrt(1 + |z|); where the
     result would overflow/underflow the double range, a scaled AiryValue
     with nonzero exponent is returned.
     """
+    require_finite(z=z)
     z = complex(z)
-    _check(z)
+    if abs(z) > _MAX_ABS:
+        raise DomainError(f"Airy functions need |z| <= {_MAX_ABS:g}")
     if _R_SERIES < abs(z) < _R_ASYM:
         g = complex(round(z.real), round(z.imag))
         return AiryValue(*_horner(_grid(g), z - g))
@@ -325,6 +321,7 @@ def eval_ai_rotated(l, z):
     """Ai_l(z) = Ai(z e^{-2*pi*i*l/3}) and its z-derivative, l in {+1,-1}."""
     if l not in (1, -1):
         raise DomainError("rotation index must be +1 or -1")
+    require_finite(z=z)
     rot = _ROT[l]
     base = eval_ai(rot * complex(z))
     return AiryValue(base.value, rot * base.derivative, base.exponent)
@@ -333,9 +330,12 @@ def eval_ai_rotated(l, z):
 def eval_bi_real(x):
     """Bi(x) and Bi'(x) for real x, scaled on overflow (large positive x),
     by the module's map of Bi; accurate to about 1e-14 of
-    |Bi| + |Bi'|/sqrt(1 + |x|)."""
+    |Bi| + |Bi'|/sqrt(1 + |x|).  A DomainError where x is not a finite
+    real number or |x| > _MAX_ABS."""
+    require_real(x=x)
     x = float(x)
-    _check(complex(x))
+    if abs(x) > _MAX_ABS:
+        raise DomainError(f"Airy functions need |z| <= {_MAX_ABS:g}")
     if x >= _R_ASYM:
         bi, bip, expo = _bi_right(x)
     elif x <= -_R_ASYM:
@@ -394,22 +394,11 @@ def _zero_estimate(m):
     return -(y + y * (corr + _t_correction(t * t)))
 
 
-def _check_index(m):
-    """DomainError unless m is an integral value in 1..MAX_INDEX (2.0 is
-    2): for 2.5, NaN, inf or a non-number too."""
-    try:
-        if 1 <= m <= MAX_INDEX and m == int(m):
-            return
-    except TypeError:
-        pass
-    raise DomainError(f"zero index {_shown(m)} is not an integer in "
-                      f"1..{MAX_INDEX}")
-
-
 def real_airy_zero(m):
     """The m-th negative real zero a_m of Ai (1 <= m <= MAX_INDEX),
     a_1 > a_2 > ..."""
-    _check_index(m)
+    if type(m) is not int or not 1 <= m <= MAX_INDEX:
+        require_index(m, MAX_INDEX)
     if m <= _NEWTON_ZEROS:
         return _POLISHED_ZEROS[int(m) - 1]
     return _zero_estimate(m)

@@ -5,43 +5,23 @@ Subcommands:
   validate    compare asymptotic zeros against refined/oracle references
   phase-grid  emit (x, y, arg U(a, x+iy)) over a rectangle
 
-zeros and validate take the families of zeros, their counts and the
-index of each family's first zero from zeros.families.  They refine
-each family through zeros._refine_family, the path hermite_zeros takes,
-in two passes: it seeds every index first, then walks one chain through
-those seeds, nearest the origin first, with one chain Evaluator carrying
-U and U' from zero to zero, each zero started from its seed plus the
-correction predicted from the zeros before it; the rows are in index
-order.  Keeping the seeding out of the chain's loop changes no bit and
-no amount of work, and makes the chain faster.  The z_approx columns are
-the expansion's seed, and residual is the size of T's last step over
-(1 + |z|), not the zero's error.  zeros --no-refine and validate
---reference oracle take the seeds from zeros._seed_family, the first
-pass alone, in index order; a seed that does not converge is reported
-by its index, and the other rows are kept.  Both commands build their
-rows from the entries of one _records call: zeros sorted by (family, m),
-validate --reference refined in refinement order, with the moduli g1 in
-place of terms_used and residual.  _compare is the one comparison of a
-zero with its reference (g1, eps1, eps2).  phase-grid evaluates its
-points by pcf_eval._eval_grid, the two end columns bottom to top and
-then each row from the end where |U| is smaller toward the other, and
-opens --out only once every point is evaluated.
-Everything runs in this process; the --jobs flag of zeros is accepted
-and has no effect.  _write_rows lays a table out from one row template
-and writes it in one call, in either format.  JSON output is laid out
-as json.dumps(rows, indent=1) lays it out, each row an object keyed by
-the fields; all of a table's values are encoded in one call of json's
-C encoder: the 150 rows of zeros --count 150 at a = 8.3 in 0.82 ms,
-against 1.33-1.45 ms by one encoder call a row.  CSV output, after the
-'# pcfzeros' line, is what csv.writer writes for the rows: floats in
-repr, None as an empty cell, no cell quoted.  Each constant column's
-cell is formatted once, into the template: the a column, and every
-column that is None in every row, such as the five refined columns of
---no-refine.  Building and writing the rows of zeros --no-refine
---count 3000 takes 7.7 ms at a = 8.3 and 7.8 ms at -6.2, against 11.8
-and 11.9 ms through csv.writer (medians of 80 calls, in perfbench's
-reference ms).  phase-grid writes its file in one call too, each x and
-each row's y formatted once.
+zeros and validate compute the families that _tasks_for names, from
+zeros.families and --family, through one _records call.  Each family is
+refined by zeros._refine_family, the path hermite_zeros takes: every
+index is seeded, then one chain Evaluator walks the seeds, nearest the
+origin first.  zeros --no-refine and validate --reference oracle take
+the seeds alone, from zeros._seed_family.  A zero that does not converge
+is reported on stderr by its index, and the other rows are kept.  zeros
+sorts its rows by (family, m); validate keeps refinement order and
+compares each zero with its reference by _compare (g1, eps1, eps2): the
+refined zero, or for the positive real zeros of the Hermite case, the
+node of H_n (_oracle_reference).  The z_approx columns are the
+expansion's seed, and residual is the size of T's last step over
+(1 + |z|), not the zero's error.  phase-grid evaluates its points by
+pcf_eval._eval_grid and opens --out only once every point is evaluated.
+Every table, phase-grid's file too, is laid out by _write_rows from one
+row template and written in one call.  Everything runs in this process;
+the --jobs flag of zeros is accepted and has no effect.
 
 Exit codes: 0 ok, 2 bad flags, 3 complex zeros requested in the Hermite
 case (genairy.hermite_order), 4 solver non-convergence or a seed
@@ -59,8 +39,7 @@ from itertools import chain, repeat
 from operator import is_, itemgetter
 
 from . import zeros as zmod
-from .errors import (ConvergenceError, DomainError, PolynomialCaseError,
-                     require_finite)
+from .errors import ConvergenceError, DomainError, PolynomialCaseError
 from .genairy import hermite_order
 # eval_U and t_iterate are not called here (zeros._refine_family looks
 # t_iterate up through refine); perfbench/spans.py patches cli.eval_U and
@@ -75,6 +54,7 @@ _ZEROS_FIELDS = ["family", "a", "m", "terms_used",
 _VALIDATE_FIELDS = ["family", "a", "m", "z_approx_re", "z_approx_im",
                     "z_ref_re", "z_ref_im", "g1_approx", "g1_ref",
                     "eps1", "eps2"]
+_GRID_FIELDS = ["x", "y", "arg_u"]
 
 
 # the per-index seed functions; _records seeds through zeros._seed_family,
@@ -109,22 +89,17 @@ def _tasks_for(args):
             for f in fams if f.count]
 
 
-def _records(args, refine):
-    """One entry per zero that _tasks_for names, in its order, and the
+def _records(args, tasks, refine):
+    """One entry per zero of tasks (_tasks_for's), in their order, and the
     exit code: 4 when some zero did not converge or t_iterate refused its
     seed (DomainError), each such zero reported on stderr with the other
     entries kept.  An entry is (kind, m, z_approx, terms_used, z_refined,
     residual), the last two None without refine; a real family's
     z_refined keeps an imaginary part of 0.
-
-    With refine each family comes from zeros._refine_family, which seeds
-    every index and then refines the family as one chain, nearest the
-    origin first; without, from zeros._seed_family, the same seeding
-    pass in index order.
     """
     entries = []
     code = 0
-    for kind, ms in _tasks_for(args):
+    for kind, ms in tasks:
         if refine:
             found = zip(ms, zmod._refine_family(kind, args.a, args.terms, ms))
         else:
@@ -132,7 +107,8 @@ def _records(args, refine):
         for m, got in found:
             if isinstance(got, ConvergenceError):
                 code = 4
-                _non_convergence(kind, m, got)
+                print(f"pcfzeros: non-convergence at {kind} m={m}: {got}",
+                      file=sys.stderr)
                 continue
             if not refine:
                 # got is the seed tuple (z0, terms, zhat, z, terms_used)
@@ -145,13 +121,6 @@ def _records(args, refine):
             entries.append((kind, m, z_approx, terms_used, z_refined,
                             rz.residual))
     return entries, code
-
-
-def _non_convergence(kind, m, error):
-    """Report on stderr, on one line, that the m-th zero of family kind
-    raised error."""
-    print(f"pcfzeros: non-convergence at {kind} m={m}: {error}",
-          file=sys.stderr)
 
 
 def _compare(z_approx, z_ref):
@@ -172,13 +141,15 @@ def _compare(z_approx, z_ref):
     return g1a, g1r, eps1, abs(1.0 - g2a / g2r)
 
 
-def _write_rows(rows, fields, header, fmt):
-    """Write rows (tuples of the values of fields) to stdout as a JSON
-    list of objects keyed by fields, or as CSV after the '# pcfzeros
-    <header>' line, as csv.writer writes it: floats in repr and None as
-    an empty cell.  The cells are numbers, None and family names, none
-    of which csv.writer quotes."""
-    out = sys.stdout
+def _write_rows(rows, fields, header, fmt, out=None):
+    """Write rows (tuples of the values of fields) to out (stdout where
+    None) in one call, as a JSON list of objects keyed by fields, or as
+    CSV after the '# pcfzeros <header>' line, as csv.writer writes it:
+    floats in repr and None as an empty cell.  The cells are numbers,
+    None, family names and numbers already formatted, none of which
+    csv.writer quotes."""
+    if out is None:
+        out = sys.stdout
     if fmt == "json":
         if not rows:
             out.write("[]\n")
@@ -222,7 +193,7 @@ def _csv_body(rows):
 
 
 def cmd_zeros(args):
-    found, code = _records(args, args.refine)
+    found, code = _records(args, _tasks_for(args), args.refine)
     found.sort(key=itemgetter(0, 1))
     a = args.a
     if not args.refine:
@@ -254,21 +225,22 @@ def _oracle_reference(a):
 
 
 def cmd_validate(args):
+    """Each zero of _tasks_for against its refined zero, or each seed of
+    the positive real zeros against its Hermite node (--reference oracle,
+    which covers that family alone)."""
     a = args.a
-    code = 0
-    if args.reference == "oracle":
+    tasks = _tasks_for(args)
+    oracle = args.reference == "oracle"
+    if oracle:
         refs = _oracle_reference(a)
-        fam = "aneg-positive"
-        seeds = zmod._seed_family(fam, a, args.terms, range(1, len(refs) + 1))
-        found = []
-        for (m, s), ref in zip(seeds, refs):
-            if isinstance(s, ConvergenceError):
-                code = 4
-                _non_convergence(fam, m, s)
-            else:
-                found.append((fam, m, s[3], None, complex(ref), None))
-    else:
-        found, code = _records(args, refine=True)
+        if args.family not in ("auto", "pos"):
+            raise DomainError("validate --reference oracle covers only the "
+                              "positive real zeros (--family pos)")
+        tasks = [t for t in tasks if t[0] == "aneg-positive"]
+    found, code = _records(args, tasks, refine=not oracle)
+    if oracle:
+        found = [(fam, m, za, None, complex(refs[m - 1]), None)
+                 for fam, m, za, _, _, _ in found]
     # _compare answers g1_approx, g1_ref, eps1, eps2, the last fields
     rows = [(fam, a, m, za.real, za.imag, zr.real, zr.imag, *_compare(za, zr))
             for fam, m, za, _, zr, _ in found]
@@ -291,19 +263,19 @@ def cmd_phase_grid(args):
 
     xs = coords(args.re_min, args.re_max, args.nx)
     ys = coords(args.im_min, args.im_max, args.ny)
-    rows = _eval_grid(args.a, xs, ys, tol=1e-6)
+    grid = _eval_grid(args.a, xs, ys, tol=1e-6)
     # each x and each row's y are formatted once, each phase per point
-    lines = [f"# pcfzeros phase-grid v1 a={args.a!r} nx={args.nx} "
-             f"ny={args.ny}\nx,y,arg_u\n"]
-    xcells = [f"{x!r}," for x in xs]
-    for y, row in zip(ys, rows):
-        ycell = f"{y!r},"
-        lines += [f"{xc}{ycell}{cmath.phase(v.value)!r}\n"
-                  for xc, v in zip(xcells, row)]
+    xcells = [repr(x) for x in xs]
+    rows = []
+    for y, row in zip(ys, grid):
+        ycell = repr(y)
+        rows += [(xc, ycell, cmath.phase(v.value))
+                 for xc, v in zip(xcells, row)]
+    header = f"phase-grid v1 a={args.a!r} nx={args.nx} ny={args.ny}"
     # opened only now: a run that stops at a point leaves --out as it was
     try:
         with open(args.out, "w") as fh:
-            fh.write("".join(lines))
+            _write_rows(rows, _GRID_FIELDS, header, "csv", fh)
     except OSError as e:
         raise DomainError(f"cannot write {args.out}: {e.strerror or e}") \
             from None
@@ -392,7 +364,6 @@ def main(argv=None):
                             else logging.WARNING)
         logging.getLogger("pcfzeros").debug("args: %s", args)
     try:
-        require_finite(a=args.a)
         return args.fn(args)
     except DomainError as e:
         print(f"pcfzeros: {e}", file=sys.stderr)

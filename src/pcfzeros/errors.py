@@ -1,5 +1,20 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule for each
+kind of argument, which every public entry point checks by:
+
+  require_finite    a point (z, zhat, zeta, t): a finite number;
+  require_real      a real parameter (a, x): a finite real number;
+  require_positive  a positive parameter (u, a radius): a finite real > 0;
+  require_index     a zero index: an integral value in first..last;
+  require_count     a count (n, a number of zeros or points, max_iter):
+                    an integral value >= 1 (2.0 is 2).
+
+Each raises DomainError on one line; a number too large for a double (an
+int past 1.8e308) is not finite under any of them.  A hot path tests its
+common arguments inline by the rule's comparison, and calls the rule
+only where that test fails.
+"""
 import cmath
+import math
 import sys
 
 
@@ -53,12 +68,59 @@ _DBL_MAX = sys.float_info.max
 
 
 def _shown(x):
-    """repr(x) for an error message, or a stand-in where an int is too
-    long for it (past 4300 digits repr raises ValueError)."""
+    """repr(x) for an error message, or a stand-in for an int past the
+    double range (past 4300 digits repr raises ValueError)."""
+    if isinstance(x, int) and not -_DBL_MAX <= x <= _DBL_MAX:
+        return "an int past the double range"
+    return repr(x)
+
+
+def require_real(**values):
+    """require_finite, and DomainError naming the first argument that is
+    complex: a finite real number compares with floats, and a complex one
+    raises TypeError."""
+    for name, x in values.items():
+        try:
+            if -_DBL_MAX <= x <= _DBL_MAX:
+                continue
+        except TypeError:
+            pass
+        require_finite(**{name: x})
+        raise DomainError(f"{name} = {x!r} is not real")
+
+
+def require_positive(**values):
+    """require_real, and DomainError naming the first argument that is
+    not > 0."""
+    for name, x in values.items():
+        require_real(**{name: x})
+        if not x > 0.0:
+            raise DomainError(f"{name} = {x!r} is not > 0")
+
+
+def _integral(n, first, last):
+    """True where n is an integral value in first..last (True is 1)."""
     try:
-        return repr(x)
-    except ValueError:
-        return "an int of more than 4300 digits"
+        return first <= n <= last and n == int(n)
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def require_index(m, last, first=1):
+    """DomainError unless the zero index m is an integral value in
+    first..last, saying which of the two it is not."""
+    if not _integral(m, first, last):
+        what = (f"outside {first}..{last}"
+                if _integral(m, -math.inf, math.inf) else "is not an integer")
+        raise DomainError(f"zero index {_shown(m)} {what}")
+
+
+def require_count(n, message, least=1):
+    """n as an int where it is an integral value in least.._DBL_MAX;
+    DomainError(message) for anything else."""
+    if _integral(n, least, _DBL_MAX):
+        return int(n)
+    raise DomainError(message)
 
 
 def _tolerance(tol):
@@ -71,15 +133,3 @@ def _tolerance(tol):
     except (TypeError, ValueError):
         pass
     raise DomainError(f"tol = {_shown(tol)} is not a finite number >= 0")
-
-
-def _positive_int(n, message):
-    """n as an int where it is an integral value >= 1, as the zero indices
-    take it (2.0 is 2); DomainError(message) for anything else: 2.5, NaN,
-    inf or a non-number."""
-    try:
-        if n >= 1 and n == int(n):
-            return int(n)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise DomainError(message)

@@ -34,10 +34,11 @@ import math
 import sys
 from typing import NamedTuple, Optional
 
-from .airy import (_check_index, _t_correction, eval_ai_rotated, eval_ai,
+from .airy import (MAX_INDEX, _t_correction, eval_ai_rotated, eval_ai,
                    eval_bi_real)
 from .errors import (ConvergenceError, DomainError, PolynomialCaseError,
-                     _positive_int)
+                     require_count, require_finite, require_index,
+                     require_positive)
 
 # rounding level of the identity residual per (1+|z|)^{3/2}: the phase
 # of Ai_{+-1} at z is off by about eps |z|^{3/2}; measured residuals at
@@ -70,21 +71,10 @@ class GenAiryZero(NamedTuple):
         return identity_residual(self.u, self.value)
 
 
-def _check_u(u, what):
-    """DomainError naming what unless u is a finite number > 0: for NaN,
-    an infinity or a non-number too."""
-    try:
-        if 0.0 < u < math.inf:
-            return
-    except TypeError:
-        pass
-    raise DomainError(f"{what} requires a finite u > 0, got u = {u!r}")
-
-
 def mu(u):
     """Periodic phase shift of period 2: 2u on [0,4/3) mod 2, else 2u-4
     (u > 0)."""
-    _check_u(u, "mu")
+    require_positive(u=u)
     r = math.fmod(u, 2.0)
     return 2.0 * r if r < 4.0 / 3.0 else 2.0 * r - 4.0
 
@@ -101,7 +91,8 @@ def hermite_order(u):
 
 
 def vartheta(u):
-    """1 when u reduced mod 2 lies in (1, 4/3), else 0."""
+    """1 when u reduced mod 2 lies in (1, 4/3), else 0 (u > 0)."""
+    require_positive(u=u)
     r = math.fmod(u, 2.0)
     return 1 if 1.0 < r < 4.0 / 3.0 else 0
 
@@ -109,8 +100,17 @@ def vartheta(u):
 def t_series(t):
     """Large-|t| expansion T(t) = t^(2/3)(1 + 5/(48 t^2) - ...), summed
     to the t^-8 term; _series_suffices decides where that is accurate
-    enough to stand without refinement.
+    enough to stand without refinement.  A t that is not a finite number,
+    or one outside 1e-38 <= |t| <= 1e38, where the powers of t up to t^8
+    are doubles (t = 0 divides by zero), is a DomainError.
     """
+    try:
+        valid = 1e-38 <= abs(t) <= 1e38
+    except TypeError:
+        valid = False
+    if not valid:
+        require_finite(t=t)
+        raise DomainError(f"|t| = {abs(t):.3g} is outside [1e-38, 1e38]")
     t = complex(t)
     return t ** (2.0 / 3.0) * (1.0 + _t_correction(t * t))
 
@@ -176,10 +176,13 @@ def refine_zero(u, approx, tol=1e-14, max_iter=30):
     converges when |step| <= tol*(1+|z|), or at Newton's noise floor:
     when the step stops shrinking while the identity residual at z is
     within the rounding of Ai there (_RESIDUAL_NOISE (1+|z|)^{3/2}),
-    z is returned as it is.  A max_iter that is not an integer >= 1 is a
-    DomainError.
+    z is returned as it is.  A u that is not a finite real number > 0, an
+    approx that is not a finite number or a max_iter that is not an
+    integer >= 1 is a DomainError.
     """
-    max_iter = _positive_int(max_iter, "max_iter must be an integer >= 1")
+    require_positive(u=u)
+    require_finite(approx=approx)
+    max_iter = require_count(max_iter, "max_iter must be an integer >= 1")
     z = complex(approx)
     prev = math.inf
     for _ in range(max_iter):
@@ -273,8 +276,8 @@ def neg_zeros(u, m, refine=False):
     (vartheta(u) = 0 on this side, so sole_positive_zero does not return
     it).
     """
-    _check_u(u, "neg_zeros")
-    _check_index(m)
+    require_positive(u=u)
+    require_index(m, MAX_INDEX)
     tau = 4.0 * m - 3.0 + mu(u)
     if tau < 1.0 and abs(math.fmod(u, 2.0) - 4.0 / 3.0) < 1e-12:
         return GenAiryZero(index=m, kind="negative-real", value=0.0 + 0.0j,
@@ -300,7 +303,7 @@ def sole_positive_zero(u) -> Optional[GenAiryZero]:
 
     At u = 4/3 (mod 2) the zero sits exactly at the origin.
     """
-    _check_u(u, "sole_positive_zero")
+    require_positive(u=u)
     r = math.fmod(u, 2.0)
     if abs(r - 4.0 / 3.0) < 1e-12:
         return GenAiryZero(index=0, kind="sole-positive", value=0.0 + 0.0j,
@@ -344,7 +347,7 @@ def complex_seeder(u):
     estimate fails the same test as in neg_zeros: every m <= 13 at
     u = 12.4.  PolynomialCaseError in the Hermite case (hermite_order).
     """
-    _check_u(u, "complex_zeros")
+    require_positive(u=u)
     n = hermite_order(u)
     if n is not None:
         raise PolynomialCaseError(f"u = {u} is the Hermite case 2n + 1, "
@@ -352,7 +355,8 @@ def complex_seeder(u):
     offset = _tau_offset(u)
 
     def zero(m, refine=False):
-        _check_index(m)
+        if type(m) is not int or not 1 <= m <= MAX_INDEX:
+            require_index(m, MAX_INDEX)
         t, z = _complex_seed(u, m, offset)
         if refine or not _series_suffices(t, z):
             return refine_zero(u, z).value, True

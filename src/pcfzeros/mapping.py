@@ -31,8 +31,8 @@ invert_zeta map a real argument in floats too, and answer complex.
 import cmath
 import math
 
-from .errors import (ConvergenceError, DomainError, _positive_int,
-                     _tolerance, require_finite)
+from .errors import (ConvergenceError, DomainError, _tolerance,
+                     require_count, require_finite)
 
 # within this distance of zhat = 1 the closed forms of zeta, sigma and the
 # corrections (coeffs) cancel; each Taylor table (see tests/test_coeffs.py)
@@ -195,14 +195,11 @@ def invert_zeta(zt_target, tol=1e-14, max_iter=60, _start=None):
     where that exceeds tol, as it does once |zeta| is past about 1e6.
     _start, private to zeros._seeder, replaces the large-zhat start of a
     complex target below |target| = _WALK_MAX by the zhat extrapolated
-    along the family.  A tol that is not a finite number >= 0, a
-    max_iter that is not an integer >= 1 (2.0 is 2), or a zt_target that
-    is not a finite number (one too large for a double too), is a
-    DomainError, checked in that order; so is a target whose 3/2 power
-    leaves the double range.  A finite float target with a float tol and
-    an int max_iter, as the real seeders pass them, is accepted by one
-    test and solved as it is, with no round trip through complex; any
-    other arguments go through the checks.
+    along the family.  tol, max_iter and zt_target are checked by
+    _tolerance, require_count and require_finite, in that order, unless
+    the one test of a float target, tol and an int max_iter (the real
+    seeders' call, solved with no round trip through complex) passes; a
+    target whose 3/2 power leaves the double range is a DomainError too.
     """
     if type(zt_target) is float and type(tol) is float \
             and type(max_iter) is int and -_INF < zt_target < _INF \
@@ -210,7 +207,7 @@ def invert_zeta(zt_target, tol=1e-14, max_iter=60, _start=None):
         return complex(_invert(zt_target, tol, max_iter))
     tol = _tolerance(tol)
     if type(max_iter) is not int or max_iter < 1:
-        max_iter = _positive_int(max_iter,
+        max_iter = require_count(max_iter,
                                  "max_iter must be an integer >= 1")
     # require_finite's test inline, as Evaluator.__call__ has it, which
     # raises where it fails

@@ -84,8 +84,9 @@ import functools
 import math
 from typing import NamedTuple
 
-from .errors import (_DBL_MAX, ConvergenceError, DomainError,
-                     _positive_int, _shown, _tolerance, require_finite)
+from .errors import (ConvergenceError, DomainError, _tolerance,
+                     require_count, require_finite, require_positive,
+                     require_real)
 
 SQRT_PI = math.sqrt(math.pi)
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
@@ -677,7 +678,7 @@ class Evaluator:
     """
 
     def __init__(self, a, tol=1e-11, scale="relative"):
-        require_finite(a=a)
+        require_real(a=a)
         if scale not in _SCALES:
             raise DomainError(f"scale {scale!r} is not one of {list(_SCALES)}")
         self.a = float(a)
@@ -1022,17 +1023,11 @@ def winding_number(a, center, radius, npoints=24):
     2 pi).  Each step of the phase, taken in (-pi, pi], must stay within
     pi/2, or it could alias a turn: where one does not, the points are
     doubled, at most three times, and then ConvergenceError.  A center
-    that is not a finite number, or a radius that is not a finite number
-    > 0, is a DomainError."""
-    npoints = _positive_int(npoints, "npoints must be an integer >= 1")
+    that is not a finite number, or a radius that is not a finite real
+    number > 0, is a DomainError."""
+    npoints = require_count(npoints, "npoints must be an integer >= 1")
     require_finite(center=center)
-    try:
-        valid = 0.0 < radius <= _DBL_MAX
-    except TypeError:
-        valid = False
-    if not valid:
-        raise DomainError(f"radius = {_shown(radius)} is not a finite "
-                          "number > 0")
+    require_positive(radius=radius)
     for _ in range(_WINDING_DOUBLINGS + 1):
         points = [center + radius * cmath.exp(2j * math.pi * k / npoints)
                   for k in range(npoints + 1)]

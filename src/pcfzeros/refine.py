@@ -17,7 +17,8 @@ import math
 from typing import NamedTuple
 
 from .errors import (_DBL_MAX, ChainBreakError, ConvergenceError,
-                     DomainError, _positive_int, _tolerance, require_finite)
+                     DomainError, _tolerance, require_count, require_finite,
+                     require_real)
 # eval_U_near_zero is not called here; perfbench/spans.py patches
 # refine.eval_U_near_zero, and tests/test_bench_names.py requires every
 # such name to resolve
@@ -67,25 +68,22 @@ def t_iterate(a, z0, tol=STEP_TOL, max_iter=20, evaluator=None):
     asymptotic stage does.  To refine many zeros, pass one chain
     Evaluator to every call, or use sweep.  A non-finite U or U',
     or a point where T is undefined, raises ConvergenceError; so does an
-    iteration that does not converge within max_iter steps.  An a or z0
-    that is not a finite number, a tol that is not a finite number >= 0,
-    or a max_iter that is not an integer >= 1 (2.0 is 2), is a
-    DomainError.  Finite numbers, a valid tol and an int max_iter, as
-    the package's chains pass them, are accepted by one test; anything
-    else (True or 2.0 for max_iter too) goes through require_finite,
-    _tolerance and _positive_int, in that order, which answer or raise as
-    they do for every function that takes these arguments.
+    iteration that does not converge within max_iter steps.  a, z0, tol
+    and max_iter are checked by require_real, require_finite, _tolerance
+    and require_count, in that order, once the one test of the common
+    arguments fails (a complex a fails it by TypeError).
     """
     try:
-        valid = (cmath.isfinite(a) and cmath.isfinite(z0)
+        valid = (-_DBL_MAX <= a <= _DBL_MAX and cmath.isfinite(z0)
                  and 0.0 <= tol <= _DBL_MAX and type(max_iter) is int
                  and max_iter >= 1)
     except (TypeError, ValueError, OverflowError):
         valid = False
     if not valid:
-        require_finite(a=a, z=z0)
+        require_real(a=a)
+        require_finite(z=z0)
         tol = _tolerance(tol)
-        max_iter = _positive_int(max_iter,
+        max_iter = require_count(max_iter,
                                  "max_iter must be an integer >= 1")
     if evaluator is None:
         evaluator = Evaluator(a, tol, "chain")
@@ -150,8 +148,9 @@ def sweep(a, z_start, count, tol=STEP_TOL):
     branch is kept continuous from step to step; landing within a quarter
     spacing of the previous zero raises ChainBreakError.
     """
-    require_finite(a=a, z_start=z_start)
-    count = _positive_int(count, "count must be an integer >= 1")
+    require_real(a=a)
+    require_finite(z_start=z_start)
+    count = require_count(count, "count must be an integer >= 1")
     walker = Evaluator(a, tol, "chain")
     first = t_iterate(a, z_start, tol=tol, evaluator=walker)
     out = [first]

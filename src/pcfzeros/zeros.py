@@ -13,31 +13,15 @@ closed forms from DLMF 12.11(i).  In the Hermite case u = 2n + 1
 (genairy.hermite_order), and only there, the complex family is empty;
 for odd n the zero at the origin is then one of the M-.
 
-Every seed goes through one path, _seeder(kind, a, terms): it checks a,
-terms and the Hermite case and forms the family's constants once, and
-returns the seed as a function of the index m, a plain tuple of
-ZeroApproximation's fields.  zeros_apos and the zeros_aneg_* functions
-wrap it for one index; _seed_family runs it over a family's indices,
-keeping each index's ConvergenceError in its place, for CLI zeros
---no-refine, validate --reference oracle and _refine_family.  A complex
-family's seed function walks along m: once it has seeded three
-consecutive indices, the next one's zeta inversion starts from zhat
-extrapolated from them, in place of the per-index start (the same
-root-to-root continuation as the refined chain's), which takes about
-one zeta evaluation a seed.  Either start gives zhat at rounding level,
-so a walked seed and the per-index one agree to a few ulps.
-
-Every refined family goes through one path too, _refine_family: CLI
-zeros and validate and hermite_zeros refine a family's zeros as one
-chain, nearest the origin first, with one chain Evaluator carrying U
-and U' from each zero to the next (Glaser, Liu & Rokhlin, SIAM J. Sci.
-Comput. 29, 2007), each zero started from its seed plus the correction
-predicted from the zeros before it.  A real family's m = 1 is its zero
-farthest from the origin, so its chain runs backwards through the
-indices.  It takes two passes: it seeds every index of the family, then
-walks the chain through those seeds.  That is the same work, and gives
-the same bits, as seeding each zero just before its refinement; but each
-loop keeps to one stage's code and data, which makes the hops faster.
+Every seed goes through one path, _seeder(kind, a, terms), which checks
+a, terms and the Hermite case, forms the family's constants once, and
+returns the seed as a function of m; a complex family's walks along m.
+zeros_apos and the zeros_aneg_* functions wrap it for one index, and
+_seed_family runs it over a family's indices.  Every refined family goes
+through one path too, _refine_family: CLI zeros and validate and
+hermite_zeros refine a family's zeros as one chain, nearest the origin
+first, with one chain Evaluator carrying U and U' from each zero to the
+next (Glaser, Liu & Rokhlin, SIAM J. Sci. Comput. 29, 2007).
 """
 import math
 from typing import NamedTuple, Optional
@@ -45,8 +29,9 @@ from typing import NamedTuple, Optional
 from . import genairy, refine
 from .airy import real_airy_zero
 from .coeffs import correction1, correction2
-from .errors import (ConvergenceError, DomainError, _positive_int,
-                     _shown, require_finite)
+from .errors import (ConvergenceError, DomainError, require_count,
+                     require_finite, require_index, require_positive,
+                     require_real)
 from .genairy import _EXP_IPI3, hermite_order, vartheta
 from .mapping import ZETA_AT_0, _sigma, invert_zeta
 from .pcf_eval import Evaluator
@@ -74,6 +59,7 @@ def count_positive(u):
     """M+: the number of positive real zeros of U(-u/2, x), u > 0 (DLMF
     12.11(i)): n for 4n-1 < u < 4n+3; n//2 at u = 2n+1 (H_n), where for
     odd n the zero at the origin is one of the M-."""
+    require_positive(u=u)
     n = hermite_order(u)
     return math.floor((u + 1.0) / 4.0) if n is None else n // 2
 
@@ -107,8 +93,13 @@ def m_minus(a):
 def families(a, complex_count=None):
     """The zero families of U(a, .) with their counts and first indices;
     for a < 0 all three, the empty ones with count 0 (the complex family
-    in the Hermite case)."""
-    require_finite(a=a)
+    in the Hermite case).  complex_count, the count of the complex
+    family, is None (unbounded) or an integer >= 0."""
+    require_real(a=a)
+    if complex_count is not None:
+        complex_count = require_count(
+            complex_count, "complex_count must be None or an integer >= 0",
+            least=0)
     a = float(a)
     if a > 0:
         return [ZeroFamily("apos-complex", a, 2.0 * a, complex_count)]
@@ -188,7 +179,7 @@ def _seeder(kind, a, terms):
     the next index does not follow), the next three start per index.  A
     function made for one index, as zeros_apos makes, starts per index."""
     if kind == "apos-complex":
-        require_finite(a=a)
+        require_real(a=a)
         if a <= 0:
             raise DomainError("zeros_apos requires a > 0")
         u = 2.0 * a
@@ -239,9 +230,8 @@ def _seeder(kind, a, terms):
             back = -2.0 * math.sqrt(0.5 * u)
 
         def seed(m):
-            if not first <= m <= last:
-                raise DomainError(f"index {_shown(m)} outside "
-                                  f"{first}..{last}")
+            if type(m) is not int or not first <= m <= last:
+                require_index(m, last, first)
             if positive:
                 x = real_airy_zero(m)
             elif m == 0:
@@ -350,7 +340,7 @@ def zeros_apos(a, m, terms=3):
 
 
 def _u_neg(a):
-    require_finite(a=a)
+    require_real(a=a)
     if a >= 0:
         raise DomainError("this family requires a < 0")
     u = -2.0 * a
@@ -386,7 +376,7 @@ def hermite_zeros(n, terms=3):
     zero that does not converge raises its ConvergenceError.  n may be
     any integral value >= 1 (4.0 is 4)."""
     require_finite(n=n)
-    n = _positive_int(n, "Hermite order must be a positive integer")
+    n = require_count(n, "Hermite order must be a positive integer")
     a = -0.5 * (2.0 * n + 1.0)
     found = _refine_family("aneg-positive", a, terms, range(1, n // 2 + 1))
     for got in found:

@@ -26,7 +26,7 @@ import numpy as np
 
 from pcfzeros import refine
 from pcfzeros.errors import (ChainBreakError, ConvergenceError, DomainError,
-                             _positive_int, require_finite)
+                             require_count, require_finite)
 from pcfzeros.pcf_eval import (_ASYM_MAX_TERMS, _EPS, _TAYLOR_MAX_STEPS,
                                _TAYLOR_MAX_TERMS, _TAYLOR_REACH,
                                _TAYLOR_ROUNDING, _TAYLOR_TINY, _WALK_SAFETY,
@@ -449,7 +449,7 @@ def sweep_unpredicted(a, z_start, count, tol=refine.STEP_TOL):
     """refine.sweep with each zero after the first started from H+ of the
     zero before, without the predicted correction."""
     require_finite(a=a, z_start=z_start)
-    count = _positive_int(count, "count must be an integer >= 1")
+    count = require_count(count, "count must be an integer >= 1")
     walker = Evaluator(a, tol, "chain")
     first = refine.t_iterate(a, z_start, tol=tol, evaluator=walker)
     out = [first]

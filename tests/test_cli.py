@@ -735,6 +735,40 @@ def test_validate_oracle_requires_polynomial_case(capsys):
         assert (rc, out) == (2, ""), a
 
 
+@pytest.mark.parametrize("family, code", [
+    ("complex", 3), ("apos", 2), ("nonpos", 2)])
+def test_validate_oracle_family_rules(capsys, family, code):
+    # the family comes from cli._tasks_for, as for zeros: the complex
+    # zeros of the Hermite case exit 3, as zeros --family complex does,
+    # and the oracle has nodes for the positive real zeros alone.  The
+    # complex family printed the positive zeros and exited 0
+    argv = ["--a=-6.5", "--family", family]
+    assert cli.main(["validate", "--reference", "oracle"] + argv) == code
+    cap = capsys.readouterr()
+    assert cap.out == "" and len(cap.err.splitlines()) == 1
+    if family == "complex":
+        assert cli.main(["zeros"] + argv) == 3
+        assert capsys.readouterr().err == cap.err
+
+
+def test_validate_oracle_auto_is_the_positive_family(capsys):
+    # H_6 at a = -6.5: three positive nodes, the seeds of m = 1..3 against
+    # sqrt(2) times them, the largest first
+    argv = ["validate", "--a=-6.5", "--reference", "oracle", "--format",
+            "json"]
+    rc, out = run_cli(capsys, argv)
+    assert rc == 0
+    assert run_cli(capsys, argv + ["--family", "pos"]) == (0, out)
+    rows = json.loads(out)
+    nodes = sorted(np.polynomial.hermite.hermgauss(6)[0])[::-1][:3]
+    assert [(r["family"], r["m"]) for r in rows] == \
+        [("aneg-positive", m) for m in (1, 2, 3)]
+    for r, x in zip(rows, nodes):
+        seed = zmod.zeros_aneg_positive(-6.5, r["m"]).z
+        assert (r["z_approx_re"], r["z_approx_im"]) == (seed.real, seed.imag)
+        assert (r["z_ref_re"], r["z_ref_im"]) == (math.sqrt(2.0) * x, 0.0)
+
+
 def test_validate_refined_reference(capsys):
     rc, out = run_cli(capsys, ["validate", "--a", "8.3", "--family", "apos",
                                "--count", "2", "--format", "json"])

@@ -393,7 +393,7 @@ _BAD_SETTINGS = [
     for arg, value, message in bad + _BAD_SETTINGS])
 def test_bad_arguments_are_domain_errors_with_their_messages(fn, base, arg,
                                                              value, message):
-    # the checks of require_finite, _tolerance and _positive_int, whether
+    # the checks of require_finite, _tolerance and require_count, whether
     # made by them or by a function's own test of the common types first
     with pytest.raises(DomainError) as info:
         fn(**dict(base, **{arg: value}))
